@@ -10,7 +10,7 @@ import click
 
 from .bars import BarError, SESSIONS, parse_bar_file, serialize_days
 from .config import ConfigError, dump_config, load_config
-from .engine import DataBundle, Engine, default_families, load_bundle
+from .engine import DataBundle, Engine, EngineError, default_families, load_bundle
 from .execution import TradeRecord, ExitReason, serialize_trades
 from .ledger import DecisionRecord, Ledger, LedgerError
 from .report import RunReport, render_report, render_summary
@@ -123,6 +123,9 @@ def run(config_path: str, family: str | None, out_dir: str | None,
             click.echo(f"{name}: N={metrics.n} verdict={verdict.failure_label}")
         (run_dir / "summary.md").write_text(render_summary(reports), encoding="utf-8")
         click.echo(f"run directory: {run_dir}")
+    except EngineError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
     except (BarError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA)

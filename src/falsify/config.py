@@ -95,21 +95,26 @@ def load_config(path: str | Path, seed_override: Optional[int] = None) -> RunCon
         raise ConfigError(f"cannot parse config: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
+    return config_from_dict(raw, seed_override)
+
+
+def config_from_dict(raw: dict, seed_override: Optional[int] = None) -> RunConfig:
+    """Merge ``raw`` over DEFAULTS; unknown keys and negative friction fail."""
     unknown = set(raw) - set(DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for section in ("instrument", "data", "gate", "permutation", "kalman"):
+        given = raw.get(section, {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"config section {section} must be a mapping")
+        unknown = set(given) - set(DEFAULTS[section])
+        if unknown:
+            raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
     merged = _merge(DEFAULTS, raw)
     if seed_override is not None:
         merged["seed"] = seed_override
     if merged["instrument"]["friction_points"] < 0:
         raise ConfigError("friction must be non-negative")
-    return RunConfig(merged)
-
-
-def config_from_dict(raw: dict, seed_override: Optional[int] = None) -> RunConfig:
-    merged = _merge(DEFAULTS, raw)
-    if seed_override is not None:
-        merged["seed"] = seed_override
     return RunConfig(merged)
 
 

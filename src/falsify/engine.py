@@ -108,6 +108,10 @@ class Engine:
         self.bundle = bundle
         self.config = config
         self.families = default_families()
+        named = [*config.raw["families"], *config.raw["permutation"]["families"]]
+        unknown = [n for n in named if n not in self.families]
+        if unknown:
+            raise EngineError(f"unknown family {unknown[0]!r}")
         self._prims: dict[tuple[str, date], DayPrimitives] = {}
         self._state: dict = {}
         self._series: dict = {}

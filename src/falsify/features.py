@@ -24,7 +24,6 @@ class FeatureError(ValueError):
 class Statistic(Enum):
     MEAN_RANGE = "MEAN_RANGE"
     VOLUME_MEAN = "VOLUME_MEAN"
-    VOLUME_STD = "VOLUME_STD"
     ATR = "ATR"
 
 
@@ -84,9 +83,6 @@ def rolling_stat(bars: Sequence[Bar], spec: RollingSpec) -> np.ndarray:
     if spec.statistic is Statistic.VOLUME_MEAN:
         x = np.array([float(b.volume) for b in bars])
         return _prior_mean(x, spec.window)
-    if spec.statistic is Statistic.VOLUME_STD:
-        x = np.array([float(b.volume) for b in bars])
-        return _prior_std(x, spec.window)
     if spec.statistic is Statistic.ATR:
         return _prior_mean(true_ranges(bars), spec.window)
     raise FeatureError(f"unknown statistic {spec.statistic}")
@@ -282,10 +278,6 @@ class RegimeGMM:
         self.tol = tol
         self.restarts = restarts
 
-    def get_params(self) -> dict:
-        return {"k": self.k, "seed": self.seed, "max_iter": self.max_iter,
-                "tol": self.tol, "restarts": self.restarts}
-
     def fit(self, X: np.ndarray) -> "RegimeGMM":
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
@@ -389,10 +381,6 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 def gmm_fit(features: np.ndarray, k: int = 3, seed: int = 0) -> RegimeGMM:
     return RegimeGMM(k=k, seed=seed).fit(features)
-
-
-def regime_labels(model: RegimeGMM, features: np.ndarray) -> np.ndarray:
-    return model.predict(features)
 
 
 def regime_features(bars: Sequence[Bar], vol_window: int = 50) -> np.ndarray:

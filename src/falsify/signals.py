@@ -20,17 +20,6 @@ from .features import OuFit, RollingSpec, Statistic, ou_zscore, rolling_stat
 LONG = "LONG"
 SHORT = "SHORT"
 
-FAMILIES = (
-    "ORB_LONG", "ORB_SHORT", "ORB_PULLBACK",
-    "ASIA_EXPANSION",
-    "LIQUIDITY_GRAB_FADE", "LIQUIDITY_GRAB_CONT",
-    "GAP_FILL_FADE", "GAP_CONT_SHORT",
-    "VOL_SPIKE", "VOL_DRYUP",
-    "VVG_REVERSAL", "VVG_CONTINUATION",
-    "EVENT_DRIFT", "OU_REVERSION",
-    "CONFLUENCE_RTH", "LONDON_B",
-)
-
 
 class SignalError(ValueError):
     pass

@@ -13,9 +13,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bars import TradingDay
-from .execution import (ExitKind, ExitSpec, FrictionModel, Instrument, MNQ,
-                        SignalEvent, TradeRecord, aggregate_by_year, simulate)
-from .signals import LONG, SHORT
+from .execution import (ExitSpec, FrictionModel, Instrument, MNQ, SignalEvent,
+                        TradeRecord, aggregate_by_year, simulate)
 
 
 class ValidationError(ValueError):
@@ -113,52 +112,31 @@ def permutation_test(trades: Sequence[TradeRecord], day_pool: Sequence[TradingDa
         raise ValidationError("no admissible placements in day pool")
 
     observed = float(np.mean([t.net for t in trades]))
-    directions = [t.direction for t in trades]
-    n = len(trades)
-    pos_arr = np.array(positions)
-
-    plain_horizon = (exit.kind == ExitKind.HORIZON and exit.stop is None
-                     and exit.clock is None)
-    if plain_horizon:
-        # every placement's outcome is a fixed (entry open, exit close)
-        # tick pair, so precompute them and the loop is pure indexing;
-        # draws match the generic path exactly
-        h = exit.horizon
-        entry_t = np.empty(len(positions), dtype=np.int64)
-        exit_t = np.empty(len(positions), dtype=np.int64)
-        day_opens = [np.array([instrument.to_ticks(b.open) for b in d.bars])
-                     for d in day_pool]
-        day_closes = [np.array([instrument.to_ticks(b.close) for b in d.bars])
-                      for d in day_pool]
-        for p, (di, bi) in enumerate(positions):
-            last = len(day_pool[di].bars) - 1
-            entry_t[p] = day_opens[di][bi + 1]
-            exit_t[p] = day_closes[di][min(bi + h, last)]
-        sign = np.array([1.0 if d == LONG else -1.0 for d in directions])
-        fric = instrument.to_ticks(friction.round_trip)
-        tick = instrument.tick_size
-        exceed = 0
-        for it in range(iterations):
-            rng = np.random.default_rng([seed, it])
-            idx = rng.integers(0, len(pos_arr), size=n)
-            nets = (sign * (exit_t[idx] - entry_t[idx]) - fric) * tick
-            if float(np.mean(nets)) >= observed:
-                exceed += 1
-        return (1 + exceed) / (iterations + 1)
+    # an exit's outcome depends only on (day, bar, direction), so each
+    # placement is simulated once and every iteration only indexes the
+    # table; NaN marks a limit that never fills and is dropped as rejected
+    dirs = sorted({t.direction for t in trades})
+    col = np.array([dirs.index(t.direction) for t in trades])
+    table = np.full((len(positions), len(dirs)), np.nan)
+    row = 0
+    for day in day_pool:
+        entries = range(len(day.bars) - 1)
+        for j, direction in enumerate(dirs):
+            evs = [SignalEvent("PERM", day.date, bi, direction) for bi in entries]
+            res = simulate(evs, day, exit, friction, instrument)
+            missed = {r.event.bar_index for r in res.rejections}
+            filled = [row + bi for bi in entries if bi not in missed]
+            table[filled, j] = [t.net for t in res.trades]
+        row += len(entries)
 
     exceed = 0
     for it in range(iterations):
         rng = np.random.default_rng([seed, it])
-        picks = pos_arr[rng.integers(0, len(pos_arr), size=n)]
-        by_day: dict[int, list[SignalEvent]] = {}
-        for (di, bi), direction in zip(picks, directions):
-            ev = SignalEvent("PERM", day_pool[di].date, int(bi), direction)
-            by_day.setdefault(int(di), []).append(ev)
-        nets: list[float] = []
-        for di, evs in by_day.items():
-            res = simulate(evs, day_pool[di], exit, friction, instrument)
-            nets.extend(t.net for t in res.trades)
-        if nets and float(np.mean(nets)) >= observed:
+        nets = table[rng.integers(0, len(positions), size=len(trades)), col]
+        nets = nets[~np.isnan(nets)]
+        # nets are multiples of a 0.25 tick and sum exactly, so the mean
+        # does not depend on the order the placements were drawn in
+        if nets.size and float(np.mean(nets)) >= observed:
             exceed += 1
     return (1 + exceed) / (iterations + 1)
 
@@ -201,6 +179,7 @@ class Verdict:
     net_ok: bool
     year_stable: bool
     perm_ok: bool
+    thresholds: GateThresholds = GateThresholds()
 
     @property
     def overall(self) -> bool:
@@ -211,15 +190,16 @@ class Verdict:
         """PASS, or the first failed criterion in gate order."""
         if self.overall:
             return "PASS"
+        g = self.thresholds
         if not self.t_ok:
-            return "FAIL – T < 2.0"
+            return f"FAIL – T < {g.t_min}"
         if not self.n_ok:
-            return "FAIL – N < 30"
+            return f"FAIL – N < {g.n_min}"
         if not self.net_ok:
             return "FAIL – net ≤ 0"
         if not self.year_stable:
             return "FAIL – year instability"
-        return "FAIL – p ≥ 0.05"
+        return f"FAIL – p ≥ {g.p_max}"
 
     @property
     def label(self) -> str:
@@ -236,7 +216,7 @@ def validate(metrics: EvalMetrics, thresholds: GateThresholds = GateThresholds()
         perm_ok = metrics.permutation_p < thresholds.p_max
     else:
         perm_ok = not thresholds.permutation_required
-    return Verdict(t_ok, n_ok, net_ok, stable, perm_ok)
+    return Verdict(t_ok, n_ok, net_ok, stable, perm_ok, thresholds)
 
 
 @dataclass(frozen=True)

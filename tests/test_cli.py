@@ -101,6 +101,14 @@ def test_run_bad_config_exits_two(tmp_path):
     assert "config error" in res.output
 
 
+def test_run_unknown_family_in_config_exits_two(tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("families:\n  NOPE:\n    threshold: 2.0\n", encoding="utf-8")
+    res = run_cli("run", "--config", cfg)
+    assert res.exit_code == 2
+    assert "config error: unknown family 'NOPE'" in res.output
+
+
 def test_run_families_without_data_are_skipped(tmp_path):
     days = gen_null_days(SynthSpec(290, seed=3))
     bars = write_days(tmp_path, days)

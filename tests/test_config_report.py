@@ -31,6 +31,15 @@ def test_unknown_top_level_key_rejected(tmp_path):
         load_config(write_cfg(tmp_path, "sede: 7\n"))
 
 
+def test_unknown_nested_key_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="unknown gate keys"):
+        config_from_dict({"gate": {"tmin": 3}})
+    with pytest.raises(ConfigError, match="unknown kalman keys"):
+        load_config(write_cfg(tmp_path, "kalman:\n  zscore: true\n"))
+    with pytest.raises(ConfigError, match="permutation must be a mapping"):
+        config_from_dict({"permutation": 500})
+
+
 def test_invalid_yaml_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, "a: [1, 2\n"))
@@ -41,6 +50,8 @@ def test_invalid_yaml_rejected(tmp_path):
 def test_negative_friction_rejected(tmp_path):
     with pytest.raises(ConfigError, match="friction"):
         load_config(write_cfg(tmp_path, "instrument:\n  friction_points: -1.0\n"))
+    with pytest.raises(ConfigError, match="friction"):
+        config_from_dict({"instrument": {"friction_points": -0.25}})
 
 
 def test_nested_override_merges(tmp_path):

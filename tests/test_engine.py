@@ -114,6 +114,13 @@ def test_config_overrides_reach_the_grid():
     assert all(g["threshold"] == 9.9 for g in grid)
 
 
+@pytest.mark.parametrize("cfg", [{"families": {"OU_REVERSON": {"threshold": 2.0}}},
+                                 {"permutation": {"families": ["LONDON_A"]}}])
+def test_unknown_family_name_in_config_rejected(cfg):
+    with pytest.raises(EngineError, match="OU_REVERSON|LONDON_A"):
+        make_engine(cfg=cfg)
+
+
 def test_permutation_skipped_when_gate_already_fails():
     # when the cheap criteria cannot pass, the permutation stage must not
     # run and the p-value stays unset; an absurd t threshold forces that
@@ -122,4 +129,4 @@ def test_permutation_skipped_when_gate_already_fails():
     _, metrics, verdict = eng.run_family("CONFLUENCE_RTH")
     assert metrics.permutation_p is None
     assert not verdict.overall
-    assert verdict.failure_label == "FAIL – T < 2.0"
+    assert verdict.failure_label == "FAIL – T < 50.0"

@@ -10,7 +10,7 @@ from falsify.bars import Bar, RTH
 from falsify.features import (FeatureError, GmmDegenerateError, OuFit, RegimeGMM,
                               RollingSpec, Statistic, gmm_fit, hurst_exponent,
                               kalman_velocity, markov_transition_prob, ou_fit,
-                              ou_zscore, regime_labels, rolling_stat,
+                              ou_zscore, rolling_stat,
                               volume_zscore)
 
 
@@ -255,7 +255,7 @@ def planted_clusters(seed=0, n_per=400):
 def test_gmm_planted_cluster_accuracy():
     X, y = planted_clusters()
     model = gmm_fit(X, seed=0)
-    acc = float(np.mean(regime_labels(model, X) == y))
+    acc = float(np.mean(model.predict(X) == y))
     assert acc >= 0.95
 
 

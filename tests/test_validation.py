@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import itertools
-from datetime import date
+from datetime import date, time
 
 import numpy as np
 import pytest
@@ -141,6 +141,14 @@ def test_gate_failure_labels_exact():
     assert validate(metrics(p=0.049)).failure_label == "PASS"
 
 
+def test_gate_failure_labels_render_configured_thresholds():
+    g = GateThresholds(t_min=2.5, n_min=50, p_max=0.01)
+    assert validate(metrics(t=2.4), g).failure_label == "FAIL – T < 2.5"
+    assert validate(metrics(n=49, t=3.0), g).failure_label == "FAIL – N < 50"
+    assert validate(metrics(t=3.0, n=60, p=0.02), g).failure_label == "FAIL – p ≥ 0.01"
+    assert validate(metrics(t=3.0, n=60, p=0.009), g).failure_label == "PASS"
+
+
 def test_gate_net_label_ordering():
     # t passes vacuously impossible with non-positive mean on real data, but
     # the gate must still report the first failed criterion in order
@@ -273,17 +281,55 @@ def test_permutation_deterministic_per_seed():
     assert p1 != p3
 
 
-def test_permutation_fast_path_matches_generic():
-    # a never-hit stop makes the generic simulator produce the same fills
-    # as the plain-horizon fast path, so the p-values must agree exactly
+def reference_permutation_p(trades, day_pool, exit, iterations, seed):
+    """Re-simulates every iteration's placements from scratch."""
+    observed = float(np.mean([t.net for t in trades]))
+    pos_arr = np.array(admissible_positions(day_pool))
+    exceed = 0
+    for it in range(iterations):
+        rng = np.random.default_rng([seed, it])
+        picks = pos_arr[rng.integers(0, len(pos_arr), size=len(trades))]
+        by_day = {}
+        for (di, bi), t in zip(picks, trades):
+            ev = SignalEvent("PERM", day_pool[di].date, int(bi), t.direction)
+            by_day.setdefault(int(di), []).append(ev)
+        nets = [tr.net for di, evs in by_day.items()
+                for tr in simulate(evs, day_pool[di], exit).trades]
+        if nets and float(np.mean(nets)) >= observed:
+            exceed += 1
+    return (1 + exceed) / (iterations + 1)
+
+
+PERMUTATION_EXITS = {
+    "horizon": ExitSpec(ExitKind.HORIZON, horizon=4),
+    # a never-hit stop fills and exits exactly like the plain horizon
+    "stop_never_hit": ExitSpec(ExitKind.STOP_HORIZON, horizon=4, stop=1e9),
+    "stop_horizon": ExitSpec(ExitKind.STOP_HORIZON, horizon=13, stop=10.0),
+    "clock": ExitSpec(ExitKind.CLOCK, clock=time(15, 30)),
+    "pullback_limit": ExitSpec(ExitKind.PULLBACK_LIMIT, horizon=6, limit_offset=25.0),
+}
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["long_only", "mixed"])
+@pytest.mark.parametrize("kind", list(PERMUTATION_EXITS))
+def test_permutation_matches_per_iteration_resimulation(kind, mixed):
     days = gen_null_days(SynthSpec(25, seed=6))
-    trades = [trade(float(x)) for x in np.random.default_rng(1).normal(2, 8, 30)]
-    fast = permutation_test(trades, days, ExitSpec(ExitKind.HORIZON, horizon=4),
-                            iterations=120, seed=3)
-    slow = permutation_test(trades, days,
-                            ExitSpec(ExitKind.STOP_HORIZON, horizon=4, stop=1e9),
-                            iterations=120, seed=3)
-    assert fast == slow
+    exit = PERMUTATION_EXITS[kind]
+    nets = np.random.default_rng(1).normal(2, 8, 30)
+    trades = [trade(float(x), direction=SHORT if mixed and i % 3 == 0 else LONG)
+              for i, x in enumerate(nets)]
+    p = permutation_test(trades, days, exit, iterations=120, seed=3)
+    assert p == reference_permutation_p(trades, days, exit, iterations=120, seed=3)
+    if kind == "stop_never_hit":
+        assert p == permutation_test(trades, days, PERMUTATION_EXITS["horizon"],
+                                     iterations=120, seed=3)
+
+
+def test_permutation_pullback_case_has_unfilled_placements():
+    days = gen_null_days(SynthSpec(25, seed=6))
+    evs = [SignalEvent("PERM", days[0].date, bi, LONG) for bi in range(77)]
+    res = simulate(evs, days[0], PERMUTATION_EXITS["pullback_limit"])
+    assert res.rejections and res.trades
 
 
 def test_permutation_p_bounds_and_floor():
