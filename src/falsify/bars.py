@@ -132,8 +132,6 @@ class DayPrimitives:
     overnight_gap: Optional[float]
     first30_return: float
     first_bar_volume: int
-    session_high_so_far: tuple[float, ...]
-    session_low_so_far: tuple[float, ...]
 
 
 class EventKind(Enum):
@@ -179,6 +177,17 @@ def _parse_bar_row(line: str, lineno: int) -> Bar:
     return bar
 
 
+def _data_rows(path: str | Path, header: str, what: str) -> list[tuple[int, str]]:
+    """(physical line number, text) of each row after ``header``; blank and
+    ``#`` lines are skipped but still counted."""
+    text = Path(path).read_text(encoding="utf-8")
+    rows = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip() and not ln.startswith("#")]
+    if rows and rows[0][1] != header:
+        raise BarError(f"bad {what}: {rows[0][1]!r}")
+    return rows[1:]
+
+
 def _is_complete(bars: tuple[Bar, ...], session: SessionSpec, session_day: date) -> bool:
     if len(bars) != session.nominal_bar_count:
         return False
@@ -221,14 +230,8 @@ def parse_bar_file(path: str | Path, session: SessionSpec) -> list[TradingDay]:
     dropped. Malformed rows, OHLC violations and unsorted input raise
     :class:`BarError` naming the offending line or timestamp.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        return []
-    if lines[0].strip() != BAR_HEADER:
-        raise BarError(f"bad header: {lines[0]!r}")
-    bars = [_parse_bar_row(ln.strip(), i + 1) for i, ln in enumerate(lines[1:], start=1)]
-    return group_days(bars, session)
+    rows = _data_rows(path, BAR_HEADER, "header")
+    return group_days([_parse_bar_row(ln, i) for i, ln in rows], session)
 
 
 def _fmt_price(x: float) -> str:
@@ -252,7 +255,7 @@ def serialize_days(days: Iterable[TradingDay], header_comment: str | None = None
 
 
 def day_primitives(day: TradingDay) -> DayPrimitives:
-    """Opening range over bars 0..5, overnight gap, running session extremes."""
+    """Opening range over bars 0..5, overnight gap, first-30-minute return."""
     if len(day.bars) < 6:
         raise BarError(f"day {day.date}: need >= 6 bars for primitives, got {len(day.bars)}")
     first6 = day.bars[:6]
@@ -261,23 +264,12 @@ def day_primitives(day: TradingDay) -> DayPrimitives:
     gap = None
     if day.prior_rth_close is not None:
         gap = day.bars[0].open - day.prior_rth_close
-    highs: list[float] = []
-    lows: list[float] = []
-    hi = float("-inf")
-    lo = float("inf")
-    for b in day.bars:
-        hi = max(hi, b.high)
-        lo = min(lo, b.low)
-        highs.append(hi)
-        lows.append(lo)
     return DayPrimitives(
         opening_range_high=or_high,
         opening_range_low=or_low,
         overnight_gap=gap,
         first30_return=first6[5].close - first6[0].open,
         first_bar_volume=first6[0].volume,
-        session_high_so_far=tuple(highs),
-        session_low_so_far=tuple(lows),
     )
 
 
@@ -290,15 +282,9 @@ def parse_event_calendar(path: str | Path, rth_only: bool = False) -> list[EconE
     Only FOMC/CPI/NFP/PCE kinds qualify. With ``rth_only`` set, events
     timestamped outside 09:30-16:00 ET (e.g. 08:30 releases) are dropped.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        return []
-    if lines[0].strip() != EVENT_HEADER:
-        raise BarError(f"bad calendar header: {lines[0]!r}")
     events: list[EconEvent] = []
-    for i, ln in enumerate(lines[1:], start=1):
-        parts = ln.strip().split(",")
+    for i, ln in _data_rows(path, EVENT_HEADER, "calendar header"):
+        parts = ln.split(",")
         if len(parts) != 4:
             raise BarError(f"line {i}: expected 4 columns, got {len(parts)}")
         try:

@@ -111,7 +111,7 @@ def run(config_path: str, family: str | None, out_dir: str | None,
                 click.echo(f"{name}: skipped (no {session} data)")
                 continue
             result, metrics, verdict = engine.run_family(name)
-            rep = RunReport(name, engine.family_grid(name)[0][0], metrics, verdict,
+            rep = RunReport(name, result.chosen[-1].params, metrics, verdict,
                             config_hash=cfg.hash, seed=cfg.seed)
             reports.append(rep)
             (run_dir / f"{name}.report.md").write_text(

@@ -22,7 +22,7 @@ DEFAULTS: dict = {
     "data": {"rth": None, "asia": None, "london": None, "events": None},
     "gate": {"t_min": 2.0, "n_min": 30, "p_max": 0.05},
     "permutation": {"iterations": 1000, "families": ["CONFLUENCE_RTH", "LONDON_B"]},
-    "kalman": {"q": 1e-3, "r": 1.0, "threshold": 2.5, "zscored": False},
+    "kalman": {"q": 1e-3, "r": 1.0, "zscored": False},
     "seed": 0,
     "output_dir": "runs",
     "families": {},
@@ -99,7 +99,7 @@ def load_config(path: str | Path, seed_override: Optional[int] = None) -> RunCon
 
 
 def config_from_dict(raw: dict, seed_override: Optional[int] = None) -> RunConfig:
-    """Merge ``raw`` over DEFAULTS; unknown keys and negative friction fail."""
+    """Merge ``raw`` over DEFAULTS; unknown keys, bad shapes and negative friction fail."""
     unknown = set(raw) - set(DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -110,6 +110,11 @@ def config_from_dict(raw: dict, seed_override: Optional[int] = None) -> RunConfi
         unknown = set(given) - set(DEFAULTS[section])
         if unknown:
             raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    families = raw.get("families", {})
+    if not isinstance(families, dict) or not all(isinstance(v, dict) for v in families.values()):
+        raise ConfigError("families must map each family name to a mapping of parameters")
+    if not isinstance(raw.get("permutation", {}).get("families", []), list):
+        raise ConfigError("permutation families must be a list")
     merged = _merge(DEFAULTS, raw)
     if seed_override is not None:
         merged["seed"] = seed_override

@@ -105,6 +105,16 @@ def test_malformed_row_names_line_number(tmp_path):
         parse_bar_file(p, RTH)
 
 
+def test_line_numbers_count_comment_lines(tmp_path):
+    day = make_day(date(2022, 1, 3))
+    lines = serialize_days([day], header_comment="synthetic").splitlines()
+    lines[5] = "garbage"  # physical line 6, after the comment and the header
+    p = tmp_path / "bad.csv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(BarError, match="line 6:"):
+        parse_bar_file(p, RTH)
+
+
 def test_high_below_low_names_bar(tmp_path):
     day = make_day(date(2022, 1, 3))
     lines = serialize_days([day]).splitlines()
@@ -212,23 +222,6 @@ def test_gap_absent_without_prior_close():
     assert day_primitives(day).overnight_gap is None
 
 
-def test_running_extremes_ignore_future_bars():
-    d = date(2022, 1, 3)
-    grid = RTH.grid(d)
-    highs = [10, 12, 11, 13, 12, 11, 14, 13, 99, 50]
-    bars = [Bar(grid[i], 9.0, float(highs[i]), 5.0, 9.0, 1) for i in range(10)]
-    day = TradingDay(d, RTH, tuple(bars), None, False)
-    prims = day_primitives(day)
-    assert prims.session_high_so_far[7] == 14.0  # bars 8-9 not visible yet
-    assert prims.session_high_so_far[8] == 99.0
-    running = []
-    hi = float("-inf")
-    for h in highs:
-        hi = max(hi, h)
-        running.append(hi)
-    assert list(prims.session_high_so_far) == running
-
-
 def test_primitives_need_six_bars():
     day = make_day(date(2022, 1, 3))
     short = TradingDay(day.date, RTH, day.bars[:5], None, False)
@@ -278,6 +271,15 @@ def test_non_usd_and_low_impact_filtered(tmp_path):
 def test_unknown_impact_code_rejected(tmp_path):
     p = write_calendar(tmp_path, ["2022-06-15T14:00,CPI,EXTREME,USD"])
     with pytest.raises(BarError, match="impact"):
+        parse_event_calendar(p)
+
+
+def test_calendar_error_names_physical_line(tmp_path):
+    p = write_calendar(tmp_path, ["2022-06-15T14:00,CPI,EXTREME,USD"])
+    with pytest.raises(BarError, match="line 2:"):  # the header is line 1
+        parse_event_calendar(p)
+    p.write_text("# calendar\n" + p.read_text(encoding="utf-8"), encoding="utf-8")
+    with pytest.raises(BarError, match="line 3:"):
         parse_event_calendar(p)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from falsify.bars import RTH, serialize_days
@@ -107,6 +108,32 @@ def test_run_unknown_family_in_config_exits_two(tmp_path):
     res = run_cli("run", "--config", cfg)
     assert res.exit_code == 2
     assert "config error: unknown family 'NOPE'" in res.output
+
+
+@pytest.mark.parametrize("families", ["  OU_REVERSION: 5\n", "  - OU_REVERSION\n",
+                                      "  OU_REVERSION:\n    treshold: 2.0\n"],
+                         ids=["scalar", "list", "typo"])
+def test_run_bad_families_section_exits_two(tmp_path, families):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("families:\n" + families, encoding="utf-8")
+    res = run_cli("run", "--config", cfg)
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output
+
+
+def test_report_params_are_the_last_fold_choice(tmp_path):
+    days = gen_null_days(SynthSpec(290, seed=1, gap_sigma=15.0))
+    bars = write_days(tmp_path, days)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"data:\n  rth: {bars}\nfamilies:\n  GAP_FILL_FADE:\n    min_gap: 4.0\n",
+                   encoding="utf-8")
+    res = run_cli("run", "--config", cfg, "--family", "GAP_FILL_FADE",
+                  "--out", tmp_path / "runs")
+    assert res.exit_code == 0, res.output
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    report = json.loads((run_dir / "GAP_FILL_FADE.report.json").read_text(encoding="utf-8"))
+    # walk-forward picks the 10:00 entry here, not the first declared point
+    assert report["params"] == {"entry_time": "10:00", "min_gap": 4.0}
 
 
 def test_run_families_without_data_are_skipped(tmp_path):

@@ -40,6 +40,21 @@ def test_unknown_nested_key_rejected(tmp_path):
         config_from_dict({"permutation": 500})
 
 
+def test_removed_kalman_threshold_rejected():
+    # GAP_CONT_SHORT's threshold is its kalman_threshold tunable
+    with pytest.raises(ConfigError, match=r"unknown kalman keys: \['threshold'\]"):
+        config_from_dict({"kalman": {"threshold": 3.0}})
+
+
+@pytest.mark.parametrize("raw", [{"families": {"OU_REVERSION": 5}},
+                                 {"families": ["OU_REVERSION"]},
+                                 {"families": None},
+                                 {"permutation": {"families": "CONFLUENCE_RTH"}}])
+def test_misshapen_families_rejected(raw):
+    with pytest.raises(ConfigError, match="families"):
+        config_from_dict(raw)
+
+
 def test_invalid_yaml_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, "a: [1, 2\n"))

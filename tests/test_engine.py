@@ -28,6 +28,32 @@ def test_family_table_is_complete():
         assert f.grid and f.exit_grid
 
 
+def test_every_grid_point_declares_the_same_tunables():
+    for f in default_families().values():
+        for point in f.grid:
+            assert point.keys() == f.grid[0].keys(), f.name
+
+
+def test_override_typo_rejected():
+    with pytest.raises(EngineError, match=r"OU_REVERSION.*\['treshold'\]"):
+        make_engine(cfg={"families": {"OU_REVERSION": {"treshold": 2.0}}})
+    with pytest.raises(EngineError, match="ORB_LONG"):
+        make_engine(cfg={"families": {"ORB_LONG": {"threshold": 2.0}}})
+
+
+def test_families_sharing_a_fit_share_its_state():
+    days = two_year_null(60, seed=5)
+    eng = make_engine(rth=days)
+    train = days[:30]
+    assert eng._fit_state("VOL_SPIKE", train, {}) is eng._fit_state("VOL_DRYUP", train, {})
+    assert eng._fit_state("VVG_REVERSAL", train, {"mode": "CLOSE_FADE"}) \
+        is eng._fit_state("VVG_CONTINUATION", train, {})
+    assert eng._fit_state("OU_REVERSION", train, {"threshold": 1.5}) \
+        is eng._fit_state("OU_REVERSION", train, {"threshold": 2.5})
+    assert eng._fit_state("VOL_SPIKE", days[:40], {}) is not eng._fit_state("VOL_SPIKE", train, {})
+    assert eng._fit_state("ORB_LONG", train, {}) == {}
+
+
 def test_unknown_family_rejected():
     eng = make_engine(rth=two_year_null(10))
     with pytest.raises(EngineError):
