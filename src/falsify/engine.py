@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date, time
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -140,7 +140,8 @@ def default_families() -> dict[str, FamilyDef]:
         ev for ev in sig.orb_signals(day, e.prims(day), "IMMEDIATE") if ev.family == fam]
     grab = lambda mode: lambda e, day, p, s: sig.liquidity_grab_signals(day, mode=mode, **p)
     vol = lambda kind: lambda e, day, p, s: sig.volume_signature_signals(
-        day, kind, s["spike_cutoff"], s["dryup_cutoff"])
+        day, kind, s["spike_cutoff"], s["dryup_cutoff"],
+        ratio=e.per_day(sig.volume_ratio_series, day))
     vvg = lambda e, day, p, s: sig.vvg_strategy_signals(
         day, s["flags"].get(day.date, False), p["mode"], e.prims(day))
     f = [
@@ -151,7 +152,8 @@ def default_families() -> dict[str, FamilyDef]:
                   lambda e, day, p, s: sig.orb_signals(day, e.prims(day), "PULLBACK", **p)),
         FamilyDef("ASIA_EXPANSION", "asia",
                   tuple({"multiple": m} for m in (1.5, 2.0, 2.5)), (_h(1), _h(6)),
-                  lambda e, day, p, s: sig.asia_expansion_signals(day, **p)),
+                  lambda e, day, p, s: sig.asia_expansion_signals(
+                      day, **p, mean_range=e.per_day(sig.mean_range_series, day))),
         FamilyDef("LIQUIDITY_GRAB_FADE", "asia", ({"lookback": None},), (_h(1), _h(6)),
                   grab("FADE")),
         FamilyDef("LIQUIDITY_GRAB_CONT", "asia", ({"lookback": None},), (_h(1), _h(6)),
@@ -196,7 +198,7 @@ class Engine:
             undeclared = sorted(set(overrides) - set(self.families[name].grid[0]))
             if undeclared:
                 raise EngineError(f"unknown {name} parameters: {undeclared}")
-        self._prims: dict[tuple[str, date], DayPrimitives] = {}
+        self._per_day: dict = {}
         self._state: dict = {}
         self._signals: dict = {}
         self._kalman_v: Optional[dict[date, float]] = None
@@ -206,11 +208,15 @@ class Engine:
     def complete_days(self, session: str) -> list[TradingDay]:
         return [d for d in self.bundle.days(session) if d.complete]
 
+    def per_day(self, fn: Callable[[TradingDay], Any], day: TradingDay) -> Any:
+        """``fn(day)``, computed once per day and shared by every family and grid point."""
+        key = (fn, day.session.name, day.date)
+        if key not in self._per_day:
+            self._per_day[key] = fn(day)
+        return self._per_day[key]
+
     def prims(self, day: TradingDay) -> DayPrimitives:
-        key = (day.session.name, day.date)
-        if key not in self._prims:
-            self._prims[key] = day_primitives(day)
-        return self._prims[key]
+        return self.per_day(day_primitives, day)
 
     def family_def(self, name: str) -> FamilyDef:
         fd = self.families.get(name)

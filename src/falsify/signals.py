@@ -97,14 +97,20 @@ def orb_signals(day: TradingDay, prims: DayPrimitives, variant: str = "IMMEDIATE
     return events
 
 
+def mean_range_series(day: TradingDay, window: int = 20) -> np.ndarray:
+    """Per-bar rolling mean bar range over the prior window; NaN on warm-up."""
+    return rolling_stat(day.bars, RollingSpec(window, Statistic.MEAN_RANGE))
+
+
 def asia_expansion_signals(day: TradingDay, multiple: float,
-                           window: int = 20) -> list[SignalEvent]:
+                           mean_range: Optional[np.ndarray] = None) -> list[SignalEvent]:
     """Expansion bar: range above a multiple of the rolling mean range.
 
     Direction follows the expansion bar's close-vs-open; dojis emit nothing.
+    ``mean_range`` defaults to ``mean_range_series(day)``.
     """
     bars = day.bars
-    mean_range = rolling_stat(bars, RollingSpec(window, Statistic.MEAN_RANGE))
+    mean_range = mean_range_series(day) if mean_range is None else mean_range
     events = []
     for i in range(min(len(bars), _last_entryable(day) + 1)):
         mr = mean_range[i]
@@ -193,7 +199,7 @@ def gap_signals(day: TradingDay, prims: DayPrimitives, variant: str,
         return [SignalEvent("GAP_FILL_FADE", day.date, idx, direction,
                             _meta(gap=gap))]
 
-    if gap < 0 and abs(kalman_v) > kalman_threshold and last >= 0:
+    if gap < 0 and abs(gap) >= min_gap and abs(kalman_v) > kalman_threshold and last >= 0:
         return [SignalEvent("GAP_CONT_SHORT", day.date, 0, SHORT,
                             _meta(gap=gap, kalman_v=kalman_v))]
     return []
@@ -219,15 +225,17 @@ def volume_ratio_cutoffs(days: Sequence[TradingDay], window: int = 20) -> tuple[
 
 
 def volume_signature_signals(day: TradingDay, kind: str, spike_cutoff: float,
-                             dryup_cutoff: float, window: int = 20) -> list[SignalEvent]:
+                             dryup_cutoff: float,
+                             ratio: Optional[np.ndarray] = None) -> list[SignalEvent]:
     """Volume spike momentum (with the bar) or dry-up exhaustion (against it).
 
     Decile cutoffs are frozen on the training window and passed in.
+    ``ratio`` defaults to ``volume_ratio_series(day)``.
     """
     if kind not in ("SPIKE", "DRYUP"):
         raise SignalError(f"unknown volume signature kind {kind!r}")
     family = "VOL_SPIKE" if kind == "SPIKE" else "VOL_DRYUP"
-    ratio = volume_ratio_series(day, window)
+    ratio = volume_ratio_series(day) if ratio is None else ratio
     events = []
     for i in range(min(len(day.bars), _last_entryable(day) + 1)):
         r = ratio[i]

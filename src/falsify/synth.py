@@ -4,9 +4,13 @@ Days are generated from per-day derived RNG streams so generation order
 never changes the output. Intrabar extremes come from 5 latent sub-steps
 per bar so stop-touch logic is exercised. All prices land on the tick
 grid by construction.
+``plant_drift`` works on whole-day arrays and ``gen_regime_days`` bisects
+the uniform ``Generator.choice`` would draw, so both keep the corpora of
+the per-bar loops they replaced byte for byte.
 """
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -44,6 +48,19 @@ class RegimeSpec:
     volume_mults: tuple[float, ...]   # multiplier on base volume
 
     def __post_init__(self) -> None:
+        k = len(self.means)
+        if k == 0:
+            raise SynthError("at least one regime required")
+        if len(self.vols) != k or len(self.volume_mults) != k:
+            raise SynthError(f"vols and volume_mults need one entry per regime ({k})")
+        if len(self.transition) != k or any(len(row) != k for row in self.transition):
+            raise SynthError(f"transition matrix must be {k}x{k}")
+        probs = [x for row in self.transition for x in row]
+        if not all(math.isfinite(x) for x in (*probs, *self.means, *self.vols,
+                                               *self.volume_mults)):
+            raise SynthError("regime parameters must be finite")
+        if min(*probs, *self.vols, *self.volume_mults) < 0:
+            raise SynthError("transition probabilities, vols and volume_mults must be >= 0")
         for row in self.transition:
             if abs(sum(row) - 1.0) > 1e-9:
                 raise SynthError("transition matrix rows must sum to 1")
@@ -138,12 +155,18 @@ def plant_drift(days: Sequence[TradingDay], events: Sequence[SignalEvent],
 
     Offsets persist to the end of the day (no artificial snap-back), and
     the open of the bar after the event bar is untouched, so next-bar-open
-    entries capture exactly the planted move.
+    entries capture exactly the planted move. Planted prices are Python floats.
     """
+    if horizon < 1:
+        raise SynthError(f"horizon must be >= 1, got {horizon}")
     by_day: dict[date, list[SignalEvent]] = {}
     for ev in events:
         by_day.setdefault(ev.day, []).append(ev)
 
+    # Python's round() returns an int, which has no negative zero; + 0.0
+    # turns np.round's -0.0 into 0.0 to match
+    q = lambda x: _quantize(x, tick_size) + 0.0
+    step_base = magnitude / horizon
     out: list[TradingDay] = []
     for day in days:
         evs = by_day.get(day.date)
@@ -151,30 +174,25 @@ def plant_drift(days: Sequence[TradingDay], events: Sequence[SignalEvent],
             out.append(day)
             continue
         n = len(day.bars)
-        off_open = np.zeros(n)
-        off_close = np.zeros(n)
-        step_base = magnitude / horizon
+        off = np.zeros((2, n))  # open and close offsets, summed in event order
         for ev in evs:
-            sign = 1.0 if ev.direction == LONG else -1.0
             p = ev.bar_index
-            for j in range(1, horizon + 1):
-                if p + j >= n:
-                    break
-                off_open[p + j] += sign * step_base * (j - 1)
-                off_close[p + j] += sign * step_base * j
-            for i in range(p + horizon + 1, n):
-                off_open[i] += sign * magnitude
-                off_close[i] += sign * magnitude
-        bars = []
-        for i, b in enumerate(day.bars):
-            o = b.open + off_open[i]
-            c = b.close + off_close[i]
-            hi = max(b.high + max(off_open[i], off_close[i]), o, c)
-            lo = min(b.low + min(off_open[i], off_close[i]), o, c)
-            q = lambda x: round(x / tick_size) * tick_size
-            bars.append(Bar(b.ts, q(o), max(q(hi), q(o), q(c)),
-                            min(q(lo), q(o), q(c)), q(c), b.volume))
-        out.append(TradingDay(day.date, day.session, tuple(bars),
+            if not 0 <= p < n:
+                raise SynthError(f"event bar {p} outside {day.date}'s {n} bars")
+            sign = 1.0 if ev.direction == LONG else -1.0
+            j = np.arange(1, min(horizon, n - 1 - p) + 1)
+            off[:, p + 1:p + 1 + len(j)] += sign * step_base * np.array([j - 1, j])
+            off[:, p + horizon + 1:] += sign * magnitude
+        px = np.array([(b.open, b.high, b.low, b.close) for b in day.bars]).T
+        o, c = px[0] + off[0], px[3] + off[1]
+        hi = np.maximum(np.maximum(px[1] + off.max(axis=0), o), c)
+        lo = np.minimum(np.minimum(px[2] + off.min(axis=0), o), c)
+        o, c = q(o), q(c)
+        hi = np.maximum(np.maximum(q(hi), o), c)
+        lo = np.minimum(np.minimum(q(lo), o), c)
+        bars = tuple(Bar(b.ts, *ohlc, b.volume) for b, *ohlc in
+                     zip(day.bars, o.tolist(), hi.tolist(), lo.tolist(), c.tolist()))
+        out.append(TradingDay(day.date, day.session, bars,
                               day.prior_rth_close, day.complete))
     return _relink_rth(out)
 
@@ -227,7 +245,11 @@ def gen_regime_days(spec: SynthSpec) -> tuple[list[TradingDay], list[np.ndarray]
         raise SynthError("regime generator requires a regime spec")
     reg = spec.regimes
     k = len(reg.means)
-    trans = np.array(reg.transition)
+    # what Generator.choice(k, p=row) bisects its one random() draw against
+    cdfs = [(c / c[-1]).tolist() for c in np.cumsum(reg.transition, axis=1)]
+    mus = [m / SUBSTEPS for m in reg.means]
+    sds = [v / math.sqrt(SUBSTEPS) for v in reg.vols]
+    volume_mults = np.array(reg.volume_mults, dtype=float)
     sess = spec.session
     nbars = sess.nominal_bar_count
     dates = _weekdays(spec.start_date, spec.n_days)
@@ -242,15 +264,12 @@ def gen_regime_days(spec: SynthSpec) -> tuple[list[TradingDay], list[np.ndarray]
         state = int(rng.integers(0, k))
         day_labels = np.empty(nbars, dtype=int)
         steps = np.empty((nbars, SUBSTEPS))
-        mults = np.empty(nbars)
         for i in range(nbars):
             day_labels[i] = state
-            mu = reg.means[state] / SUBSTEPS
-            sd = reg.vols[state] / math.sqrt(SUBSTEPS)
-            steps[i] = rng.normal(mu, sd, size=SUBSTEPS)
-            mults[i] = reg.volume_mults[state]
-            state = int(rng.choice(k, p=trans[state]))
-        vols = _volumes(rng, nbars, spec.volume_base, spec.volume_sigma, mults)
+            steps[i] = rng.normal(mus[state], sds[state], size=SUBSTEPS)
+            state = bisect.bisect_right(cdfs[state], rng.random())
+        vols = _volumes(rng, nbars, spec.volume_base, spec.volume_sigma,
+                        volume_mults[day_labels])
         bars, price = _day_bars(sess, d, price, steps, vols, spec.tick_size)
         all_bars.extend(bars)
         labels.append(day_labels)

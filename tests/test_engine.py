@@ -156,3 +156,41 @@ def test_permutation_skipped_when_gate_already_fails():
     assert metrics.permutation_p is None
     assert not verdict.overall
     assert verdict.failure_label == "FAIL – T < 50.0"
+
+
+def test_gap_cont_short_min_gap_applies():
+    days = two_year_null(300, seed=12, gap_sigma=15.0)
+    default, _, _ = make_engine(rth=days).run_family("GAP_CONT_SHORT", permutation=False)
+    assert default.oos_trades
+    strict, _, _ = make_engine(
+        rth=days, cfg={"families": {"GAP_CONT_SHORT": {"min_gap": 1000.0}}}
+    ).run_family("GAP_CONT_SHORT", permutation=False)
+    assert strict.oos_trades == []
+
+
+def test_per_day_series_computed_once_and_shared(monkeypatch):
+    from falsify import signals as sig
+    from falsify.bars import ASIA
+    rth = two_year_null(60, seed=5)
+    asia = gen_null_days(SynthSpec(30, session=ASIA, seed=6))
+    eng = make_engine(rth=rth, asia=asia)
+    state = eng._fit_state("VOL_SPIKE", rth[:30], {})
+    cuts = state["spike_cutoff"], state["dryup_cutoff"]
+    want = [(sig.volume_signature_signals(d, "SPIKE", *cuts),
+             sig.volume_signature_signals(d, "DRYUP", *cuts)) for d in rth[30:]]
+    multiples = (1.5, 2.0, 2.5)
+    want_asia = [[sig.asia_expansion_signals(d, m) for m in multiples] for d in asia]
+
+    calls = []
+    for name in ("volume_ratio_series", "mean_range_series"):
+        real = getattr(sig, name)
+        monkeypatch.setattr(sig, name, lambda day, *a, real=real, name=name:
+                            calls.append((name, day.date)) or real(day, *a))
+    got = [(eng.day_signals("VOL_SPIKE", d, {}, state),
+            eng.day_signals("VOL_DRYUP", d, {}, state)) for d in rth[30:]]
+    got_asia = [[eng.day_signals("ASIA_EXPANSION", d, {"multiple": m}, {}) for m in multiples]
+                for d in asia]
+    assert got == want and got_asia == want_asia
+    assert any(s and d for s, d in want) and any(any(evs) for evs in want_asia)
+    assert sorted(calls) == sorted([("volume_ratio_series", d.date) for d in rth[30:]]
+                                   + [("mean_range_series", d.date) for d in asia])

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import hashlib
+import math
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from falsify.bars import ASIA, RTH, serialize_days
+from falsify.bars import ASIA, RTH, Bar, TradingDay, group_days, serialize_days
 from falsify.execution import ExitKind, ExitSpec, simulate
-from falsify.signals import LONG, SHORT
-from falsify.synth import (DriftSpec, RegimeSpec, SynthError, SynthSpec,
+from falsify.signals import LONG, SHORT, SignalEvent
+from falsify.synth import (SUBSTEPS, DriftSpec, RegimeSpec, SynthError, SynthSpec,
+                           _day_bars, _relink_rth, _volumes, _weekdays,
                            gen_edge_days, gen_event_calendar, gen_null_days,
                            gen_regime_days, plant_drift)
 
@@ -134,6 +138,184 @@ def test_plant_respects_direction():
     assert moved == pytest.approx(-40.0, abs=0.13)
 
 
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_plant_rejects_bad_horizon(horizon):
+    base = gen_null_days(SynthSpec(1, seed=19))
+    ev = SignalEvent("PLANTED", base[0].date, 10, LONG)
+    with pytest.raises(SynthError, match="horizon"):
+        plant_drift(base, [ev], 15.0, horizon)
+
+
+@pytest.mark.parametrize("bar_index", [-1, 78, 500])
+def test_plant_rejects_event_outside_the_day(bar_index):
+    base = gen_null_days(SynthSpec(1, seed=19))
+    ev = SignalEvent("PLANTED", base[0].date, bar_index, LONG)
+    with pytest.raises(SynthError, match="outside"):
+        plant_drift(base, [ev], 15.0, 5)
+
+
+# -- byte identity with the per-bar reference loops ------------------------------
+
+def reference_plant_drift(days, events, magnitude, horizon, tick_size=0.25):
+    """The per-bar loop plant_drift replaced, kept as the reference."""
+    by_day = {}
+    for ev in events:
+        by_day.setdefault(ev.day, []).append(ev)
+    out = []
+    for day in days:
+        evs = by_day.get(day.date)
+        if not evs:
+            out.append(day)
+            continue
+        n = len(day.bars)
+        off_open = np.zeros(n)
+        off_close = np.zeros(n)
+        step_base = magnitude / horizon
+        for ev in evs:
+            sign = 1.0 if ev.direction == LONG else -1.0
+            p = ev.bar_index
+            for j in range(1, horizon + 1):
+                if p + j >= n:
+                    break
+                off_open[p + j] += sign * step_base * (j - 1)
+                off_close[p + j] += sign * step_base * j
+            for i in range(p + horizon + 1, n):
+                off_open[i] += sign * magnitude
+                off_close[i] += sign * magnitude
+        bars = []
+        for i, b in enumerate(day.bars):
+            o = b.open + off_open[i]
+            c = b.close + off_close[i]
+            hi = max(b.high + max(off_open[i], off_close[i]), o, c)
+            lo = min(b.low + min(off_open[i], off_close[i]), o, c)
+            q = lambda x: round(x / tick_size) * tick_size
+            bars.append(Bar(b.ts, q(o), max(q(hi), q(o), q(c)),
+                            min(q(lo), q(o), q(c)), q(c), b.volume))
+        out.append(TradingDay(day.date, day.session, tuple(bars),
+                              day.prior_rth_close, day.complete))
+    return _relink_rth(out)
+
+
+def reference_regime_days(spec):
+    """The rng.choice regime loop gen_regime_days replaced, kept as the reference."""
+    reg = spec.regimes
+    k = len(reg.means)
+    trans = np.array(reg.transition)
+    sess = spec.session
+    nbars = sess.nominal_bar_count
+    all_bars, labels = [], []
+    price = spec.base_price
+    for di, d in enumerate(_weekdays(spec.start_date, spec.n_days)):
+        rng = np.random.default_rng([spec.seed, di])
+        if spec.gap_sigma > 0 and di > 0:
+            price += rng.normal(0.0, spec.gap_sigma)
+        state = int(rng.integers(0, k))
+        day_labels = np.empty(nbars, dtype=int)
+        steps = np.empty((nbars, SUBSTEPS))
+        mults = np.empty(nbars)
+        for i in range(nbars):
+            day_labels[i] = state
+            mu = reg.means[state] / SUBSTEPS
+            sd = reg.vols[state] / math.sqrt(SUBSTEPS)
+            steps[i] = rng.normal(mu, sd, size=SUBSTEPS)
+            mults[i] = reg.volume_mults[state]
+            state = int(rng.choice(k, p=trans[state]))
+        vols = _volumes(rng, nbars, spec.volume_base, spec.volume_sigma, mults)
+        bars, price = _day_bars(sess, d, price, steps, vols, spec.tick_size)
+        all_bars.extend(bars)
+        labels.append(day_labels)
+    return group_days(all_bars, sess), labels
+
+
+def assert_days_identical(got, want):
+    assert serialize_days(got) == serialize_days(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.date, g.session, g.complete) == (w.date, w.session, w.complete)
+        assert repr(g.prior_rth_close) == repr(w.prior_rth_close)
+        assert type(g.prior_rth_close) is type(w.prior_rth_close)
+        for gb, wb in zip(g.bars, w.bars, strict=True):
+            assert gb == wb
+            for field in ("open", "high", "low", "close", "volume"):
+                a, b = getattr(gb, field), getattr(wb, field)
+                assert type(a) is type(b) and repr(a) == repr(b), (gb.ts, field, a, b)
+
+
+planted_events = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 77), st.sampled_from([LONG, SHORT])),
+    max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 50), asia=st.booleans(), raw_events=planted_events,
+       magnitude=st.sampled_from([0.0, 15.0, -7.3, 40.0, 1e-3]),
+       horizon=st.integers(1, 90), tick=st.sampled_from([0.25, 0.1]),
+       base_price=st.sampled_from([15000.0, 0.0]), replant=st.booleans())
+def test_plant_drift_matches_per_bar_loop(seed, asia, raw_events, magnitude, horizon,
+                                          tick, base_price, replant):
+    # overlapping events, several a day, both directions, events whose
+    # horizon runs past the session end, an ASIA session (no RTH relink),
+    # prices that round to zero from below, and planted (Python float)
+    # bars planted again
+    session = ASIA if asia else RTH
+    days = gen_null_days(SynthSpec(3, session=session, seed=seed, gap_sigma=5.0,
+                                   base_price=base_price))
+    n = session.nominal_bar_count
+    events = [SignalEvent("PLANTED", days[di].date, bi % n, d) for di, bi, d in raw_events]
+    if replant:
+        days = plant_drift(days, events[::2], 9.0, 4)
+    assert_days_identical(plant_drift(days, events, magnitude, horizon, tick),
+                          reference_plant_drift(days, events, magnitude, horizon, tick))
+
+
+@st.composite
+def regime_specs(draw):
+    k = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(k):
+        w = draw(st.lists(st.sampled_from([0.0, 0.01, 0.3, 1.0, 7.0]), min_size=k, max_size=k)
+                 .filter(lambda w: sum(w) > 0))
+        rows.append(tuple(x / sum(w) for x in w))
+    vals = st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k).map(tuple)
+    return RegimeSpec(transition=tuple(rows),
+                      means=draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k)
+                                 .map(tuple)),
+                      vols=draw(vals), volume_mults=draw(vals))
+
+
+@settings(max_examples=40, deadline=None)
+@given(reg=regime_specs(), seed=st.integers(0, 10_000), asia=st.booleans(),
+       gap=st.sampled_from([0.0, 10.0]))
+def test_regime_days_match_choice_loop(reg, seed, asia, gap):
+    spec = SynthSpec(3, session=ASIA if asia else RTH, seed=seed, gap_sigma=gap,
+                     regimes=reg)
+    days, labels = gen_regime_days(spec)
+    ref_days, ref_labels = reference_regime_days(spec)
+    assert_days_identical(days, ref_days)
+    for lab, ref in zip(labels, ref_labels, strict=True):
+        assert lab.dtype == ref.dtype and np.array_equal(lab, ref)
+
+
+CONFLUENCE_LIKE = RegimeSpec(
+    transition=((0.94, 0.01, 0.05), (0.25, 0.50, 0.25), (0.05, 0.01, 0.94)),
+    means=(-8.0, 0.0, 8.0), vols=(1.5, 4.0, 1.5), volume_mults=(1.0, 3.5, 1.0))
+
+
+def test_generated_corpora_match_golden_digests():
+    # recorded with the per-bar generators; any change to the generation
+    # stream changes these digests
+    days, labels = gen_regime_days(SynthSpec(6, vol_per_bar=8.0, seed=7, gap_sigma=10.0,
+                                             regimes=CONFLUENCE_LIKE))
+    text = serialize_days(days) + "".join(str(s) for lab in labels for s in lab)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "1e3ea2658b93e5d1c2c0dc1582b1a874df30bcc9541d34471e96b6ac378a0f36"
+    days, events = gen_edge_days(SynthSpec(8, session=ASIA, seed=5,
+                                           drift=DriftSpec(12.5, 7, events_per_day=3)))
+    text = serialize_days(days) + repr(events)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "a8fe82409e44b29b2d894ca13fae35d65adb4694aaf06f5f4a795fa2c4cffb32"
+
+
 # -- hidden-regime generator ----------------------------------------------------
 
 def single_regime_spec(mean, vol=2.0):
@@ -177,6 +359,30 @@ def test_bad_transition_rows_rejected():
     with pytest.raises(SynthError):
         RegimeSpec(transition=((0.6, 0.3),), means=(0.0, 0.0), vols=(1.0, 1.0),
                    volume_mults=(1.0, 1.0))
+
+
+TWO_STATE = dict(transition=((0.9, 0.1), (0.3, 0.7)), means=(0.0, 0.0), vols=(2.0, 2.0),
+                 volume_mults=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"transition": ((0.9, 0.1),)}, "2x2"),
+    ({"transition": ((0.9, 0.1), (0.3, 0.7), (0.5, 0.5))}, "2x2"),
+    ({"transition": ((0.9, 0.05, 0.05), (0.3, 0.7))}, "2x2"),
+    ({"vols": (2.0,)}, "one entry per regime"),
+    ({"volume_mults": (1.0, 1.0, 1.0)}, "one entry per regime"),
+    ({"means": (), "vols": (), "volume_mults": (), "transition": ()}, "at least one"),
+    ({"transition": ((1.2, -0.2), (0.3, 0.7))}, ">= 0"),
+    ({"vols": (2.0, -1.0)}, ">= 0"),
+    ({"volume_mults": (-1.0, 1.0)}, ">= 0"),
+    ({"transition": ((float("nan"), 1.0), (0.3, 0.7))}, "finite"),
+    ({"transition": ((0.9, 0.1), (float("inf"), 0.7))}, "finite"),
+    ({"means": (0.0, float("nan"))}, "finite"),
+    ({"vols": (float("inf"), 2.0)}, "finite"),
+])
+def test_malformed_regime_spec_rejected(change, match):
+    with pytest.raises(SynthError, match=match):
+        RegimeSpec(**{**TWO_STATE, **change})
 
 
 def test_generator_spec_mismatches_rejected():
