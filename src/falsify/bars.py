@@ -5,7 +5,7 @@ conversion is performed anywhere in the pipeline.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from enum import Enum
 from pathlib import Path
@@ -212,15 +212,25 @@ def group_days(bars: Iterable[Bar], session: SessionSpec) -> list[TradingDay]:
         grouped[d].append(bar)
 
     days: list[TradingDay] = []
-    prior_close: Optional[float] = None
     for d in order:
         day_bars = tuple(grouped[d])
-        complete = _is_complete(day_bars, session, d)
-        prior = prior_close if session.name == "RTH" else None
-        days.append(TradingDay(d, session, day_bars, prior, complete))
-        if session.name == "RTH":
-            prior_close = day_bars[-1].close if complete else None
-    return days
+        days.append(TradingDay(d, session, day_bars,
+                               complete=_is_complete(day_bars, session, d)))
+    return link_rth(days)
+
+
+def link_rth(days: Iterable[TradingDay]) -> list[TradingDay]:
+    """Link each RTH day to the day before it: ``prior_rth_close`` is that
+    day's last close when it is complete, else None. Days of other sessions
+    pass through. The close is copied as it is, so its type is kept."""
+    out: list[TradingDay] = []
+    prior = None
+    for day in days:
+        if day.session.name == "RTH":
+            day = TradingDay(day.date, day.session, day.bars, prior, day.complete)
+            prior = day.bars[-1].close if day.complete else None
+        out.append(day)
+    return out
 
 
 def parse_bar_file(path: str | Path, session: SessionSpec) -> list[TradingDay]:

@@ -7,6 +7,7 @@ strictly backward-looking, so slicing them per day leaks nothing.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from datetime import date, time
 from typing import Any, Callable, Optional, Sequence
@@ -237,13 +238,14 @@ class Engine:
         out: dict[date, float] = {}
         rth_days = self.complete_days("rth")
         asia_by_date = {d.date: d for d in self.complete_days("asia")}
+        asia_dates = sorted(asia_by_date)
         prev_rth: Optional[TradingDay] = None
         for day in rth_days:
             source: Optional[TradingDay] = None
-            if asia_by_date:
-                prior_dates = [dt for dt in asia_by_date if dt < day.date]
-                if prior_dates:
-                    source = asia_by_date[max(prior_dates)]
+            if asia_dates:
+                i = bisect.bisect_left(asia_dates, day.date)
+                if i:
+                    source = asia_by_date[asia_dates[i - 1]]
             elif prev_rth is not None:
                 source = prev_rth
             if source is not None:

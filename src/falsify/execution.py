@@ -31,7 +31,6 @@ class ExitReason(Enum):
     STOP = "STOP"
     CLOCK = "CLOCK"
     SESSION_END = "SESSION_END"
-    LIMIT_UNFILLED = "LIMIT_UNFILLED"
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,24 @@ always at most len(bars) - 2.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, time, datetime, timedelta
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bars import Bar, DayPrimitives, EconEvent, TradingDay
+from .bars import DayPrimitives, EconEvent, TradingDay
 from .features import OuFit, RollingSpec, Statistic, ou_zscore, rolling_stat
 
 LONG = "LONG"
 SHORT = "SHORT"
+
+GRAB_MIN_HISTORY = 6          # bars before a running-extreme pierce counts
+VVG_BASELINE_DAYS = 20        # prior days in the first-bar volume baseline
+VVG_ENTRY_BAR = 6             # first bar after the 30-minute opening window
+OU_REARM_LEVEL = 0.5          # |z| below which a fired side arms again
+CONFLUENCE_EXIT_HORIZON = 13  # bars; carried in the event meta
+LONDON_B_EXIT_BARS = 4        # 15-minute bars; carried in the event meta
 
 
 class SignalError(ValueError):
@@ -125,19 +131,19 @@ def asia_expansion_signals(day: TradingDay, multiple: float,
 
 
 def liquidity_grab_signals(day: TradingDay, lookback: Optional[int] = None,
-                           mode: str = "FADE", min_history: int = 6) -> list[SignalEvent]:
+                           mode: str = "FADE") -> list[SignalEvent]:
     """Pierce of a recent extreme with a close back inside the range.
 
     ``lookback=None`` uses the running session extreme over all prior
-    bars (requires ``min_history`` bars of history); an integer uses a
-    fixed prior-bar window.
+    bars (requires ``GRAB_MIN_HISTORY`` bars of history); an integer uses
+    a fixed prior-bar window.
     """
     if mode not in ("FADE", "CONTINUATION"):
         raise SignalError(f"unknown liquidity grab mode {mode!r}")
     family = "LIQUIDITY_GRAB_FADE" if mode == "FADE" else "LIQUIDITY_GRAB_CONT"
     bars = day.bars
     events = []
-    start = min_history if lookback is None else lookback
+    start = GRAB_MIN_HISTORY if lookback is None else lookback
     highs = np.array([b.high for b in bars])
     lows = np.array([b.low for b in bars])
     run_hi = np.maximum.accumulate(highs)
@@ -263,8 +269,7 @@ class VvgBoundaries:
 
 
 def vvg_metrics(days: Sequence[TradingDay],
-                prims: Sequence[DayPrimitives],
-                baseline_days: int = 20) -> np.ndarray:
+                prims: Sequence[DayPrimitives]) -> np.ndarray:
     """Per-day (|first30 return|, |gap|, first-bar volume deviation); NaN where undefined."""
     n = len(days)
     out = np.full((n, 3), np.nan)
@@ -273,8 +278,8 @@ def vvg_metrics(days: Sequence[TradingDay],
         out[i, 0] = abs(prims[i].first30_return)
         if prims[i].overnight_gap is not None:
             out[i, 1] = abs(prims[i].overnight_gap)
-        if i >= baseline_days:
-            baseline = vols[i - baseline_days:i].mean()
+        if i >= VVG_BASELINE_DAYS:
+            baseline = vols[i - VVG_BASELINE_DAYS:i].mean()
             out[i, 2] = abs(vols[i] - baseline)
     return out
 
@@ -298,8 +303,7 @@ def vvg_classify(metrics: np.ndarray, boundaries: VvgBoundaries) -> np.ndarray:
 
 
 def vvg_strategy_signals(day: TradingDay, flagged: bool, mode: str,
-                         prims: DayPrimitives,
-                         entry_bars: Sequence[int] = (6,)) -> list[SignalEvent]:
+                         prims: DayPrimitives) -> list[SignalEvent]:
     """Directional strategies on VVG classifier-positive days."""
     if mode not in ("REVERSAL", "CONTINUATION", "CLOSE_FADE"):
         raise SignalError(f"unknown VVG mode {mode!r}")
@@ -321,17 +325,12 @@ def vvg_strategy_signals(day: TradingDay, flagged: bool, mode: str,
                             _meta(day_move=move, close_fade=1))]
 
     f30 = prims.first30_return
-    if f30 == 0:
+    if f30 == 0 or VVG_ENTRY_BAR > last:
         return []
     base_dir = LONG if f30 > 0 else SHORT
     if mode == "REVERSAL":
         base_dir = SHORT if base_dir == LONG else LONG
-    events = []
-    for idx in entry_bars:
-        if 6 <= idx <= last:
-            events.append(SignalEvent(family, day.date, idx, base_dir,
-                                      _meta(first30=f30)))
-    return events
+    return [SignalEvent(family, day.date, VVG_ENTRY_BAR, base_dir, _meta(first30=f30))]
 
 
 def event_drift_signals(day: TradingDay, events: Sequence[EconEvent],
@@ -365,8 +364,7 @@ def event_drift_signals(day: TradingDay, events: Sequence[EconEvent],
     return out
 
 
-def ou_reversion_signals(day: TradingDay, fit: OuFit, threshold: float,
-                         rearm_level: float = 0.5) -> list[SignalEvent]:
+def ou_reversion_signals(day: TradingDay, fit: OuFit, threshold: float) -> list[SignalEvent]:
     """OU z-score threshold entries with a re-arm band against stacking."""
     if fit.half_life is None:
         return []
@@ -375,7 +373,7 @@ def ou_reversion_signals(day: TradingDay, fit: OuFit, threshold: float,
     events = []
     armed = True
     for i in range(min(len(closes), _last_entryable(day) + 1)):
-        if not armed and abs(z[i]) < rearm_level:
+        if not armed and abs(z[i]) < OU_REARM_LEVEL:
             armed = True
         if armed and z[i] <= -threshold:
             events.append(SignalEvent("OU_REVERSION", day.date, i, LONG,
@@ -393,8 +391,7 @@ def confluence_rth_signals(day: TradingDay, labels: Sequence[int],
                            atr: Sequence[float], atr_baseline: float,
                            trans_threshold: float = 0.15,
                            vz_threshold: float = 0.5,
-                           pullback_points: float = 25.0,
-                           exit_horizon: int = 13) -> list[SignalEvent]:
+                           pullback_points: float = 25.0) -> list[SignalEvent]:
     """Regime-1 bars with elevated transition-to-2 probability and volume z.
 
     All three conditions are strict inequalities. Meta carries the
@@ -412,17 +409,16 @@ def confluence_rth_signals(day: TradingDay, labels: Sequence[int],
         if tp > trans_threshold and vz > vz_threshold:
             scale = atr[i] / atr_baseline if np.isfinite(atr[i]) and atr_baseline > 0 else 1.0
             level = bars[i].close - pullback_points * scale
-            events.append(SignalEvent("CONFLUENCE_RTH", day.date, i, LONG,
-                                      _meta(limit_level=level, exit_horizon=exit_horizon,
-                                            trans_prob=tp, vol_z=vz)))
+            events.append(SignalEvent("CONFLUENCE_RTH", day.date, i, LONG, _meta(
+                limit_level=level, exit_horizon=CONFLUENCE_EXIT_HORIZON, trans_prob=tp,
+                vol_z=vz)))
     return events
 
 
-def london_b_signals(day: TradingDay, labels: Sequence[int],
-                     exit_bars: int = 4) -> list[SignalEvent]:
+def london_b_signals(day: TradingDay, labels: Sequence[int]) -> list[SignalEvent]:
     """Clean Regime 0 -> Regime 2 transition with no Regime 1 contamination.
 
-    Exit is ``exit_bars`` 15-minute bars later or session end (08:30 ET),
+    Exit is ``LONDON_B_EXIT_BARS`` 15-minute bars later or session end (08:30 ET),
     whichever comes first; the execution layer clips at session end.
     """
     n = len(day.bars)
@@ -436,5 +432,5 @@ def london_b_signals(day: TradingDay, labels: Sequence[int],
         if 1 in prior_two:
             continue
         events.append(SignalEvent("LONDON_B", day.date, t, LONG,
-                                  _meta(horizon=exit_bars)))
+                                  _meta(horizon=LONDON_B_EXIT_BARS)))
     return events

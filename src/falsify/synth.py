@@ -3,7 +3,8 @@
 Days are generated from per-day derived RNG streams so generation order
 never changes the output. Intrabar extremes come from 5 latent sub-steps
 per bar so stop-touch logic is exercised. All prices land on the tick
-grid by construction.
+grid by construction. Each day is built complete on its session grid,
+never regrouped from a flat bar list; ``bars.link_rth`` sets RTH links.
 ``plant_drift`` works on whole-day arrays and ``gen_regime_days`` bisects
 the uniform ``Generator.choice`` would draw, so both keep the corpora of
 the per-bar loops they replaced byte for byte.
@@ -13,13 +14,13 @@ from __future__ import annotations
 import bisect
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bars import Bar, SessionSpec, TradingDay, RTH, group_days
+from .bars import Bar, SessionSpec, TradingDay, RTH, link_rth
 from .signals import LONG, SHORT, SignalEvent
 
 logger = logging.getLogger(__name__)
@@ -101,7 +102,7 @@ def _quantize(x: np.ndarray, tick: float) -> np.ndarray:
 
 
 def _day_bars(session: SessionSpec, day: date, open_price: float, steps: np.ndarray,
-              volumes: np.ndarray, tick: float) -> tuple[list[Bar], float]:
+              volumes: np.ndarray, tick: float) -> tuple[tuple[Bar, ...], float]:
     """Build one day's bars from per-substep increments; returns (bars, close)."""
     nbars = session.nominal_bar_count
     levels = open_price + np.cumsum(steps.reshape(-1))
@@ -112,8 +113,8 @@ def _day_bars(session: SessionSpec, day: date, open_price: float, steps: np.ndar
     closes = levels[:, -1]
     highs = np.maximum(opens, levels.max(axis=1))
     lows = np.minimum(opens, levels.min(axis=1))
-    bars = [Bar(grid[i], opens[i], highs[i], lows[i], closes[i], int(volumes[i]))
-            for i in range(nbars)]
+    bars = tuple(Bar(grid[i], opens[i], highs[i], lows[i], closes[i], int(volumes[i]))
+                 for i in range(nbars))
     return bars, float(closes[-1])
 
 
@@ -125,26 +126,36 @@ def _volumes(rng: np.random.Generator, n: int, base: float, sigma: float,
     return np.maximum(np.round(v), 1.0)
 
 
-def gen_null_days(spec: SynthSpec) -> list[TradingDay]:
-    """Driftless additive random-walk days, deterministic per seed."""
-    if spec.drift is not None:
-        raise SynthError("null generator takes a drift-free spec")
+def _gen_days(spec: SynthSpec, draw: Callable[[np.random.Generator, int], tuple]
+              ) -> tuple[list[TradingDay], list]:
+    """Complete days on the session grid, one per weekday, each from its own
+    stream: the overnight gap, then ``draw(rng, nbars)`` -> (substep
+    increments, volume multipliers or None, labels), then volumes.
+    Returns (days, per-day labels)."""
     sess = spec.session
     nbars = sess.nominal_bar_count
-    dates = _weekdays(spec.start_date, spec.n_days)
-    step_sigma = spec.vol_per_bar / math.sqrt(SUBSTEPS)
-
-    all_bars: list[Bar] = []
+    days: list[TradingDay] = []
+    labels = []
     price = spec.base_price
-    for di, d in enumerate(dates):
+    for di, d in enumerate(_weekdays(spec.start_date, spec.n_days)):
         rng = np.random.default_rng([spec.seed, di])
         if spec.gap_sigma > 0 and di > 0:
             price += rng.normal(0.0, spec.gap_sigma)
-        steps = rng.normal(0.0, step_sigma, size=(nbars, SUBSTEPS))
-        vols = _volumes(rng, nbars, spec.volume_base, spec.volume_sigma)
+        steps, mults, day_labels = draw(rng, nbars)
+        vols = _volumes(rng, nbars, spec.volume_base, spec.volume_sigma, mults)
         bars, price = _day_bars(sess, d, price, steps, vols, spec.tick_size)
-        all_bars.extend(bars)
-    return group_days(all_bars, sess)
+        days.append(TradingDay(d, sess, bars, complete=True))
+        labels.append(day_labels)
+    return link_rth(days), labels
+
+
+def gen_null_days(spec: SynthSpec) -> list[TradingDay]:
+    """Driftless additive random-walk days, deterministic per seed."""
+    if spec.drift is not None or spec.regimes is not None:
+        raise SynthError("null generator takes a spec without drift or regimes")
+    step_sigma = spec.vol_per_bar / math.sqrt(SUBSTEPS)
+    return _gen_days(spec, lambda rng, nbars: (
+        rng.normal(0.0, step_sigma, size=(nbars, SUBSTEPS)), None, None))[0]
 
 
 def plant_drift(days: Sequence[TradingDay], events: Sequence[SignalEvent],
@@ -162,6 +173,9 @@ def plant_drift(days: Sequence[TradingDay], events: Sequence[SignalEvent],
     by_day: dict[date, list[SignalEvent]] = {}
     for ev in events:
         by_day.setdefault(ev.day, []).append(ev)
+    unknown = sorted(by_day.keys() - {day.date for day in days})
+    if unknown:
+        raise SynthError(f"event day {unknown[0]} matches none of the given days")
 
     # Python's round() returns an int, which has no negative zero; + 0.0
     # turns np.round's -0.0 into 0.0 to match
@@ -192,21 +206,8 @@ def plant_drift(days: Sequence[TradingDay], events: Sequence[SignalEvent],
         lo = np.minimum(np.minimum(q(lo), o), c)
         bars = tuple(Bar(b.ts, *ohlc, b.volume) for b, *ohlc in
                      zip(day.bars, o.tolist(), hi.tolist(), lo.tolist(), c.tolist()))
-        out.append(TradingDay(day.date, day.session, bars,
-                              day.prior_rth_close, day.complete))
-    return _relink_rth(out)
-
-
-def _relink_rth(days: list[TradingDay]) -> list[TradingDay]:
-    """Recompute prior_rth_close links after bar mutation."""
-    if not days or days[0].session.name != "RTH":
-        return days
-    out = []
-    prior = None
-    for d in days:
-        out.append(TradingDay(d.date, d.session, d.bars, prior, d.complete))
-        prior = d.bars[-1].close if d.complete else None
-    return out
+        out.append(TradingDay(day.date, day.session, bars, complete=day.complete))
+    return link_rth(out)
 
 
 def gen_edge_days(spec: SynthSpec) -> tuple[list[TradingDay], list[SignalEvent]]:
@@ -214,12 +215,7 @@ def gen_edge_days(spec: SynthSpec) -> tuple[list[TradingDay], list[SignalEvent]]
     if spec.drift is None:
         raise SynthError("edge generator requires a drift spec")
     drift = spec.drift
-    base = SynthSpec(n_days=spec.n_days, session=spec.session,
-                     vol_per_bar=spec.vol_per_bar, seed=spec.seed,
-                     start_date=spec.start_date, base_price=spec.base_price,
-                     tick_size=spec.tick_size, volume_base=spec.volume_base,
-                     volume_sigma=spec.volume_sigma)
-    days = gen_null_days(base)
+    days = gen_null_days(replace(spec, drift=None))
     nbars = spec.session.nominal_bar_count
 
     events: list[SignalEvent] = []
@@ -241,8 +237,8 @@ def gen_edge_days(spec: SynthSpec) -> tuple[list[TradingDay], list[SignalEvent]]
 
 def gen_regime_days(spec: SynthSpec) -> tuple[list[TradingDay], list[np.ndarray]]:
     """Hidden-regime days; returns (days, per-day true label arrays)."""
-    if spec.regimes is None:
-        raise SynthError("regime generator requires a regime spec")
+    if spec.regimes is None or spec.drift is not None:
+        raise SynthError("regime generator takes a regime spec without drift")
     reg = spec.regimes
     k = len(reg.means)
     # what Generator.choice(k, p=row) bisects its one random() draw against
@@ -250,17 +246,8 @@ def gen_regime_days(spec: SynthSpec) -> tuple[list[TradingDay], list[np.ndarray]
     mus = [m / SUBSTEPS for m in reg.means]
     sds = [v / math.sqrt(SUBSTEPS) for v in reg.vols]
     volume_mults = np.array(reg.volume_mults, dtype=float)
-    sess = spec.session
-    nbars = sess.nominal_bar_count
-    dates = _weekdays(spec.start_date, spec.n_days)
 
-    all_bars: list[Bar] = []
-    labels: list[np.ndarray] = []
-    price = spec.base_price
-    for di, d in enumerate(dates):
-        rng = np.random.default_rng([spec.seed, di])
-        if spec.gap_sigma > 0 and di > 0:
-            price += rng.normal(0.0, spec.gap_sigma)
+    def draw(rng: np.random.Generator, nbars: int):
         state = int(rng.integers(0, k))
         day_labels = np.empty(nbars, dtype=int)
         steps = np.empty((nbars, SUBSTEPS))
@@ -268,12 +255,9 @@ def gen_regime_days(spec: SynthSpec) -> tuple[list[TradingDay], list[np.ndarray]
             day_labels[i] = state
             steps[i] = rng.normal(mus[state], sds[state], size=SUBSTEPS)
             state = bisect.bisect_right(cdfs[state], rng.random())
-        vols = _volumes(rng, nbars, spec.volume_base, spec.volume_sigma,
-                        volume_mults[day_labels])
-        bars, price = _day_bars(sess, d, price, steps, vols, spec.tick_size)
-        all_bars.extend(bars)
-        labels.append(day_labels)
-    return group_days(all_bars, sess), labels
+        return steps, volume_mults[day_labels], day_labels
+
+    return _gen_days(spec, draw)
 
 
 def gen_event_calendar(days: Sequence[TradingDay], seed: int = 0,

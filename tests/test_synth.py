@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from falsify.bars import ASIA, RTH, Bar, TradingDay, group_days, serialize_days
+from falsify.bars import (ASIA, LONDON, RTH, Bar, TradingDay, group_days, link_rth,
+                          serialize_days)
 from falsify.execution import ExitKind, ExitSpec, simulate
 from falsify.signals import LONG, SHORT, SignalEvent
 from falsify.synth import (SUBSTEPS, DriftSpec, RegimeSpec, SynthError, SynthSpec,
-                           _day_bars, _relink_rth, _volumes, _weekdays,
+                           _day_bars, _volumes, _weekdays,
                            gen_edge_days, gen_event_calendar, gen_null_days,
                            gen_regime_days, plant_drift)
 
@@ -154,6 +155,20 @@ def test_plant_rejects_event_outside_the_day(bar_index):
         plant_drift(base, [ev], 15.0, 5)
 
 
+def test_plant_rejects_event_on_unknown_date():
+    base = gen_null_days(SynthSpec(5, seed=19))
+    ev = SignalEvent("PLANTED", date(2030, 1, 1), 10, LONG)
+    with pytest.raises(SynthError, match="2030-01-01"):
+        plant_drift(base, [ev], 15.0, 5)
+
+
+def test_edge_days_keep_the_overnight_gap():
+    days, _ = gen_edge_days(SynthSpec(120, seed=3, gap_sigma=50.0,
+                                      drift=DriftSpec(magnitude=5.0, horizon=13)))
+    gaps = [d.bars[0].open - d.prior_rth_close for d in days[1:]]
+    assert np.std(gaps) == pytest.approx(50.0, rel=0.25)
+
+
 # -- byte identity with the per-bar reference loops ------------------------------
 
 def reference_plant_drift(days, events, magnitude, horizon, tick_size=0.25):
@@ -193,7 +208,7 @@ def reference_plant_drift(days, events, magnitude, horizon, tick_size=0.25):
                             min(q(lo), q(o), q(c)), q(c), b.volume))
         out.append(TradingDay(day.date, day.session, tuple(bars),
                               day.prior_rth_close, day.complete))
-    return _relink_rth(out)
+    return link_rth(out)
 
 
 def reference_regime_days(spec):
@@ -316,6 +331,23 @@ def test_generated_corpora_match_golden_digests():
         "a8fe82409e44b29b2d894ca13fae35d65adb4694aaf06f5f4a795fa2c4cffb32"
 
 
+@pytest.mark.parametrize("generate", [
+    lambda: gen_null_days(SynthSpec(12, seed=4, gap_sigma=20.0)),
+    lambda: gen_null_days(SynthSpec(12, session=ASIA, seed=4)),
+    lambda: gen_null_days(SynthSpec(12, session=LONDON, seed=4)),
+    lambda: gen_regime_days(SynthSpec(12, seed=4, gap_sigma=10.0,
+                                      regimes=CONFLUENCE_LIKE))[0],
+    lambda: gen_edge_days(SynthSpec(12, seed=4, gap_sigma=20.0,
+                                    drift=DriftSpec(12.5, 7, events_per_day=2)))[0],
+], ids=["rth-gap", "asia", "london", "regime", "edge"])
+def test_generated_days_equal_their_bars_regrouped(generate):
+    # the generators build days on the session grid directly; grouping
+    # their bars again must change nothing
+    days = generate()
+    bars = [b for d in days for b in d.bars]
+    assert_days_identical(days, group_days(bars, days[0].session))
+
+
 # -- hidden-regime generator ----------------------------------------------------
 
 def single_regime_spec(mean, vol=2.0):
@@ -392,6 +424,12 @@ def test_generator_spec_mismatches_rejected():
         gen_edge_days(SynthSpec(5))
     with pytest.raises(SynthError):
         gen_null_days(SynthSpec(5, drift=DriftSpec(10.0, 5)))
+    with pytest.raises(SynthError):
+        gen_null_days(SynthSpec(2, regimes=CONFLUENCE_LIKE))
+    with pytest.raises(SynthError):
+        gen_edge_days(SynthSpec(2, drift=DriftSpec(10.0, 5), regimes=CONFLUENCE_LIKE))
+    with pytest.raises(SynthError):
+        gen_regime_days(SynthSpec(2, drift=DriftSpec(10.0, 5), regimes=CONFLUENCE_LIKE))
 
 
 # -- synthetic event calendar ------------------------------------------------------
