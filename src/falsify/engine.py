@@ -107,6 +107,13 @@ def _fit_regime(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
             "series": eng._regime_series(session, model)}
 
 
+def _regime_inputs(days: Sequence[TradingDay]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Regime features, volume z-score and 20-bar ATR over the days' bar stream."""
+    stream = [b for d in days for b in d.bars]
+    return (regime_features(stream, vol_window=50), volume_zscore(stream, 50),
+            rolling_stat(stream, RollingSpec(20, Statistic.ATR)))
+
+
 def _emit_gap_fill(eng: Engine, day: TradingDay, p: dict, state: dict) -> list:
     prims = eng.prims(day)
     if prims.overnight_gap is None:
@@ -185,7 +192,7 @@ def default_families() -> dict[str, FamilyDef]:
 
 
 class Engine:
-    """Per-run orchestration with memoized fitted state and per-day series."""
+    """Per-run orchestration with memoized fitted state and per-day and per-session series."""
 
     def __init__(self, bundle: DataBundle, config: RunConfig):
         self.bundle = bundle
@@ -199,7 +206,7 @@ class Engine:
             undeclared = sorted(set(overrides) - set(self.families[name].grid[0]))
             if undeclared:
                 raise EngineError(f"unknown {name} parameters: {undeclared}")
-        self._per_day: dict = {}
+        self._memo: dict = {}
         self._state: dict = {}
         self._signals: dict = {}
         self._kalman_v: Optional[dict[date, float]] = None
@@ -212,9 +219,16 @@ class Engine:
     def per_day(self, fn: Callable[[TradingDay], Any], day: TradingDay) -> Any:
         """``fn(day)``, computed once per day and shared by every family and grid point."""
         key = (fn, day.session.name, day.date)
-        if key not in self._per_day:
-            self._per_day[key] = fn(day)
-        return self._per_day[key]
+        if key not in self._memo:
+            self._memo[key] = fn(day)
+        return self._memo[key]
+
+    def per_session(self, fn: Callable[[list[TradingDay]], Any], session: str) -> Any:
+        """``fn(complete days)``, computed once per session and shared by every fold."""
+        key = (fn, session)
+        if key not in self._memo:
+            self._memo[key] = fn(self.complete_days(session))
+        return self._memo[key]
 
     def prims(self, day: TradingDay) -> DayPrimitives:
         return self.per_day(day_primitives, day)
@@ -263,15 +277,15 @@ class Engine:
         """Per-day slices of labels / transition prob / volume z / ATR.
 
         Computed over the full chronological stream; every component is
-        strictly backward-looking.
+        strictly backward-looking. The regime features, volume z-score and
+        ATR do not depend on the fold, so they are built once per session
+        (``per_session``); only the fold's model labels and the transition
+        probability over those labels are built per fold.
         """
         days = self.complete_days(session)
-        stream = [b for d in days for b in d.bars]
-        X = regime_features(stream, vol_window=50)
+        X, vz, atr = self.per_session(_regime_inputs, session)
         labels = model.predict(X)
         trans = markov_transition_prob(labels, window=200, frm=1, to=2)
-        vz = volume_zscore(stream, 50)
-        atr = rolling_stat(stream, RollingSpec(20, Statistic.ATR))
         out: dict[date, dict] = {}
         pos = 0
         for d in days:

@@ -375,8 +375,18 @@ class RegimeGMM:
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    m = a.max(axis=1)
-    return m + np.log(np.sum(np.exp(a - m[:, None]), axis=1))
+    """Row-wise log-sum-exp of an n x k array, one column at a time.
+
+    numpy's axis-1 reductions over a few columns are slow; the column-wise
+    maximum and the left-to-right ``+=`` give the same bits.
+    """
+    m = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(m, a[:, j], out=m)
+    s = np.exp(a[:, 0] - m)
+    for j in range(1, a.shape[1]):
+        s += np.exp(a[:, j] - m)
+    return m + np.log(s)
 
 
 def gmm_fit(features: np.ndarray, k: int = 3, seed: int = 0) -> RegimeGMM:
@@ -413,10 +423,9 @@ def markov_transition_prob(labels: Sequence[int], window: int, frm: int, to: int
     hits = ((lab[:-1] == frm) & (lab[1:] == to)).astype(float)
     cs = np.concatenate(([0.0], np.cumsum(starts)))
     ch = np.concatenate(([0.0], np.cumsum(hits)))
-    for i in range(window, n):
-        # pairs (j, j+1) fully inside [i-window, i-1]
-        lo, hi = i - window, i - 1
-        denom = cs[hi] - cs[lo]
-        if denom > 0:
-            out[i] = (ch[hi] - ch[lo]) / denom
+    # for bar i >= window: pairs (j, j+1) fully inside [i-window, i-1]
+    lo = np.arange(max(n - window, 0))
+    hi = lo + window - 1
+    denom = cs[hi] - cs[lo]
+    np.divide(ch[hi] - ch[lo], denom, out=out[window:], where=denom > 0)
     return out

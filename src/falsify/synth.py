@@ -78,7 +78,7 @@ class SynthSpec:
     tick_size: float = 0.25
     volume_base: float = 1000.0
     volume_sigma: float = 0.5
-    gap_sigma: float = 0.0  # overnight move std, points; RTH only
+    gap_sigma: float = 0.0  # overnight move std, points; applied before every day but the first
     drift: Optional[DriftSpec] = None
     regimes: Optional[RegimeSpec] = None
 

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+from collections import Counter
 from datetime import date
 
 import numpy as np
 import pytest
 
+from falsify import engine as engine_mod
+from falsify.bars import LONDON
 from falsify.config import config_from_dict
 from falsify.engine import DataBundle, Engine, EngineError, default_families
+from falsify.features import (RollingSpec, Statistic, gmm_fit, markov_transition_prob,
+                              regime_features, rolling_stat, volume_zscore)
 from falsify.signals import LONG
-from falsify.synth import SynthSpec, gen_null_days, plant_drift
+from falsify.synth import RegimeSpec, SynthSpec, gen_null_days, gen_regime_days, plant_drift
+from falsify.validation import make_plan
 
 
 def make_engine(rth=None, asia=None, london=None, cfg=None):
@@ -194,3 +200,60 @@ def test_per_day_series_computed_once_and_shared(monkeypatch):
     assert any(s and d for s, d in want) and any(any(evs) for evs in want_asia)
     assert sorted(calls) == sorted([("volume_ratio_series", d.date) for d in rth[30:]]
                                    + [("mean_range_series", d.date) for d in asia])
+
+
+def reference_fit_regime(eng, session, train):
+    """``_fit_regime`` as it was: every fold rebuilds the full-stream inputs."""
+    stream = [b for d in train for b in d.bars]
+    X = regime_features(stream, vol_window=50)
+    model = gmm_fit(X[50:], k=3, seed=eng.config.seed)
+    atr = rolling_stat(stream, RollingSpec(20, Statistic.ATR))
+    finite = atr[np.isfinite(atr)]
+    days = eng.complete_days(session)
+    full = [b for d in days for b in d.bars]
+    labels = model.predict(regime_features(full, vol_window=50))
+    trans = markov_transition_prob(labels, window=200, frm=1, to=2)
+    vz = volume_zscore(full, 50)
+    atr_full = rolling_stat(full, RollingSpec(20, Statistic.ATR))
+    series, pos = {}, 0
+    for d in days:
+        n = len(d.bars)
+        series[d.date] = {"labels": labels[pos:pos + n], "trans": trans[pos:pos + n],
+                          "vz": vz[pos:pos + n], "atr": atr_full[pos:pos + n]}
+        pos += n
+    return {"atr_baseline": float(np.median(finite)) if len(finite) else 1.0,
+            "series": series}
+
+
+def test_regime_state_is_bit_equal_on_every_fold_and_built_once(monkeypatch):
+    # 2021-12 to 2023-01: three calendar years, so two expanding folds
+    reg = RegimeSpec(transition=((0.9, 0.05, 0.05), (0.2, 0.5, 0.3), (0.05, 0.05, 0.9)),
+                     means=(-6.0, 0.0, 6.0), vols=(2.0, 5.0, 2.0), volume_mults=(1.0, 3.0, 1.0))
+    start = date(2021, 12, 1)
+    rth, _ = gen_regime_days(SynthSpec(300, seed=11, start_date=start, regimes=reg))
+    london, _ = gen_regime_days(SynthSpec(300, session=LONDON, seed=12, start_date=start,
+                                          regimes=reg))
+    eng = make_engine(rth=rth, london=london)
+    built = Counter()
+    for name in ("regime_features", "volume_zscore", "rolling_stat"):
+        real = getattr(engine_mod, name)
+        monkeypatch.setattr(engine_mod, name, lambda bars, *a, real=real, name=name, **kw:
+                            built.update([(name, len(bars))]) or real(bars, *a, **kw))
+    for family, session, days in (("CONFLUENCE_RTH", "rth", rth),
+                                  ("LONDON_B", "london", london)):
+        plan = make_plan([d.year for d in days])
+        assert len(plan.folds) == 2
+        for fold in plan.folds:
+            train = [d for d in days if d.year in fold.train_years]
+            state = eng._fit_state(family, train, {})
+            want = reference_fit_regime(eng, session, train)
+            assert state["atr_baseline"] == want["atr_baseline"]
+            assert state["series"].keys() == want["series"].keys()
+            for day, ref in want["series"].items():
+                for key, arr in ref.items():
+                    got = state["series"][day][key]
+                    assert got.dtype == arr.dtype and np.array_equal(got, arr, equal_nan=True)
+            assert any(np.isfinite(s["trans"]).any() for s in state["series"].values())
+        n = sum(len(d.bars) for d in days)
+        assert [built[(name, n)] for name in ("regime_features", "volume_zscore",
+                                              "rolling_stat")] == [1, 1, 1], family

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from falsify.bars import Bar, RTH
 from falsify.features import (FeatureError, GmmDegenerateError, OuFit, RegimeGMM,
-                              RollingSpec, Statistic, gmm_fit, hurst_exponent,
+                              RollingSpec, Statistic, _logsumexp, gmm_fit, hurst_exponent,
                               kalman_velocity, markov_transition_prob, ou_fit,
-                              ou_zscore, rolling_stat,
+                              ou_zscore, regime_features, rolling_stat,
                               volume_zscore)
+from falsify.synth import RegimeSpec, SynthSpec, gen_regime_days
 
 
 def bars_from_arrays(opens, highs, lows, closes, volumes):
@@ -323,6 +327,45 @@ def test_gmm_needs_enough_observations():
         gmm_fit(np.zeros((100, 3)), seed=0)
 
 
+def reference_logsumexp(a):
+    """The axis-1 form ``_logsumexp`` replaced."""
+    m = a.max(axis=1)
+    return m + np.log(np.sum(np.exp(a - m[:, None]), axis=1))
+
+
+@st.composite
+def log_prob_arrays(draw):
+    n, k = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    magnitude = draw(st.sampled_from([1e-3, 1e-1, 1.0, 1e1, 1e3]))
+    a = draw(hnp.arrays(np.float64, (n, k), elements=st.floats(-1.0, 1.0))) * magnitude
+    # rows whose maximum is shared by a second column
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        a[i, draw(st.integers(0, k - 1))] = a[i].max()
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=log_prob_arrays())
+def test_logsumexp_matches_axis1_reductions(a):
+    assert np.array_equal(_logsumexp(a), reference_logsumexp(a))
+
+
+def test_gmm_fit_matches_golden_digest():
+    # recorded with the axis-1 log-sum-exp; any change to the EM arithmetic
+    # changes this digest
+    reg = RegimeSpec(transition=((0.94, 0.01, 0.05), (0.25, 0.50, 0.25), (0.05, 0.01, 0.94)),
+                     means=(-8.0, 0.0, 8.0), vols=(1.5, 4.0, 1.5), volume_mults=(1.0, 3.5, 1.0))
+    days, _ = gen_regime_days(SynthSpec(40, seed=3, regimes=reg))
+    X = regime_features([b for d in days for b in d.bars], vol_window=50)
+    model = gmm_fit(X[50:], seed=7)
+    h = hashlib.sha256()
+    for a in (model.means_, model.variances_, model.weights_,
+              np.array(model.loglik_history_), model.predict(X)):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert len(model.loglik_history_) == 34
+    assert h.hexdigest() == "fb01a699dc59f6748b52107651f5b390e3dc84d9bdbcc5d73b3decd9ba261012"
+
+
 # -- Markov transition probabilities -------------------------------------------
 
 def test_markov_constant_labels():
@@ -365,6 +408,38 @@ def test_markov_brute_force():
             assert np.isnan(p[i])
         else:
             assert p[i] == pytest.approx(hits / starts, abs=1e-12)
+
+
+def reference_markov(labels, window, frm, to):
+    """The per-bar loop ``markov_transition_prob`` replaced."""
+    lab = np.asarray(labels, dtype=int)
+    n = len(lab)
+    out = np.full(n, np.nan)
+    if n < 2:
+        return out
+    starts = (lab[:-1] == frm).astype(float)
+    hits = ((lab[:-1] == frm) & (lab[1:] == to)).astype(float)
+    cs = np.concatenate(([0.0], np.cumsum(starts)))
+    ch = np.concatenate(([0.0], np.cumsum(hits)))
+    for i in range(window, n):
+        lo, hi = i - window, i - 1
+        denom = cs[hi] - cs[lo]
+        if denom > 0:
+            out[i] = (ch[hi] - ch[lo]) / denom
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=st.lists(st.integers(0, 2), max_size=150), window=st.integers(10, 60),
+       frm=st.integers(0, 2), to=st.integers(0, 2))
+@example(labels=[], window=10, frm=1, to=2)
+@example(labels=[1], window=10, frm=1, to=2)
+@example(labels=[1, 2] * 5, window=10, frm=1, to=2)
+@example(labels=[0] * 30 + [1, 1, 2] * 10, window=12, frm=1, to=1)
+def test_markov_matches_per_bar_loop(labels, window, frm, to):
+    got = markov_transition_prob(labels, window=window, frm=frm, to=to)
+    want = reference_markov(labels, window, frm, to)
+    assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
 
 
 def test_markov_window_validation():

@@ -72,6 +72,21 @@ def test_asia_session_supported():
     assert days[0].bars[0].ts.hour == 20
 
 
+def test_gap_sigma_moves_the_open_in_every_session():
+    # the overnight move is each day's first draw in any session; an Asia
+    # day has no prior RTH close, so the move is pinned on the previous close
+    spec = SynthSpec(6, session=ASIA, seed=3, gap_sigma=25.0)
+    days = gen_null_days(spec)
+    for di in range(1, len(days)):
+        gap = np.random.default_rng([spec.seed, di]).normal(0.0, spec.gap_sigma)
+        moved = float(days[di - 1].bars[-1].close) + gap
+        assert days[di].bars[0].open == round(moved / spec.tick_size) * spec.tick_size
+        assert days[di].bars[0].open != days[di - 1].bars[-1].close
+        assert days[di].prior_rth_close is None
+    flat = gen_null_days(SynthSpec(6, session=ASIA, seed=3))
+    assert all(d.bars[0].open == prev.bars[-1].close for prev, d in zip(flat, flat[1:]))
+
+
 def test_gap_sigma_produces_overnight_gaps():
     flat = gen_null_days(SynthSpec(40, seed=3, gap_sigma=0.0))
     gapped = gen_null_days(SynthSpec(40, seed=3, gap_sigma=25.0))
