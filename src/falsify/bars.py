@@ -5,11 +5,14 @@ conversion is performed anywhere in the pipeline.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional
+
+import numpy as np
 
 
 class BarError(ValueError):
@@ -80,7 +83,7 @@ LONDON = SessionSpec("LONDON", time(3, 0), time(8, 30), 15)
 SESSIONS = {s.name: s for s in (RTH, ASIA, LONDON)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bar:
     """One OHLCV bar. Prices in index points, volume in contracts."""
 
@@ -98,6 +101,10 @@ class Bar:
             raise BarError(f"bar {self.ts}: open/close outside low/high range")
         if self.volume < 0:
             raise BarError(f"bar {self.ts}: negative volume {self.volume}")
+        # NaN passes every comparison above; checked last, so a bar those
+        # checks reject keeps their message
+        if not all(map(math.isfinite, (self.open, self.high, self.low, self.close))):
+            raise BarError(f"bar {self.ts}: non-finite price")
 
     @property
     def range(self) -> float:
@@ -159,64 +166,127 @@ BAR_HEADER = "ts,open,high,low,close,volume"
 TS_FORMAT = "%Y-%m-%dT%H:%M"
 
 
-def _parse_bar_row(line: str, lineno: int) -> Bar:
+_ROW = np.dtype([("ts", "S17"), ("open", "f8"), ("high", "f8"), ("low", "f8"),
+                 ("close", "f8"), ("volume", "i8")])
+# a timestamp field, byte by byte: each "0" stands for a digit, and the NUL
+# after the 16 characters means the field is no longer
+_TS_BYTES = np.frombuffer(b"0000-00-00T00:00\0", dtype=np.uint8)
+_MINUTE_US = 60_000_000
+_DAY_US = 24 * 60 * _MINUTE_US
+
+
+def _data_rows(path: str | Path, header: str, what: str) -> tuple[list[int], list[str]]:
+    """Physical line numbers and texts of the rows after ``header``; blank
+    and ``#`` lines are skipped but still counted."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    nums = [i for i, ln in enumerate(lines, start=1) if ln.strip() and not ln.startswith("#")]
+    if nums and lines[nums[0] - 1].strip() != header:
+        raise BarError(f"bad {what}: {lines[nums[0] - 1].strip()!r}")
+    return nums[1:], [lines[i - 1].strip() for i in nums[1:]]
+
+
+def _columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps (``datetime64[us]``) and the OHLCV table of the rows.
+
+    Raises ValueError if any row is malformed or fails ``Bar.validate``;
+    only a row in the zero-padded ``YYYY-MM-DDTHH:MM`` timestamp form with
+    ASCII numbers parses here.
+    """
+    if any("\0" in r for r in rows):  # the bytes dtype would drop a trailing NUL
+        raise ValueError("NUL character")
+    table = np.loadtxt(rows, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
+    raw = np.ascontiguousarray(table["ts"]).view(np.uint8).reshape(-1, 17)
+    digit = _TS_BYTES == ord("0")
+    if not (np.all(raw[:, digit] - ord("0") < 10) and np.all(raw[:, ~digit] == _TS_BYTES[~digit])):
+        raise ValueError("timestamp is not zero-padded YYYY-MM-DDTHH:MM")
+    # the fields are read from the digits: numpy's own string-to-datetime cast
+    # crashes the interpreter on a large array holding an invalid date
+    d = raw.astype(np.int64) - ord("0")
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    month, day, hour, minute = (d[:, i] * 10 + d[:, i + 1] for i in (5, 8, 11, 14))
+    first = ((year - 1970) * 12 + month - 1).astype("M8[M]")
+    dates = first.astype("M8[D]") + (day - 1)
+    if not np.all((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour < 24)
+                  & (minute < 60) & (dates.astype("M8[M]") == first)):
+        raise ValueError("timestamp out of range")
+    ts = dates.astype("M8[us]") + (hour * 60 + minute) * np.timedelta64(60_000_000, "us")
+    o, h, lo, c = (table[k] for k in ("open", "high", "low", "close"))
+    bad = ((lo > h) | (lo > np.minimum(o, c)) | (h < np.maximum(o, c)) | (table["volume"] < 0)
+           | ~(np.isfinite(o) & np.isfinite(h) & np.isfinite(lo) & np.isfinite(c)))
+    if bad.any():
+        raise ValueError("bar fails validation")
+    return ts, table
+
+
+def _conversion_error(line: str) -> Optional[str]:
+    """Why Python's own conversions or ``Bar.validate`` reject a row, if they do."""
     parts = line.split(",")
     if len(parts) != 6:
-        raise BarError(f"line {lineno}: expected 6 columns, got {len(parts)}")
+        return f"expected 6 columns, got {len(parts)}"
     try:
         ts = datetime.strptime(parts[0], TS_FORMAT)
-        o, h, lo, c = (float(p) for p in parts[1:5])
-        v = int(parts[5])
+        Bar(ts, *(float(p) for p in parts[1:5]), int(parts[5])).validate()
     except ValueError as exc:
-        raise BarError(f"line {lineno}: {exc}") from None
-    bar = Bar(ts, o, h, lo, c, v)
+        return str(exc)
+    return None
+
+
+def _columns_error(rows: list[str]) -> Optional[str]:
     try:
-        bar.validate()
-    except BarError as exc:
-        raise BarError(f"line {lineno}: {exc}") from None
-    return bar
+        _columns(rows)
+    except ValueError as exc:
+        return str(exc).partition(" at row ")[0]
+    return None
 
 
-def _data_rows(path: str | Path, header: str, what: str) -> list[tuple[int, str]]:
-    """(physical line number, text) of each row after ``header``; blank and
-    ``#`` lines are skipped but still counted."""
-    text = Path(path).read_text(encoding="utf-8")
-    rows = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1)
-            if ln.strip() and not ln.startswith("#")]
-    if rows and rows[0][1] != header:
-        raise BarError(f"bad {what}: {rows[0][1]!r}")
-    return rows[1:]
+def _row_error(nums: list[int], rows: list[str]) -> BarError:
+    """The error of the first row, in file order, that does not parse."""
+    k = next((i for i, line in enumerate(rows) if _conversion_error(line)), len(rows))
+    if k and _columns_error(rows[:k]):
+        # an earlier row breaks a rule only _columns has; each row passes or
+        # fails on its own, so bisect for the first one
+        lo, hi = 0, k
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _columns_error(rows[:mid]) else (mid, hi)
+        return BarError(f"line {nums[lo]}: {_columns_error([rows[lo]])}")
+    return BarError(f"line {nums[k]}: {_conversion_error(rows[k])}")
 
 
-def _is_complete(bars: tuple[Bar, ...], session: SessionSpec, session_day: date) -> bool:
-    if len(bars) != session.nominal_bar_count:
-        return False
-    return [b.ts for b in bars] == session.grid(session_day)
+def _group(bars: list[Bar], us: np.ndarray, session: SessionSpec) -> list[TradingDay]:
+    """Sorted bars with their timestamps in int64 microseconds into TradingDays."""
+    n = len(bars)
+    start = (session.start.hour * 60 + session.start.minute) * _MINUTE_US
+    end = (session.end.hour * 60 + session.end.minute) * _MINUTE_US
+    tod = us % _DAY_US
+    early = tod < end
+    inside = (tod >= start) | early if session.wraps_midnight else (tod >= start) & early
+    unsorted = np.zeros(n, dtype=bool)
+    unsorted[1:] = us[1:] <= us[:-1]
+    bad = unsorted | ~inside
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise BarError(f"unsorted input at {bars[k].ts}" if unsorted[k]
+                       else f"bar {bars[k].ts} outside {session.name} session window")
+    day = us // _DAY_US - (early if session.wraps_midnight else 0)
+    first = np.flatnonzero(np.diff(day, prepend=day[:1] - 1))
+    counts = np.diff(first, append=n)
+    # a day is complete when its k-th bar opens k steps after the session open
+    pos = np.arange(n) - np.repeat(first, counts)
+    off_grid = us - (day * _DAY_US + start) != pos * (session.bar_minutes * _MINUTE_US)
+    complete = (counts == session.nominal_bar_count) & ~np.logical_or.reduceat(off_grid, first)
+    dates = day[first].astype("M8[D]").tolist()
+    bounds = np.append(first, n).tolist()
+    return link_rth([TradingDay(d, session, tuple(bars[a:b]), complete=c)
+                     for d, a, b, c in zip(dates, bounds, bounds[1:], complete.tolist())])
 
 
 def group_days(bars: Iterable[Bar], session: SessionSpec) -> list[TradingDay]:
     """Group sorted bars into session-local TradingDays and link RTH gaps."""
-    grouped: dict[date, list[Bar]] = {}
-    order: list[date] = []
-    prev_ts: Optional[datetime] = None
-    for bar in bars:
-        if prev_ts is not None and bar.ts <= prev_ts:
-            raise BarError(f"unsorted input at {bar.ts}")
-        prev_ts = bar.ts
-        if not session.contains(bar.ts.time()):
-            raise BarError(f"bar {bar.ts} outside {session.name} session window")
-        d = session.session_date(bar.ts)
-        if d not in grouped:
-            grouped[d] = []
-            order.append(d)
-        grouped[d].append(bar)
-
-    days: list[TradingDay] = []
-    for d in order:
-        day_bars = tuple(grouped[d])
-        days.append(TradingDay(d, session, day_bars,
-                               complete=_is_complete(day_bars, session, d)))
-    return link_rth(days)
+    bars = list(bars)
+    if not bars:
+        return []
+    return _group(bars, np.array([b.ts for b in bars], dtype="M8[us]").view(np.int64), session)
 
 
 def link_rth(days: Iterable[TradingDay]) -> list[TradingDay]:
@@ -237,11 +307,21 @@ def parse_bar_file(path: str | Path, session: SessionSpec) -> list[TradingDay]:
     """Parse a bar file into TradingDays.
 
     Incomplete days are flagged (``complete=False``), never silently
-    dropped. Malformed rows, OHLC violations and unsorted input raise
-    :class:`BarError` naming the offending line or timestamp.
+    dropped. Malformed rows, OHLC violations, non-finite prices and
+    unsorted input raise :class:`BarError` naming the offending line or
+    timestamp. The columns are read and checked as arrays; ``Bar`` and
+    ``TradingDay`` objects are built once, at the end.
     """
-    rows = _data_rows(path, BAR_HEADER, "header")
-    return group_days([_parse_bar_row(ln, i) for i, ln in rows], session)
+    nums, rows = _data_rows(path, BAR_HEADER, "header")
+    if not rows:
+        return []
+    try:
+        ts, table = _columns(rows)
+    except ValueError:
+        raise _row_error(nums, rows) from None
+    del nums, rows  # free the row texts before the bars are built
+    bars = list(map(Bar, ts.tolist(), *(table[k].tolist() for k in _ROW.names[1:])))
+    return _group(bars, ts.view(np.int64), session)
 
 
 def _fmt_price(x: float) -> str:
@@ -293,7 +373,7 @@ def parse_event_calendar(path: str | Path, rth_only: bool = False) -> list[EconE
     timestamped outside 09:30-16:00 ET (e.g. 08:30 releases) are dropped.
     """
     events: list[EconEvent] = []
-    for i, ln in _data_rows(path, EVENT_HEADER, "calendar header"):
+    for i, ln in zip(*_data_rows(path, EVENT_HEADER, "calendar header")):
         parts = ln.split(",")
         if len(parts) != 4:
             raise BarError(f"line {i}: expected 4 columns, got {len(parts)}")

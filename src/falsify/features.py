@@ -393,15 +393,17 @@ def gmm_fit(features: np.ndarray, k: int = 3, seed: int = 0) -> RegimeGMM:
     return RegimeGMM(k=k, seed=seed).fit(features)
 
 
-def regime_features(bars: Sequence[Bar], vol_window: int = 50) -> np.ndarray:
+def regime_features(bars: Sequence[Bar], vol_window: int = 50,
+                    vz: Optional[np.ndarray] = None) -> np.ndarray:
     """Feature vector per bar: (bar return, bar range, volume z-score).
 
     Warm-up volume z-scores are filled with 0 so every bar gets a label;
     callers fitting a model should drop the first ``vol_window`` rows.
+    ``vz`` defaults to ``volume_zscore(bars, vol_window)``.
     """
     ret = np.array([b.body for b in bars])
     rng = np.array([b.range for b in bars])
-    vz = volume_zscore(bars, vol_window)
+    vz = volume_zscore(bars, vol_window) if vz is None else vz
     vz = np.where(np.isfinite(vz), vz, 0.0)
     return np.column_stack([ret, rng, vz])
 

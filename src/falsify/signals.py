@@ -12,6 +12,7 @@ from datetime import date, time, datetime, timedelta
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bars import DayPrimitives, EconEvent, TradingDay
 from .features import OuFit, RollingSpec, Statistic, ou_zscore, rolling_stat
@@ -31,7 +32,7 @@ class SignalError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignalEvent:
     family: str
     day: date
@@ -47,7 +48,9 @@ class SignalEvent:
 
 
 def _meta(**kv: float) -> tuple[tuple[str, float], ...]:
-    return tuple(sorted((k, float(v)) for k, v in kv.items()))
+    """Meta pairs sorted by key. The masked emitters write their pairs out in
+    this order, with Python floats, to build many events fast."""
+    return tuple(sorted(zip(kv, map(float, kv.values()))))
 
 
 def _last_entryable(day: TradingDay) -> int:
@@ -108,61 +111,77 @@ def mean_range_series(day: TradingDay, window: int = 20) -> np.ndarray:
     return rolling_stat(day.bars, RollingSpec(window, Statistic.MEAN_RANGE))
 
 
+def ohlc_series(day: TradingDay) -> np.ndarray:
+    """The day's opens, highs, lows and closes as the rows of a 4 x n array."""
+    bars = day.bars
+    return np.array([[b.open for b in bars], [b.high for b in bars], [b.low for b in bars],
+                     [b.close for b in bars]], dtype=float)
+
+
+def _entryable(mask: np.ndarray) -> list[int]:
+    """Indices of the set entries of a per-bar mask that can still be entered next bar."""
+    return mask[:len(mask) - 1].nonzero()[0].tolist()
+
+
 def asia_expansion_signals(day: TradingDay, multiple: float,
-                           mean_range: Optional[np.ndarray] = None) -> list[SignalEvent]:
+                           mean_range: Optional[np.ndarray] = None,
+                           ohlc: Optional[np.ndarray] = None) -> list[SignalEvent]:
     """Expansion bar: range above a multiple of the rolling mean range.
 
     Direction follows the expansion bar's close-vs-open; dojis emit nothing.
-    ``mean_range`` defaults to ``mean_range_series(day)``.
+    ``mean_range`` and ``ohlc`` default to ``mean_range_series(day)`` and
+    ``ohlc_series(day)``.
     """
-    bars = day.bars
-    mean_range = mean_range_series(day) if mean_range is None else mean_range
-    events = []
-    for i in range(min(len(bars), _last_entryable(day) + 1)):
-        mr = mean_range[i]
-        if not np.isfinite(mr) or mr <= 0:
-            continue
-        if bars[i].range > multiple * mr and bars[i].body != 0:
-            direction = LONG if bars[i].body > 0 else SHORT
-            events.append(SignalEvent("ASIA_EXPANSION", day.date, i, direction,
-                                      _meta(multiple=multiple, bar_range=bars[i].range,
-                                            mean_range=mr)))
-    return events
+    mr = np.asarray(mean_range_series(day) if mean_range is None else mean_range, dtype=float)
+    o, h, lo, c = ohlc_series(day) if ohlc is None else ohlc
+    rng, body = h - lo, c - o
+    with np.errstate(invalid="ignore"):  # 0 * inf; such bars are skipped as non-finite
+        hit = np.isfinite(mr) & (mr > 0) & (rng > multiple * mr) & (body != 0)
+    idx = _entryable(hit)
+    mult = float(multiple)
+    return [SignalEvent("ASIA_EXPANSION", day.date, i, LONG if b > 0 else SHORT,
+                        (("bar_range", r), ("mean_range", m), ("multiple", mult)))
+            for i, b, r, m in zip(idx, body[idx].tolist(), rng[idx].tolist(), mr[idx].tolist())]
 
 
 def liquidity_grab_signals(day: TradingDay, lookback: Optional[int] = None,
-                           mode: str = "FADE") -> list[SignalEvent]:
+                           mode: str = "FADE",
+                           ohlc: Optional[np.ndarray] = None) -> list[SignalEvent]:
     """Pierce of a recent extreme with a close back inside the range.
 
     ``lookback=None`` uses the running session extreme over all prior
     bars (requires ``GRAB_MIN_HISTORY`` bars of history); an integer uses
-    a fixed prior-bar window.
+    a fixed prior-bar window. ``ohlc`` defaults to ``ohlc_series(day)``.
     """
     if mode not in ("FADE", "CONTINUATION"):
         raise SignalError(f"unknown liquidity grab mode {mode!r}")
+    if lookback is not None and lookback < 1:
+        raise SignalError(f"liquidity grab lookback must be >= 1, got {lookback}")
     family = "LIQUIDITY_GRAB_FADE" if mode == "FADE" else "LIQUIDITY_GRAB_CONT"
-    bars = day.bars
-    events = []
+    up_dir, down_dir = (SHORT, LONG) if mode == "FADE" else (LONG, SHORT)
+    _, highs, lows, closes = ohlc_series(day) if ohlc is None else ohlc
     start = GRAB_MIN_HISTORY if lookback is None else lookback
-    highs = np.array([b.high for b in bars])
-    lows = np.array([b.low for b in bars])
-    run_hi = np.maximum.accumulate(highs)
-    run_lo = np.minimum.accumulate(lows)
-    for i in range(start, _last_entryable(day) + 1):
-        if lookback is None:
-            prior_hi, prior_lo = run_hi[i - 1], run_lo[i - 1]
-        else:
-            prior_hi = highs[i - lookback:i].max()
-            prior_lo = lows[i - lookback:i].min()
-        b = bars[i]
-        if b.high > prior_hi and b.close < prior_hi:
-            direction = SHORT if mode == "FADE" else LONG
-            events.append(SignalEvent(family, day.date, i, direction,
-                                      _meta(side=+1, pierced=prior_hi)))
-        if b.low < prior_lo and b.close > prior_lo:
-            direction = LONG if mode == "FADE" else SHORT
-            events.append(SignalEvent(family, day.date, i, direction,
-                                      _meta(side=-1, pierced=prior_lo)))
+    if start > _last_entryable(day):
+        return []
+    # prior_hi[j], prior_lo[j]: the extremes before bar start + j
+    if lookback is None:
+        prior_hi = np.maximum.accumulate(highs)[start - 1:-1]
+        prior_lo = np.minimum.accumulate(lows)[start - 1:-1]
+    else:
+        prior_hi = sliding_window_view(highs[:-1], lookback).max(axis=1)
+        prior_lo = sliding_window_view(lows[:-1], lookback).min(axis=1)
+    h, lo, c = highs[start:], lows[start:], closes[start:]
+    up = (h > prior_hi) & (c < prior_hi)
+    down = (lo < prior_lo) & (c > prior_lo)
+    js = _entryable(up | down)
+    events = []
+    for j, hi, low in zip(js, prior_hi[js].tolist(), prior_lo[js].tolist()):
+        if up[j]:
+            events.append(SignalEvent(family, day.date, start + j, up_dir,
+                                      (("pierced", hi), ("side", 1.0))))
+        if down[j]:
+            events.append(SignalEvent(family, day.date, start + j, down_dir,
+                                      (("pierced", low), ("side", -1.0))))
     return events
 
 
@@ -232,31 +251,28 @@ def volume_ratio_cutoffs(days: Sequence[TradingDay], window: int = 20) -> tuple[
 
 def volume_signature_signals(day: TradingDay, kind: str, spike_cutoff: float,
                              dryup_cutoff: float,
-                             ratio: Optional[np.ndarray] = None) -> list[SignalEvent]:
+                             ratio: Optional[np.ndarray] = None,
+                             ohlc: Optional[np.ndarray] = None) -> list[SignalEvent]:
     """Volume spike momentum (with the bar) or dry-up exhaustion (against it).
 
     Decile cutoffs are frozen on the training window and passed in.
-    ``ratio`` defaults to ``volume_ratio_series(day)``.
+    ``ratio`` and ``ohlc`` default to ``volume_ratio_series(day)`` and
+    ``ohlc_series(day)``.
     """
     if kind not in ("SPIKE", "DRYUP"):
         raise SignalError(f"unknown volume signature kind {kind!r}")
-    family = "VOL_SPIKE" if kind == "SPIKE" else "VOL_DRYUP"
-    ratio = volume_ratio_series(day) if ratio is None else ratio
-    events = []
-    for i in range(min(len(day.bars), _last_entryable(day) + 1)):
-        r = ratio[i]
-        if not np.isfinite(r):
-            continue
-        body = day.bars[i].body
-        if body == 0:
-            continue
-        bar_dir = LONG if body > 0 else SHORT
-        if kind == "SPIKE" and r > spike_cutoff:
-            events.append(SignalEvent(family, day.date, i, bar_dir, _meta(ratio=r)))
-        elif kind == "DRYUP" and r < dryup_cutoff:
-            direction = SHORT if bar_dir == LONG else LONG
-            events.append(SignalEvent(family, day.date, i, direction, _meta(ratio=r)))
-    return events
+    ratio = np.asarray(volume_ratio_series(day) if ratio is None else ratio, dtype=float)
+    o, _, _, c = ohlc_series(day) if ohlc is None else ohlc
+    body = c - o
+    if kind == "SPIKE":
+        family, hit, with_bar = "VOL_SPIKE", ratio > spike_cutoff, True
+    else:
+        family, hit, with_bar = "VOL_DRYUP", ratio < dryup_cutoff, False
+    hit &= np.isfinite(ratio) & (body != 0)
+    idx = _entryable(hit)
+    return [SignalEvent(family, day.date, i, LONG if (b > 0) == with_bar else SHORT,
+                        (("ratio", r),))
+            for i, b, r in zip(idx, body[idx].tolist(), ratio[idx].tolist())]
 
 
 @dataclass(frozen=True)
@@ -391,28 +407,29 @@ def confluence_rth_signals(day: TradingDay, labels: Sequence[int],
                            atr: Sequence[float], atr_baseline: float,
                            trans_threshold: float = 0.15,
                            vz_threshold: float = 0.5,
-                           pullback_points: float = 25.0) -> list[SignalEvent]:
+                           pullback_points: float = 25.0,
+                           ohlc: Optional[np.ndarray] = None) -> list[SignalEvent]:
     """Regime-1 bars with elevated transition-to-2 probability and volume z.
 
     All three conditions are strict inequalities. Meta carries the
     ATR-scaled pullback limit level and the bar-13 exit horizon.
+    ``ohlc`` defaults to ``ohlc_series(day)``.
     """
-    bars = day.bars
-    n = len(bars)
+    n = len(day.bars)
     if not (len(labels) == len(trans_prob) == len(vol_z) == len(atr) == n):
         raise SignalError("aligned per-bar series required")
-    events = []
-    for i in range(min(n, _last_entryable(day) + 1)):
-        tp, vz = trans_prob[i], vol_z[i]
-        if labels[i] != 1 or not np.isfinite(tp) or not np.isfinite(vz):
-            continue
-        if tp > trans_threshold and vz > vz_threshold:
-            scale = atr[i] / atr_baseline if np.isfinite(atr[i]) and atr_baseline > 0 else 1.0
-            level = bars[i].close - pullback_points * scale
-            events.append(SignalEvent("CONFLUENCE_RTH", day.date, i, LONG, _meta(
-                limit_level=level, exit_horizon=CONFLUENCE_EXIT_HORIZON, trans_prob=tp,
-                vol_z=vz)))
-    return events
+    closes = (ohlc_series(day) if ohlc is None else ohlc)[3]
+    tp, vz, atr = (np.asarray(x, dtype=float) for x in (trans_prob, vol_z, atr))
+    hit = ((np.asarray(labels) == 1) & np.isfinite(tp) & np.isfinite(vz)
+           & (tp > trans_threshold) & (vz > vz_threshold))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(np.isfinite(atr) & (atr_baseline > 0), atr / atr_baseline, 1.0)
+    level = closes - pullback_points * scale
+    idx = _entryable(hit)
+    horizon = float(CONFLUENCE_EXIT_HORIZON)
+    return [SignalEvent("CONFLUENCE_RTH", day.date, i, LONG, (
+                ("exit_horizon", horizon), ("limit_level", lv), ("trans_prob", t), ("vol_z", z)))
+            for i, lv, t, z in zip(idx, level[idx].tolist(), tp[idx].tolist(), vz[idx].tolist())]
 
 
 def london_b_signals(day: TradingDay, labels: Sequence[int]) -> list[SignalEvent]:

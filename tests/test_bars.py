@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+import tempfile
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
+from typing import Iterable, Optional
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from falsify.bars import (ASIA, LONDON, RTH, Bar, BarError, EventKind,
-                          TradingDay, day_primitives, group_days,
+from falsify.bars import (ASIA, BAR_HEADER, LONDON, RTH, TS_FORMAT, Bar, BarError, EventKind,
+                          SessionSpec, TradingDay, day_primitives, group_days, link_rth,
                           parse_bar_file, parse_event_calendar, serialize_days)
 
 
@@ -78,6 +81,18 @@ def test_bar_rejects_close_outside_range():
         b.validate()
 
 
+@pytest.mark.parametrize("prices", [
+    (100.0, 101.0, 99.0, float("nan")),
+    (100.0, float("inf"), 99.0, 100.0),
+    (100.0, 101.0, float("-inf"), 100.0),
+    (float("nan"),) * 4,
+])
+def test_bar_rejects_non_finite_prices(prices):
+    # every comparison with NaN is False, so the range checks alone pass these
+    with pytest.raises(BarError, match="non-finite price"):
+        Bar(datetime(2022, 1, 3, 9, 30), *prices, 1).validate()
+
+
 # -- parsing ----------------------------------------------------------------
 
 def test_empty_file_gives_empty_list(tmp_path):
@@ -133,6 +148,18 @@ def test_unsorted_input_rejected(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(BarError, match="unsorted"):
+        parse_bar_file(p, RTH)
+
+
+@pytest.mark.parametrize("field,text", [(4, "nan"), (2, "inf"), (3, "-Infinity"), (2, "1e999")])
+def test_non_finite_price_names_line(tmp_path, field, text):
+    lines = serialize_days([make_day(date(2022, 1, 3))]).splitlines()
+    parts = lines[7].split(",")
+    parts[field] = text
+    lines[7] = ",".join(parts)
+    p = tmp_path / "bad.csv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(BarError, match=r"^line 8: bar 2022-01-03 10:00:00: non-finite price$"):
         parse_bar_file(p, RTH)
 
 
@@ -194,6 +221,281 @@ def test_every_bar_lands_in_exactly_one_day():
         for b in d.bars:
             assert b.ts not in seen
             seen.add(b.ts)
+
+
+# -- the array parser against the row-at-a-time parser it replaced ------------------
+
+def reference_validate(bar: Bar) -> None:
+    if bar.low > bar.high:
+        raise BarError(f"bar {bar.ts}: low {bar.low} > high {bar.high}")
+    if bar.low > min(bar.open, bar.close) or bar.high < max(bar.open, bar.close):
+        raise BarError(f"bar {bar.ts}: open/close outside low/high range")
+    if bar.volume < 0:
+        raise BarError(f"bar {bar.ts}: negative volume {bar.volume}")
+
+
+def reference_row(line: str, lineno: int) -> Bar:
+    parts = line.split(",")
+    if len(parts) != 6:
+        raise BarError(f"line {lineno}: expected 6 columns, got {len(parts)}")
+    try:
+        ts = datetime.strptime(parts[0], TS_FORMAT)
+        o, h, lo, c = (float(p) for p in parts[1:5])
+        v = int(parts[5])
+    except ValueError as exc:
+        raise BarError(f"line {lineno}: {exc}") from None
+    bar = Bar(ts, o, h, lo, c, v)
+    try:
+        reference_validate(bar)
+    except BarError as exc:
+        raise BarError(f"line {lineno}: {exc}") from None
+    return bar
+
+
+def reference_group_days(bars: Iterable[Bar], session: SessionSpec) -> list[TradingDay]:
+    grouped: dict[date, list[Bar]] = {}
+    order: list[date] = []
+    prev_ts: Optional[datetime] = None
+    for bar in bars:
+        if prev_ts is not None and bar.ts <= prev_ts:
+            raise BarError(f"unsorted input at {bar.ts}")
+        prev_ts = bar.ts
+        if not session.contains(bar.ts.time()):
+            raise BarError(f"bar {bar.ts} outside {session.name} session window")
+        d = session.session_date(bar.ts)
+        if d not in grouped:
+            grouped[d] = []
+            order.append(d)
+        grouped[d].append(bar)
+    days = []
+    for d in order:
+        day_bars = tuple(grouped[d])
+        complete = (len(day_bars) == session.nominal_bar_count
+                    and [b.ts for b in day_bars] == session.grid(d))
+        days.append(TradingDay(d, session, day_bars, complete=complete))
+    return link_rth(days)
+
+
+def reference_parse_bar_file(path: Path, session: SessionSpec) -> list[TradingDay]:
+    """The parser as it was: one row at a time, then one bar at a time."""
+    text = Path(path).read_text(encoding="utf-8")
+    rows = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip() and not ln.startswith("#")]
+    if rows and rows[0][1] != BAR_HEADER:
+        raise BarError(f"bad header: {rows[0][1]!r}")
+    return reference_group_days([reference_row(ln, i) for i, ln in rows[1:]], session)
+
+
+def fingerprint(days: list[TradingDay]) -> list:
+    """Type and repr of every field of every day and bar."""
+    tr = lambda x: (type(x), repr(x))
+    return [(tr(d.date), d.session, tr(d.prior_rth_close), tr(d.complete), type(d.bars),
+             [(type(b), *map(tr, (b.ts, b.open, b.high, b.low, b.close, b.volume)))
+              for b in d.bars]) for d in days]
+
+
+def outcome(parse, path: Path, session: SessionSpec):
+    try:
+        return fingerprint(parse(path, session))
+    except BarError as exc:
+        return str(exc)
+
+
+OUTSIDE = {"RTH": ("08:00", "16:00", "09:29"), "ASIA": ("12:00", "02:00", "19:55"),
+           "LONDON": ("02:45", "08:30", "12:00")}
+BAD_TS = ("2022-13-01T09:30", "2022-00-01T09:30", "2022-01-00T09:30", "2022-01-03 09:30",
+          "2022-01-03T09:30:00", "garbage", "2022-02-30T09:30", "2021-02-29T09:30",
+          "2022-04-31T09:30", "2022-01-03T24:00", "2022-01-03T09:60", "0000-01-03T09:30", "")
+BAD_NUMBERS = ("x", "", "1.2.3", "--1", "0x10", "1,5", "1 2", "abc at row 3")
+MUTATIONS = ("garbage", "field", "columns", "swap_hl", "neg_volume", "unsorted",
+             "duplicate", "outside", "off_grid", "indented_comment")
+
+
+@st.composite
+def bar_files(draw):
+    """A bar file's text and session: comment and blank lines, complete and
+    incomplete days, varied number spellings and some mutated rows."""
+    session = draw(st.sampled_from([RTH, ASIA, LONDON]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    fmt = draw(st.sampled_from(["{:.2f}", "{!r}", " {:.2f} ", "{:.6e}", "+{:.2f}"]))
+    vfmt = draw(st.sampled_from(["{}", "+{}", "{:05d}", " {} "]))
+    start = date(2021, 12, 27) + timedelta(days=draw(st.integers(0, 10)))
+    rows = []
+    price = 15000.0
+    for k in range(draw(st.integers(1, 3))):
+        grid = session.grid(start + timedelta(days=k))
+        keep = draw(st.sampled_from(["all", "all", "head", "tail", "holes"]))
+        if keep == "head":
+            grid = grid[:rng.randint(1, len(grid))]
+        elif keep == "tail":
+            grid = grid[rng.randint(0, len(grid) - 1):]
+        elif keep == "holes":
+            grid = [ts for ts in grid if rng.random() < 0.9]
+        for ts in grid:
+            o = price
+            c = o + rng.randint(-12, 12) * 0.25
+            h = max(o, c) + rng.randint(0, 6) * 0.25
+            lo = min(o, c) - rng.randint(0, 6) * 0.25
+            rows.append([ts.strftime(TS_FORMAT), *(fmt.format(x) for x in (o, h, lo, c)),
+                         vfmt.format(rng.randint(0, 5000))])
+            price = c
+    lines = [",".join(r) for r in rows]
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=2)):
+        i = rng.randrange(len(lines)) if lines else None
+        parts = lines[i].split(",") if lines else []
+        if len(parts) != 6:  # no rows, or a row an earlier mutation broke
+            continue
+        if kind == "garbage":
+            lines[i] = rng.choice(["garbage", "abc,def", ",,,,,", "1,2,3,4,5,6"])
+        elif kind == "field":
+            j = rng.choice([0, 0, 0, 1, 2, 3, 4, 5])
+            parts[j] = rng.choice(BAD_TS if j == 0 else BAD_NUMBERS)
+            lines[i] = ",".join(parts)
+        elif kind == "columns":
+            lines[i] = ",".join(parts[:-1]) if rng.random() < 0.5 else lines[i] + ",7"
+        elif kind == "swap_hl":
+            parts[2], parts[3] = parts[3], parts[2]
+            lines[i] = ",".join(parts)
+        elif kind == "neg_volume":
+            parts[5] = str(-rng.randint(1, 99))
+            lines[i] = ",".join(parts)
+        elif kind == "unsorted" and i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "outside":
+            parts[0] = parts[0][:11] + rng.choice(OUTSIDE[session.name])
+            lines[i] = ",".join(parts)
+        elif kind == "off_grid":
+            parts[0] = parts[0][:-1] + str(int(parts[0][-1]) + 1)
+            lines[i] = ",".join(parts)
+        elif kind == "indented_comment":
+            lines.insert(i, "  # an indented comment is a data row")
+    header = rng.choice([BAR_HEADER, "  " + BAR_HEADER + " "])
+    if draw(st.integers(0, 19)) == 0:
+        header = rng.choice(["ts,open,high,low,close", "TS,OPEN,HIGH,LOW,CLOSE,VOLUME"])
+    lines.insert(0, header)
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["# comment", "", "   ", "#", "\t"]))
+    lines = [ln + rng.choice(["", " ", "\t"]) if rng.random() < 0.1 else ln for ln in lines]
+    text = rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
+    return text, session
+
+
+@settings(max_examples=400, deadline=None)
+@given(bar_files())
+@example(("", RTH))
+@example((BAR_HEADER + "\n", ASIA))
+@example(("# bars\nts,open,high,low,close\n2022-01-03T09:30,1,1,1,1,1\n", RTH))
+def test_array_parser_matches_row_parser(case):
+    text, session = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bars.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        want = outcome(reference_parse_bar_file, path, session)
+        assert outcome(parse_bar_file, path, session) == want
+        if not isinstance(want, str):
+            days = reference_parse_bar_file(path, session)
+            bars = [b for d in days for b in d.bars]
+            assert fingerprint(group_days(bars, session)) == want
+
+
+@pytest.mark.parametrize("field,bad", [(0, t) for t in BAD_TS + ("2022-01-03T09:30\0",)]
+                         + [(f, x) for f in range(1, 6) for x in BAD_NUMBERS + ("1\0", "-5")])
+def test_each_bad_field_matches_row_parser(tmp_path, field, bad):
+    lines = serialize_days([make_day(date(2022, 1, 3))]).splitlines()
+    parts = lines[4].split(",")
+    parts[field] = bad
+    lines[4] = ",".join(parts)
+    path = tmp_path / "bars.csv"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    assert outcome(parse_bar_file, path, RTH) == outcome(reference_parse_bar_file, path, RTH)
+
+
+@settings(max_examples=200, deadline=None)
+@given(session=st.sampled_from([RTH, ASIA, LONDON]),
+       offsets=st.lists(st.integers(-3 * 86_400, 6 * 86_400), max_size=60),
+       seconds=st.booleans())
+def test_group_days_matches_day_loop(session, offsets, seconds):
+    # any datetimes, not only whole minutes: sorted, unsorted, off-grid, outside
+    t0 = datetime(2022, 3, 1, 0, 0)
+    step = 1 if seconds else 60
+    bars = [Bar(t0 + timedelta(seconds=step * (x // step)), 1.0, 1.0, 1.0, 1.0, 1)
+            for x in offsets]
+    if len(bars) > 2 and offsets[0] % 2:
+        bars.sort(key=lambda b: b.ts)
+    try:
+        want = fingerprint(reference_group_days(bars, session))
+    except BarError as exc:
+        want = str(exc)
+    try:
+        got = fingerprint(group_days(bars, session))
+    except BarError as exc:
+        got = str(exc)
+    assert got == want
+
+
+# Inputs the row parser took and the array parser rejects, each with the
+# line that holds it: numbers and timestamps are read in one fixed form.
+
+def parse_one_row(tmp_path, row: str):
+    p = tmp_path / "bars.csv"
+    p.write_text(f"# note\n{BAR_HEADER}\n{row}\n", encoding="utf-8")
+    return parse_bar_file(p, RTH)
+
+
+@pytest.mark.parametrize("ts", ["2022-1-3T9:30", "2022-01-03t09:30", "2022-01- 3T09:30"])
+def test_timestamp_must_be_zero_padded(tmp_path, ts):
+    row = f"{ts},100,101,99,100,5"
+    with pytest.raises(BarError, match=r"^line 3: timestamp is not zero-padded YYYY-MM-DDTHH:MM$"):
+        parse_one_row(tmp_path, row)
+
+
+@pytest.mark.parametrize("row,bad", [
+    ("2022-01-03T09:30,1_00,101,99,100,5", "'1_00' to float64"),
+    ("2022-01-03T09:30,١٠٠,101,99,100,5", "'١٠٠' to float64"),
+    ("2022-01-03T09:30,100,101,99,100,1_000", "'1_000' to int64"),
+    ("2022-01-03T09:30,100,101,99,100,99999999999999999999", "to int64"),
+])
+def test_numbers_must_be_plain_ascii_in_range(tmp_path, row, bad):
+    with pytest.raises(BarError, match=rf"^line 3: could not convert string .*{bad}$"):
+        parse_one_row(tmp_path, row)
+
+
+@pytest.mark.parametrize("ts", ["2022-02-30T09:30", "2022-13-01T09:30", "2022-01-03T24:00"])
+def test_invalid_date_late_in_a_long_file(tmp_path, ts):
+    # numpy's string-to-datetime cast crashes on arrays this long with an
+    # invalid date in them, so the parser must never hand it one
+    days = [make_day(date(2022, 1, 3) + timedelta(days=k)) for k in range(14)]
+    lines = serialize_days(days).splitlines()
+    lines[-1] = ts + lines[-1][16:]
+    p = tmp_path / "bars.csv"
+    p.write_text("\n".join(lines), encoding="utf-8")
+    want = outcome(reference_parse_bar_file, p, RTH)
+    assert want.startswith(f"line {len(lines)}: ")
+    assert outcome(parse_bar_file, p, RTH) == want
+
+
+@pytest.mark.parametrize("strict_at,garbage_at,want", [(30, 50, 30), (50, 30, 30), (77, None, 77)])
+def test_first_bad_row_wins_whichever_rule_it_breaks(tmp_path, strict_at, garbage_at, want):
+    lines = serialize_days([make_day(date(2022, 1, 3))]).splitlines()
+    lines[strict_at] = lines[strict_at].rsplit(",", 1)[0] + ",5_0"
+    if garbage_at is not None:
+        lines[garbage_at] = "garbage"
+    p = tmp_path / "bars.csv"
+    p.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(BarError, match=f"^line {want + 1}: "):
+        parse_bar_file(p, RTH)
+
+
+def test_declared_differences_were_accepted_before(tmp_path):
+    for row in ("2022-1-3T9:30,100,101,99,100,5", "2022-01-03T09:30,1_00,101,99,100,1_000",
+                "2022-01-03T09:30,100,101,99,100,99999999999999999999"):
+        p = tmp_path / "bars.csv"
+        p.write_text(f"{BAR_HEADER}\n{row}\n", encoding="utf-8")
+        assert len(reference_parse_bar_file(p, RTH)) == 1
+        with pytest.raises(BarError, match="^line 2: "):
+            parse_bar_file(p, RTH)
 
 
 # -- day primitives ----------------------------------------------------------

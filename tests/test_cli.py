@@ -39,6 +39,16 @@ def test_ingest_malformed_exits_one(tmp_path):
     assert "error:" in res.output
 
 
+@pytest.mark.parametrize("row", ["2022-01-03T09:30,100,101,99,nan,5",
+                                 "2022-01-03T09:30,100,inf,99,100,5"])
+def test_ingest_non_finite_price_exits_one(tmp_path, row):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"ts,open,high,low,close,volume\n{row}\n", encoding="utf-8")
+    res = run_cli("ingest", p)
+    assert res.exit_code == 1
+    assert "error: line 2: bar 2022-01-03 09:30:00: non-finite price" in res.output
+
+
 # -- synth ----------------------------------------------------------------------
 
 def test_synth_round_trips_through_ingest(tmp_path):

@@ -257,3 +257,40 @@ def test_regime_state_is_bit_equal_on_every_fold_and_built_once(monkeypatch):
         n = sum(len(d.bars) for d in days)
         assert [built[(name, n)] for name in ("regime_features", "volume_zscore",
                                               "rolling_stat")] == [1, 1, 1], family
+
+
+def test_regime_inputs_read_each_stream_once(monkeypatch):
+    # a two-fold walk-forward computes one volume z-score, one feature matrix
+    # and one ATR, all over the whole session stream: regime_features takes
+    # the z-score it is given, and each fold's training inputs are a prefix
+    from falsify import features
+    reg = RegimeSpec(transition=((0.9, 0.05, 0.05), (0.2, 0.5, 0.3), (0.05, 0.05, 0.9)),
+                     means=(-6.0, 0.0, 6.0), vols=(2.0, 5.0, 2.0), volume_mults=(1.0, 3.0, 1.0))
+    rth, _ = gen_regime_days(SynthSpec(300, seed=11, start_date=date(2021, 12, 1), regimes=reg))
+    eng = make_engine(rth=rth)
+    calls = Counter()
+    for mod in (features, engine_mod):
+        for name in ("regime_features", "volume_zscore", "rolling_stat"):
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda bars, *a, real=real, name=name, **kw:
+                                calls.update([(name, len(bars))]) or real(bars, *a, **kw))
+    result, _, _ = eng.run_family("CONFLUENCE_RTH", permutation=False)
+    assert len(result.plan.folds) == 2
+    n = sum(len(d.bars) for d in rth)
+    assert calls == Counter({("regime_features", n): 1, ("volume_zscore", n): 1,
+                             ("rolling_stat", n): 1})
+
+
+def test_regime_fit_on_a_window_that_does_not_open_the_session():
+    # a training window after the first day builds its own inputs, as before
+    reg = RegimeSpec(transition=((0.9, 0.05, 0.05), (0.2, 0.5, 0.3), (0.05, 0.05, 0.9)),
+                     means=(-6.0, 0.0, 6.0), vols=(2.0, 5.0, 2.0), volume_mults=(1.0, 3.0, 1.0))
+    rth, _ = gen_regime_days(SynthSpec(200, seed=3, regimes=reg))
+    eng = make_engine(rth=rth)
+    train = rth[40:120]
+    state = eng._fit_state("CONFLUENCE_RTH", train, {})
+    want = reference_fit_regime(eng, "rth", train)
+    assert state["atr_baseline"] == want["atr_baseline"]
+    for day, ref in want["series"].items():
+        for key, arr in ref.items():
+            assert np.array_equal(state["series"][day][key], arr, equal_nan=True)

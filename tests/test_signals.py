@@ -464,3 +464,173 @@ def test_meta_is_sorted_and_hashable():
     assert hash(ev)
     assert ev.meta_value("level") == 100.5
     assert ev.meta_value("missing") is None
+
+
+# -- masked emitters against the per-bar loops they replaced -------------------------
+
+from hypothesis import given, settings, strategies as st
+
+from falsify.signals import _meta, mean_range_series, ohlc_series, volume_ratio_series
+
+
+def reference_asia_expansion(day, multiple, mean_range):
+    bars = day.bars
+    events = []
+    for i in range(min(len(bars), len(bars) - 1)):
+        mr = mean_range[i]
+        if not np.isfinite(mr) or mr <= 0:
+            continue
+        if bars[i].range > multiple * mr and bars[i].body != 0:
+            direction = LONG if bars[i].body > 0 else SHORT
+            events.append(SignalEvent("ASIA_EXPANSION", day.date, i, direction,
+                                      _meta(multiple=multiple, bar_range=bars[i].range,
+                                            mean_range=mr)))
+    return events
+
+
+def reference_liquidity_grab(day, lookback, mode):
+    family = "LIQUIDITY_GRAB_FADE" if mode == "FADE" else "LIQUIDITY_GRAB_CONT"
+    bars = day.bars
+    events = []
+    start = 6 if lookback is None else lookback
+    highs = np.array([b.high for b in bars])
+    lows = np.array([b.low for b in bars])
+    run_hi = np.maximum.accumulate(highs)
+    run_lo = np.minimum.accumulate(lows)
+    for i in range(start, len(bars) - 1):
+        if lookback is None:
+            prior_hi, prior_lo = run_hi[i - 1], run_lo[i - 1]
+        else:
+            prior_hi = highs[i - lookback:i].max()
+            prior_lo = lows[i - lookback:i].min()
+        b = bars[i]
+        if b.high > prior_hi and b.close < prior_hi:
+            direction = SHORT if mode == "FADE" else LONG
+            events.append(SignalEvent(family, day.date, i, direction,
+                                      _meta(side=+1, pierced=prior_hi)))
+        if b.low < prior_lo and b.close > prior_lo:
+            direction = LONG if mode == "FADE" else SHORT
+            events.append(SignalEvent(family, day.date, i, direction,
+                                      _meta(side=-1, pierced=prior_lo)))
+    return events
+
+
+def reference_volume_signature(day, kind, spike_cutoff, dryup_cutoff, ratio):
+    family = "VOL_SPIKE" if kind == "SPIKE" else "VOL_DRYUP"
+    events = []
+    for i in range(min(len(day.bars), len(day.bars) - 1)):
+        r = ratio[i]
+        if not np.isfinite(r):
+            continue
+        body = day.bars[i].body
+        if body == 0:
+            continue
+        bar_dir = LONG if body > 0 else SHORT
+        if kind == "SPIKE" and r > spike_cutoff:
+            events.append(SignalEvent(family, day.date, i, bar_dir, _meta(ratio=r)))
+        elif kind == "DRYUP" and r < dryup_cutoff:
+            direction = SHORT if bar_dir == LONG else LONG
+            events.append(SignalEvent(family, day.date, i, direction, _meta(ratio=r)))
+    return events
+
+
+def reference_confluence(day, labels, trans_prob, vol_z, atr, atr_baseline,
+                         trans_threshold, vz_threshold, pullback_points):
+    bars = day.bars
+    events = []
+    for i in range(min(len(bars), len(bars) - 1)):
+        tp, vz = trans_prob[i], vol_z[i]
+        if labels[i] != 1 or not np.isfinite(tp) or not np.isfinite(vz):
+            continue
+        if tp > trans_threshold and vz > vz_threshold:
+            scale = atr[i] / atr_baseline if np.isfinite(atr[i]) and atr_baseline > 0 else 1.0
+            level = bars[i].close - pullback_points * scale
+            events.append(SignalEvent("CONFLUENCE_RTH", day.date, i, LONG, _meta(
+                limit_level=level, exit_horizon=13, trans_prob=tp, vol_z=vz)))
+    return events
+
+
+@st.composite
+def tick_days(draw, session=RTH, max_bars=40):
+    """A day of bars on a coarse tick grid, so ties, dojis and equal
+    extremes are common, with volumes that include zeros."""
+    n = draw(st.integers(0, max_bars))
+    ticks = st.integers(-6, 6)
+    grid = session.grid(date(2022, 1, 3))
+    bars, price = [], 100.0
+    for i in range(n):
+        o, c = price, price + 0.5 * draw(ticks)
+        h = max(o, c) + 0.5 * draw(st.integers(0, 3))
+        lo = min(o, c) - 0.5 * draw(st.integers(0, 3))
+        bars.append(Bar(grid[i], o, h, lo, c, draw(st.integers(0, 4)) * 100))
+        price = c
+    return TradingDay(date(2022, 1, 3), session, tuple(bars), None, False)
+
+
+def per_bar(day, elements):
+    """A per-bar float series for ``day``, drawn from ``elements``."""
+    return st.lists(elements, min_size=len(day.bars), max_size=len(day.bars)).map(
+        lambda xs: np.array(xs, dtype=float))
+
+
+odd_floats = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -1.0, 0.5, 1.0, 2.0]),
+                       st.floats(-5, 5, allow_nan=False))
+
+
+def same_events(got, want):
+    assert repr(got) == repr(want)
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), day=tick_days(session=ASIA),
+       multiple=st.sampled_from([1.5, 2.0, 2.5, 1, 0.0, -1.0]), computed=st.booleans())
+def test_asia_expansion_mask_matches_loop(data, day, multiple, computed):
+    mr = mean_range_series(day, window=3) if computed else data.draw(per_bar(day, odd_floats))
+    same_events(asia_expansion_signals(day, multiple, mean_range=mr, ohlc=ohlc_series(day)),
+                reference_asia_expansion(day, multiple, mr))
+    assert asia_expansion_signals(day, multiple, mean_range=mr) == \
+        reference_asia_expansion(day, multiple, mr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(day=tick_days(session=ASIA), lookback=st.sampled_from([None, 1, 2, 5, 12]),
+       mode=st.sampled_from(["FADE", "CONTINUATION"]))
+def test_liquidity_grab_mask_matches_loop(day, lookback, mode):
+    same_events(liquidity_grab_signals(day, lookback, mode, ohlc=ohlc_series(day)),
+                reference_liquidity_grab(day, lookback, mode))
+    assert liquidity_grab_signals(day, lookback, mode) == \
+        reference_liquidity_grab(day, lookback, mode)
+
+
+def test_liquidity_grab_lookback_below_one_rejected():
+    day = day_from_closes([100.0 + (i % 3) for i in range(20)])
+    for lookback in (0, -2):
+        with pytest.raises(SignalError, match="lookback"):
+            liquidity_grab_signals(day, lookback)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), day=tick_days(), kind=st.sampled_from(["SPIKE", "DRYUP"]),
+       cuts=st.tuples(odd_floats, odd_floats), computed=st.booleans())
+def test_volume_signature_mask_matches_loop(data, day, kind, cuts, computed):
+    ratio = volume_ratio_series(day, window=3) if computed \
+        else data.draw(per_bar(day, odd_floats))
+    spike, dryup = max(cuts), min(cuts)
+    same_events(volume_signature_signals(day, kind, spike, dryup, ratio=ratio,
+                                         ohlc=ohlc_series(day)),
+                reference_volume_signature(day, kind, spike, dryup, ratio))
+    assert volume_signature_signals(day, kind, spike, dryup, ratio=ratio) == \
+        reference_volume_signature(day, kind, spike, dryup, ratio)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), day=tick_days(), baseline=st.sampled_from([0.0, -1.0, 0.7, 3.0]),
+       thresholds=st.tuples(st.sampled_from([0.15, 0.0, 0.5]), st.sampled_from([0.5, 0.0, -1.0])),
+       pullback=st.sampled_from([25.0, 25, 0.0, 7.5]))
+def test_confluence_mask_matches_loop(data, day, baseline, thresholds, pullback):
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=len(day.bars),
+                                max_size=len(day.bars)).map(np.array))
+    trans, vz, atr = (data.draw(per_bar(day, odd_floats)) for _ in range(3))
+    args = (day, labels, trans, vz, atr, baseline, *thresholds, pullback)
+    same_events(confluence_rth_signals(*args), reference_confluence(*args))
