@@ -6,9 +6,11 @@ conversion is performed anywhere in the pipeline.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -129,6 +131,16 @@ class TradingDay:
     def year(self) -> int:
         return self.date.year
 
+    @cached_property
+    def ohlc(self) -> np.ndarray:
+        """Opens, highs, lows and closes as the rows of a read-only 4 x n
+        array, built on first use and shared by every reader of the day."""
+        bars = self.bars
+        arr = np.array([[b.open for b in bars], [b.high for b in bars], [b.low for b in bars],
+                        [b.close for b in bars]], dtype=float)
+        arr.flags.writeable = False
+        return arr
+
 
 @dataclass(frozen=True)
 class DayPrimitives:
@@ -194,7 +206,14 @@ def _columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """
     if any("\0" in r for r in rows):  # the bytes dtype would drop a trailing NUL
         raise ValueError("NUL character")
-    table = np.loadtxt(rows, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
+    with warnings.catch_warnings():
+        # some numpy releases read an int field such as "1e3" via float and
+        # only warn; as an error, the row falls to _row_error like any other
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            table = np.loadtxt(rows, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from None
     raw = np.ascontiguousarray(table["ts"]).view(np.uint8).reshape(-1, 17)
     digit = _TS_BYTES == ord("0")
     if not (np.all(raw[:, digit] - ord("0") < 10) and np.all(raw[:, ~digit] == _TS_BYTES[~digit])):

@@ -8,7 +8,6 @@ strictly backward-looking, so slicing them per day leaks nothing.
 from __future__ import annotations
 
 import bisect
-import operator
 from dataclasses import dataclass, field
 from datetime import date, time
 from typing import Any, Callable, Optional, Sequence
@@ -99,13 +98,14 @@ def _fit_ou(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
 
 
 def _fit_regime(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
-    # a training window that opens the session (every walk-forward window
-    # does) takes its features and ATR as a prefix of the session's: both
-    # look only backward, so the prefix is bit-exact
+    # the training features and ATR are a prefix of the session's: both look
+    # only backward, so the prefix is bit-exact when the window opens the
+    # session's complete days, as every walk-forward window does
     days = eng.complete_days(session)
-    opens_session = len(train) <= len(days) and all(map(operator.is_, train, days))
-    X, _, atr = eng.per_session(_regime_inputs, session) if opens_session \
-        else _regime_inputs(train)
+    if len(train) > len(days) or any(a is not b for a, b in zip(train, days)):
+        raise EngineError(f"regime training window must be a leading run of the "
+                          f"complete {session} days")
+    X, _, atr = eng.per_session(_regime_inputs, session)
     n = sum(len(d.bars) for d in train)
     model = gmm_fit(X[50:n], k=3, seed=eng.config.seed)
     finite = atr[:n][np.isfinite(atr[:n])]
@@ -140,8 +140,7 @@ def _emit_confluence(eng: Engine, day: TradingDay, p: dict, state: dict) -> list
     if s is None:
         return []
     return sig.confluence_rth_signals(day, s["labels"], s["trans"], s["vz"], s["atr"],
-                                      state["atr_baseline"], **p,
-                                      ohlc=eng.per_day(sig.ohlc_series, day))
+                                      state["atr_baseline"], **p)
 
 
 def _emit_london_b(eng: Engine, day: TradingDay, p: dict, state: dict) -> list:
@@ -154,12 +153,10 @@ def default_families() -> dict[str, FamilyDef]:
     like the signal function's keywords are passed on as ``**p``."""
     orb = lambda fam: lambda e, day, p, s: [
         ev for ev in sig.orb_signals(day, e.prims(day), "IMMEDIATE") if ev.family == fam]
-    ohlc = lambda e, day: e.per_day(sig.ohlc_series, day)
-    grab = lambda mode: lambda e, day, p, s: sig.liquidity_grab_signals(
-        day, mode=mode, **p, ohlc=ohlc(e, day))
+    grab = lambda mode: lambda e, day, p, s: sig.liquidity_grab_signals(day, mode=mode, **p)
     vol = lambda kind: lambda e, day, p, s: sig.volume_signature_signals(
         day, kind, s["spike_cutoff"], s["dryup_cutoff"],
-        ratio=e.per_day(sig.volume_ratio_series, day), ohlc=ohlc(e, day))
+        ratio=e.per_day(sig.volume_ratio_series, day))
     vvg = lambda e, day, p, s: sig.vvg_strategy_signals(
         day, s["flags"].get(day.date, False), p["mode"], e.prims(day))
     f = [
@@ -171,8 +168,7 @@ def default_families() -> dict[str, FamilyDef]:
         FamilyDef("ASIA_EXPANSION", "asia",
                   tuple({"multiple": m} for m in (1.5, 2.0, 2.5)), (_h(1), _h(6)),
                   lambda e, day, p, s: sig.asia_expansion_signals(
-                      day, **p, mean_range=e.per_day(sig.mean_range_series, day),
-                      ohlc=ohlc(e, day))),
+                      day, **p, mean_range=e.per_day(sig.mean_range_series, day))),
         FamilyDef("LIQUIDITY_GRAB_FADE", "asia", ({"lookback": None},), (_h(1), _h(6)),
                   grab("FADE")),
         FamilyDef("LIQUIDITY_GRAB_CONT", "asia", ({"lookback": None},), (_h(1), _h(6)),
@@ -189,7 +185,7 @@ def default_families() -> dict[str, FamilyDef]:
         FamilyDef("VVG_CONTINUATION", "rth", ({"mode": "CONTINUATION"},), (_h(6), _h(13)),
                   vvg, _fit_vvg_flags),
         FamilyDef("EVENT_DRIFT", "rth", ({"start_bar_offset": 6, "horizon": 6},), (_h(6),),
-                  lambda e, day, p, s: sig.event_drift_signals(day, e.day_events(day), **p)),
+                  lambda e, day, p, s: sig.event_drift_signals(day, e.bundle.events, **p)),
         FamilyDef("OU_REVERSION", "rth",
                   tuple({"threshold": t} for t in (1.5, 2.0, 2.5)), (_h(1), _h(6)),
                   lambda e, day, p, s: sig.ou_reversion_signals(day, s["fit"], **p), _fit_ou),
@@ -240,16 +236,6 @@ class Engine:
         if key not in self._memo:
             self._memo[key] = fn(self.complete_days(session))
         return self._memo[key]
-
-    def day_events(self, day: TradingDay) -> list[EconEvent]:
-        """The calendar events on ``day``'s session date, in calendar order."""
-        key = (EconEvent, day.session.name)
-        if key not in self._memo:
-            by_date: dict[date, list[EconEvent]] = {}
-            for ev in self.bundle.events:
-                by_date.setdefault(day.session.session_date(ev.ts), []).append(ev)
-            self._memo[key] = by_date
-        return self._memo[key].get(day.date, [])
 
     def prims(self, day: TradingDay) -> DayPrimitives:
         return self.per_day(day_primitives, day)

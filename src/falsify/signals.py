@@ -111,29 +111,20 @@ def mean_range_series(day: TradingDay, window: int = 20) -> np.ndarray:
     return rolling_stat(day.bars, RollingSpec(window, Statistic.MEAN_RANGE))
 
 
-def ohlc_series(day: TradingDay) -> np.ndarray:
-    """The day's opens, highs, lows and closes as the rows of a 4 x n array."""
-    bars = day.bars
-    return np.array([[b.open for b in bars], [b.high for b in bars], [b.low for b in bars],
-                     [b.close for b in bars]], dtype=float)
-
-
 def _entryable(mask: np.ndarray) -> list[int]:
     """Indices of the set entries of a per-bar mask that can still be entered next bar."""
     return mask[:len(mask) - 1].nonzero()[0].tolist()
 
 
 def asia_expansion_signals(day: TradingDay, multiple: float,
-                           mean_range: Optional[np.ndarray] = None,
-                           ohlc: Optional[np.ndarray] = None) -> list[SignalEvent]:
+                           mean_range: Optional[np.ndarray] = None) -> list[SignalEvent]:
     """Expansion bar: range above a multiple of the rolling mean range.
 
     Direction follows the expansion bar's close-vs-open; dojis emit nothing.
-    ``mean_range`` and ``ohlc`` default to ``mean_range_series(day)`` and
-    ``ohlc_series(day)``.
+    ``mean_range`` defaults to ``mean_range_series(day)``.
     """
     mr = np.asarray(mean_range_series(day) if mean_range is None else mean_range, dtype=float)
-    o, h, lo, c = ohlc_series(day) if ohlc is None else ohlc
+    o, h, lo, c = day.ohlc
     rng, body = h - lo, c - o
     with np.errstate(invalid="ignore"):  # 0 * inf; such bars are skipped as non-finite
         hit = np.isfinite(mr) & (mr > 0) & (rng > multiple * mr) & (body != 0)
@@ -145,13 +136,12 @@ def asia_expansion_signals(day: TradingDay, multiple: float,
 
 
 def liquidity_grab_signals(day: TradingDay, lookback: Optional[int] = None,
-                           mode: str = "FADE",
-                           ohlc: Optional[np.ndarray] = None) -> list[SignalEvent]:
+                           mode: str = "FADE") -> list[SignalEvent]:
     """Pierce of a recent extreme with a close back inside the range.
 
     ``lookback=None`` uses the running session extreme over all prior
     bars (requires ``GRAB_MIN_HISTORY`` bars of history); an integer uses
-    a fixed prior-bar window. ``ohlc`` defaults to ``ohlc_series(day)``.
+    a fixed prior-bar window.
     """
     if mode not in ("FADE", "CONTINUATION"):
         raise SignalError(f"unknown liquidity grab mode {mode!r}")
@@ -159,7 +149,7 @@ def liquidity_grab_signals(day: TradingDay, lookback: Optional[int] = None,
         raise SignalError(f"liquidity grab lookback must be >= 1, got {lookback}")
     family = "LIQUIDITY_GRAB_FADE" if mode == "FADE" else "LIQUIDITY_GRAB_CONT"
     up_dir, down_dir = (SHORT, LONG) if mode == "FADE" else (LONG, SHORT)
-    _, highs, lows, closes = ohlc_series(day) if ohlc is None else ohlc
+    _, highs, lows, closes = day.ohlc
     start = GRAB_MIN_HISTORY if lookback is None else lookback
     if start > _last_entryable(day):
         return []
@@ -251,18 +241,16 @@ def volume_ratio_cutoffs(days: Sequence[TradingDay], window: int = 20) -> tuple[
 
 def volume_signature_signals(day: TradingDay, kind: str, spike_cutoff: float,
                              dryup_cutoff: float,
-                             ratio: Optional[np.ndarray] = None,
-                             ohlc: Optional[np.ndarray] = None) -> list[SignalEvent]:
+                             ratio: Optional[np.ndarray] = None) -> list[SignalEvent]:
     """Volume spike momentum (with the bar) or dry-up exhaustion (against it).
 
     Decile cutoffs are frozen on the training window and passed in.
-    ``ratio`` and ``ohlc`` default to ``volume_ratio_series(day)`` and
-    ``ohlc_series(day)``.
+    ``ratio`` defaults to ``volume_ratio_series(day)``.
     """
     if kind not in ("SPIKE", "DRYUP"):
         raise SignalError(f"unknown volume signature kind {kind!r}")
     ratio = np.asarray(volume_ratio_series(day) if ratio is None else ratio, dtype=float)
-    o, _, _, c = ohlc_series(day) if ohlc is None else ohlc
+    o, _, _, c = day.ohlc
     body = c - o
     if kind == "SPIKE":
         family, hit, with_bar = "VOL_SPIKE", ratio > spike_cutoff, True
@@ -407,18 +395,16 @@ def confluence_rth_signals(day: TradingDay, labels: Sequence[int],
                            atr: Sequence[float], atr_baseline: float,
                            trans_threshold: float = 0.15,
                            vz_threshold: float = 0.5,
-                           pullback_points: float = 25.0,
-                           ohlc: Optional[np.ndarray] = None) -> list[SignalEvent]:
+                           pullback_points: float = 25.0) -> list[SignalEvent]:
     """Regime-1 bars with elevated transition-to-2 probability and volume z.
 
     All three conditions are strict inequalities. Meta carries the
     ATR-scaled pullback limit level and the bar-13 exit horizon.
-    ``ohlc`` defaults to ``ohlc_series(day)``.
     """
     n = len(day.bars)
     if not (len(labels) == len(trans_prob) == len(vol_z) == len(atr) == n):
         raise SignalError("aligned per-bar series required")
-    closes = (ohlc_series(day) if ohlc is None else ohlc)[3]
+    closes = day.ohlc[3]
     tp, vz, atr = (np.asarray(x, dtype=float) for x in (trans_prob, vol_z, atr))
     hit = ((np.asarray(labels) == 1) & np.isfinite(tp) & np.isfinite(vz)
            & (tp > trans_threshold) & (vz > vz_threshold))

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import random
 import tempfile
+import warnings
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
 from typing import Iterable, Optional
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -307,6 +309,7 @@ BAD_TS = ("2022-13-01T09:30", "2022-00-01T09:30", "2022-01-00T09:30", "2022-01-0
           "2022-01-03T09:30:00", "garbage", "2022-02-30T09:30", "2021-02-29T09:30",
           "2022-04-31T09:30", "2022-01-03T24:00", "2022-01-03T09:60", "0000-01-03T09:30", "")
 BAD_NUMBERS = ("x", "", "1.2.3", "--1", "0x10", "1,5", "1 2", "abc at row 3")
+FLOAT_VOLUMES = ("500.0", "1e3", "500.7")
 MUTATIONS = ("garbage", "field", "columns", "swap_hl", "neg_volume", "unsorted",
              "duplicate", "outside", "off_grid", "indented_comment")
 
@@ -401,7 +404,8 @@ def test_array_parser_matches_row_parser(case):
 
 
 @pytest.mark.parametrize("field,bad", [(0, t) for t in BAD_TS + ("2022-01-03T09:30\0",)]
-                         + [(f, x) for f in range(1, 6) for x in BAD_NUMBERS + ("1\0", "-5")])
+                         + [(f, x) for f in range(1, 6) for x in BAD_NUMBERS + ("1\0", "-5")]
+                         + [(5, v) for v in FLOAT_VOLUMES])
 def test_each_bad_field_matches_row_parser(tmp_path, field, bad):
     lines = serialize_days([make_day(date(2022, 1, 3))]).splitlines()
     parts = lines[4].split(",")
@@ -410,6 +414,39 @@ def test_each_bad_field_matches_row_parser(tmp_path, field, bad):
     path = tmp_path / "bars.csv"
     path.write_text("\n".join(lines), encoding="utf-8")
     assert outcome(parse_bar_file, path, RTH) == outcome(reference_parse_bar_file, path, RTH)
+
+
+@pytest.mark.parametrize("volume", FLOAT_VOLUMES)
+def test_volume_read_via_float_with_a_warning_is_rejected(tmp_path, monkeypatch, volume):
+    # some numpy releases read "1e3" into an int column via float and only
+    # warn; the parser must still reject the row as the row parser does
+    real = np.loadtxt
+
+    def lenient(rows, **kw):
+        fixed = [r.replace(volume, str(int(float(volume)))) for r in rows]
+        if fixed != rows:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+        return real(fixed, **kw)
+
+    lines = serialize_days([make_day(date(2022, 1, 3))]).splitlines()
+    lines[4] = lines[4].rpartition(",")[0] + "," + volume
+    path = tmp_path / "bars.csv"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    monkeypatch.setattr(np, "loadtxt", lenient)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(BarError, match=f"^line 5: invalid literal for int.*'{volume}'"):
+            parse_bar_file(path, RTH)
+
+
+def test_day_ohlc_is_a_read_only_copy_of_the_bar_prices():
+    day = make_day(date(2022, 1, 3), closes=[100.0 + (i % 5) for i in range(78)])
+    ohlc = day.ohlc
+    assert ohlc is day.ohlc and ohlc.shape == (4, 78) and not ohlc.flags.writeable
+    for row, name in zip(ohlc, ("open", "high", "low", "close")):
+        assert row.tolist() == [getattr(b, name) for b in day.bars]
+    assert TradingDay(day.date, RTH, (), None, False).ohlc.shape == (4, 0)
 
 
 @settings(max_examples=200, deadline=None)

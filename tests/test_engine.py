@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from falsify import engine as engine_mod
-from falsify.bars import LONDON
+from falsify.bars import LONDON, TradingDay
 from falsify.config import config_from_dict
 from falsify.engine import DataBundle, Engine, EngineError, default_families
 from falsify.features import (RollingSpec, Statistic, gmm_fit, markov_transition_prob,
@@ -281,16 +281,17 @@ def test_regime_inputs_read_each_stream_once(monkeypatch):
                              ("rolling_stat", n): 1})
 
 
-def test_regime_fit_on_a_window_that_does_not_open_the_session():
-    # a training window after the first day builds its own inputs, as before
+def test_regime_fit_rejects_a_window_that_does_not_open_the_session():
+    # the training inputs are a prefix of the session's, so the window must be
+    # a leading run of the very day objects the engine holds
     reg = RegimeSpec(transition=((0.9, 0.05, 0.05), (0.2, 0.5, 0.3), (0.05, 0.05, 0.9)),
                      means=(-6.0, 0.0, 6.0), vols=(2.0, 5.0, 2.0), volume_mults=(1.0, 3.0, 1.0))
     rth, _ = gen_regime_days(SynthSpec(200, seed=3, regimes=reg))
     eng = make_engine(rth=rth)
-    train = rth[40:120]
-    state = eng._fit_state("CONFLUENCE_RTH", train, {})
-    want = reference_fit_regime(eng, "rth", train)
-    assert state["atr_baseline"] == want["atr_baseline"]
-    for day, ref in want["series"].items():
-        for key, arr in ref.items():
-            assert np.array_equal(state["series"][day][key], arr, equal_nan=True)
+    copies = [TradingDay(d.date, d.session, d.bars, d.prior_rth_close, d.complete)
+              for d in rth[:80]]
+    for train in (rth[40:120], copies, rth + rth[:1]):
+        with pytest.raises(EngineError, match="leading run of the complete rth days"):
+            eng._fit_state("CONFLUENCE_RTH", train, {})
+    assert eng._fit_state("CONFLUENCE_RTH", rth[:80], {})["series"].keys() == \
+        {d.date for d in rth}

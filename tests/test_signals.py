@@ -470,7 +470,7 @@ def test_meta_is_sorted_and_hashable():
 
 from hypothesis import given, settings, strategies as st
 
-from falsify.signals import _meta, mean_range_series, ohlc_series, volume_ratio_series
+from falsify.signals import _meta, mean_range_series, volume_ratio_series
 
 
 def reference_asia_expansion(day, multiple, mean_range):
@@ -587,20 +587,16 @@ def same_events(got, want):
        multiple=st.sampled_from([1.5, 2.0, 2.5, 1, 0.0, -1.0]), computed=st.booleans())
 def test_asia_expansion_mask_matches_loop(data, day, multiple, computed):
     mr = mean_range_series(day, window=3) if computed else data.draw(per_bar(day, odd_floats))
-    same_events(asia_expansion_signals(day, multiple, mean_range=mr, ohlc=ohlc_series(day)),
+    same_events(asia_expansion_signals(day, multiple, mean_range=mr),
                 reference_asia_expansion(day, multiple, mr))
-    assert asia_expansion_signals(day, multiple, mean_range=mr) == \
-        reference_asia_expansion(day, multiple, mr)
 
 
 @settings(max_examples=300, deadline=None)
 @given(day=tick_days(session=ASIA), lookback=st.sampled_from([None, 1, 2, 5, 12]),
        mode=st.sampled_from(["FADE", "CONTINUATION"]))
 def test_liquidity_grab_mask_matches_loop(day, lookback, mode):
-    same_events(liquidity_grab_signals(day, lookback, mode, ohlc=ohlc_series(day)),
+    same_events(liquidity_grab_signals(day, lookback, mode),
                 reference_liquidity_grab(day, lookback, mode))
-    assert liquidity_grab_signals(day, lookback, mode) == \
-        reference_liquidity_grab(day, lookback, mode)
 
 
 def test_liquidity_grab_lookback_below_one_rejected():
@@ -617,11 +613,8 @@ def test_volume_signature_mask_matches_loop(data, day, kind, cuts, computed):
     ratio = volume_ratio_series(day, window=3) if computed \
         else data.draw(per_bar(day, odd_floats))
     spike, dryup = max(cuts), min(cuts)
-    same_events(volume_signature_signals(day, kind, spike, dryup, ratio=ratio,
-                                         ohlc=ohlc_series(day)),
+    same_events(volume_signature_signals(day, kind, spike, dryup, ratio=ratio),
                 reference_volume_signature(day, kind, spike, dryup, ratio))
-    assert volume_signature_signals(day, kind, spike, dryup, ratio=ratio) == \
-        reference_volume_signature(day, kind, spike, dryup, ratio)
 
 
 @settings(max_examples=300, deadline=None)
