@@ -6,6 +6,7 @@ conversion is performed anywhere in the pipeline.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
@@ -183,6 +184,8 @@ _ROW = np.dtype([("ts", "S17"), ("open", "f8"), ("high", "f8"), ("low", "f8"),
 # a timestamp field, byte by byte: each "0" stands for a digit, and the NUL
 # after the 16 characters means the field is no longer
 _TS_BYTES = np.frombuffer(b"0000-00-00T00:00\0", dtype=np.uint8)
+_TS_FORM = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}")
+_TS_FORM_ERROR = "timestamp is not zero-padded YYYY-MM-DDTHH:MM"
 _MINUTE_US = 60_000_000
 _DAY_US = 24 * 60 * _MINUTE_US
 
@@ -217,7 +220,7 @@ def _columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
     raw = np.ascontiguousarray(table["ts"]).view(np.uint8).reshape(-1, 17)
     digit = _TS_BYTES == ord("0")
     if not (np.all(raw[:, digit] - ord("0") < 10) and np.all(raw[:, ~digit] == _TS_BYTES[~digit])):
-        raise ValueError("timestamp is not zero-padded YYYY-MM-DDTHH:MM")
+        raise ValueError(_TS_FORM_ERROR)
     # the fields are read from the digits: numpy's own string-to-datetime cast
     # crashes the interpreter on a large array holding an invalid date
     d = raw.astype(np.int64) - ord("0")
@@ -343,11 +346,6 @@ def parse_bar_file(path: str | Path, session: SessionSpec) -> list[TradingDay]:
     return _group(bars, ts.view(np.int64), session)
 
 
-def _fmt_price(x: float) -> str:
-    s = f"{x:.2f}"
-    return s
-
-
 def serialize_days(days: Iterable[TradingDay], header_comment: str | None = None) -> str:
     """Serialize days back to the bar file format (round-trip safe)."""
     out = []
@@ -356,10 +354,8 @@ def serialize_days(days: Iterable[TradingDay], header_comment: str | None = None
     out.append(BAR_HEADER)
     for day in days:
         for b in day.bars:
-            out.append(
-                f"{b.ts.strftime(TS_FORMAT)},{_fmt_price(b.open)},{_fmt_price(b.high)},"
-                f"{_fmt_price(b.low)},{_fmt_price(b.close)},{b.volume}"
-            )
+            out.append(f"{b.ts.strftime(TS_FORMAT)},{b.open:.2f},{b.high:.2f},{b.low:.2f},"
+                       f"{b.close:.2f},{b.volume}")
     return "\n".join(out) + "\n"
 
 
@@ -400,6 +396,8 @@ def parse_event_calendar(path: str | Path, rth_only: bool = False) -> list[EconE
             ts = datetime.strptime(parts[0], TS_FORMAT)
         except ValueError as exc:
             raise BarError(f"line {i}: {exc}") from None
+        if not _TS_FORM.fullmatch(parts[0]):  # strptime also reads 2022-1-3t9:45
+            raise BarError(f"line {i}: {_TS_FORM_ERROR}")
         kind = EventKind(parts[1]) if parts[1] in EventKind.__members__ else EventKind.OTHER
         impact = parts[2].upper()
         if impact not in IMPACT_LEVELS:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import datetime as _dt
+import gc
 import os
 import sys
 from pathlib import Path
@@ -98,6 +99,8 @@ def run(config_path: str, family: str | None, out_dir: str | None,
 
     try:
         bundle = load_bundle(cfg)
+        # the loaded bars live for the whole run: keep full collections from re-scanning them
+        gc.freeze()
         engine = Engine(bundle, cfg)
         base = Path(out_dir or os.environ.get("FALSIFY_OUT") or cfg.output_dir)
         run_dir = base / cfg.hash
@@ -129,6 +132,8 @@ def run(config_path: str, family: str | None, out_dir: str | None,
     except (BarError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA)
+    finally:
+        gc.unfreeze()
 
 
 @main.group()

@@ -18,12 +18,13 @@ from . import signals as sig
 from .bars import (DayPrimitives, EconEvent, TradingDay, day_primitives, parse_bar_file,
                    parse_event_calendar, ASIA, LONDON, RTH)
 from .config import RunConfig
-from .execution import ExitKind, ExitSpec, TradeRecord, simulate
+from .execution import (ExitKind, ExitSpec, entry_order, event_arrays, fill_days,
+                        simulate)
 from .features import (RegimeGMM, RollingSpec, Statistic, gmm_fit, kalman_velocity,
                        markov_transition_prob, ou_fit, regime_features, rolling_stat,
                        volume_zscore)
-from .validation import (EvalMetrics, Verdict, WalkForwardResult, permutation_test,
-                         summary_metrics, validate, walk_forward)
+from .validation import (EvalMetrics, RunnerTrades, Verdict, WalkForwardResult,
+                         permutation_test, summary_metrics, validate, walk_forward)
 
 
 class EngineError(ValueError):
@@ -185,7 +186,8 @@ def default_families() -> dict[str, FamilyDef]:
         FamilyDef("VVG_CONTINUATION", "rth", ({"mode": "CONTINUATION"},), (_h(6), _h(13)),
                   vvg, _fit_vvg_flags),
         FamilyDef("EVENT_DRIFT", "rth", ({"start_bar_offset": 6, "horizon": 6},), (_h(6),),
-                  lambda e, day, p, s: sig.event_drift_signals(day, e.bundle.events, **p)),
+                  lambda e, day, p, s: sig.event_drift_signals(
+                      day, e.rth_events.get(day.date, ()), **p)),
         FamilyDef("OU_REVERSION", "rth",
                   tuple({"threshold": t} for t in (1.5, 2.0, 2.5)), (_h(1), _h(6)),
                   lambda e, day, p, s: sig.ou_reversion_signals(day, s["fit"], **p), _fit_ou),
@@ -215,8 +217,8 @@ class Engine:
                 raise EngineError(f"unknown {name} parameters: {undeclared}")
         self._memo: dict = {}
         self._state: dict = {}
-        self._signals: dict = {}
         self._kalman_v: Optional[dict[date, float]] = None
+        self.rth_events = sig.events_by_day(bundle.events, RTH)
 
     # -- shared caches ----------------------------------------------------
 
@@ -308,15 +310,17 @@ class Engine:
 
     # -- fitted state per family ------------------------------------------
 
+    def _state_key(self, fd: FamilyDef, train: Sequence[TradingDay]) -> tuple:
+        """Families sharing a fit and a session share a fitted state; no fit, no key."""
+        return () if fd.fit is None else (fd.fit, fd.session, train[0].date, train[-1].date,
+                                          len(train))
+
     def _fit_state(self, family: str, train: Sequence[TradingDay], params: dict) -> dict:
-        """Fitted state for ``family`` on ``train``; families sharing a fit
-        and a session share one state per training window."""
+        """Fitted state for ``family`` on ``train``, one per ``_state_key``."""
         fd = self.family_def(family)
-        if fd.fit is None:
-            return {}
-        key = (fd.fit, fd.session, train[0].date, train[-1].date, len(train))
+        key = self._state_key(fd, train)
         if key not in self._state:
-            self._state[key] = fd.fit(self, fd.session, train)
+            self._state[key] = fd.fit(self, fd.session, train) if key else {}
         return self._state[key]
 
     def day_signals(self, family: str, day: TradingDay, params: dict,
@@ -328,25 +332,26 @@ class Engine:
     # -- runners and runs ---------------------------------------------------
 
     def runner(self, family: str):
+        """``run(train, eval_days, params, exit)`` for ``walk_forward``: each (fit-state key,
+        params, day) is emitted once into a cache the runner owns; one ``fill_days``
+        call gives the net points, and ``simulate`` builds records when asked."""
+        fd = self.family_def(family)
+        cache: dict[tuple, list[sig.SignalEvent]] = {}
+
         def run(train: Sequence[TradingDay], eval_days: Sequence[TradingDay],
-                params: dict, exit_spec: ExitSpec) -> list[TradeRecord]:
+                params: dict, exit_spec: ExitSpec) -> RunnerTrades:
             state = self._fit_state(family, train, params)
-            # exit-grid candidates share params and fitted state, so the
-            # per-day signal pass is identical across them
-            skey = (family, train[0].date, train[-1].date, len(train),
-                    tuple(sorted((k, str(v)) for k, v in params.items())))
-            trades: list[TradeRecord] = []
-            for day in eval_days:
-                ckey = (skey, day.date)
-                events = self._signals.get(ckey)
-                if events is None:
-                    events = self.day_signals(family, day, params, state)
-                    self._signals[ckey] = events
-                if events:
-                    res = simulate(events, day, exit_spec,
-                                   self.config.friction, self.config.instrument)
-                    trades.extend(res.trades)
-            return trades
+            key = (self._state_key(fd, train), repr(sorted(params.items())))
+            for d in eval_days:
+                if (key, d.date) not in cache:
+                    cache[key, d.date] = entry_order(self.day_signals(family, d, params, state))
+            per_day = [(d, cache[key, d.date]) for d in eval_days if cache[key, d.date]]
+            bar, sign, level = event_arrays([e for _, evs in per_day for e in evs], exit_spec)
+            fr, ins = self.config.friction, self.config.instrument
+            f = fill_days([d for d, _ in per_day], np.repeat(np.arange(len(per_day)), [
+                len(evs) for _, evs in per_day]), bar, sign, exit_spec, fr, ins, level)
+            return RunnerTrades(f.net_ticks[f.reason >= 0] * ins.tick_size, lambda: [
+                t for d, evs in per_day for t in simulate(evs, d, exit_spec, fr, ins).trades])
         return run
 
     def family_grid(self, family: str) -> tuple[tuple[dict, ...], tuple[ExitSpec, ...]]:

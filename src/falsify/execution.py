@@ -9,7 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date, time
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .bars import TradingDay
 from .signals import LONG, SignalEvent
@@ -117,126 +119,138 @@ class SimResult:
     rejections: tuple[Rejection, ...]
 
 
-def _make_trade(event: SignalEvent, entry_bar: int, exit_bar: int,
-                entry_price: float, exit_price: float, reason: ExitReason,
-                friction: FrictionModel, instrument: Instrument) -> TradeRecord:
-    sign = 1 if event.direction == LONG else -1
-    entry_t = instrument.to_ticks(entry_price)
-    exit_t = instrument.to_ticks(exit_price)
-    gross_t = sign * (exit_t - entry_t)
-    net_t = gross_t - instrument.to_ticks(friction.round_trip)
-    return TradeRecord(
-        family=event.family, date=event.day, direction=event.direction,
-        entry_bar=entry_bar, exit_bar=exit_bar,
-        entry_price=instrument.to_points(entry_t),
-        exit_price=instrument.to_points(exit_t),
-        gross_ticks=gross_t, net_ticks=net_t,
-        exit_reason=reason, tick_size=instrument.tick_size,
-    )
+_REASONS = (ExitReason.HORIZON, ExitReason.SESSION_END, ExitReason.STOP, ExitReason.CLOCK)
+_HORIZON, _SESSION_END, _STOP, _CLOCK = range(4)
+_REJECTIONS = {-1: "signal on last bar: cannot enter", -2: "limit never filled"}
 
 
-def _clock_bar(day: TradingDay, clock: time) -> Optional[int]:
-    for i, b in enumerate(day.bars):
-        if b.ts.time() == clock:
-            return i
-    return None
+class Fills(NamedTuple):
+    """Per event, in event order: ``reason`` indexes ``_REASONS`` (a trade) or
+    ``_REJECTIONS`` (the other fields mean nothing); entry and exit are columns."""
+    reason: np.ndarray
+    entry: np.ndarray
+    exit: np.ndarray
+    entry_ticks: np.ndarray
+    exit_ticks: np.ndarray
+    gross_ticks: np.ndarray
+    net_ticks: np.ndarray
+
+
+def entry_order(events: Sequence[SignalEvent]) -> list[SignalEvent]:
+    """Events in the order ``simulate`` resolves and reports them."""
+    return sorted(events, key=lambda e: (e.bar_index, e.direction))
+
+
+def event_arrays(events: Sequence[SignalEvent], exit: ExitSpec) -> tuple:
+    """``fill``'s bar, sign and (for a limit exit, NaN where none) level of each event."""
+    level = None if exit.kind is not ExitKind.PULLBACK_LIMIT else np.array(
+        [e.meta_value("limit_level", np.nan) for e in events])
+    return (np.array([e.bar_index for e in events], dtype=np.int64),
+            np.array([1 if e.direction == LONG else -1 for e in events], dtype=np.int64), level)
+
+
+def clock_bar(day: TradingDay, clock: time) -> int:
+    """Index of the day's bar opening at ``clock``, or -1 if it has none."""
+    return next((i for i, b in enumerate(day.bars) if b.ts.time() == clock), -1)
+
+
+def _first_touch(ohlc, col, span, sign, level, width: int) -> np.ndarray:
+    """Per event, the first k in 0..span (< width) at which a long's low falls to
+    its level or a short's high rises to it, reading column col + k; -1 if none."""
+    first = np.empty(len(col), dtype=np.int64)
+    step = max(1, 65536 // width)  # bounds the size of each window table
+    for a in range(0, len(col), step):
+        s = slice(a, a + step)
+        # past its span an event re-reads its last bar, which cannot be a first touch
+        j = col[s, None] + np.minimum(np.arange(width), span[s, None])
+        lv = level[s, None]
+        touch = np.where(sign[s, None] > 0, ohlc[2][j] <= lv, ohlc[1][j] >= lv)
+        first[s] = np.where(touch.any(axis=1), touch.argmax(axis=1), -1)
+    return first
+
+
+def fill(ohlc: np.ndarray, start, length, bar, sign, exit: ExitSpec,
+         friction: FrictionModel = FrictionModel(), instrument: Instrument = MNQ,
+         level: Optional[np.ndarray] = None, clock=None) -> Fills:
+    """The execution kernel: resolve every event's entry and exit at once.
+
+    ``ohlc`` holds whole days end to end (4 x N). Per event (scalars broadcast),
+    ``start`` and ``length`` locate its day, ``bar`` is the signal bar, ``sign`` +1
+    long or -1 short, ``level`` a limit level (NaN: the exit's offset) and
+    ``clock`` the day's ``clock_bar``. Ticks round half-to-even, as ``to_ticks``."""
+    o, c = ohlc[0], ohlc[3]
+    sign = np.asarray(sign, dtype=np.int64)
+    first = np.asarray(bar, dtype=np.int64) + start  # columns of the signal bars
+    last = start + length - 1  # and of their days' last bars
+    entry, end = first + 1, first + exit.horizon  # an entry past last is rejected below
+    exit_col = np.minimum(end, last)
+    reason = (end > last).astype(np.int8)  # _HORIZON or _SESSION_END
+    entry_px, exit_px = o.take(entry, mode="clip"), c[exit_col]
+    if exit.kind is ExitKind.CLOCK:
+        at = start + clock > first
+        exit_col = np.where(at, start + clock, last)
+        exit_px = np.where(at, o[start + clock], c[last])
+        reason = np.where(at, _CLOCK, _SESSION_END).astype(np.int8)
+    elif exit.kind is ExitKind.STOP_HORIZON:
+        # same-bar ambiguity is pessimistic: a stop touched on a bar is hit
+        stop_px = entry_px - sign * exit.stop
+        k = _first_touch(ohlc, entry, exit_col - entry, sign, stop_px, exit.horizon)
+        hit = k >= 0
+        exit_col = np.where(hit, entry + k, exit_col)
+        exit_px = np.where(hit, stop_px, exit_px)
+        reason[hit] = _STOP
+    elif exit.kind is ExitKind.PULLBACK_LIMIT:
+        offset = exit.limit_offset if exit.limit_offset is not None else 0.0
+        lv = c[first] - sign * offset
+        if level is not None:
+            lv = np.where(np.isnan(level), lv, level)
+        k = _first_touch(ohlc, entry, exit_col - entry, sign, lv, exit.horizon)
+        entry = entry + k
+        # a gap through the level fills at the (better) open, not the level
+        op = o.take(entry, mode="clip")
+        entry_px = np.where(sign > 0, np.minimum(op, lv), np.maximum(op, lv))
+        reason[k < 0] = -2
+    reason[first >= last] = -1
+    entry_t, exit_t = np.rint(np.array((entry_px, exit_px)) / instrument.tick_size
+                              ).astype(np.int64)
+    gross = sign * (exit_t - entry_t)
+    return Fills(reason, entry, exit_col, entry_t, exit_t, gross,
+                 gross - instrument.to_ticks(friction.round_trip))
+
+
+def fill_days(days: Sequence[TradingDay], day, bar, sign, exit: ExitSpec,
+              friction: FrictionModel = FrictionModel(), instrument: Instrument = MNQ,
+              level: Optional[np.ndarray] = None) -> Fills:
+    """``fill`` over ``days`` laid end to end; ``day`` is each event's index in ``days``."""
+    length = np.array([len(d.bars) for d in days], dtype=np.int64)
+    clock = None if exit.kind is not ExitKind.CLOCK else np.array(
+        [clock_bar(d, exit.clock) for d in days], dtype=np.int64)[day]
+    return fill(np.concatenate([d.ohlc for d in days] or [np.empty((4, 0))], axis=1),
+                (np.cumsum(length) - length)[day], length[day], bar, sign, exit, friction,
+                instrument, level, clock)
 
 
 def simulate(events: Sequence[SignalEvent], day: TradingDay, exit: ExitSpec,
              friction: FrictionModel = FrictionModel(),
              instrument: Instrument = MNQ) -> SimResult:
-    """Fill each event at the next bar open and resolve its exit.
+    """Fill each event at the next bar open and resolve its exit, with ``fill``.
 
-    Same-bar stop ambiguity is resolved pessimistically (stop assumed
-    hit before any favorable move). Trades still open at session end
-    exit at the last bar's close.
+    Same-bar stop ambiguity is resolved pessimistically (stop assumed hit
+    before any favorable move). Trades still open at session end exit at
+    the last bar's close. A PULLBACK_LIMIT enters at the event's
+    ``limit_level``, or else at the exit's offset from the signal close.
     """
-    bars = day.bars
-    n = len(bars)
-    trades: list[TradeRecord] = []
-    rejections: list[Rejection] = []
-
-    for ev in sorted(events, key=lambda e: (e.bar_index, e.direction)):
-        entry_bar = ev.bar_index + 1
-        if entry_bar >= n:
-            rejections.append(Rejection(ev, "signal on last bar: cannot enter"))
-            continue
-        sign = 1 if ev.direction == LONG else -1
-
-        if exit.kind is ExitKind.PULLBACK_LIMIT:
-            trade = _simulate_pullback_limit(ev, day, exit, friction, instrument)
-            if trade is None:
-                rejections.append(Rejection(ev, "limit never filled"))
-            else:
-                trades.append(trade)
-            continue
-
-        entry_price = bars[entry_bar].open
-        horizon_bar = min(entry_bar + exit.horizon - 1, n - 1)
-        clipped = entry_bar + exit.horizon - 1 > n - 1
-
-        if exit.kind is ExitKind.CLOCK:
-            cb = _clock_bar(day, exit.clock)
-            if cb is not None and cb >= entry_bar:
-                trades.append(_make_trade(ev, entry_bar, cb, entry_price,
-                                          bars[cb].open, ExitReason.CLOCK,
-                                          friction, instrument))
-            else:
-                trades.append(_make_trade(ev, entry_bar, n - 1, entry_price,
-                                          bars[n - 1].close, ExitReason.SESSION_END,
-                                          friction, instrument))
-            continue
-
-        stopped = False
-        if exit.kind is ExitKind.STOP_HORIZON:
-            stop_price = entry_price - sign * exit.stop
-            for i in range(entry_bar, horizon_bar + 1):
-                hit = bars[i].low <= stop_price if sign > 0 else bars[i].high >= stop_price
-                if hit:
-                    trades.append(_make_trade(ev, entry_bar, i, entry_price,
-                                              stop_price, ExitReason.STOP,
-                                              friction, instrument))
-                    stopped = True
-                    break
-        if stopped:
-            continue
-
-        reason = ExitReason.SESSION_END if clipped else ExitReason.HORIZON
-        trades.append(_make_trade(ev, entry_bar, horizon_bar, entry_price,
-                                  bars[horizon_bar].close, reason,
-                                  friction, instrument))
-
-    return SimResult(tuple(trades), tuple(rejections))
-
-
-def _simulate_pullback_limit(ev: SignalEvent, day: TradingDay, exit: ExitSpec,
-                             friction: FrictionModel,
-                             instrument: Instrument) -> Optional[TradeRecord]:
-    """Limit entry at a pullback level, horizon exit measured from the signal bar."""
-    bars = day.bars
-    n = len(bars)
-    sign = 1 if ev.direction == LONG else -1
-    level = ev.meta_value("limit_level")
-    if level is None:
-        offset = exit.limit_offset if exit.limit_offset is not None else 0.0
-        level = bars[ev.bar_index].close - sign * offset
-    horizon_bar = min(ev.bar_index + exit.horizon, n - 1)
-    clipped = ev.bar_index + exit.horizon > n - 1
-
-    fill_bar = None
-    for i in range(ev.bar_index + 1, horizon_bar + 1):
-        touched = bars[i].low <= level if sign > 0 else bars[i].high >= level
-        if touched:
-            fill_bar = i
-            break
-    if fill_bar is None:
-        return None
-    # a gap through the level fills at the (better) open, not the level
-    open_i = bars[fill_bar].open
-    fill_price = min(open_i, level) if sign > 0 else max(open_i, level)
-    reason = ExitReason.SESSION_END if clipped else ExitReason.HORIZON
-    return _make_trade(ev, fill_bar, horizon_bar, fill_price,
-                       bars[horizon_bar].close, reason, friction, instrument)
+    events = entry_order(events)
+    bar, sign, level = event_arrays(events, exit)
+    clock = clock_bar(day, exit.clock) if exit.kind is ExitKind.CLOCK else None
+    f = fill(day.ohlc, 0, len(day.bars), bar, sign, exit, friction, instrument, level, clock)
+    rows = list(zip(events, *(a.tolist() for a in f)))  # one day: columns are bars
+    to_points, tick = instrument.to_points, instrument.tick_size
+    return SimResult(
+        tuple(TradeRecord(ev.family, ev.day, ev.direction, eb, xb, to_points(et), to_points(xt),
+                          g, nt, _REASONS[r], tick)
+              for ev, r, eb, xb, et, xt, g, nt in rows if r >= 0),
+        tuple(Rejection(ev, _REJECTIONS[r]) for ev, r, *_ in rows if r < 0))
 
 
 def aggregate_by_year(trades: Sequence[TradeRecord]) -> dict[int, list[TradeRecord]]:

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bars import DayPrimitives, EconEvent, TradingDay
+from .bars import DayPrimitives, EconEvent, SessionSpec, TradingDay
 from .features import OuFit, RollingSpec, Statistic, ou_zscore, rolling_stat
 
 LONG = "LONG"
@@ -337,12 +337,22 @@ def vvg_strategy_signals(day: TradingDay, flagged: bool, mode: str,
     return [SignalEvent(family, day.date, VVG_ENTRY_BAR, base_dir, _meta(first30=f30))]
 
 
+def events_by_day(events: Sequence[EconEvent], session: SessionSpec) -> dict[date, list]:
+    """Events inside the session window, by session-local date, in calendar order."""
+    out: dict[date, list[EconEvent]] = {}
+    for ev in events:
+        if session.contains(ev.ts.time()):
+            out.setdefault(session.session_date(ev.ts), []).append(ev)
+    return out
+
+
 def event_drift_signals(day: TradingDay, events: Sequence[EconEvent],
                         start_bar_offset: int = 6, horizon: int = 6) -> list[SignalEvent]:
     """Post-release drift measured only from bar +offset, never the spike bars.
 
     The offset floor of 6 guards against contaminating the measurement
-    with the release spike itself (bars 1-5).
+    with the release spike itself (bars 1-5). ``events`` may be the whole
+    calendar: only those ``events_by_day`` puts on this day count.
     """
     if start_bar_offset < 6:
         raise SignalError("start_bar_offset must be >= 6 (release spike contamination)")
@@ -350,9 +360,7 @@ def event_drift_signals(day: TradingDay, events: Sequence[EconEvent],
     sess = day.session
     last = _last_entryable(day)
     out = []
-    for ev in events:
-        if sess.session_date(ev.ts) != day.date or not sess.contains(ev.ts.time()):
-            continue
+    for ev in events_by_day(events, sess).get(day.date, ()):
         r = sess.bar_index(ev.ts)
         if r + 5 >= len(bars):
             continue

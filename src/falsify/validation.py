@@ -8,13 +8,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .bars import TradingDay
-from .execution import (ExitSpec, FrictionModel, Instrument, MNQ, SignalEvent,
-                        TradeRecord, aggregate_by_year, simulate)
+from .execution import (LONG, ExitSpec, FrictionModel, Instrument, MNQ, TradeRecord,
+                        aggregate_by_year, fill_days, simulate)  # noqa: F401 (bench wraps simulate)
 
 
 class ValidationError(ValueError):
@@ -84,13 +84,13 @@ def summary_metrics(trades: Sequence[TradeRecord],
     )
 
 
-def admissible_positions(day_pool: Sequence[TradingDay]) -> list[tuple[int, int]]:
-    """(day index, bar index) pairs where a signal could be entered."""
-    out = []
-    for di, day in enumerate(day_pool):
-        for bi in range(len(day.bars) - 1):
-            out.append((di, bi))
-    return out
+def admissible_positions(day_pool: Sequence[TradingDay]) -> np.ndarray:
+    """(day index, bar index) rows where a signal could be entered: every bar
+    but each day's last, in day and bar order."""
+    per_day = np.array([max(len(d.bars) - 1, 0) for d in day_pool], dtype=np.int64)
+    first = np.repeat(np.cumsum(per_day) - per_day, per_day)  # each row's day's first row
+    return np.column_stack((np.repeat(np.arange(len(day_pool)), per_day),
+                            np.arange(len(first)) - first))
 
 
 def permutation_test(trades: Sequence[TradeRecord], day_pool: Sequence[TradingDay],
@@ -108,26 +108,21 @@ def permutation_test(trades: Sequence[TradeRecord], day_pool: Sequence[TradingDa
     if iterations < 1:
         raise ValidationError("iterations must be >= 1")
     positions = admissible_positions(day_pool)
-    if not positions:
+    if not len(positions):
         raise ValidationError("no admissible placements in day pool")
 
     observed = float(np.mean([t.net for t in trades]))
-    # an exit's outcome depends only on (day, bar, direction), so each
-    # placement is simulated once and every iteration only indexes the
-    # table; NaN marks a limit that never fills and is dropped as rejected
+    # an exit's outcome depends only on (day, bar, direction), so every
+    # placement in each direction is resolved by one kernel call and each
+    # iteration only indexes the table; NaN marks a limit that never fills
+    # and is dropped as rejected
     dirs = sorted({t.direction for t in trades})
     col = np.array([dirs.index(t.direction) for t in trades])
-    table = np.full((len(positions), len(dirs)), np.nan)
-    row = 0
-    for day in day_pool:
-        entries = range(len(day.bars) - 1)
-        for j, direction in enumerate(dirs):
-            evs = [SignalEvent("PERM", day.date, bi, direction) for bi in entries]
-            res = simulate(evs, day, exit, friction, instrument)
-            missed = {r.event.bar_index for r in res.rejections}
-            filled = [row + bi for bi in entries if bi not in missed]
-            table[filled, j] = [t.net for t in res.trades]
-        row += len(entries)
+    day, bar = np.tile(positions, (len(dirs), 1)).T
+    f = fill_days(day_pool, day, bar, np.repeat([1 if d == LONG else -1 for d in dirs],
+                                                len(positions)), exit, friction, instrument)
+    table = np.where(f.reason >= 0, f.net_ticks * instrument.tick_size, np.nan
+                     ).reshape(len(dirs), len(positions)).T
 
     exceed = 0
     for it in range(iterations):
@@ -230,10 +225,23 @@ class WalkForwardPlan:
     folds: tuple[Fold, ...]
 
 
-# A family runner: (train_days, eval_days, params, exit) -> trades.
-# Any state (GMM model, cutoffs, OU fit) must be fitted on train_days only.
+class RunnerTrades(NamedTuple):
+    """A runner's trades: net points in trade order, and a call building their records."""
+    net: np.ndarray
+    records: Callable[[], list[TradeRecord]]
+
+
+# A family runner: (train_days, eval_days, params, exit) -> RunnerTrades, or
+# a list of TradeRecords. Any state (GMM model, cutoffs, OU fit) must be
+# fitted on train_days only.
 FamilyRunner = Callable[[Sequence[TradingDay], Sequence[TradingDay], dict, ExitSpec],
-                        list[TradeRecord]]
+                        RunnerTrades | list[TradeRecord]]
+
+
+def _runner_trades(trades: RunnerTrades | list[TradeRecord]) -> RunnerTrades:
+    if isinstance(trades, RunnerTrades):
+        return trades
+    return RunnerTrades(np.array([t.net for t in trades], dtype=float), lambda: list(trades))
 
 
 @dataclass(frozen=True)
@@ -282,14 +290,14 @@ def walk_forward(days: Sequence[TradingDay], runner: FamilyRunner,
         test = by_year[fold.test_year]
         best: Optional[tuple[float, int, int, dict, ExitSpec]] = None
         for order, (params, exit_spec) in enumerate(itertools.product(grid, exit_grid)):
-            trades = runner(train, train, params, exit_spec)
-            t = t_statistic([t.net for t in trades])
-            key = (t if t is not None else float("-inf"), len(trades), -order)
+            net = _runner_trades(runner(train, train, params, exit_spec)).net
+            t = t_statistic(net)
+            key = (t if t is not None else float("-inf"), len(net), -order)
             if best is None or key > (best[0], best[1], -best[2]):
-                best = (key[0], len(trades), order, params, exit_spec)
+                best = (key[0], len(net), order, params, exit_spec)
         assert best is not None
         _, train_n, _, params, exit_spec = best
         train_t = best[0] if best[0] != float("-inf") else None
         chosen.append(FoldChoice(fold, params, exit_spec, train_t, train_n))
-        oos.extend(runner(train, test, params, exit_spec))
+        oos.extend(_runner_trades(runner(train, test, params, exit_spec)).records())
     return WalkForwardResult(plan, oos, chosen)

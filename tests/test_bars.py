@@ -625,3 +625,27 @@ def test_calendar_error_names_physical_line(tmp_path):
 def test_unknown_kind_treated_as_other_and_filtered(tmp_path):
     p = write_calendar(tmp_path, ["2022-06-15T14:00,RETAIL,HIGH,USD"])
     assert parse_event_calendar(p) == []
+
+
+@pytest.mark.parametrize("ts", ["2022-1-3t9:45", "2022-01-03t09:45", "2022-1-03T09:45",
+                                "2022-01-03T9:45"])
+def test_calendar_timestamps_are_zero_padded_like_bar_files(tmp_path, ts):
+    bars = tmp_path / "bars.csv"
+    bars.write_text(f"{BAR_HEADER}\n{ts},1,1,1,1,1\n", encoding="utf-8")
+    with pytest.raises(BarError) as bar_error:
+        parse_bar_file(bars, RTH)
+    p = write_calendar(tmp_path, ["2022-01-03T10:00,CPI,HIGH,USD", f"{ts},CPI,HIGH,USD"])
+    p.write_text("# calendar\n\n" + p.read_text(encoding="utf-8"), encoding="utf-8")
+    with pytest.raises(BarError) as cal_error:
+        parse_event_calendar(p)
+    assert str(cal_error.value) == str(bar_error.value).replace("line 2:", "line 5:")
+    assert str(cal_error.value) == "line 5: timestamp is not zero-padded YYYY-MM-DDTHH:MM"
+
+
+def test_calendar_keeps_strptime_messages_and_wants_ascii_digits(tmp_path):
+    p = write_calendar(tmp_path, ["2022-02-30T10:00,CPI,HIGH,USD"])
+    with pytest.raises(BarError, match="line 2: day is out of range for month"):
+        parse_event_calendar(p)
+    p = write_calendar(tmp_path, ["２０２２-01-03T09:45,CPI,HIGH,USD"])
+    with pytest.raises(BarError, match="line 2: timestamp is not zero-padded"):
+        parse_event_calendar(p)

@@ -97,6 +97,25 @@ def test_run_single_family_writes_artifacts(tmp_path):
     assert "verdict=" in res.output
 
 
+def test_run_freezes_the_loaded_bars_and_gives_the_collector_back(tmp_path, monkeypatch):
+    import gc
+    frozen = []
+    real_freeze = gc.freeze
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(gc.get_freeze_count())
+                        or real_freeze())
+    bars = write_days(tmp_path, gen_null_days(SynthSpec(290, seed=3)))
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"data:\n  rth: {bars}\nseed: 1\n", encoding="utf-8")
+    res = run_cli("run", "--config", cfg, "--family", "ORB_LONG", "--out", tmp_path / "runs")
+    assert res.exit_code == 0, res.output
+    assert len(frozen) == 1 and gc.get_freeze_count() == 0
+    # a run that fails after loading unfreezes too
+    cfg.write_text(f"data:\n  rth: {bars}\nseed: 1\nfamilies: {{GAP_FILL_FADE: "
+                   "{entry_time: '09:31'}}\n", encoding="utf-8")
+    res = run_cli("run", "--config", cfg, "--family", "GAP_FILL_FADE", "--out", tmp_path / "r")
+    assert res.exit_code != 0 and len(frozen) == 2 and gc.get_freeze_count() == 0
+
+
 def test_run_unknown_family_exits_two(tmp_path):
     cfg = tmp_path / "run.yaml"
     cfg.write_text("seed: 1\n", encoding="utf-8")

@@ -108,7 +108,7 @@ def test_exit_selection_tracks_planted_horizon():
     assert all(c.exit.horizon == 15 for c in result.chosen)
 
 
-def test_runner_results_stable_across_calls():
+def test_runner_results_stable_across_calls(monkeypatch):
     days = two_year_null(60, seed=7)
     eng = make_engine(rth=days)
     run = eng.runner("ORB_LONG")
@@ -116,9 +116,30 @@ def test_runner_results_stable_across_calls():
     from falsify.execution import ExitKind
     exit = ExitSpec(ExitKind.HORIZON, horizon=15)
     first = run(days[:30], days[30:], {}, exit)
-    assert eng._signals  # per-day signal cache is populated
+    emitted = []
+    real = eng.day_signals
+    monkeypatch.setattr(eng, "day_signals", lambda *a: emitted.append(a) or real(*a))
     second = run(days[:30], days[30:], {}, exit)
-    assert first == second
+    assert emitted == []  # the runner's per-day signal cache answers every day
+    assert first.net.tolist() == second.net.tolist()
+    assert first.records() == second.records() != []
+
+
+def test_runner_nets_follow_the_trade_order_of_simulate():
+    import dataclasses
+    from falsify.execution import ExitKind, ExitSpec, simulate
+    from falsify.signals import SHORT, SignalEvent
+    days = two_year_null(60, seed=5)
+    eng = make_engine(rth=days)
+
+    def emit(e, day, p, s):  # out of entry order, as a family may emit them
+        return [SignalEvent("ORB_LONG", day.date, b, d)
+                for b, d in ((40, SHORT), (40, LONG), (10, LONG))]
+    eng.families["ORB_LONG"] = dataclasses.replace(eng.families["ORB_LONG"], emit=emit)
+    exit = ExitSpec(ExitKind.HORIZON, horizon=3)
+    got = eng.runner("ORB_LONG")(days[:30], days[:30], {}, exit)
+    want = [t for d in days[:30] for t in simulate(emit(eng, d, {}, {}), d, exit).trades]
+    assert got.net.tolist() == [t.net for t in want] and got.records() == want
 
 
 def test_overnight_velocity_falls_back_to_prior_rth():
@@ -295,3 +316,117 @@ def test_regime_fit_rejects_a_window_that_does_not_open_the_session():
             eng._fit_state("CONFLUENCE_RTH", train, {})
     assert eng._fit_state("CONFLUENCE_RTH", rth[:80], {})["series"].keys() == \
         {d.date for d in rth}
+
+
+# -- walk-forward on the array kernel ----------------------------------------------
+
+def three_year_bundle() -> DataBundle:
+    # 2021-12 to 2023-01: three calendar years, so two expanding folds
+    from falsify.bars import ASIA
+    from falsify.synth import gen_event_calendar
+    start = date(2021, 12, 1)
+    rth = gen_null_days(SynthSpec(300, seed=21, start_date=start, gap_sigma=15.0))
+    asia = gen_null_days(SynthSpec(300, session=ASIA, seed=22, start_date=start))
+    london = gen_null_days(SynthSpec(300, session=LONDON, seed=23, start_date=start))
+    return DataBundle(rth, asia, london, gen_event_calendar(rth, seed=21))
+
+
+def test_each_fit_state_and_day_is_emitted_once_and_only_test_days_simulated(monkeypatch):
+    eng = Engine(three_year_bundle(), config_from_dict({}))
+    emitted, simulated = Counter(), Counter()
+    real_emit, real_simulate = Engine.day_signals, engine_mod.simulate
+
+    def emit(self, family, day, params, state):
+        emitted[family, id(state), repr(sorted(params.items())), day.date] += 1
+        return real_emit(self, family, day, params, state)
+
+    def simulate(events, day, *a):
+        simulated[day.year] += 1
+        return real_simulate(events, day, *a)
+    monkeypatch.setattr(Engine, "day_signals", emit)
+    monkeypatch.setattr(engine_mod, "simulate", simulate)
+    for family in sorted(default_families()):
+        result, _, _ = eng.run_family(family, permutation=False)
+        assert [f.test_year for f in result.plan.folds] == [2022, 2023]
+    # every state a family emitted under is one of the engine's fitted states
+    states = {id(s) for s in eng._state.values()}
+    assert {key[1] for key in emitted} <= states
+    assert emitted and max(emitted.values()) == 1
+    assert simulated.keys() == {2022, 2023}
+
+
+def old_runner(eng, family):
+    """The runner as it was: per-day signals keyed by training window, and
+    ``simulate`` on every day, training days included."""
+    signals = {}
+
+    def run(train, eval_days, params, exit_spec):
+        state = eng._fit_state(family, train, params)
+        skey = (family, train[0].date, train[-1].date, len(train),
+                tuple(sorted((k, str(v)) for k, v in params.items())))
+        trades = []
+        for day in eval_days:
+            if (skey, day.date) not in signals:
+                signals[skey, day.date] = eng.day_signals(family, day, params, state)
+            if signals[skey, day.date]:
+                trades.extend(engine_mod.simulate(signals[skey, day.date], day, exit_spec,
+                                                  eng.config.friction,
+                                                  eng.config.instrument).trades)
+        return trades
+    return run
+
+
+def test_walk_forward_picks_and_trades_match_the_record_runner():
+    eng = Engine(three_year_bundle(), config_from_dict({"instrument": {"friction_points": 1.5}}))
+    from falsify.validation import walk_forward
+    traded = set()
+    for family in sorted(default_families()):
+        days = eng.complete_days(default_families()[family].session)
+        got = walk_forward(days, eng.runner(family), *eng.family_grid(family))
+        want = walk_forward(days, old_runner(eng, family), *eng.family_grid(family))
+        assert got.chosen == want.chosen, family
+        assert got.oos_trades == want.oos_trades, family
+        traded.update({family} if got.oos_trades else set())
+    assert len(traded) >= 12
+
+
+def old_event_drift(day, events, start_bar_offset=6, horizon=6):
+    """EVENT_DRIFT as it was: every calendar event tested against the day."""
+    from falsify.signals import SHORT, SignalEvent, _meta
+    bars, sess, out = day.bars, day.session, []
+    for ev in events:
+        if sess.session_date(ev.ts) != day.date or not sess.contains(ev.ts.time()):
+            continue
+        r = sess.bar_index(ev.ts)
+        if r + 5 >= len(bars):
+            continue
+        move = bars[r + 5].close - bars[r].close
+        if move == 0 or r + start_bar_offset > len(bars) - 2:
+            continue
+        out.append(SignalEvent("EVENT_DRIFT", day.date, r + start_bar_offset,
+                               LONG if move > 0 else SHORT,
+                               _meta(release_bar=r, spike_move=move, horizon=horizon)))
+    return out
+
+
+def test_event_drift_date_index_matches_the_whole_calendar_scan():
+    from datetime import datetime, timedelta
+    from falsify.bars import EconEvent, EventKind, RTH
+    from falsify.signals import event_drift_signals
+    days = gen_null_days(SynthSpec(40, seed=9))
+    gone = days.pop(7).date  # a weekday without data
+    events = []
+    for i, d in enumerate(days[:30]):
+        base = datetime.combine(d.date, RTH.start)
+        # in session early and late (no room for the spike), before the open,
+        # at the close, in the evening, and a second release the same day
+        for minutes in ((30, 270, 395, -60, 390, 630) if i % 3 else (60, 200)):
+            events.append(EconEvent(base + timedelta(minutes=minutes), EventKind.FOMC,
+                                    "HIGH", "USD"))
+    events += [EconEvent(datetime.combine(d, RTH.start) + timedelta(minutes=60), EventKind.CPI,
+                         "HIGH", "USD") for d in (gone, date(2022, 1, 8))]  # and a Saturday
+    eng = Engine(DataBundle(rth=days, events=events), config_from_dict({}))
+    emitted = [eng.day_signals("EVENT_DRIFT", d, {}, {}) for d in days]
+    assert emitted == [old_event_drift(d, events) for d in days]
+    assert emitted == [event_drift_signals(d, events) for d in days]
+    assert sum(map(len, emitted)) >= 10

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+from dataclasses import fields
 from datetime import date, time, timedelta
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from falsify.bars import Bar, RTH, TradingDay
 from falsify.execution import (ExecutionError, ExitKind, ExitReason, ExitSpec,
-                               FrictionModel, Instrument, MNQ, TradeRecord,
-                               aggregate_by_year, serialize_trades, simulate)
+                               FrictionModel, Instrument, MNQ, Rejection, SimResult,
+                               TradeRecord, aggregate_by_year, fill_days, serialize_trades,
+                               simulate)
 from falsify.signals import LONG, SHORT, SignalEvent
 
 CENT = Instrument("TEST", 0.01)
@@ -319,3 +323,191 @@ def test_serialize_trades_header_and_rows():
     assert lines[0].startswith("family,date,direction")
     assert lines[1].split(",")[0] == "ORB_LONG"
     assert lines[1].split(",")[8] == "2.50"
+
+
+# -- the array kernel against the per-event loop it replaced ---------------------
+
+
+def _old_make_trade(event, entry_bar, exit_bar, entry_price, exit_price, reason,
+                    friction, instrument):
+    sign = 1 if event.direction == LONG else -1
+    entry_t = instrument.to_ticks(entry_price)
+    exit_t = instrument.to_ticks(exit_price)
+    gross_t = sign * (exit_t - entry_t)
+    net_t = gross_t - instrument.to_ticks(friction.round_trip)
+    return TradeRecord(
+        family=event.family, date=event.day, direction=event.direction,
+        entry_bar=entry_bar, exit_bar=exit_bar,
+        entry_price=instrument.to_points(entry_t),
+        exit_price=instrument.to_points(exit_t),
+        gross_ticks=gross_t, net_ticks=net_t,
+        exit_reason=reason, tick_size=instrument.tick_size,
+    )
+
+
+def _old_clock_bar(day, clock) -> Optional[int]:
+    for i, b in enumerate(day.bars):
+        if b.ts.time() == clock:
+            return i
+    return None
+
+
+def _old_pullback_limit(ev, day, exit, friction, instrument):
+    bars = day.bars
+    n = len(bars)
+    sign = 1 if ev.direction == LONG else -1
+    level = ev.meta_value("limit_level")
+    if level is None:
+        offset = exit.limit_offset if exit.limit_offset is not None else 0.0
+        level = bars[ev.bar_index].close - sign * offset
+    horizon_bar = min(ev.bar_index + exit.horizon, n - 1)
+    clipped = ev.bar_index + exit.horizon > n - 1
+    fill_bar = None
+    for i in range(ev.bar_index + 1, horizon_bar + 1):
+        touched = bars[i].low <= level if sign > 0 else bars[i].high >= level
+        if touched:
+            fill_bar = i
+            break
+    if fill_bar is None:
+        return None
+    open_i = bars[fill_bar].open
+    fill_price = min(open_i, level) if sign > 0 else max(open_i, level)
+    reason = ExitReason.SESSION_END if clipped else ExitReason.HORIZON
+    return _old_make_trade(ev, fill_bar, horizon_bar, fill_price,
+                           bars[horizon_bar].close, reason, friction, instrument)
+
+
+def old_simulate(events, day, exit, friction=FrictionModel(), instrument=MNQ):
+    """The per-event loop ``simulate`` ran before the array kernel."""
+    bars = day.bars
+    n = len(bars)
+    trades, rejections = [], []
+    for ev in sorted(events, key=lambda e: (e.bar_index, e.direction)):
+        entry_bar = ev.bar_index + 1
+        if entry_bar >= n:
+            rejections.append(Rejection(ev, "signal on last bar: cannot enter"))
+            continue
+        sign = 1 if ev.direction == LONG else -1
+        if exit.kind is ExitKind.PULLBACK_LIMIT:
+            trade = _old_pullback_limit(ev, day, exit, friction, instrument)
+            if trade is None:
+                rejections.append(Rejection(ev, "limit never filled"))
+            else:
+                trades.append(trade)
+            continue
+        entry_price = bars[entry_bar].open
+        horizon_bar = min(entry_bar + exit.horizon - 1, n - 1)
+        clipped = entry_bar + exit.horizon - 1 > n - 1
+        if exit.kind is ExitKind.CLOCK:
+            cb = _old_clock_bar(day, exit.clock)
+            if cb is not None and cb >= entry_bar:
+                trades.append(_old_make_trade(ev, entry_bar, cb, entry_price, bars[cb].open,
+                                              ExitReason.CLOCK, friction, instrument))
+            else:
+                trades.append(_old_make_trade(ev, entry_bar, n - 1, entry_price,
+                                              bars[n - 1].close, ExitReason.SESSION_END,
+                                              friction, instrument))
+            continue
+        stopped = False
+        if exit.kind is ExitKind.STOP_HORIZON:
+            stop_price = entry_price - sign * exit.stop
+            for i in range(entry_bar, horizon_bar + 1):
+                hit = bars[i].low <= stop_price if sign > 0 else bars[i].high >= stop_price
+                if hit:
+                    trades.append(_old_make_trade(ev, entry_bar, i, entry_price, stop_price,
+                                                  ExitReason.STOP, friction, instrument))
+                    stopped = True
+                    break
+        if stopped:
+            continue
+        reason = ExitReason.SESSION_END if clipped else ExitReason.HORIZON
+        trades.append(_old_make_trade(ev, entry_bar, horizon_bar, entry_price,
+                                      bars[horizon_bar].close, reason, friction, instrument))
+    return SimResult(tuple(trades), tuple(rejections))
+
+
+def typed(trade):
+    return [(f.name, type(getattr(trade, f.name)), getattr(trade, f.name))
+            for f in fields(trade)]
+
+
+# prices on an eighth-point grid land half-way between quarter ticks, so
+# rounding ties are common; a few off-grid prices are mixed in
+PRICE = st.one_of(st.integers(0, 160).map(lambda k: 90.0 + k / 8),
+                  st.floats(90.0, 110.0, allow_nan=False))
+
+
+@st.composite
+def sim_case(draw):
+    """1-3 days of 1-14 bars, events on any bar (the last one too) and an exit."""
+    instrument = draw(st.sampled_from([MNQ, CENT]))
+    friction = FrictionModel(draw(st.sampled_from([0.0, 2.0, 1.3])))
+    days, events = [], []
+    for k in range(draw(st.integers(1, 3))):
+        d = date(2022, 1, 3) + timedelta(days=k)
+        n = draw(st.integers(1, 14))
+        grid = RTH.grid(d)
+        bars = []
+        for i in range(n):
+            o, c = draw(PRICE), draw(PRICE)
+            up, down = draw(st.sampled_from([0.0, 0.25, 0.5, 3.0])), \
+                draw(st.sampled_from([0.0, 0.25, 0.5, 3.0]))
+            bars.append(Bar(grid[i], o, max(o, c) + up, min(o, c) - down, c, 100))
+        day = TradingDay(d, RTH, tuple(bars), None, False)
+        evs = []
+        for _ in range(draw(st.integers(0, 5))):
+            meta = ()
+            if draw(st.booleans()):
+                meta = (("limit_level", draw(PRICE)),)
+            evs.append(SignalEvent("F", d, draw(st.integers(0, n - 1)),
+                                   draw(st.sampled_from([LONG, SHORT])), meta))
+        days.append(day)
+        events.append(evs)
+    kind = draw(st.sampled_from(list(ExitKind)))
+    horizon = draw(st.integers(1, 16))
+    if kind is ExitKind.STOP_HORIZON:
+        exit = ExitSpec(kind, horizon=horizon,
+                        stop=draw(st.sampled_from([0.125, 0.25, 1.0, 2.5, 40.0])))
+    elif kind is ExitKind.PULLBACK_LIMIT:
+        exit = ExitSpec(kind, horizon=horizon,
+                        limit_offset=draw(st.sampled_from([None, 0.0, 0.5, 2.0, 30.0])))
+    elif kind is ExitKind.CLOCK:
+        # a bar time that is before entry, after entry or not in the day at all
+        exit = ExitSpec(kind, clock=draw(st.sampled_from(
+            [t.time() for t in RTH.grid(days[0].date)[:16]] + [time(16, 30)])))
+    else:
+        exit = ExitSpec(kind, horizon=horizon)
+    return days, events, exit, friction, instrument
+
+
+@settings(max_examples=400, deadline=None)
+@given(sim_case())
+@example(([day_from_closes([100.0, 101.0])], [[ev(1)]], ExitSpec(ExitKind.HORIZON, horizon=1),
+          FrictionModel(), MNQ))
+def test_simulate_matches_the_per_event_loop(case):
+    days, events, exit, friction, instrument = case
+    nets = []
+    for day, evs in zip(days, events):
+        got = simulate(evs, day, exit, friction, instrument)
+        want = old_simulate(evs, day, exit, friction, instrument)
+        assert [typed(t) for t in got.trades] == [typed(t) for t in want.trades]
+        assert got.rejections == want.rejections
+        assert all(type(r.reason) is str for r in got.rejections)
+        nets += [t.net_ticks for t in want.trades]
+    # the batched form over all days at once, as the walk-forward runner calls it
+    order = [sorted(evs, key=lambda e: (e.bar_index, e.direction)) for evs in events]
+    flat = [e for evs in order for e in evs]
+    f = fill_days(days, np.repeat(np.arange(len(days)), [len(evs) for evs in order]),
+                  [e.bar_index for e in flat], [1 if e.direction == LONG else -1 for e in flat],
+                  exit, friction, instrument,
+                  np.array([e.meta_value("limit_level", np.nan) for e in flat]))
+    assert f.net_ticks[f.reason >= 0].tolist() == nets
+
+
+def test_kernel_rounds_half_ticks_to_even_like_to_ticks():
+    closes = [100.0] * 10
+    closes[2] = 100.125  # 400.5 ticks: rounds to 400
+    closes[3] = 100.375  # 401.5 ticks: rounds to 402
+    for bar, want in ((1, MNQ.to_ticks(100.125)), (2, MNQ.to_ticks(100.375))):
+        t = one_trade(closes, ev(bar), ExitSpec(ExitKind.HORIZON, horizon=1))
+        assert t.exit_price == MNQ.to_points(want)

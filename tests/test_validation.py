@@ -18,6 +18,9 @@ from falsify.validation import (EvalMetrics, Fold, GateThresholds,
                                 year_stability)
 
 
+CENT = Instrument("TEST", 0.01)
+
+
 def trade(net, d=date(2022, 3, 1), direction=LONG, family="ORB_LONG"):
     ticks = MNQ.to_ticks(net)
     return TradeRecord(family, d, direction, 1, 2, 100.0, 100.0 + net,
@@ -323,6 +326,51 @@ def test_permutation_matches_per_iteration_resimulation(kind, mixed):
     if kind == "stop_never_hit":
         assert p == permutation_test(trades, days, PERMUTATION_EXITS["horizon"],
                                      iterations=120, seed=3)
+
+
+def per_day_table_p(trades, day_pool, exit, iterations, seed, friction=FrictionModel(),
+                    instrument=MNQ):
+    """The permutation test as it was: one ``simulate`` per pool day and direction."""
+    positions = [(di, bi) for di, day in enumerate(day_pool) for bi in range(len(day.bars) - 1)]
+    observed = float(np.mean([t.net for t in trades]))
+    dirs = sorted({t.direction for t in trades})
+    col = np.array([dirs.index(t.direction) for t in trades])
+    table = np.full((len(positions), len(dirs)), np.nan)
+    row = 0
+    for day in day_pool:
+        entries = range(len(day.bars) - 1)
+        for j, direction in enumerate(dirs):
+            evs = [SignalEvent("PERM", day.date, bi, direction) for bi in entries]
+            res = simulate(evs, day, exit, friction, instrument)
+            missed = {r.event.bar_index for r in res.rejections}
+            filled = [row + bi for bi in entries if bi not in missed]
+            table[filled, j] = [t.net for t in res.trades]
+        row += len(entries)
+    exceed = 0
+    for it in range(iterations):
+        rng = np.random.default_rng([seed, it])
+        nets = table[rng.integers(0, len(positions), size=len(trades)), col]
+        nets = nets[~np.isnan(nets)]
+        if nets.size and float(np.mean(nets)) >= observed:
+            exceed += 1
+    return (1 + exceed) / (iterations + 1)
+
+
+@pytest.mark.parametrize("kind", list(PERMUTATION_EXITS))
+def test_permutation_matches_the_per_day_table_build(kind):
+    # a pool with an incomplete day, and trades in both directions and not
+    exit = PERMUTATION_EXITS[kind]
+    days = gen_null_days(SynthSpec(30, seed=12))
+    short = days[4]
+    days[4] = type(short)(short.date, short.session, short.bars[:9], short.prior_rth_close)
+    for mixed in (False, True):
+        nets = np.random.default_rng(5).normal(1, 6, 40)
+        trades = [trade(float(x), direction=SHORT if mixed and i % 2 else LONG)
+                  for i, x in enumerate(nets)]
+        p = permutation_test(trades, days, exit, iterations=300, seed=4,
+                             friction=FrictionModel(1.5), instrument=CENT)
+        assert p == per_day_table_p(trades, days, exit, 300, 4, FrictionModel(1.5), CENT)
+        assert 0 < p < 1
 
 
 def test_permutation_pullback_case_has_unfilled_placements():
