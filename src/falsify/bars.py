@@ -8,12 +8,12 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, replace
 from datetime import date, datetime, time, timedelta
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -109,38 +109,57 @@ class Bar:
         if not all(map(math.isfinite, (self.open, self.high, self.low, self.close))):
             raise BarError(f"bar {self.ts}: non-finite price")
 
-    @property
-    def range(self) -> float:
-        return self.high - self.low
 
-    @property
-    def body(self) -> float:
-        return self.close - self.open
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TradingDay:
-    """All bars of one session on one session-local date."""
+    """All bars of one session on one session-local date, as arrays: bar-open
+    times ``ts`` (``datetime64[us]``), ``ohlc`` (opens, highs, lows and closes
+    as the rows of a 4 x n float64 array) and int64 ``volume``, all read-only.
+
+    Days compare by identity: field-wise ``==`` means nothing for arrays.
+    """
 
     date: date
     session: SessionSpec
-    bars: tuple[Bar, ...]
+    ts: np.ndarray
+    ohlc: np.ndarray
+    volume: np.ndarray
     prior_rth_close: Optional[float] = None
     complete: bool = False
+
+    def __post_init__(self) -> None:
+        for arr in (self.ts, self.ohlc, self.volume):
+            arr.flags.writeable = False
 
     @property
     def year(self) -> int:
         return self.date.year
 
-    @cached_property
-    def ohlc(self) -> np.ndarray:
-        """Opens, highs, lows and closes as the rows of a read-only 4 x n
-        array, built on first use and shared by every reader of the day."""
-        bars = self.bars
-        arr = np.array([[b.open for b in bars], [b.high for b in bars], [b.low for b in bars],
-                        [b.close for b in bars]], dtype=float)
-        arr.flags.writeable = False
-        return arr
+    @property
+    def bars(self) -> BarRows:
+        """The bars as ``Bar`` rows, each built when it is read."""
+        return BarRows(self)
+
+
+class BarRows(Sequence):
+    """A read-only row view of a day: its length costs nothing, and a row is
+    built only when it is read."""
+
+    def __init__(self, day: TradingDay):
+        self._day = day
+
+    def __len__(self) -> int:
+        return len(self._day.ts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        d = self._day
+        return Bar(d.ts[i].item(), *d.ohlc[:, i].tolist(), int(d.volume[i]))
+
+    def __iter__(self):
+        d = self._day
+        return map(Bar, d.ts.tolist(), *d.ohlc.tolist(), d.volume.tolist())
 
 
 @dataclass(frozen=True)
@@ -275,9 +294,12 @@ def _row_error(nums: list[int], rows: list[str]) -> BarError:
     return BarError(f"line {nums[k]}: {_conversion_error(rows[k])}")
 
 
-def _group(bars: list[Bar], us: np.ndarray, session: SessionSpec) -> list[TradingDay]:
-    """Sorted bars with their timestamps in int64 microseconds into TradingDays."""
-    n = len(bars)
+def _group(ts: np.ndarray, ohlc: np.ndarray, volume: np.ndarray,
+           session: SessionSpec) -> list[TradingDay]:
+    """Sorted bars, as ``datetime64[us]`` times, a 4 x n price array and
+    volumes, into linked TradingDays that hold slices of those arrays."""
+    n = len(ts)
+    us = ts.view(np.int64)
     start = (session.start.hour * 60 + session.start.minute) * _MINUTE_US
     end = (session.end.hour * 60 + session.end.minute) * _MINUTE_US
     tod = us % _DAY_US
@@ -288,8 +310,8 @@ def _group(bars: list[Bar], us: np.ndarray, session: SessionSpec) -> list[Tradin
     bad = unsorted | ~inside
     if bad.any():
         k = int(np.argmax(bad))
-        raise BarError(f"unsorted input at {bars[k].ts}" if unsorted[k]
-                       else f"bar {bars[k].ts} outside {session.name} session window")
+        raise BarError(f"unsorted input at {ts[k].item()}" if unsorted[k]
+                       else f"bar {ts[k].item()} outside {session.name} session window")
     day = us // _DAY_US - (early if session.wraps_midnight else 0)
     first = np.flatnonzero(np.diff(day, prepend=day[:1] - 1))
     counts = np.diff(first, append=n)
@@ -299,7 +321,7 @@ def _group(bars: list[Bar], us: np.ndarray, session: SessionSpec) -> list[Tradin
     complete = (counts == session.nominal_bar_count) & ~np.logical_or.reduceat(off_grid, first)
     dates = day[first].astype("M8[D]").tolist()
     bounds = np.append(first, n).tolist()
-    return link_rth([TradingDay(d, session, tuple(bars[a:b]), complete=c)
+    return link_rth([TradingDay(d, session, ts[a:b], ohlc[:, a:b], volume[a:b], complete=c)
                      for d, a, b, c in zip(dates, bounds, bounds[1:], complete.tolist())])
 
 
@@ -308,19 +330,21 @@ def group_days(bars: Iterable[Bar], session: SessionSpec) -> list[TradingDay]:
     bars = list(bars)
     if not bars:
         return []
-    return _group(bars, np.array([b.ts for b in bars], dtype="M8[us]").view(np.int64), session)
+    return _group(np.array([b.ts for b in bars], dtype="M8[us]"),
+                  np.array([(b.open, b.high, b.low, b.close) for b in bars], dtype=float).T,
+                  np.array([b.volume for b in bars], dtype=np.int64), session)
 
 
 def link_rth(days: Iterable[TradingDay]) -> list[TradingDay]:
     """Link each RTH day to the day before it: ``prior_rth_close`` is that
-    day's last close when it is complete, else None. Days of other sessions
-    pass through. The close is copied as it is, so its type is kept."""
+    day's last close, as the close array holds it, when that day is
+    complete, else None. Days of other sessions pass through."""
     out: list[TradingDay] = []
     prior = None
     for day in days:
         if day.session.name == "RTH":
-            day = TradingDay(day.date, day.session, day.bars, prior, day.complete)
-            prior = day.bars[-1].close if day.complete else None
+            day = replace(day, prior_rth_close=prior)
+            prior = day.ohlc[3, -1] if day.complete else None
         out.append(day)
     return out
 
@@ -331,8 +355,8 @@ def parse_bar_file(path: str | Path, session: SessionSpec) -> list[TradingDay]:
     Incomplete days are flagged (``complete=False``), never silently
     dropped. Malformed rows, OHLC violations, non-finite prices and
     unsorted input raise :class:`BarError` naming the offending line or
-    timestamp. The columns are read and checked as arrays; ``Bar`` and
-    ``TradingDay`` objects are built once, at the end.
+    timestamp. The columns are read and checked as arrays, and each day
+    holds slices of them.
     """
     nums, rows = _data_rows(path, BAR_HEADER, "header")
     if not rows:
@@ -341,9 +365,8 @@ def parse_bar_file(path: str | Path, session: SessionSpec) -> list[TradingDay]:
         ts, table = _columns(rows)
     except ValueError:
         raise _row_error(nums, rows) from None
-    del nums, rows  # free the row texts before the bars are built
-    bars = list(map(Bar, ts.tolist(), *(table[k].tolist() for k in _ROW.names[1:])))
-    return _group(bars, ts.view(np.int64), session)
+    return _group(ts, np.array([table[k] for k in _ROW.names[1:5]]),
+                  np.ascontiguousarray(table["volume"]), session)
 
 
 def serialize_days(days: Iterable[TradingDay], header_comment: str | None = None) -> str:
@@ -353,29 +376,22 @@ def serialize_days(days: Iterable[TradingDay], header_comment: str | None = None
         out.append(f"# {header_comment}")
     out.append(BAR_HEADER)
     for day in days:
-        for b in day.bars:
-            out.append(f"{b.ts.strftime(TS_FORMAT)},{b.open:.2f},{b.high:.2f},{b.low:.2f},"
-                       f"{b.close:.2f},{b.volume}")
+        for ts, o, h, lo, c, v in zip(np.datetime_as_string(day.ts, unit="m").tolist(),
+                                      *day.ohlc.tolist(), day.volume.tolist()):
+            out.append(f"{ts},{o:.2f},{h:.2f},{lo:.2f},{c:.2f},{v}")
     return "\n".join(out) + "\n"
 
 
 def day_primitives(day: TradingDay) -> DayPrimitives:
     """Opening range over bars 0..5, overnight gap, first-30-minute return."""
-    if len(day.bars) < 6:
-        raise BarError(f"day {day.date}: need >= 6 bars for primitives, got {len(day.bars)}")
-    first6 = day.bars[:6]
-    or_high = max(b.high for b in first6)
-    or_low = min(b.low for b in first6)
-    gap = None
-    if day.prior_rth_close is not None:
-        gap = day.bars[0].open - day.prior_rth_close
-    return DayPrimitives(
-        opening_range_high=or_high,
-        opening_range_low=or_low,
-        overnight_gap=gap,
-        first30_return=first6[5].close - first6[0].open,
-        first_bar_volume=first6[0].volume,
-    )
+    n = len(day.ts)
+    if n < 6:
+        raise BarError(f"day {day.date}: need >= 6 bars for primitives, got {n}")
+    o, h, lo, c = day.ohlc[:, :6]
+    gap = None if day.prior_rth_close is None else o[0] - day.prior_rth_close
+    return DayPrimitives(opening_range_high=h.max(), opening_range_low=lo.min(),
+                         overnight_gap=gap, first30_return=c[5] - o[0],
+                         first_bar_volume=int(day.volume[0]))
 
 
 EVENT_HEADER = "ts,kind,impact,currency"

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import datetime as _dt
-import gc
 import os
 import sys
 from pathlib import Path
@@ -11,7 +10,7 @@ import click
 
 from .bars import BarError, SESSIONS, parse_bar_file, serialize_days
 from .config import ConfigError, dump_config, load_config
-from .engine import DataBundle, Engine, EngineError, default_families, load_bundle
+from .engine import Engine, EngineError, default_families, load_bundle
 from .execution import TradeRecord, ExitReason, serialize_trades
 from .ledger import DecisionRecord, Ledger, LedgerError
 from .report import RunReport, render_report, render_summary
@@ -98,10 +97,7 @@ def run(config_path: str, family: str | None, out_dir: str | None,
         sys.exit(EXIT_CONFIG)
 
     try:
-        bundle = load_bundle(cfg)
-        # the loaded bars live for the whole run: keep full collections from re-scanning them
-        gc.freeze()
-        engine = Engine(bundle, cfg)
+        engine = Engine(load_bundle(cfg), cfg)
         base = Path(out_dir or os.environ.get("FALSIFY_OUT") or cfg.output_dir)
         run_dir = base / cfg.hash
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -132,8 +128,6 @@ def run(config_path: str, family: str | None, out_dir: str | None,
     except (BarError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA)
-    finally:
-        gc.unfreeze()
 
 
 @main.group()

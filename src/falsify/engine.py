@@ -95,7 +95,7 @@ def _fit_vvg_flags(eng: Engine, session: str, train: Sequence[TradingDay]) -> di
 
 
 def _fit_ou(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
-    return {"fit": ou_fit([b.close for d in train for b in d.bars])}
+    return {"fit": ou_fit(np.concatenate([d.ohlc[3] for d in train]))}
 
 
 def _fit_regime(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
@@ -107,7 +107,7 @@ def _fit_regime(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
         raise EngineError(f"regime training window must be a leading run of the "
                           f"complete {session} days")
     X, _, atr = eng.per_session(_regime_inputs, session)
-    n = sum(len(d.bars) for d in train)
+    n = sum(len(d.ts) for d in train)
     model = gmm_fit(X[50:n], k=3, seed=eng.config.seed)
     finite = atr[:n][np.isfinite(atr[:n])]
     return {"atr_baseline": float(np.median(finite)) if len(finite) else 1.0,
@@ -116,10 +116,11 @@ def _fit_regime(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
 
 def _regime_inputs(days: Sequence[TradingDay]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Regime features, volume z-score and 20-bar ATR over the days' bar stream."""
-    stream = [b for d in days for b in d.bars]
-    vz = volume_zscore(stream, 50)
-    return (regime_features(stream, vol_window=50, vz=vz), vz,
-            rolling_stat(stream, RollingSpec(20, Statistic.ATR)))
+    ohlc = np.concatenate([d.ohlc for d in days], axis=1)
+    volume = np.concatenate([d.volume for d in days])
+    vz = volume_zscore(volume, 50)
+    return (regime_features(ohlc, volume, vol_window=50, vz=vz), vz,
+            rolling_stat(ohlc, volume, RollingSpec(20, Statistic.ATR)))
 
 
 def _emit_gap_fill(eng: Engine, day: TradingDay, p: dict, state: dict) -> list:
@@ -163,7 +164,7 @@ def default_families() -> dict[str, FamilyDef]:
     f = [
         FamilyDef("ORB_LONG", "rth", ({},), (_h(1), _h(15)), orb("ORB_LONG")),
         FamilyDef("ORB_SHORT", "rth", ({},), (_h(1), _h(15)), orb("ORB_SHORT")),
-        FamilyDef("ORB_PULLBACK", "rth", ({"pullback_offset": 5.0, "stop": 20.0},),
+        FamilyDef("ORB_PULLBACK", "rth", ({"pullback_offset": 5.0},),
                   (ExitSpec(ExitKind.STOP_HORIZON, horizon=15, stop=20.0),),
                   lambda e, day, p, s: sig.orb_signals(day, e.prims(day), "PULLBACK", **p)),
         FamilyDef("ASIA_EXPANSION", "asia",
@@ -185,7 +186,7 @@ def default_families() -> dict[str, FamilyDef]:
                   (_h(6), _h(13)), vvg, _fit_vvg_flags),
         FamilyDef("VVG_CONTINUATION", "rth", ({"mode": "CONTINUATION"},), (_h(6), _h(13)),
                   vvg, _fit_vvg_flags),
-        FamilyDef("EVENT_DRIFT", "rth", ({"start_bar_offset": 6, "horizon": 6},), (_h(6),),
+        FamilyDef("EVENT_DRIFT", "rth", ({"start_bar_offset": 6},), (_h(6),),
                   lambda e, day, p, s: sig.event_drift_signals(
                       day, e.rth_events.get(day.date, ()), **p)),
         FamilyDef("OU_REVERSION", "rth",
@@ -272,7 +273,7 @@ class Engine:
             elif prev_rth is not None:
                 source = prev_rth
             if source is not None:
-                vel = kalman_velocity([b.close for b in source.bars], q, r)
+                vel = kalman_velocity(source.ohlc[3], q, r)
                 if bool(cfg.get("zscored")):
                     sd = float(np.std(vel))
                     out[day.date] = float(vel[-1] / sd) if sd > 0 else 0.0
@@ -298,7 +299,7 @@ class Engine:
         out: dict[date, dict] = {}
         pos = 0
         for d in days:
-            n = len(d.bars)
+            n = len(d.ts)
             out[d.date] = {
                 "labels": labels[pos:pos + n],
                 "trans": trans[pos:pos + n],

@@ -151,7 +151,9 @@ def event_arrays(events: Sequence[SignalEvent], exit: ExitSpec) -> tuple:
 
 def clock_bar(day: TradingDay, clock: time) -> int:
     """Index of the day's bar opening at ``clock``, or -1 if it has none."""
-    return next((i for i, b in enumerate(day.bars) if b.ts.time() == clock), -1)
+    us = ((clock.hour * 60 + clock.minute) * 60 + clock.second) * 1_000_000 + clock.microsecond
+    at = day.ts.view(np.int64) % 86_400_000_000 == us
+    return int(at.argmax()) if at.any() else -1
 
 
 def _first_touch(ohlc, col, span, sign, level, width: int) -> np.ndarray:
@@ -222,7 +224,7 @@ def fill_days(days: Sequence[TradingDay], day, bar, sign, exit: ExitSpec,
               friction: FrictionModel = FrictionModel(), instrument: Instrument = MNQ,
               level: Optional[np.ndarray] = None) -> Fills:
     """``fill`` over ``days`` laid end to end; ``day`` is each event's index in ``days``."""
-    length = np.array([len(d.bars) for d in days], dtype=np.int64)
+    length = np.array([len(d.ts) for d in days], dtype=np.int64)
     clock = None if exit.kind is not ExitKind.CLOCK else np.array(
         [clock_bar(d, exit.clock) for d in days], dtype=np.int64)[day]
     return fill(np.concatenate([d.ohlc for d in days] or [np.empty((4, 0))], axis=1),
@@ -243,7 +245,7 @@ def simulate(events: Sequence[SignalEvent], day: TradingDay, exit: ExitSpec,
     events = entry_order(events)
     bar, sign, level = event_arrays(events, exit)
     clock = clock_bar(day, exit.clock) if exit.kind is ExitKind.CLOCK else None
-    f = fill(day.ohlc, 0, len(day.bars), bar, sign, exit, friction, instrument, level, clock)
+    f = fill(day.ohlc, 0, len(day.ts), bar, sign, exit, friction, instrument, level, clock)
     rows = list(zip(events, *(a.tolist() for a in f)))  # one day: columns are bars
     to_points, tick = instrument.to_points, instrument.tick_size
     return SimResult(

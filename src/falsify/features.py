@@ -14,8 +14,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bars import Bar
-
 
 class FeatureError(ValueError):
     pass
@@ -63,36 +61,33 @@ def _prior_std(x: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def true_ranges(bars: Sequence[Bar]) -> np.ndarray:
-    """True range per bar; first bar falls back to high-low."""
-    h = np.array([b.high for b in bars])
-    lo = np.array([b.low for b in bars])
-    c = np.array([b.close for b in bars])
+def true_ranges(ohlc: np.ndarray) -> np.ndarray:
+    """True range per bar of a 4 x n price array; first bar falls back to high-low."""
+    _, h, lo, c = ohlc
     tr = h - lo
-    if len(bars) > 1:
+    if len(tr) > 1:
         pc = c[:-1]
         tr[1:] = np.maximum(tr[1:], np.maximum(np.abs(h[1:] - pc), np.abs(lo[1:] - pc)))
     return tr
 
 
-def rolling_stat(bars: Sequence[Bar], spec: RollingSpec) -> np.ndarray:
-    """Rolling statistic over strictly prior bars. NaN marks warm-up."""
+def rolling_stat(ohlc: np.ndarray, volume: np.ndarray, spec: RollingSpec) -> np.ndarray:
+    """Rolling statistic over strictly prior bars of a 4 x n price array and
+    its volumes. NaN marks warm-up."""
     if spec.statistic is Statistic.MEAN_RANGE:
-        x = np.array([b.range for b in bars])
-        return _prior_mean(x, spec.window)
+        return _prior_mean(ohlc[1] - ohlc[2], spec.window)
     if spec.statistic is Statistic.VOLUME_MEAN:
-        x = np.array([float(b.volume) for b in bars])
-        return _prior_mean(x, spec.window)
+        return _prior_mean(np.asarray(volume, dtype=float), spec.window)
     if spec.statistic is Statistic.ATR:
-        return _prior_mean(true_ranges(bars), spec.window)
+        return _prior_mean(true_ranges(ohlc), spec.window)
     raise FeatureError(f"unknown statistic {spec.statistic}")
 
 
-def volume_zscore(bars: Sequence[Bar], window: int) -> np.ndarray:
+def volume_zscore(volume: np.ndarray, window: int) -> np.ndarray:
     """z_i = (v_i - mean(prior window)) / std(prior window); NaN if std == 0."""
     if window < 2:
         raise FeatureError("window must be >= 2")
-    v = np.array([float(b.volume) for b in bars])
+    v = np.asarray(volume, dtype=float)
     m = _prior_mean(v, window)
     s = _prior_std(v, window)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -393,19 +388,18 @@ def gmm_fit(features: np.ndarray, k: int = 3, seed: int = 0) -> RegimeGMM:
     return RegimeGMM(k=k, seed=seed).fit(features)
 
 
-def regime_features(bars: Sequence[Bar], vol_window: int = 50,
+def regime_features(ohlc: np.ndarray, volume: np.ndarray, vol_window: int = 50,
                     vz: Optional[np.ndarray] = None) -> np.ndarray:
     """Feature vector per bar: (bar return, bar range, volume z-score).
 
     Warm-up volume z-scores are filled with 0 so every bar gets a label;
     callers fitting a model should drop the first ``vol_window`` rows.
-    ``vz`` defaults to ``volume_zscore(bars, vol_window)``.
+    ``vz`` defaults to ``volume_zscore(volume, vol_window)``.
     """
-    ret = np.array([b.body for b in bars])
-    rng = np.array([b.range for b in bars])
-    vz = volume_zscore(bars, vol_window) if vz is None else vz
+    o, h, lo, c = ohlc
+    vz = volume_zscore(volume, vol_window) if vz is None else vz
     vz = np.where(np.isfinite(vz), vz, 0.0)
-    return np.column_stack([ret, rng, vz])
+    return np.column_stack([c - o, h - lo, vz])
 
 
 def markov_transition_prob(labels: Sequence[int], window: int, frm: int, to: int) -> np.ndarray:

@@ -24,8 +24,6 @@ GRAB_MIN_HISTORY = 6          # bars before a running-extreme pierce counts
 VVG_BASELINE_DAYS = 20        # prior days in the first-bar volume baseline
 VVG_ENTRY_BAR = 6             # first bar after the 30-minute opening window
 OU_REARM_LEVEL = 0.5          # |z| below which a fired side arms again
-CONFLUENCE_EXIT_HORIZON = 13  # bars; carried in the event meta
-LONDON_B_EXIT_BARS = 4        # 15-minute bars; carried in the event meta
 
 
 class SignalError(ValueError):
@@ -55,11 +53,16 @@ def _meta(**kv: float) -> tuple[tuple[str, float], ...]:
 
 def _last_entryable(day: TradingDay) -> int:
     """Highest bar index whose signal can still be entered next bar."""
-    return len(day.bars) - 2
+    return len(day.ts) - 2
+
+
+def _first(mask: np.ndarray, at: int) -> Optional[int]:
+    """``at`` plus the index of the first set entry of ``mask``; None if none is set."""
+    return at + int(mask.argmax()) if mask.any() else None
 
 
 def orb_signals(day: TradingDay, prims: DayPrimitives, variant: str = "IMMEDIATE",
-                pullback_offset: float = 5.0, stop: float = 20.0) -> list[SignalEvent]:
+                pullback_offset: float = 5.0) -> list[SignalEvent]:
     """Opening range breakout, immediate or pullback entry.
 
     A breakout is a bar *close* beyond the range of bars 0..5; at most
@@ -67,19 +70,11 @@ def orb_signals(day: TradingDay, prims: DayPrimitives, variant: str = "IMMEDIATE
     """
     if variant not in ("IMMEDIATE", "PULLBACK"):
         raise SignalError(f"unknown ORB variant {variant!r}")
-    bars = day.bars
+    _, highs, lows, closes = day.ohlc
     last = _last_entryable(day)
     or_hi, or_lo = prims.opening_range_high, prims.opening_range_low
-
-    break_long: Optional[int] = None
-    break_short: Optional[int] = None
-    for i in range(6, len(bars)):
-        if break_long is None and bars[i].close > or_hi:
-            break_long = i
-        if break_short is None and bars[i].close < or_lo:
-            break_short = i
-        if break_long is not None and break_short is not None:
-            break
+    break_long = _first(closes[6:] > or_hi, 6)
+    break_short = _first(closes[6:] < or_lo, 6)
 
     events: list[SignalEvent] = []
     if variant == "IMMEDIATE":
@@ -95,20 +90,19 @@ def orb_signals(day: TradingDay, prims: DayPrimitives, variant: str = "IMMEDIATE
     for brk, level, direction in ((break_long, or_hi, LONG), (break_short, or_lo, SHORT)):
         if brk is None:
             continue
-        for i in range(brk + 1, last + 1):
-            near = (bars[i].low <= level + pullback_offset) if direction == LONG \
-                else (bars[i].high >= level - pullback_offset)
-            if near:
-                events.append(SignalEvent("ORB_PULLBACK", day.date, i, direction,
-                                          _meta(level=level, stop=stop, armed_at=brk)))
-                break
+        span = slice(brk + 1, last + 1)
+        i = _first(lows[span] <= level + pullback_offset if direction == LONG
+                  else highs[span] >= level - pullback_offset, brk + 1)
+        if i is not None:
+            events.append(SignalEvent("ORB_PULLBACK", day.date, i, direction,
+                                      _meta(level=level, armed_at=brk)))
     events.sort(key=lambda e: (e.bar_index, e.direction))
     return events
 
 
 def mean_range_series(day: TradingDay, window: int = 20) -> np.ndarray:
     """Per-bar rolling mean bar range over the prior window; NaN on warm-up."""
-    return rolling_stat(day.bars, RollingSpec(window, Statistic.MEAN_RANGE))
+    return rolling_stat(day.ohlc, day.volume, RollingSpec(window, Statistic.MEAN_RANGE))
 
 
 def _entryable(mask: np.ndarray) -> list[int]:
@@ -222,10 +216,9 @@ def gap_signals(day: TradingDay, prims: DayPrimitives, variant: str,
 
 def volume_ratio_series(day: TradingDay, window: int = 20) -> np.ndarray:
     """Per-bar volume over the rolling prior-window mean volume; NaN on warm-up."""
-    vmean = rolling_stat(day.bars, RollingSpec(window, Statistic.VOLUME_MEAN))
-    v = np.array([float(b.volume) for b in day.bars])
+    vmean = rolling_stat(day.ohlc, day.volume, RollingSpec(window, Statistic.VOLUME_MEAN))
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = v / vmean
+        ratio = day.volume / vmean
     ratio[~np.isfinite(ratio)] = np.nan
     return ratio
 
@@ -313,7 +306,6 @@ def vvg_strategy_signals(day: TradingDay, flagged: bool, mode: str,
         raise SignalError(f"unknown VVG mode {mode!r}")
     if not flagged:
         return []
-    bars = day.bars
     last = _last_entryable(day)
     family = "VVG_CONTINUATION" if mode == "CONTINUATION" else "VVG_REVERSAL"
 
@@ -321,7 +313,7 @@ def vvg_strategy_signals(day: TradingDay, flagged: bool, mode: str,
         idx = _entry_time_bar(day, time(15, 30)) if day.session.name == "RTH" else None
         if idx is None or idx > last:
             return []
-        move = bars[idx].close - bars[0].open
+        move = day.ohlc[3, idx] - day.ohlc[0, 0]
         if move == 0:
             return []
         direction = SHORT if move > 0 else LONG
@@ -347,7 +339,7 @@ def events_by_day(events: Sequence[EconEvent], session: SessionSpec) -> dict[dat
 
 
 def event_drift_signals(day: TradingDay, events: Sequence[EconEvent],
-                        start_bar_offset: int = 6, horizon: int = 6) -> list[SignalEvent]:
+                        start_bar_offset: int = 6) -> list[SignalEvent]:
     """Post-release drift measured only from bar +offset, never the spike bars.
 
     The offset floor of 6 guards against contaminating the measurement
@@ -356,15 +348,15 @@ def event_drift_signals(day: TradingDay, events: Sequence[EconEvent],
     """
     if start_bar_offset < 6:
         raise SignalError("start_bar_offset must be >= 6 (release spike contamination)")
-    bars = day.bars
+    closes = day.ohlc[3]
     sess = day.session
     last = _last_entryable(day)
     out = []
     for ev in events_by_day(events, sess).get(day.date, ()):
         r = sess.bar_index(ev.ts)
-        if r + 5 >= len(bars):
+        if r + 5 >= len(closes):
             continue
-        move = bars[r + 5].close - bars[r].close
+        move = closes[r + 5] - closes[r]
         if move == 0:
             continue
         sig = r + start_bar_offset
@@ -372,7 +364,7 @@ def event_drift_signals(day: TradingDay, events: Sequence[EconEvent],
             continue
         direction = LONG if move > 0 else SHORT
         out.append(SignalEvent("EVENT_DRIFT", day.date, sig, direction,
-                               _meta(release_bar=r, spike_move=move, horizon=horizon)))
+                               _meta(release_bar=r, spike_move=move)))
     return out
 
 
@@ -380,11 +372,10 @@ def ou_reversion_signals(day: TradingDay, fit: OuFit, threshold: float) -> list[
     """OU z-score threshold entries with a re-arm band against stacking."""
     if fit.half_life is None:
         return []
-    closes = [b.close for b in day.bars]
-    z = ou_zscore(closes, fit)
+    z = ou_zscore(day.ohlc[3], fit)
     events = []
     armed = True
-    for i in range(min(len(closes), _last_entryable(day) + 1)):
+    for i in range(min(len(z), _last_entryable(day) + 1)):
         if not armed and abs(z[i]) < OU_REARM_LEVEL:
             armed = True
         if armed and z[i] <= -threshold:
@@ -407,9 +398,9 @@ def confluence_rth_signals(day: TradingDay, labels: Sequence[int],
     """Regime-1 bars with elevated transition-to-2 probability and volume z.
 
     All three conditions are strict inequalities. Meta carries the
-    ATR-scaled pullback limit level and the bar-13 exit horizon.
+    ATR-scaled pullback limit level.
     """
-    n = len(day.bars)
+    n = len(day.ts)
     if not (len(labels) == len(trans_prob) == len(vol_z) == len(atr) == n):
         raise SignalError("aligned per-bar series required")
     closes = day.ohlc[3]
@@ -420,19 +411,19 @@ def confluence_rth_signals(day: TradingDay, labels: Sequence[int],
         scale = np.where(np.isfinite(atr) & (atr_baseline > 0), atr / atr_baseline, 1.0)
     level = closes - pullback_points * scale
     idx = _entryable(hit)
-    horizon = float(CONFLUENCE_EXIT_HORIZON)
     return [SignalEvent("CONFLUENCE_RTH", day.date, i, LONG, (
-                ("exit_horizon", horizon), ("limit_level", lv), ("trans_prob", t), ("vol_z", z)))
+                ("limit_level", lv), ("trans_prob", t), ("vol_z", z)))
             for i, lv, t, z in zip(idx, level[idx].tolist(), tp[idx].tolist(), vz[idx].tolist())]
 
 
 def london_b_signals(day: TradingDay, labels: Sequence[int]) -> list[SignalEvent]:
     """Clean Regime 0 -> Regime 2 transition with no Regime 1 contamination.
 
-    Exit is ``LONDON_B_EXIT_BARS`` 15-minute bars later or session end (08:30 ET),
-    whichever comes first; the execution layer clips at session end.
+    The family's exit (4 15-minute bars, or session end at 08:30 ET if that
+    comes first) is declared with the family; the execution layer clips at
+    session end.
     """
-    n = len(day.bars)
+    n = len(day.ts)
     if len(labels) != n:
         raise SignalError("labels must align with bars")
     events = []
@@ -442,6 +433,5 @@ def london_b_signals(day: TradingDay, labels: Sequence[int]) -> list[SignalEvent
         prior_two = labels[max(0, t - 2):t]
         if 1 in prior_two:
             continue
-        events.append(SignalEvent("LONDON_B", day.date, t, LONG,
-                                  _meta(horizon=LONDON_B_EXIT_BARS)))
+        events.append(SignalEvent("LONDON_B", day.date, t, LONG))
     return events

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bars import Bar, SessionSpec, TradingDay, RTH, link_rth
+from .bars import SessionSpec, TradingDay, RTH, link_rth
 from .signals import LONG, SHORT, SignalEvent
 
 logger = logging.getLogger(__name__)
@@ -71,6 +71,8 @@ class RegimeSpec:
 class SynthSpec:
     n_days: int
     session: SessionSpec = RTH
+    # per-bar std, points, of gen_null_days; gen_regime_days ignores it and
+    # takes each bar's step size from RegimeSpec.vols
     vol_per_bar: float = 10.0
     seed: int = 0
     start_date: date = date(2022, 1, 3)
@@ -102,20 +104,20 @@ def _quantize(x: np.ndarray, tick: float) -> np.ndarray:
 
 
 def _day_bars(session: SessionSpec, day: date, open_price: float, steps: np.ndarray,
-              volumes: np.ndarray, tick: float) -> tuple[tuple[Bar, ...], float]:
-    """Build one day's bars from per-substep increments; returns (bars, close)."""
+              volumes: np.ndarray, tick: float) -> tuple[TradingDay, float]:
+    """Build one complete day from per-substep increments; returns (day, close)."""
     nbars = session.nominal_bar_count
     levels = open_price + np.cumsum(steps.reshape(-1))
     levels = _quantize(levels, tick).reshape(nbars, SUBSTEPS)
-    grid = session.grid(day)
     first_open = round(open_price / tick) * tick
     opens = np.concatenate(([first_open], levels[:-1, -1]))
     closes = levels[:, -1]
     highs = np.maximum(opens, levels.max(axis=1))
     lows = np.minimum(opens, levels.min(axis=1))
-    bars = tuple(Bar(grid[i], opens[i], highs[i], lows[i], closes[i], int(volumes[i]))
-                 for i in range(nbars))
-    return bars, float(closes[-1])
+    ts = (np.datetime64(datetime.combine(day, session.start), "us")
+          + np.arange(nbars) * np.timedelta64(session.bar_minutes, "m"))
+    return (TradingDay(day, session, ts, np.array([opens, highs, lows, closes]),
+                       volumes.astype(np.int64), complete=True), float(closes[-1]))
 
 
 def _volumes(rng: np.random.Generator, n: int, base: float, sigma: float,
@@ -143,8 +145,8 @@ def _gen_days(spec: SynthSpec, draw: Callable[[np.random.Generator, int], tuple]
             price += rng.normal(0.0, spec.gap_sigma)
         steps, mults, day_labels = draw(rng, nbars)
         vols = _volumes(rng, nbars, spec.volume_base, spec.volume_sigma, mults)
-        bars, price = _day_bars(sess, d, price, steps, vols, spec.tick_size)
-        days.append(TradingDay(d, sess, bars, complete=True))
+        day, price = _day_bars(sess, d, price, steps, vols, spec.tick_size)
+        days.append(day)
         labels.append(day_labels)
     return link_rth(days), labels
 
@@ -166,7 +168,7 @@ def plant_drift(days: Sequence[TradingDay], events: Sequence[SignalEvent],
 
     Offsets persist to the end of the day (no artificial snap-back), and
     the open of the bar after the event bar is untouched, so next-bar-open
-    entries capture exactly the planted move. Planted prices are Python floats.
+    entries capture exactly the planted move.
     """
     if horizon < 1:
         raise SynthError(f"horizon must be >= 1, got {horizon}")
@@ -187,7 +189,7 @@ def plant_drift(days: Sequence[TradingDay], events: Sequence[SignalEvent],
         if not evs:
             out.append(day)
             continue
-        n = len(day.bars)
+        n = len(day.ts)
         off = np.zeros((2, n))  # open and close offsets, summed in event order
         for ev in evs:
             p = ev.bar_index
@@ -197,16 +199,14 @@ def plant_drift(days: Sequence[TradingDay], events: Sequence[SignalEvent],
             j = np.arange(1, min(horizon, n - 1 - p) + 1)
             off[:, p + 1:p + 1 + len(j)] += sign * step_base * np.array([j - 1, j])
             off[:, p + horizon + 1:] += sign * magnitude
-        px = np.array([(b.open, b.high, b.low, b.close) for b in day.bars]).T
+        px = day.ohlc
         o, c = px[0] + off[0], px[3] + off[1]
         hi = np.maximum(np.maximum(px[1] + off.max(axis=0), o), c)
         lo = np.minimum(np.minimum(px[2] + off.min(axis=0), o), c)
         o, c = q(o), q(c)
         hi = np.maximum(np.maximum(q(hi), o), c)
         lo = np.minimum(np.minimum(q(lo), o), c)
-        bars = tuple(Bar(b.ts, *ohlc, b.volume) for b, *ohlc in
-                     zip(day.bars, o.tolist(), hi.tolist(), lo.tolist(), c.tolist()))
-        out.append(TradingDay(day.date, day.session, bars, complete=day.complete))
+        out.append(replace(day, ohlc=np.array([o, hi, lo, c])))
     return link_rth(out)
 
 

@@ -87,7 +87,7 @@ def summary_metrics(trades: Sequence[TradeRecord],
 def admissible_positions(day_pool: Sequence[TradingDay]) -> np.ndarray:
     """(day index, bar index) rows where a signal could be entered: every bar
     but each day's last, in day and bar order."""
-    per_day = np.array([max(len(d.bars) - 1, 0) for d in day_pool], dtype=np.int64)
+    per_day = np.array([max(len(d.ts) - 1, 0) for d in day_pool], dtype=np.int64)
     first = np.repeat(np.cumsum(per_day) - per_day, per_day)  # each row's day's first row
     return np.column_stack((np.repeat(np.arange(len(day_pool)), per_day),
                             np.arange(len(first)) - first))

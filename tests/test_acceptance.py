@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from rows import day_from_bars
 from falsify.bars import ASIA, LONDON, RTH, Bar, TradingDay, serialize_days
 from falsify.cli import main as cli_main
 from falsify.config import config_from_dict
@@ -66,7 +67,7 @@ def test_friction_gross_to_net_pairs_exact():
         for ts, c in zip(grid, closes):
             bars.append(Bar(ts, prev, max(prev, c), min(prev, c), c, 100))
             prev = c
-        day = TradingDay(date(2022, 1, 3), RTH, tuple(bars), None, True)
+        day = day_from_bars(date(2022, 1, 3), RTH, bars, None, True)
         ev = SignalEvent("ORB_LONG", day.date, 10, LONG)
         t = simulate([ev], day, ExitSpec(ExitKind.HORIZON, horizon=1),
                      instrument=cent).trades[0]
@@ -166,7 +167,7 @@ def mutate_after(day: TradingDay, cut: int, rng: np.random.Generator) -> Trading
         vol = max(1, int(b.volume * rng.uniform(0.2, 5.0)))
         bars[i] = Bar(b.ts, b.open + delta, b.high + delta, b.low + delta,
                       b.close + delta, vol)
-    return TradingDay(day.date, day.session, tuple(bars),
+    return day_from_bars(day.date, day.session, bars,
                       day.prior_rth_close, day.complete)
 
 

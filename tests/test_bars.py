@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rows import day_from_bars
 from falsify.bars import (ASIA, BAR_HEADER, LONDON, RTH, TS_FORMAT, Bar, BarError, EventKind,
                           SessionSpec, TradingDay, day_primitives, group_days, link_rth,
                           parse_bar_file, parse_event_calendar, serialize_days)
@@ -28,7 +29,7 @@ def make_day(d: date, session=RTH, base: float = 100.0, volume: int = 500,
         lo = min(prev, c) - 1.0
         bars.append(Bar(ts, prev, hi, lo, c, volume))
         prev = c
-    return TradingDay(d, session, tuple(bars), None, True)
+    return day_from_bars(d, session, bars, None, True)
 
 
 def write_bar_file(tmp_path: Path, days, name="bars.csv") -> Path:
@@ -167,7 +168,7 @@ def test_non_finite_price_names_line(tmp_path, field, text):
 
 def test_incomplete_day_flagged_not_dropped(tmp_path):
     day = make_day(date(2022, 1, 3))
-    short = TradingDay(day.date, RTH, day.bars[:40], None, False)
+    short = day_from_bars(day.date, RTH, day.bars[:40], None, False)
     p = write_bar_file(tmp_path, [short])
     days = parse_bar_file(p, RTH)
     assert len(days) == 1
@@ -186,7 +187,7 @@ def test_prior_rth_close_linked_across_days(tmp_path):
 
 def test_incomplete_prior_day_breaks_gap_link(tmp_path):
     d1 = make_day(date(2022, 1, 3))
-    short = TradingDay(d1.date, RTH, d1.bars[:10], None, False)
+    short = day_from_bars(d1.date, RTH, d1.bars[:10], None, False)
     d2 = make_day(date(2022, 1, 4))
     p = write_bar_file(tmp_path, [short, d2])
     days = parse_bar_file(p, RTH)
@@ -274,7 +275,7 @@ def reference_group_days(bars: Iterable[Bar], session: SessionSpec) -> list[Trad
         day_bars = tuple(grouped[d])
         complete = (len(day_bars) == session.nominal_bar_count
                     and [b.ts for b in day_bars] == session.grid(d))
-        days.append(TradingDay(d, session, day_bars, complete=complete))
+        days.append(day_from_bars(d, session, day_bars, complete=complete))
     return link_rth(days)
 
 
@@ -446,7 +447,7 @@ def test_day_ohlc_is_a_read_only_copy_of_the_bar_prices():
     assert ohlc is day.ohlc and ohlc.shape == (4, 78) and not ohlc.flags.writeable
     for row, name in zip(ohlc, ("open", "high", "low", "close")):
         assert row.tolist() == [getattr(b, name) for b in day.bars]
-    assert TradingDay(day.date, RTH, (), None, False).ohlc.shape == (4, 0)
+    assert day_from_bars(day.date, RTH, (), None, False).ohlc.shape == (4, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -526,11 +527,12 @@ def test_first_bad_row_wins_whichever_rule_it_breaks(tmp_path, strict_at, garbag
 
 
 def test_declared_differences_were_accepted_before(tmp_path):
+    # the row parser's bars; a volume beyond 64 bits fits no day's int64 array
     for row in ("2022-1-3T9:30,100,101,99,100,5", "2022-01-03T09:30,1_00,101,99,100,1_000",
                 "2022-01-03T09:30,100,101,99,100,99999999999999999999"):
         p = tmp_path / "bars.csv"
         p.write_text(f"{BAR_HEADER}\n{row}\n", encoding="utf-8")
-        assert len(reference_parse_bar_file(p, RTH)) == 1
+        assert RTH.contains(reference_row(row, 2).ts.time())
         with pytest.raises(BarError, match="^line 2: "):
             parse_bar_file(p, RTH)
 
@@ -544,7 +546,7 @@ def test_opening_range_uses_first_six_bars():
     bars = [Bar(grid[i], 8.0, float(highs[i]), 7.0, 8.0, 1) for i in range(6)]
     # later bars go higher; the opening range must ignore them
     bars += [Bar(grid[i], 8.0, 20.0, 7.0, 8.0, 1) for i in range(6, 10)]
-    day = TradingDay(d, RTH, tuple(bars), None, False)
+    day = day_from_bars(d, RTH, bars, None, False)
     prims = day_primitives(day)
     assert prims.opening_range_high == 12.0
     assert prims.opening_range_low == 7.0
@@ -552,7 +554,7 @@ def test_opening_range_uses_first_six_bars():
 
 def test_overnight_gap_is_open_minus_prior_close():
     day = make_day(date(2022, 1, 4), base=95.0)
-    day = TradingDay(day.date, RTH, day.bars, prior_rth_close=100.0, complete=True)
+    day = day_from_bars(day.date, RTH, day.bars, prior_rth_close=100.0, complete=True)
     assert day_primitives(day).overnight_gap == -5.0
 
 
@@ -563,7 +565,7 @@ def test_gap_absent_without_prior_close():
 
 def test_primitives_need_six_bars():
     day = make_day(date(2022, 1, 3))
-    short = TradingDay(day.date, RTH, day.bars[:5], None, False)
+    short = day_from_bars(day.date, RTH, day.bars[:5], None, False)
     with pytest.raises(BarError):
         day_primitives(short)
 

@@ -97,25 +97,6 @@ def test_run_single_family_writes_artifacts(tmp_path):
     assert "verdict=" in res.output
 
 
-def test_run_freezes_the_loaded_bars_and_gives_the_collector_back(tmp_path, monkeypatch):
-    import gc
-    frozen = []
-    real_freeze = gc.freeze
-    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(gc.get_freeze_count())
-                        or real_freeze())
-    bars = write_days(tmp_path, gen_null_days(SynthSpec(290, seed=3)))
-    cfg = tmp_path / "run.yaml"
-    cfg.write_text(f"data:\n  rth: {bars}\nseed: 1\n", encoding="utf-8")
-    res = run_cli("run", "--config", cfg, "--family", "ORB_LONG", "--out", tmp_path / "runs")
-    assert res.exit_code == 0, res.output
-    assert len(frozen) == 1 and gc.get_freeze_count() == 0
-    # a run that fails after loading unfreezes too
-    cfg.write_text(f"data:\n  rth: {bars}\nseed: 1\nfamilies: {{GAP_FILL_FADE: "
-                   "{entry_time: '09:31'}}\n", encoding="utf-8")
-    res = run_cli("run", "--config", cfg, "--family", "GAP_FILL_FADE", "--out", tmp_path / "r")
-    assert res.exit_code != 0 and len(frozen) == 2 and gc.get_freeze_count() == 0
-
-
 def test_run_unknown_family_exits_two(tmp_path):
     cfg = tmp_path / "run.yaml"
     cfg.write_text("seed: 1\n", encoding="utf-8")
@@ -148,6 +129,16 @@ def test_run_bad_families_section_exits_two(tmp_path, families):
     res = run_cli("run", "--config", cfg)
     assert res.exit_code == 2, res.output
     assert "config error" in res.output
+
+
+@pytest.mark.parametrize("family,key", [("ORB_PULLBACK", "stop"), ("EVENT_DRIFT", "horizon")])
+def test_run_override_of_a_removed_tunable_exits_two(tmp_path, family, key):
+    # neither ever changed a trade, so both are gone from the family table
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"families:\n  {family}:\n    {key}: 5\n", encoding="utf-8")
+    res = run_cli("run", "--config", cfg)
+    assert res.exit_code == 2, res.output
+    assert f"config error: unknown {family} parameters: ['{key}']" in res.output
 
 
 def test_report_params_are_the_last_fold_choice(tmp_path):

@@ -6,6 +6,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from rows import bar_arrays, day_from_bars
 from falsify import engine as engine_mod
 from falsify.bars import LONDON, TradingDay
 from falsify.config import config_from_dict
@@ -225,17 +226,17 @@ def test_per_day_series_computed_once_and_shared(monkeypatch):
 
 def reference_fit_regime(eng, session, train):
     """``_fit_regime`` as it was: every fold rebuilds the full-stream inputs."""
-    stream = [b for d in train for b in d.bars]
-    X = regime_features(stream, vol_window=50)
+    stream = bar_arrays(b for d in train for b in d.bars)
+    X = regime_features(*stream, vol_window=50)
     model = gmm_fit(X[50:], k=3, seed=eng.config.seed)
-    atr = rolling_stat(stream, RollingSpec(20, Statistic.ATR))
+    atr = rolling_stat(*stream, RollingSpec(20, Statistic.ATR))
     finite = atr[np.isfinite(atr)]
     days = eng.complete_days(session)
-    full = [b for d in days for b in d.bars]
-    labels = model.predict(regime_features(full, vol_window=50))
+    full = bar_arrays(b for d in days for b in d.bars)
+    labels = model.predict(regime_features(*full, vol_window=50))
     trans = markov_transition_prob(labels, window=200, frm=1, to=2)
-    vz = volume_zscore(full, 50)
-    atr_full = rolling_stat(full, RollingSpec(20, Statistic.ATR))
+    vz = volume_zscore(full[1], 50)
+    atr_full = rolling_stat(*full, RollingSpec(20, Statistic.ATR))
     series, pos = {}, 0
     for d in days:
         n = len(d.bars)
@@ -258,8 +259,8 @@ def test_regime_state_is_bit_equal_on_every_fold_and_built_once(monkeypatch):
     built = Counter()
     for name in ("regime_features", "volume_zscore", "rolling_stat"):
         real = getattr(engine_mod, name)
-        monkeypatch.setattr(engine_mod, name, lambda bars, *a, real=real, name=name, **kw:
-                            built.update([(name, len(bars))]) or real(bars, *a, **kw))
+        monkeypatch.setattr(engine_mod, name, lambda x, *a, real=real, name=name, **kw:
+                            built.update([(name, np.shape(x)[-1])]) or real(x, *a, **kw))
     for family, session, days in (("CONFLUENCE_RTH", "rth", rth),
                                   ("LONDON_B", "london", london)):
         plan = make_plan([d.year for d in days])
@@ -293,8 +294,8 @@ def test_regime_inputs_read_each_stream_once(monkeypatch):
     for mod in (features, engine_mod):
         for name in ("regime_features", "volume_zscore", "rolling_stat"):
             real = getattr(mod, name)
-            monkeypatch.setattr(mod, name, lambda bars, *a, real=real, name=name, **kw:
-                                calls.update([(name, len(bars))]) or real(bars, *a, **kw))
+            monkeypatch.setattr(mod, name, lambda x, *a, real=real, name=name, **kw:
+                                calls.update([(name, np.shape(x)[-1])]) or real(x, *a, **kw))
     result, _, _ = eng.run_family("CONFLUENCE_RTH", permutation=False)
     assert len(result.plan.folds) == 2
     n = sum(len(d.bars) for d in rth)
@@ -309,7 +310,7 @@ def test_regime_fit_rejects_a_window_that_does_not_open_the_session():
                      means=(-6.0, 0.0, 6.0), vols=(2.0, 5.0, 2.0), volume_mults=(1.0, 3.0, 1.0))
     rth, _ = gen_regime_days(SynthSpec(200, seed=3, regimes=reg))
     eng = make_engine(rth=rth)
-    copies = [TradingDay(d.date, d.session, d.bars, d.prior_rth_close, d.complete)
+    copies = [day_from_bars(d.date, d.session, d.bars, d.prior_rth_close, d.complete)
               for d in rth[:80]]
     for train in (rth[40:120], copies, rth + rth[:1]):
         with pytest.raises(EngineError, match="leading run of the complete rth days"):
@@ -390,7 +391,7 @@ def test_walk_forward_picks_and_trades_match_the_record_runner():
     assert len(traded) >= 12
 
 
-def old_event_drift(day, events, start_bar_offset=6, horizon=6):
+def old_event_drift(day, events, start_bar_offset=6):
     """EVENT_DRIFT as it was: every calendar event tested against the day."""
     from falsify.signals import SHORT, SignalEvent, _meta
     bars, sess, out = day.bars, day.session, []
@@ -405,7 +406,7 @@ def old_event_drift(day, events, start_bar_offset=6, horizon=6):
             continue
         out.append(SignalEvent("EVENT_DRIFT", day.date, r + start_bar_offset,
                                LONG if move > 0 else SHORT,
-                               _meta(release_bar=r, spike_move=move, horizon=horizon)))
+                               _meta(release_bar=r, spike_move=move)))
     return out
 
 
@@ -430,3 +431,91 @@ def test_event_drift_date_index_matches_the_whole_calendar_scan():
     assert emitted == [old_event_drift(d, events) for d in days]
     assert emitted == [event_drift_signals(d, events) for d in days]
     assert sum(map(len, emitted)) >= 10
+
+
+# -- every tunable is live; the verdict path builds no Bar rows --------------------
+
+def perturbed(key: str, value, grid):
+    """Another value of one tunable: a different grid value, else a far one."""
+    others = [g[key] for g in grid if g[key] != value]
+    if others:
+        return others[0]
+    if value is None:
+        return 3
+    if isinstance(value, str):
+        return {"mode": "REVERSAL"}[key]
+    return value * 4 + 5
+
+
+def mean_reverting_days(n: int, seed: int):
+    """RTH days of an AR(1) close path (phi 0.95 a bar), which OU_REVERSION trades."""
+    from falsify.bars import RTH, Bar, group_days
+    from falsify.synth import _weekdays
+    rng = np.random.default_rng(seed)
+    rows, x = [], 15000.0
+    for d in _weekdays(date(2022, 1, 3), n):
+        for ts in RTH.grid(d):
+            c = round((15000.0 + 0.95 * (x - 15000.0) + rng.normal(0.0, 2.0)) * 4) / 4
+            rows.append(Bar(ts, x, max(x, c) + 0.25, min(x, c) - 0.25, c, 1000))
+            x = c
+    return group_days(rows, RTH)
+
+
+def test_every_declared_tunable_moves_the_trades():
+    # a tunable that only reaches event meta, or nothing, trades as its
+    # default does; each one must change some trade under some exit
+    from falsify.bars import ASIA
+    from falsify.execution import simulate
+    from falsify.synth import gen_event_calendar
+    rth = gen_null_days(SynthSpec(300, seed=3, gap_sigma=15.0))
+    asia = gen_null_days(SynthSpec(300, session=ASIA, seed=10_003))
+    null = Engine(DataBundle(rth=rth, asia=asia, events=gen_event_calendar(rth, seed=3)),
+                  config_from_dict({}))
+    # a random walk gets no OU half-life, so OU_REVERSION would never trade on it
+    ou = make_engine(rth=mean_reverting_days(300, seed=3))
+    checked, dead = 0, []
+    for name, fd in default_families().items():
+        if not fd.grid[0]:
+            continue
+        eng = ou if name == "OU_REVERSION" else null
+        days = eng.complete_days(fd.session)
+        state = eng._fit_state(name, [d for d in days if d.year == days[0].year], {})
+
+        def trades(params):
+            per_day = [(d, eng.day_signals(name, d, params, state)) for d in days]
+            return [[t for d, evs in per_day for t in simulate(evs, d, ex).trades]
+                    for ex in fd.exit_grid]
+        base = trades(fd.grid[0])
+        for key, value in fd.grid[0].items():
+            if trades({**fd.grid[0], key: perturbed(key, value, fd.grid)}) == base:
+                dead.append(f"{name}.{key}")
+            checked += 1
+    assert dead == [] and checked == 15
+
+
+def test_the_verdict_path_builds_no_bar(tmp_path, monkeypatch):
+    from falsify.bars import ASIA, RTH, Bar, parse_bar_file, serialize_days
+    from falsify.signals import SignalEvent
+    from falsify.synth import gen_event_calendar
+    path = tmp_path / "rth.csv"
+    path.write_text(serialize_days(gen_null_days(SynthSpec(40, seed=2))), encoding="utf-8")
+    built = []
+    real = Bar.__init__
+    monkeypatch.setattr(Bar, "__init__", lambda self, *a, **k: built.append(a) or
+                        real(self, *a, **k))
+    assert len(parse_bar_file(path, RTH)) == 40
+    reg = RegimeSpec(transition=((0.9, 0.05, 0.05), (0.2, 0.5, 0.3), (0.05, 0.05, 0.9)),
+                     means=(-6.0, 0.0, 6.0), vols=(2.0, 5.0, 2.0), volume_mults=(1.0, 3.0, 1.0))
+    rth, _ = gen_regime_days(SynthSpec(280, seed=4, gap_sigma=15.0, regimes=reg))
+    asia = gen_null_days(SynthSpec(280, session=ASIA, seed=5))
+    london, _ = gen_regime_days(SynthSpec(280, session=LONDON, seed=6, regimes=reg))
+    planted = plant_drift(rth, [SignalEvent("PLANTED", d.date, 20, LONG) for d in rth[::3]],
+                          15.0, 13)
+    eng = Engine(DataBundle(rth=planted, asia=asia, london=london,
+                            events=gen_event_calendar(rth, seed=4)),
+                 config_from_dict({"permutation": {"iterations": 20, "families": sorted(
+                     default_families())}, "gate": {"t_min": -99.0, "n_min": 1}}))
+    ps = [eng.run_family(family)[1].permutation_p for family in sorted(default_families())]
+    assert built == [] and any(p is not None for p in ps)
+    assert len(planted[5].bars) == 78 and built == []  # the row view's len builds none
+    assert planted[5].bars[3].close == planted[5].ohlc[3, 3] and len(built) == 1

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rows import day_from_bars
 from falsify.bars import Bar, RTH, TradingDay
 from falsify.execution import (ExecutionError, ExitKind, ExitReason, ExitSpec,
                                FrictionModel, Instrument, MNQ, Rejection, SimResult,
@@ -29,7 +30,7 @@ def day_from_closes(closes, d=date(2022, 1, 3), highs=None, lows=None,
         lo = lows[i] if lows is not None else min(o, c)
         bars.append(Bar(grid[i], float(o), float(hi), float(lo), float(c), 100))
         prev = c
-    return TradingDay(d, RTH, tuple(bars), None, len(bars) == len(grid))
+    return day_from_bars(d, RTH, bars, None, len(bars) == len(grid))
 
 
 def ev(bar_index, direction=LONG, family="ORB_LONG", meta=()):
@@ -247,7 +248,7 @@ def test_entry_price_independent_of_signal_bar():
     bars[10] = Bar(b.ts, b.open, 141.0, b.low, b.close, b.volume)
     bars[11] = Bar(bars[11].ts, 100.0, max(100.0, bars[11].high), min(100.0, bars[11].low),
                    bars[11].close, bars[11].volume)
-    day = TradingDay(day.date, day.session, tuple(bars), None, True)
+    day = day_from_bars(day.date, day.session, bars, None, True)
     res = simulate([ev(10)], day, ExitSpec(ExitKind.HORIZON, horizon=3))
     assert res.trades[0].entry_price == base.entry_price
 
@@ -453,7 +454,7 @@ def sim_case(draw):
             up, down = draw(st.sampled_from([0.0, 0.25, 0.5, 3.0])), \
                 draw(st.sampled_from([0.0, 0.25, 0.5, 3.0]))
             bars.append(Bar(grid[i], o, max(o, c) + up, min(o, c) - down, c, 100))
-        day = TradingDay(d, RTH, tuple(bars), None, False)
+        day = day_from_bars(d, RTH, bars, None, False)
         evs = []
         for _ in range(draw(st.integers(0, 5))):
             meta = ()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rows import bar_arrays
 from falsify.bars import Bar, RTH
 from falsify.features import (FeatureError, GmmDegenerateError, OuFit, RegimeGMM,
                               RollingSpec, Statistic, _logsumexp, gmm_fit, hurst_exponent,
@@ -35,7 +36,7 @@ def flat_bars(n, rng=2.0, volume=1000):
 
 def test_mean_range_constant_bars():
     bars = flat_bars(30)
-    out = rolling_stat(bars, RollingSpec(20, Statistic.MEAN_RANGE))
+    out = rolling_stat(*bar_arrays(bars), RollingSpec(20, Statistic.MEAN_RANGE))
     assert np.all(np.isnan(out[:20]))  # strictly-prior window needs 20 bars
     assert np.allclose(out[20:], 2.0)
 
@@ -45,7 +46,7 @@ def test_mean_range_spreadsheet_window():
     ranges = rng.uniform(1.0, 6.0, size=25)
     bars = bars_from_arrays([100] * 25, 100 + ranges, [100.0] * 25,
                             [100] * 25, [1] * 25)
-    out = rolling_stat(bars, RollingSpec(20, Statistic.MEAN_RANGE))
+    out = rolling_stat(*bar_arrays(bars), RollingSpec(20, Statistic.MEAN_RANGE))
     # index 24 must average ranges of bars 4..23 only
     assert out[24] == pytest.approx(np.mean(ranges[4:24]), abs=1e-12)
 
@@ -59,7 +60,7 @@ def test_atr_uses_prior_close_gap():
     # second bar gaps far above its own high-low span
     bars = bars_from_arrays([100, 110], [101, 111], [99, 109], [100, 110], [1, 1])
     bars += flat_bars(25)[2:]
-    out = rolling_stat(bars[:25], RollingSpec(2, Statistic.ATR))
+    out = rolling_stat(*bar_arrays(bars[:25]), RollingSpec(2, Statistic.ATR))
     # true range of bar 1 = max(2, |111-100|, |109-100|) = 11
     assert out[2] == pytest.approx((2.0 + 11.0) / 2)
 
@@ -68,13 +69,13 @@ def test_volume_zscore_arithmetic():
     vols = [900] * 25 + [1100] * 25 + [1050]  # prior mean 1000, pop std 100
     bars = flat_bars(51)
     bars = [Bar(b.ts, b.open, b.high, b.low, b.close, v) for b, v in zip(bars, vols)]
-    z = volume_zscore(bars, 50)
+    z = volume_zscore(bar_arrays(bars)[1], 50)
     assert z[50] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_volume_zscore_degenerate_std_absent():
     bars = flat_bars(60)
-    z = volume_zscore(bars, 50)
+    z = volume_zscore(bar_arrays(bars)[1], 50)
     assert np.all(np.isnan(z))
 
 
@@ -84,7 +85,7 @@ def test_volume_zscore_brute_force():
     bars = flat_bars(60)
     bars = [Bar(b.ts, b.open, b.high, b.low, b.close, int(v))
             for b, v in zip(bars, vols)]
-    z = volume_zscore(bars, 20)
+    z = volume_zscore(bar_arrays(bars)[1], 20)
     for i in range(60):
         win = vols[i - 20:i].astype(float) if i >= 20 else None
         if win is None:
@@ -356,7 +357,7 @@ def test_gmm_fit_matches_golden_digest():
     reg = RegimeSpec(transition=((0.94, 0.01, 0.05), (0.25, 0.50, 0.25), (0.05, 0.01, 0.94)),
                      means=(-8.0, 0.0, 8.0), vols=(1.5, 4.0, 1.5), volume_mults=(1.0, 3.5, 1.0))
     days, _ = gen_regime_days(SynthSpec(40, seed=3, regimes=reg))
-    X = regime_features([b for d in days for b in d.bars], vol_window=50)
+    X = regime_features(*bar_arrays(b for d in days for b in d.bars), vol_window=50)
     model = gmm_fit(X[50:], seed=7)
     h = hashlib.sha256()
     for a in (model.means_, model.variances_, model.weights_,

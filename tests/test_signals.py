@@ -6,6 +6,7 @@ from datetime import date, datetime, time, timedelta
 import numpy as np
 import pytest
 
+from rows import day_from_bars
 from falsify.bars import Bar, EconEvent, EventKind, RTH, ASIA, LONDON, TradingDay, day_primitives
 from falsify.features import OuFit
 from falsify.signals import (LONG, SHORT, SignalError, SignalEvent,
@@ -33,7 +34,7 @@ def day_from_closes(closes, d=date(2022, 1, 3), session=RTH, volumes=None,
         v = volumes[i] if volumes is not None else 1000
         bars.append(Bar(grid[i], o, float(hi), float(lo), c, int(v)))
         prev = c
-    return TradingDay(d, session, tuple(bars), prior_rth_close, n == len(grid))
+    return day_from_bars(d, session, bars, prior_rth_close, n == len(grid))
 
 
 # -- opening range breakout ----------------------------------------------------
@@ -480,10 +481,11 @@ def reference_asia_expansion(day, multiple, mean_range):
         mr = mean_range[i]
         if not np.isfinite(mr) or mr <= 0:
             continue
-        if bars[i].range > multiple * mr and bars[i].body != 0:
-            direction = LONG if bars[i].body > 0 else SHORT
+        rng, body = bars[i].high - bars[i].low, bars[i].close - bars[i].open
+        if rng > multiple * mr and body != 0:
+            direction = LONG if body > 0 else SHORT
             events.append(SignalEvent("ASIA_EXPANSION", day.date, i, direction,
-                                      _meta(multiple=multiple, bar_range=bars[i].range,
+                                      _meta(multiple=multiple, bar_range=rng,
                                             mean_range=mr)))
     return events
 
@@ -522,7 +524,7 @@ def reference_volume_signature(day, kind, spike_cutoff, dryup_cutoff, ratio):
         r = ratio[i]
         if not np.isfinite(r):
             continue
-        body = day.bars[i].body
+        body = day.bars[i].close - day.bars[i].open
         if body == 0:
             continue
         bar_dir = LONG if body > 0 else SHORT
@@ -546,7 +548,7 @@ def reference_confluence(day, labels, trans_prob, vol_z, atr, atr_baseline,
             scale = atr[i] / atr_baseline if np.isfinite(atr[i]) and atr_baseline > 0 else 1.0
             level = bars[i].close - pullback_points * scale
             events.append(SignalEvent("CONFLUENCE_RTH", day.date, i, LONG, _meta(
-                limit_level=level, exit_horizon=13, trans_prob=tp, vol_z=vz)))
+                limit_level=level, trans_prob=tp, vol_z=vz)))
     return events
 
 
@@ -564,7 +566,7 @@ def tick_days(draw, session=RTH, max_bars=40):
         lo = min(o, c) - 0.5 * draw(st.integers(0, 3))
         bars.append(Bar(grid[i], o, h, lo, c, draw(st.integers(0, 4)) * 100))
         price = c
-    return TradingDay(date(2022, 1, 3), session, tuple(bars), None, False)
+    return day_from_bars(date(2022, 1, 3), session, bars, None, False)
 
 
 def per_bar(day, elements):

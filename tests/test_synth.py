@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rows import day_from_bars
 from falsify.bars import (ASIA, LONDON, RTH, Bar, TradingDay, group_days, link_rth,
                           serialize_days)
 from falsify.execution import ExitKind, ExitSpec, simulate
@@ -221,7 +222,7 @@ def reference_plant_drift(days, events, magnitude, horizon, tick_size=0.25):
             q = lambda x: round(x / tick_size) * tick_size
             bars.append(Bar(b.ts, q(o), max(q(hi), q(o), q(c)),
                             min(q(lo), q(o), q(c)), q(c), b.volume))
-        out.append(TradingDay(day.date, day.session, tuple(bars),
+        out.append(day_from_bars(day.date, day.session, bars,
                               day.prior_rth_close, day.complete))
     return link_rth(out)
 
@@ -251,10 +252,14 @@ def reference_regime_days(spec):
             mults[i] = reg.volume_mults[state]
             state = int(rng.choice(k, p=trans[state]))
         vols = _volumes(rng, nbars, spec.volume_base, spec.volume_sigma, mults)
-        bars, price = _day_bars(sess, d, price, steps, vols, spec.tick_size)
-        all_bars.extend(bars)
+        day, price = _day_bars(sess, d, price, steps, vols, spec.tick_size)
+        all_bars.extend(day.bars)
         labels.append(day_labels)
     return group_days(all_bars, sess), labels
+
+
+def as_float(x):
+    return None if x is None else float(x)
 
 
 def assert_days_identical(got, want):
@@ -262,13 +267,13 @@ def assert_days_identical(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (g.date, g.session, g.complete) == (w.date, w.session, w.complete)
-        assert repr(g.prior_rth_close) == repr(w.prior_rth_close)
-        assert type(g.prior_rth_close) is type(w.prior_rth_close)
+        assert g.prior_rth_close == w.prior_rth_close
+        assert repr(as_float(g.prior_rth_close)) == repr(as_float(w.prior_rth_close))
         for gb, wb in zip(g.bars, w.bars, strict=True):
             assert gb == wb
             for field in ("open", "high", "low", "close", "volume"):
                 a, b = getattr(gb, field), getattr(wb, field)
-                assert type(a) is type(b) and repr(a) == repr(b), (gb.ts, field, a, b)
+                assert repr(as_float(a)) == repr(as_float(b)), (gb.ts, field, a, b)
 
 
 planted_events = st.lists(
@@ -285,8 +290,7 @@ def test_plant_drift_matches_per_bar_loop(seed, asia, raw_events, magnitude, hor
                                           tick, base_price, replant):
     # overlapping events, several a day, both directions, events whose
     # horizon runs past the session end, an ASIA session (no RTH relink),
-    # prices that round to zero from below, and planted (Python float)
-    # bars planted again
+    # prices that round to zero from below, and planted days planted again
     session = ASIA if asia else RTH
     days = gen_null_days(SynthSpec(3, session=session, seed=seed, gap_sigma=5.0,
                                    base_price=base_price))
@@ -458,3 +462,22 @@ def test_event_calendar_rate_and_shape():
         assert e.ts.hour == 14
         assert e.currency == "USD"
     assert gen_event_calendar(days, seed=1) == gen_event_calendar(days, seed=1)
+
+
+def test_prior_rth_close_is_the_close_array_value_on_every_path(tmp_path):
+    # parsed, generated, regime and planted days all link by one rule: the
+    # prior complete day's last close, as its close array holds it
+    from falsify.bars import parse_bar_file
+    days = gen_null_days(SynthSpec(12, seed=2, gap_sigma=5.0))
+    path = tmp_path / "bars.csv"
+    path.write_text(serialize_days(days), encoding="utf-8")
+    regime, _ = gen_regime_days(SynthSpec(6, seed=2, regimes=CONFLUENCE_LIKE))
+    planted = plant_drift(days, [SignalEvent("PLANTED", days[k].date, 30, LONG)
+                                 for k in (2, 3, 7)], 12.0, 5)
+    for corpus in (parse_bar_file(path, RTH), days, regime, planted):
+        assert corpus[0].prior_rth_close is None
+        for prev, day in zip(corpus, corpus[1:]):
+            close = prev.ohlc[3, -1]
+            assert type(day.prior_rth_close) is type(close) is np.float64
+            assert day.prior_rth_close == close
+    assert planted[3].prior_rth_close == planted[2].ohlc[3, -1] != days[2].ohlc[3, -1]

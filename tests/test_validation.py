@@ -6,6 +6,7 @@ from datetime import date, time
 import numpy as np
 import pytest
 
+from rows import day_from_bars
 from falsify.execution import (ExitKind, ExitReason, ExitSpec, FrictionModel,
                                Instrument, MNQ, TradeRecord, simulate)
 from falsify.signals import LONG, SHORT, SignalEvent
@@ -362,7 +363,7 @@ def test_permutation_matches_the_per_day_table_build(kind):
     exit = PERMUTATION_EXITS[kind]
     days = gen_null_days(SynthSpec(30, seed=12))
     short = days[4]
-    days[4] = type(short)(short.date, short.session, short.bars[:9], short.prior_rth_close)
+    days[4] = day_from_bars(short.date, short.session, short.bars[:9], short.prior_rth_close)
     for mixed in (False, True):
         nets = np.random.default_rng(5).normal(1, 6, 40)
         trades = [trade(float(x), direction=SHORT if mixed and i % 2 else LONG)
