@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import datetime as _dt
-import os
 import sys
 from pathlib import Path
 
@@ -90,22 +89,22 @@ def run(config_path: str, family: str | None, out_dir: str | None,
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
 
-    names = [family] if family else sorted(default_families())
-    unknown = [n for n in names if n not in default_families()]
+    families = default_families()
+    names = [family] if family else sorted(families)
+    unknown = [n for n in names if n not in families]
     if unknown:
         click.echo(f"config error: unknown family {unknown[0]}", err=True)
         sys.exit(EXIT_CONFIG)
 
     try:
         engine = Engine(load_bundle(cfg), cfg)
-        base = Path(out_dir or os.environ.get("FALSIFY_OUT") or cfg.output_dir)
-        run_dir = base / cfg.hash
+        run_dir = Path(out_dir or cfg.output_dir) / cfg.hash
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "config.yaml").write_text(dump_config(cfg), encoding="utf-8")
 
         reports: list[RunReport] = []
         for name in names:
-            session = default_families()[name].session
+            session = families[name].session
             if not engine.complete_days(session):
                 click.echo(f"{name}: skipped (no {session} data)")
                 continue

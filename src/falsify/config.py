@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -99,7 +100,7 @@ def load_config(path: str | Path, seed_override: Optional[int] = None) -> RunCon
 
 
 def config_from_dict(raw: dict, seed_override: Optional[int] = None) -> RunConfig:
-    """Merge ``raw`` over DEFAULTS; unknown keys, bad shapes and negative friction fail."""
+    """Merge ``raw`` over DEFAULTS; unknown keys, bad shapes and bad numbers fail."""
     unknown = set(raw) - set(DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -118,8 +119,18 @@ def config_from_dict(raw: dict, seed_override: Optional[int] = None) -> RunConfi
     merged = _merge(DEFAULTS, raw)
     if seed_override is not None:
         merged["seed"] = seed_override
-    if merged["instrument"]["friction_points"] < 0:
-        raise ConfigError("friction must be non-negative")
+    # numbers that would be divided by zero, rounded or truncated fail here
+    tick, friction = (merged["instrument"][k] for k in ("tick_size", "friction_points"))
+    number = lambda x: type(x) in (int, float) and math.isfinite(x)
+    if not (number(tick) and tick > 0):
+        raise ConfigError(f"tick_size must be a positive number, got {tick!r}")
+    if not (number(friction) and friction >= 0
+            and math.isclose(friction / tick, round(friction / tick), abs_tol=1e-9)):
+        raise ConfigError(f"friction must be a non-negative whole number of {tick}-point "
+                          f"ticks, got {friction!r}")
+    n = merged["permutation"]["iterations"]
+    if type(n) is not int or n < 1:
+        raise ConfigError(f"permutation iterations must be an integer >= 1, got {n!r}")
     return RunConfig(merged)
 
 

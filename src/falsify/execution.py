@@ -144,7 +144,7 @@ def entry_order(events: Sequence[SignalEvent]) -> list[SignalEvent]:
 def event_arrays(events: Sequence[SignalEvent], exit: ExitSpec) -> tuple:
     """``fill``'s bar, sign and (for a limit exit, NaN where none) level of each event."""
     level = None if exit.kind is not ExitKind.PULLBACK_LIMIT else np.array(
-        [e.meta_value("limit_level", np.nan) for e in events])
+        [e.limit_level for e in events], dtype=float)  # None becomes NaN
     return (np.array([e.bar_index for e in events], dtype=np.int64),
             np.array([1 if e.direction == LONG else -1 for e in events], dtype=np.int64), level)
 

@@ -7,7 +7,7 @@ always at most len(bars) - 2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from datetime import date, time, datetime, timedelta
 from typing import Optional, Sequence
 
@@ -32,23 +32,15 @@ class SignalError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class SignalEvent:
+    """Enter ``direction`` at the open of the bar after ``bar_index``; a
+    pullback-limit entry rests its order at ``limit_level`` if one is set."""
+
     family: str
     day: date
     bar_index: int
     direction: str
-    meta: tuple[tuple[str, float], ...] = ()
-
-    def meta_value(self, key: str, default: float | None = None) -> float | None:
-        for k, v in self.meta:
-            if k == key:
-                return v
-        return default
-
-
-def _meta(**kv: float) -> tuple[tuple[str, float], ...]:
-    """Meta pairs sorted by key. The masked emitters write their pairs out in
-    this order, with Python floats, to build many events fast."""
-    return tuple(sorted(zip(kv, map(float, kv.values()))))
+    _: KW_ONLY
+    limit_level: Optional[float] = None
 
 
 def _last_entryable(day: TradingDay) -> int:
@@ -79,11 +71,9 @@ def orb_signals(day: TradingDay, prims: DayPrimitives, variant: str = "IMMEDIATE
     events: list[SignalEvent] = []
     if variant == "IMMEDIATE":
         if break_long is not None and break_long <= last:
-            events.append(SignalEvent("ORB_LONG", day.date, break_long, LONG,
-                                      _meta(level=or_hi)))
+            events.append(SignalEvent("ORB_LONG", day.date, break_long, LONG))
         if break_short is not None and break_short <= last:
-            events.append(SignalEvent("ORB_SHORT", day.date, break_short, SHORT,
-                                      _meta(level=or_lo)))
+            events.append(SignalEvent("ORB_SHORT", day.date, break_short, SHORT))
         events.sort(key=lambda e: (e.bar_index, e.direction))
         return events
 
@@ -94,8 +84,7 @@ def orb_signals(day: TradingDay, prims: DayPrimitives, variant: str = "IMMEDIATE
         i = _first(lows[span] <= level + pullback_offset if direction == LONG
                   else highs[span] >= level - pullback_offset, brk + 1)
         if i is not None:
-            events.append(SignalEvent("ORB_PULLBACK", day.date, i, direction,
-                                      _meta(level=level, armed_at=brk)))
+            events.append(SignalEvent("ORB_PULLBACK", day.date, i, direction))
     events.sort(key=lambda e: (e.bar_index, e.direction))
     return events
 
@@ -123,10 +112,8 @@ def asia_expansion_signals(day: TradingDay, multiple: float,
     with np.errstate(invalid="ignore"):  # 0 * inf; such bars are skipped as non-finite
         hit = np.isfinite(mr) & (mr > 0) & (rng > multiple * mr) & (body != 0)
     idx = _entryable(hit)
-    mult = float(multiple)
-    return [SignalEvent("ASIA_EXPANSION", day.date, i, LONG if b > 0 else SHORT,
-                        (("bar_range", r), ("mean_range", m), ("multiple", mult)))
-            for i, b, r, m in zip(idx, body[idx].tolist(), rng[idx].tolist(), mr[idx].tolist())]
+    return [SignalEvent("ASIA_EXPANSION", day.date, i, LONG if b > 0 else SHORT)
+            for i, b in zip(idx, body[idx].tolist())]
 
 
 def liquidity_grab_signals(day: TradingDay, lookback: Optional[int] = None,
@@ -157,15 +144,12 @@ def liquidity_grab_signals(day: TradingDay, lookback: Optional[int] = None,
     h, lo, c = highs[start:], lows[start:], closes[start:]
     up = (h > prior_hi) & (c < prior_hi)
     down = (lo < prior_lo) & (c > prior_lo)
-    js = _entryable(up | down)
     events = []
-    for j, hi, low in zip(js, prior_hi[js].tolist(), prior_lo[js].tolist()):
+    for j in _entryable(up | down):
         if up[j]:
-            events.append(SignalEvent(family, day.date, start + j, up_dir,
-                                      (("pierced", hi), ("side", 1.0))))
+            events.append(SignalEvent(family, day.date, start + j, up_dir))
         if down[j]:
-            events.append(SignalEvent(family, day.date, start + j, down_dir,
-                                      (("pierced", low), ("side", -1.0))))
+            events.append(SignalEvent(family, day.date, start + j, down_dir))
     return events
 
 
@@ -204,13 +188,10 @@ def gap_signals(day: TradingDay, prims: DayPrimitives, variant: str,
         idx = _entry_time_bar(day, entry_time)
         if gap == 0 or abs(gap) < min_gap or idx > last:
             return []
-        direction = SHORT if gap > 0 else LONG
-        return [SignalEvent("GAP_FILL_FADE", day.date, idx, direction,
-                            _meta(gap=gap))]
+        return [SignalEvent("GAP_FILL_FADE", day.date, idx, SHORT if gap > 0 else LONG)]
 
     if gap < 0 and abs(gap) >= min_gap and abs(kalman_v) > kalman_threshold and last >= 0:
-        return [SignalEvent("GAP_CONT_SHORT", day.date, 0, SHORT,
-                            _meta(gap=gap, kalman_v=kalman_v))]
+        return [SignalEvent("GAP_CONT_SHORT", day.date, 0, SHORT)]
     return []
 
 
@@ -251,9 +232,8 @@ def volume_signature_signals(day: TradingDay, kind: str, spike_cutoff: float,
         family, hit, with_bar = "VOL_DRYUP", ratio < dryup_cutoff, False
     hit &= np.isfinite(ratio) & (body != 0)
     idx = _entryable(hit)
-    return [SignalEvent(family, day.date, i, LONG if (b > 0) == with_bar else SHORT,
-                        (("ratio", r),))
-            for i, b, r in zip(idx, body[idx].tolist(), ratio[idx].tolist())]
+    return [SignalEvent(family, day.date, i, LONG if (b > 0) == with_bar else SHORT)
+            for i, b in zip(idx, body[idx].tolist())]
 
 
 @dataclass(frozen=True)
@@ -316,9 +296,7 @@ def vvg_strategy_signals(day: TradingDay, flagged: bool, mode: str,
         move = day.ohlc[3, idx] - day.ohlc[0, 0]
         if move == 0:
             return []
-        direction = SHORT if move > 0 else LONG
-        return [SignalEvent("VVG_REVERSAL", day.date, idx, direction,
-                            _meta(day_move=move, close_fade=1))]
+        return [SignalEvent("VVG_REVERSAL", day.date, idx, SHORT if move > 0 else LONG)]
 
     f30 = prims.first30_return
     if f30 == 0 or VVG_ENTRY_BAR > last:
@@ -326,7 +304,7 @@ def vvg_strategy_signals(day: TradingDay, flagged: bool, mode: str,
     base_dir = LONG if f30 > 0 else SHORT
     if mode == "REVERSAL":
         base_dir = SHORT if base_dir == LONG else LONG
-    return [SignalEvent(family, day.date, VVG_ENTRY_BAR, base_dir, _meta(first30=f30))]
+    return [SignalEvent(family, day.date, VVG_ENTRY_BAR, base_dir)]
 
 
 def events_by_day(events: Sequence[EconEvent], session: SessionSpec) -> dict[date, list]:
@@ -362,9 +340,7 @@ def event_drift_signals(day: TradingDay, events: Sequence[EconEvent],
         sig = r + start_bar_offset
         if sig > last:
             continue
-        direction = LONG if move > 0 else SHORT
-        out.append(SignalEvent("EVENT_DRIFT", day.date, sig, direction,
-                               _meta(release_bar=r, spike_move=move)))
+        out.append(SignalEvent("EVENT_DRIFT", day.date, sig, LONG if move > 0 else SHORT))
     return out
 
 
@@ -378,13 +354,9 @@ def ou_reversion_signals(day: TradingDay, fit: OuFit, threshold: float) -> list[
     for i in range(min(len(z), _last_entryable(day) + 1)):
         if not armed and abs(z[i]) < OU_REARM_LEVEL:
             armed = True
-        if armed and z[i] <= -threshold:
-            events.append(SignalEvent("OU_REVERSION", day.date, i, LONG,
-                                      _meta(z=z[i], threshold=threshold)))
-            armed = False
-        elif armed and z[i] >= threshold:
-            events.append(SignalEvent("OU_REVERSION", day.date, i, SHORT,
-                                      _meta(z=z[i], threshold=threshold)))
+        if armed and abs(z[i]) >= threshold:
+            events.append(SignalEvent("OU_REVERSION", day.date, i,
+                                      LONG if z[i] <= -threshold else SHORT))
             armed = False
     return events
 
@@ -397,7 +369,7 @@ def confluence_rth_signals(day: TradingDay, labels: Sequence[int],
                            pullback_points: float = 25.0) -> list[SignalEvent]:
     """Regime-1 bars with elevated transition-to-2 probability and volume z.
 
-    All three conditions are strict inequalities. Meta carries the
+    All three conditions are strict inequalities. Each event carries the
     ATR-scaled pullback limit level.
     """
     n = len(day.ts)
@@ -411,9 +383,8 @@ def confluence_rth_signals(day: TradingDay, labels: Sequence[int],
         scale = np.where(np.isfinite(atr) & (atr_baseline > 0), atr / atr_baseline, 1.0)
     level = closes - pullback_points * scale
     idx = _entryable(hit)
-    return [SignalEvent("CONFLUENCE_RTH", day.date, i, LONG, (
-                ("limit_level", lv), ("trans_prob", t), ("vol_z", z)))
-            for i, lv, t, z in zip(idx, level[idx].tolist(), tp[idx].tolist(), vz[idx].tolist())]
+    return [SignalEvent("CONFLUENCE_RTH", day.date, i, LONG, limit_level=lv)
+            for i, lv in zip(idx, level[idx].tolist())]
 
 
 def london_b_signals(day: TradingDay, labels: Sequence[int]) -> list[SignalEvent]:

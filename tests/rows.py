@@ -1,12 +1,19 @@
 """Test-side construction of days and bar arrays from Bar rows."""
 from __future__ import annotations
 
-from datetime import date
+from datetime import date, datetime, timedelta
 from typing import Iterable, Optional
 
 import numpy as np
 
 from falsify.bars import Bar, SessionSpec, TradingDay
+
+
+def grid(session: SessionSpec, day: date) -> list[datetime]:
+    """Expected bar-open timestamps for one session day."""
+    t0 = datetime.combine(day, session.start)
+    step = timedelta(minutes=session.bar_minutes)
+    return [t0 + i * step for i in range(session.nominal_bar_count)]
 
 
 def day_from_bars(d: date, session: SessionSpec, bars: Iterable[Bar],

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import rows
 from rows import day_from_bars
 from falsify.bars import (ASIA, BAR_HEADER, LONDON, RTH, TS_FORMAT, Bar, BarError, EventKind,
                           SessionSpec, TradingDay, day_primitives, group_days, link_rth,
@@ -20,7 +21,7 @@ from falsify.bars import (ASIA, BAR_HEADER, LONDON, RTH, TS_FORMAT, Bar, BarErro
 def make_day(d: date, session=RTH, base: float = 100.0, volume: int = 500,
              closes=None) -> TradingDay:
     """Build a complete synthetic day with flat or given closes."""
-    grid = session.grid(d)
+    grid = rows.grid(session, d)
     bars = []
     prev = base
     for i, ts in enumerate(grid):
@@ -63,7 +64,7 @@ def test_bar_index_across_midnight():
 
 
 def test_session_grid_is_contiguous():
-    grid = LONDON.grid(date(2022, 5, 2))
+    grid = rows.grid(LONDON, date(2022, 5, 2))
     assert grid[0] == datetime(2022, 5, 2, 3, 0)
     assert grid[-1] == datetime(2022, 5, 2, 8, 15)
     steps = {(b - a) for a, b in zip(grid, grid[1:])}
@@ -274,7 +275,7 @@ def reference_group_days(bars: Iterable[Bar], session: SessionSpec) -> list[Trad
     for d in order:
         day_bars = tuple(grouped[d])
         complete = (len(day_bars) == session.nominal_bar_count
-                    and [b.ts for b in day_bars] == session.grid(d))
+                    and [b.ts for b in day_bars] == rows.grid(session, d))
         days.append(day_from_bars(d, session, day_bars, complete=complete))
     return link_rth(days)
 
@@ -324,10 +325,10 @@ def bar_files(draw):
     fmt = draw(st.sampled_from(["{:.2f}", "{!r}", " {:.2f} ", "{:.6e}", "+{:.2f}"]))
     vfmt = draw(st.sampled_from(["{}", "+{}", "{:05d}", " {} "]))
     start = date(2021, 12, 27) + timedelta(days=draw(st.integers(0, 10)))
-    rows = []
+    records = []
     price = 15000.0
     for k in range(draw(st.integers(1, 3))):
-        grid = session.grid(start + timedelta(days=k))
+        grid = rows.grid(session, start + timedelta(days=k))
         keep = draw(st.sampled_from(["all", "all", "head", "tail", "holes"]))
         if keep == "head":
             grid = grid[:rng.randint(1, len(grid))]
@@ -340,10 +341,10 @@ def bar_files(draw):
             c = o + rng.randint(-12, 12) * 0.25
             h = max(o, c) + rng.randint(0, 6) * 0.25
             lo = min(o, c) - rng.randint(0, 6) * 0.25
-            rows.append([ts.strftime(TS_FORMAT), *(fmt.format(x) for x in (o, h, lo, c)),
-                         vfmt.format(rng.randint(0, 5000))])
+            records.append([ts.strftime(TS_FORMAT), *(fmt.format(x) for x in (o, h, lo, c)),
+                            vfmt.format(rng.randint(0, 5000))])
             price = c
-    lines = [",".join(r) for r in rows]
+    lines = [",".join(r) for r in records]
     for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=2)):
         i = rng.randrange(len(lines)) if lines else None
         parts = lines[i].split(",") if lines else []
@@ -541,7 +542,7 @@ def test_declared_differences_were_accepted_before(tmp_path):
 
 def test_opening_range_uses_first_six_bars():
     d = date(2022, 1, 3)
-    grid = RTH.grid(d)
+    grid = rows.grid(RTH, d)
     highs = [10, 11, 12, 11, 10, 9]
     bars = [Bar(grid[i], 8.0, float(highs[i]), 7.0, 8.0, 1) for i in range(6)]
     # later bars go higher; the opening range must ignore them

@@ -112,6 +112,21 @@ def test_run_bad_config_exits_two(tmp_path):
     assert "config error" in res.output
 
 
+@pytest.mark.parametrize("text", ["instrument:\n  friction_points: 0.1\n",
+                                  "instrument:\n  friction_points: 2.1\n",
+                                  "instrument:\n  friction_points: '2'\n",
+                                  "instrument:\n  tick_size: 0\n",
+                                  "permutation:\n  iterations: 0\n"],
+                         ids=["friction-below-a-tick", "friction-off-the-grid",
+                              "friction-string", "zero-tick", "zero-iterations"])
+def test_run_bad_number_in_config_exits_two(tmp_path, text):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    res = run_cli("run", "--config", cfg, "--out", tmp_path / "runs")
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output and isinstance(res.exception, SystemExit)
+
+
 def test_run_unknown_family_in_config_exits_two(tmp_path):
     cfg = tmp_path / "run.yaml"
     cfg.write_text("families:\n  NOPE:\n    threshold: 2.0\n", encoding="utf-8")

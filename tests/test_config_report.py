@@ -69,6 +69,29 @@ def test_negative_friction_rejected(tmp_path):
         config_from_dict({"instrument": {"friction_points": -0.25}})
 
 
+@pytest.mark.parametrize("raw,match", [
+    ({"instrument": {"friction_points": 0.1}}, "whole number"),
+    ({"instrument": {"friction_points": 2.1}}, "whole number"),
+    ({"instrument": {"friction_points": "2"}}, "friction"),
+    ({"instrument": {"friction_points": float("inf")}}, "friction"),
+    ({"instrument": {"tick_size": 0}}, "tick_size"),
+    ({"instrument": {"tick_size": "0.25"}}, "tick_size"),
+    ({"permutation": {"iterations": 0}}, "iterations"),
+    ({"permutation": {"iterations": 10.5}}, "iterations"),
+    ({"permutation": {"iterations": True}}, "iterations"),
+])
+def test_zero_tick_off_grid_friction_and_bad_iterations_rejected(raw, match):
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(raw)
+
+
+def test_friction_on_the_tick_grid_accepted():
+    cfg = config_from_dict({"instrument": {"tick_size": 0.01, "friction_points": 1.3}})
+    assert cfg.instrument.to_ticks(cfg.friction.round_trip) == 130
+    assert config_from_dict({"instrument": {"friction_points": 0}}).friction.round_trip == 0
+    assert config_from_dict({"permutation": {"iterations": 1}}).permutation_iterations == 1
+
+
 def test_nested_override_merges(tmp_path):
     cfg = load_config(write_cfg(tmp_path, "gate:\n  t_min: 3.0\n"))
     assert cfg.gate("ORB_LONG").t_min == 3.0

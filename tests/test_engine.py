@@ -6,6 +6,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+import rows
 from rows import bar_arrays, day_from_bars
 from falsify import engine as engine_mod
 from falsify.bars import LONDON, TradingDay
@@ -393,7 +394,7 @@ def test_walk_forward_picks_and_trades_match_the_record_runner():
 
 def old_event_drift(day, events, start_bar_offset=6):
     """EVENT_DRIFT as it was: every calendar event tested against the day."""
-    from falsify.signals import SHORT, SignalEvent, _meta
+    from falsify.signals import SHORT, SignalEvent
     bars, sess, out = day.bars, day.session, []
     for ev in events:
         if sess.session_date(ev.ts) != day.date or not sess.contains(ev.ts.time()):
@@ -405,8 +406,7 @@ def old_event_drift(day, events, start_bar_offset=6):
         if move == 0 or r + start_bar_offset > len(bars) - 2:
             continue
         out.append(SignalEvent("EVENT_DRIFT", day.date, r + start_bar_offset,
-                               LONG if move > 0 else SHORT,
-                               _meta(release_bar=r, spike_move=move)))
+                               LONG if move > 0 else SHORT))
     return out
 
 
@@ -452,18 +452,18 @@ def mean_reverting_days(n: int, seed: int):
     from falsify.bars import RTH, Bar, group_days
     from falsify.synth import _weekdays
     rng = np.random.default_rng(seed)
-    rows, x = [], 15000.0
+    bars, x = [], 15000.0
     for d in _weekdays(date(2022, 1, 3), n):
-        for ts in RTH.grid(d):
+        for ts in rows.grid(RTH, d):
             c = round((15000.0 + 0.95 * (x - 15000.0) + rng.normal(0.0, 2.0)) * 4) / 4
-            rows.append(Bar(ts, x, max(x, c) + 0.25, min(x, c) - 0.25, c, 1000))
+            bars.append(Bar(ts, x, max(x, c) + 0.25, min(x, c) - 0.25, c, 1000))
             x = c
-    return group_days(rows, RTH)
+    return group_days(bars, RTH)
 
 
 def test_every_declared_tunable_moves_the_trades():
-    # a tunable that only reaches event meta, or nothing, trades as its
-    # default does; each one must change some trade under some exit
+    # a tunable that reaches no entry or exit trades as its default does;
+    # each one must change some trade under some exit
     from falsify.bars import ASIA
     from falsify.execution import simulate
     from falsify.synth import gen_event_calendar
@@ -491,6 +491,28 @@ def test_every_declared_tunable_moves_the_trades():
                 dead.append(f"{name}.{key}")
             checked += 1
     assert dead == [] and checked == 15
+
+
+def test_only_a_pullback_limit_family_sets_a_limit_level():
+    from falsify.bars import ASIA
+    from falsify.execution import ExitKind
+    from falsify.synth import gen_event_calendar
+    rth = gen_null_days(SynthSpec(300, seed=3, gap_sigma=15.0))
+    asia = gen_null_days(SynthSpec(300, session=ASIA, seed=10_003))
+    london = gen_null_days(SynthSpec(300, session=LONDON, seed=20_003))
+    eng = Engine(DataBundle(rth, asia, london, gen_event_calendar(rth, seed=3)),
+                 config_from_dict({}))
+    limit_families = []
+    for name, fd in default_families().items():
+        days = eng.complete_days(fd.session)
+        state = eng._fit_state(name, [d for d in days if d.year == days[0].year], {})
+        levels = [e.limit_level for d in days for e in eng.day_signals(name, d, {}, state)]
+        if any(ex.kind is ExitKind.PULLBACK_LIMIT for ex in fd.exit_grid):
+            limit_families.append(name)
+            assert levels and all(v is not None and np.isfinite(v) for v in levels), name
+        else:
+            assert set(levels) <= {None}, name
+    assert limit_families == ["CONFLUENCE_RTH"]
 
 
 def test_the_verdict_path_builds_no_bar(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import rows
 from rows import day_from_bars
 from falsify.bars import Bar, RTH, TradingDay
 from falsify.execution import (ExecutionError, ExitKind, ExitReason, ExitSpec,
@@ -21,7 +22,7 @@ CENT = Instrument("TEST", 0.01)
 
 def day_from_closes(closes, d=date(2022, 1, 3), highs=None, lows=None,
                     opens=None):
-    grid = RTH.grid(d)
+    grid = rows.grid(RTH, d)
     bars = []
     prev = closes[0]
     for i, c in enumerate(closes):
@@ -33,8 +34,8 @@ def day_from_closes(closes, d=date(2022, 1, 3), highs=None, lows=None,
     return day_from_bars(d, RTH, bars, None, len(bars) == len(grid))
 
 
-def ev(bar_index, direction=LONG, family="ORB_LONG", meta=()):
-    return SignalEvent(family, date(2022, 1, 3), bar_index, direction, meta)
+def ev(bar_index, direction=LONG, family="ORB_LONG"):
+    return SignalEvent(family, date(2022, 1, 3), bar_index, direction)
 
 
 def one_trade(closes, event, exit, instrument=MNQ, **day_kwargs):
@@ -186,7 +187,7 @@ def test_clock_already_past_exits_at_session_end():
 
 def limit_ev(bar_index, level):
     return SignalEvent("CONFLUENCE_RTH", date(2022, 1, 3), bar_index, LONG,
-                       (("limit_level", level),))
+                       limit_level=level)
 
 
 def test_limit_fill_at_level():
@@ -357,7 +358,7 @@ def _old_pullback_limit(ev, day, exit, friction, instrument):
     bars = day.bars
     n = len(bars)
     sign = 1 if ev.direction == LONG else -1
-    level = ev.meta_value("limit_level")
+    level = ev.limit_level
     if level is None:
         offset = exit.limit_offset if exit.limit_offset is not None else 0.0
         level = bars[ev.bar_index].close - sign * offset
@@ -447,7 +448,7 @@ def sim_case(draw):
     for k in range(draw(st.integers(1, 3))):
         d = date(2022, 1, 3) + timedelta(days=k)
         n = draw(st.integers(1, 14))
-        grid = RTH.grid(d)
+        grid = rows.grid(RTH, d)
         bars = []
         for i in range(n):
             o, c = draw(PRICE), draw(PRICE)
@@ -457,11 +458,9 @@ def sim_case(draw):
         day = day_from_bars(d, RTH, bars, None, False)
         evs = []
         for _ in range(draw(st.integers(0, 5))):
-            meta = ()
-            if draw(st.booleans()):
-                meta = (("limit_level", draw(PRICE)),)
             evs.append(SignalEvent("F", d, draw(st.integers(0, n - 1)),
-                                   draw(st.sampled_from([LONG, SHORT])), meta))
+                                   draw(st.sampled_from([LONG, SHORT])),
+                                   limit_level=draw(st.one_of(st.none(), PRICE))))
         days.append(day)
         events.append(evs)
     kind = draw(st.sampled_from(list(ExitKind)))
@@ -475,7 +474,7 @@ def sim_case(draw):
     elif kind is ExitKind.CLOCK:
         # a bar time that is before entry, after entry or not in the day at all
         exit = ExitSpec(kind, clock=draw(st.sampled_from(
-            [t.time() for t in RTH.grid(days[0].date)[:16]] + [time(16, 30)])))
+            [t.time() for t in rows.grid(RTH, days[0].date)[:16]] + [time(16, 30)])))
     else:
         exit = ExitSpec(kind, horizon=horizon)
     return days, events, exit, friction, instrument
@@ -501,7 +500,8 @@ def test_simulate_matches_the_per_event_loop(case):
     f = fill_days(days, np.repeat(np.arange(len(days)), [len(evs) for evs in order]),
                   [e.bar_index for e in flat], [1 if e.direction == LONG else -1 for e in flat],
                   exit, friction, instrument,
-                  np.array([e.meta_value("limit_level", np.nan) for e in flat]))
+                  np.array([np.nan if e.limit_level is None else e.limit_level
+                            for e in flat]))
     assert f.net_ticks[f.reason >= 0].tolist() == nets
 
 

@@ -6,6 +6,7 @@ from datetime import date, datetime, time, timedelta
 import numpy as np
 import pytest
 
+import rows
 from rows import day_from_bars
 from falsify.bars import Bar, EconEvent, EventKind, RTH, ASIA, LONDON, TradingDay, day_primitives
 from falsify.features import OuFit
@@ -21,7 +22,7 @@ from falsify.signals import (LONG, SHORT, SignalError, SignalEvent,
 
 def day_from_closes(closes, d=date(2022, 1, 3), session=RTH, volumes=None,
                     highs=None, lows=None, prior_rth_close=None):
-    grid = session.grid(d)
+    grid = rows.grid(session, d)
     n = len(closes)
     assert n <= len(grid)
     bars = []
@@ -53,7 +54,6 @@ def test_orb_long_at_first_close_above_range():
     assert len(events) == 1
     ev = events[0]
     assert (ev.family, ev.bar_index, ev.direction) == ("ORB_LONG", 7, LONG)
-    assert ev.meta_value("level") == prims.opening_range_high
 
 
 def test_orb_short_side_and_intrabar_pierce_ignored():
@@ -178,7 +178,6 @@ def test_gap_fill_fade_at_0945_shorts_an_up_gap():
                          entry_time=time(9, 45))
     # the 09:45 wall-clock entry keys off the bar closing at 09:45
     assert [(e.bar_index, e.direction) for e in events] == [(2, SHORT)]
-    assert events[0].meta_value("gap") == 10.0
 
 
 def test_gap_below_minimum_ignored():
@@ -316,7 +315,6 @@ def test_event_drift_follows_spike_direction():
     events = event_drift_signals(day, [fomc(datetime(2022, 1, 3, 14, 0))],
                                  start_bar_offset=6)
     assert [(e.bar_index, e.direction) for e in events] == [(60, LONG)]
-    assert events[0].meta_value("spike_move") == pytest.approx(9.0)
 
 
 def test_event_drift_offset_guard():
@@ -402,7 +400,7 @@ def test_confluence_single_qualifying_bar():
     events = confluence_rth_signals(day, labels, trans, vz, atr, 5.0)
     assert [(e.bar_index, e.direction) for e in events] == [(30, LONG)]
     # ATR at baseline: the pullback limit sits exactly 25 points below the close
-    assert events[0].meta_value("limit_level") == pytest.approx(
+    assert events[0].limit_level == pytest.approx(
         day.bars[30].close - 25.0)
 
 
@@ -459,19 +457,19 @@ def test_no_signal_on_final_bar_anywhere():
             assert ev.direction in (LONG, SHORT)
 
 
-def test_meta_is_sorted_and_hashable():
-    ev = SignalEvent("ORB_LONG", date(2022, 1, 3), 7, LONG,
-                     (("level", 100.5), ("stop", 20.0)))
+def test_event_is_hashable_and_carries_no_level_by_default():
+    ev = SignalEvent("ORB_LONG", date(2022, 1, 3), 7, LONG)
     assert hash(ev)
-    assert ev.meta_value("level") == 100.5
-    assert ev.meta_value("missing") is None
+    assert ev.limit_level is None
+    with pytest.raises(TypeError):  # the level is keyword-only
+        SignalEvent("ORB_LONG", date(2022, 1, 3), 7, LONG, 100.5)
 
 
 # -- masked emitters against the per-bar loops they replaced -------------------------
 
 from hypothesis import given, settings, strategies as st
 
-from falsify.signals import _meta, mean_range_series, volume_ratio_series
+from falsify.signals import mean_range_series, volume_ratio_series
 
 
 def reference_asia_expansion(day, multiple, mean_range):
@@ -484,9 +482,7 @@ def reference_asia_expansion(day, multiple, mean_range):
         rng, body = bars[i].high - bars[i].low, bars[i].close - bars[i].open
         if rng > multiple * mr and body != 0:
             direction = LONG if body > 0 else SHORT
-            events.append(SignalEvent("ASIA_EXPANSION", day.date, i, direction,
-                                      _meta(multiple=multiple, bar_range=rng,
-                                            mean_range=mr)))
+            events.append(SignalEvent("ASIA_EXPANSION", day.date, i, direction))
     return events
 
 
@@ -508,12 +504,10 @@ def reference_liquidity_grab(day, lookback, mode):
         b = bars[i]
         if b.high > prior_hi and b.close < prior_hi:
             direction = SHORT if mode == "FADE" else LONG
-            events.append(SignalEvent(family, day.date, i, direction,
-                                      _meta(side=+1, pierced=prior_hi)))
+            events.append(SignalEvent(family, day.date, i, direction))
         if b.low < prior_lo and b.close > prior_lo:
             direction = LONG if mode == "FADE" else SHORT
-            events.append(SignalEvent(family, day.date, i, direction,
-                                      _meta(side=-1, pierced=prior_lo)))
+            events.append(SignalEvent(family, day.date, i, direction))
     return events
 
 
@@ -529,10 +523,10 @@ def reference_volume_signature(day, kind, spike_cutoff, dryup_cutoff, ratio):
             continue
         bar_dir = LONG if body > 0 else SHORT
         if kind == "SPIKE" and r > spike_cutoff:
-            events.append(SignalEvent(family, day.date, i, bar_dir, _meta(ratio=r)))
+            events.append(SignalEvent(family, day.date, i, bar_dir))
         elif kind == "DRYUP" and r < dryup_cutoff:
             direction = SHORT if bar_dir == LONG else LONG
-            events.append(SignalEvent(family, day.date, i, direction, _meta(ratio=r)))
+            events.append(SignalEvent(family, day.date, i, direction))
     return events
 
 
@@ -547,8 +541,8 @@ def reference_confluence(day, labels, trans_prob, vol_z, atr, atr_baseline,
         if tp > trans_threshold and vz > vz_threshold:
             scale = atr[i] / atr_baseline if np.isfinite(atr[i]) and atr_baseline > 0 else 1.0
             level = bars[i].close - pullback_points * scale
-            events.append(SignalEvent("CONFLUENCE_RTH", day.date, i, LONG, _meta(
-                limit_level=level, trans_prob=tp, vol_z=vz)))
+            events.append(SignalEvent("CONFLUENCE_RTH", day.date, i, LONG,
+                                      limit_level=float(level)))
     return events
 
 
@@ -558,7 +552,7 @@ def tick_days(draw, session=RTH, max_bars=40):
     extremes are common, with volumes that include zeros."""
     n = draw(st.integers(0, max_bars))
     ticks = st.integers(-6, 6)
-    grid = session.grid(date(2022, 1, 3))
+    grid = rows.grid(session, date(2022, 1, 3))
     bars, price = [], 100.0
     for i in range(n):
         o, c = price, price + 0.5 * draw(ticks)
