@@ -114,8 +114,9 @@ def config_from_dict(raw: dict, seed_override: Optional[int] = None) -> RunConfi
     families = raw.get("families", {})
     if not isinstance(families, dict) or not all(isinstance(v, dict) for v in families.values()):
         raise ConfigError("families must map each family name to a mapping of parameters")
-    if not isinstance(raw.get("permutation", {}).get("families", []), list):
-        raise ConfigError("permutation families must be a list")
+    perm_families = raw.get("permutation", {}).get("families", [])
+    if not (isinstance(perm_families, list) and all(isinstance(f, str) for f in perm_families)):
+        raise ConfigError("permutation families must be a list of family names")
     merged = _merge(DEFAULTS, raw)
     if seed_override is not None:
         merged["seed"] = seed_override
@@ -131,6 +132,11 @@ def config_from_dict(raw: dict, seed_override: Optional[int] = None) -> RunConfi
     n = merged["permutation"]["iterations"]
     if type(n) is not int or n < 1:
         raise ConfigError(f"permutation iterations must be an integer >= 1, got {n!r}")
+    # one spelling per meaning, so configs that run alike hash alike
+    merged["instrument"] = {**merged["instrument"], "tick_size": float(tick),
+                            "friction_points": float(friction)}
+    merged["permutation"] = {**merged["permutation"],
+                             "families": sorted(set(merged["permutation"]["families"]))}
     return RunConfig(merged)
 
 

@@ -201,6 +201,22 @@ def default_families() -> dict[str, FamilyDef]:
     return {d.name: d for d in f}
 
 
+def _check_override(family: str, key: str, default: Any, value: Any) -> None:
+    """An override has its default's type: a number for a number (an integer
+    for an integer), a string for a string, and None or an integer >= 1
+    where the default is None (a lookback)."""
+    if default is None:
+        ok, want = value is None or (type(value) is int and value >= 1), "None or an integer >= 1"
+    elif isinstance(default, str):
+        ok, want = isinstance(value, str), "a string"
+    elif type(default) is int:
+        ok, want = type(value) is int, "an integer"
+    else:
+        ok, want = type(value) in (int, float), "a number"
+    if not ok:
+        raise EngineError(f"{family} parameter {key} must be {want}, got {value!r}")
+
+
 class Engine:
     """Per-run orchestration with memoized fitted state and per-day and per-session series."""
 
@@ -216,6 +232,8 @@ class Engine:
             undeclared = sorted(set(overrides) - set(self.families[name].grid[0]))
             if undeclared:
                 raise EngineError(f"unknown {name} parameters: {undeclared}")
+            for key, value in overrides.items():
+                _check_override(name, key, self.families[name].grid[0][key], value)
         self._memo: dict = {}
         self._state: dict = {}
         self._kalman_v: Optional[dict[date, float]] = None

@@ -316,26 +316,35 @@ class RegimeGMM:
             variances = np.tile(np.maximum(Z.var(axis=0), 1e-6), (self.k, 1))
         weights = np.full(self.k, 1.0 / self.k)
 
+        # component-major: the E-step runs on k x n arrays so every pass is
+        # n long, not 3. Z and Z2 stay row-major for the M-step matmuls,
+        # whose operand layout gives the bits of the row-major EM
         Z2 = Z * Z
+        ZT = np.ascontiguousarray(Z.T)
+        Z2T = ZT * ZT
+        log_resp, resp = np.empty((self.k, n)), np.empty((self.k, n))
         history: list[float] = []
+        converged = False
         prev_ll = -np.inf
         for _ in range(self.max_iter):
-            log_resp = self._log_prob(Z, means, variances, weights, Z2=Z2)
-            ll_per = _logsumexp(log_resp)
+            self._log_prob(ZT, Z2T, means, variances, weights, log_resp, resp)
+            ll_per = _logsumexp(log_resp.T)
             ll = float(np.sum(ll_per))
-            resp = np.exp(log_resp - ll_per[:, None])
+            np.exp(np.subtract(log_resp, ll_per, out=resp), out=resp)
 
-            nk = resp.sum(axis=0)
+            # a left-to-right running sum: the bits of the row-major axis-0 sum
+            nk = np.cumsum(resp, axis=1, out=log_resp)[:, -1].copy()
             if np.any(nk < 1e-10):
                 raise GmmDegenerateError("empty component")
-            means = (resp.T @ Z) / nk[:, None]
-            variances = (resp.T @ Z2) / nk[:, None] - means**2
+            means = (Z.T @ resp.T).T / nk[:, None]
+            variances = (Z2.T @ resp.T).T / nk[:, None] - means**2
             if np.any(variances < 1e-10):
                 raise GmmDegenerateError("variance collapse")
             weights = nk / n
 
             history.append(ll)
             if ll - prev_ll < self.tol and np.isfinite(prev_ll):
+                converged = True
                 break
             prev_ll = ll
 
@@ -346,23 +355,29 @@ class RegimeGMM:
         self.weights_ = weights[order]
         self.label_order_ = order
         self.loglik_history_ = history
+        self.converged_ = converged
 
     @staticmethod
-    def _log_prob(Z: np.ndarray, means: np.ndarray, variances: np.ndarray,
-                  weights: np.ndarray, Z2: Optional[np.ndarray] = None) -> np.ndarray:
-        # expand the quadratic form so the n x k work is two matmuls
+    def _log_prob(ZT: np.ndarray, Z2T: np.ndarray, means: np.ndarray, variances: np.ndarray,
+                  weights: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """log(weight_j * N(z_i | j)) into the k x n ``out``, from the d x n
+        ``ZT`` and its squares; ``scratch`` is a second k x n buffer."""
+        # expand the quadratic form so the k x n work is two matmuls
         inv = 1.0 / variances
         const = (np.log(weights)
                  - 0.5 * np.sum(np.log(2 * np.pi * variances), axis=1)
                  - 0.5 * np.sum(means * means * inv, axis=1))
-        if Z2 is None:
-            Z2 = Z * Z
-        return const + Z @ (means * inv).T - 0.5 * (Z2 @ inv.T)
+        np.add(const[:, None], np.matmul(means * inv, ZT, out=out), out=out)
+        out -= np.multiply(np.matmul(inv, Z2T, out=scratch), 0.5, out=scratch)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         Z = (np.asarray(X, dtype=float) - self.scale_mean_) / self.scale_std_
-        log_p = self._log_prob(Z, self.means_, self.variances_, self.weights_)
-        return np.exp(log_p - _logsumexp(log_p)[:, None])
+        ZT = np.ascontiguousarray(Z.T)
+        log_p = np.empty((len(self.means_), len(Z)))
+        self._log_prob(ZT, ZT * ZT, self.means_, self.variances_, self.weights_,
+                       log_p, np.empty_like(log_p))
+        log_p -= _logsumexp(log_p.T)
+        return np.exp(log_p, out=log_p).T
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Posterior argmax regime labels; ties break toward the lower index."""
@@ -373,15 +388,17 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     """Row-wise log-sum-exp of an n x k array, one column at a time.
 
     numpy's axis-1 reductions over a few columns are slow; the column-wise
-    maximum and the left-to-right ``+=`` give the same bits.
+    maximum and the left-to-right ``+=`` give the same bits. The columns of
+    the transpose of a k x n array are contiguous.
     """
     m = a[:, 0].copy()
     for j in range(1, a.shape[1]):
         np.maximum(m, a[:, j], out=m)
-    s = np.exp(a[:, 0] - m)
+    t = np.empty_like(m)
+    s = np.exp(np.subtract(a[:, 0], m, out=t))
     for j in range(1, a.shape[1]):
-        s += np.exp(a[:, j] - m)
-    return m + np.log(s)
+        s += np.exp(np.subtract(a[:, j], m, out=t), out=t)
+    return np.add(m, np.log(s, out=s), out=s)
 
 
 def gmm_fit(features: np.ndarray, k: int = 3, seed: int = 0) -> RegimeGMM:

@@ -156,6 +156,17 @@ def test_run_override_of_a_removed_tunable_exits_two(tmp_path, family, key):
     assert f"config error: unknown {family} parameters: ['{key}']" in res.output
 
 
+def test_run_override_of_the_wrong_type_exits_two(tmp_path):
+    # two calendar years, so the run reaches the emitter if the type gets through
+    bars = write_days(tmp_path, gen_null_days(SynthSpec(265, seed=1)))
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"data:\n  rth: {bars}\nfamilies:\n  ORB_PULLBACK:\n"
+                   "    pullback_offset: x\n", encoding="utf-8")
+    res = run_cli("run", "--config", cfg, "--family", "ORB_PULLBACK", "--out", tmp_path / "runs")
+    assert res.exit_code == 2, res.output
+    assert "config error: ORB_PULLBACK parameter pullback_offset must be a number" in res.output
+
+
 def test_report_params_are_the_last_fold_choice(tmp_path):
     days = gen_null_days(SynthSpec(290, seed=1, gap_sigma=15.0))
     bars = write_days(tmp_path, days)

@@ -49,7 +49,8 @@ def test_removed_kalman_threshold_rejected():
 @pytest.mark.parametrize("raw", [{"families": {"OU_REVERSION": 5}},
                                  {"families": ["OU_REVERSION"]},
                                  {"families": None},
-                                 {"permutation": {"families": "CONFLUENCE_RTH"}}])
+                                 {"permutation": {"families": "CONFLUENCE_RTH"}},
+                                 {"permutation": {"families": ["LONDON_B", 1]}}])
 def test_misshapen_families_rejected(raw):
     with pytest.raises(ConfigError, match="families"):
         config_from_dict(raw)
@@ -117,6 +118,24 @@ def test_hash_deterministic_and_content_sensitive():
     assert a.hash == b.hash
     assert a.hash != c.hash
     assert len(a.hash) == 16
+
+
+def test_hash_ignores_how_a_value_is_spelled():
+    default = config_from_dict({})
+    assert default.hash == "442dad336a7efbf4"
+    for raw in ({"instrument": {"friction_points": 2}},
+                {"instrument": {"tick_size": 0.25, "friction_points": 2.0}},
+                {"permutation": {"families": ["LONDON_B", "CONFLUENCE_RTH", "LONDON_B"]}}):
+        assert config_from_dict(raw).raw == default.raw
+        assert config_from_dict(raw).hash == default.hash
+    whole = config_from_dict({"instrument": {"tick_size": 1, "friction_points": 2}})
+    assert whole.raw["instrument"] == {"name": "MNQ", "tick_size": 1.0, "friction_points": 2.0}
+    assert whole.hash == config_from_dict(
+        {"instrument": {"tick_size": 1.0, "friction_points": 2.0}}).hash
+    # the benchmark's falsify-run config keeps its run directory
+    data = {k: f"{k}.csv" for k in ("rth", "asia", "london", "events")}
+    assert config_from_dict({"data": data, "permutation": {"iterations": 1000},
+                             "seed": 1}).hash == "ad9fb8c9cf474061"
 
 
 def test_dump_round_trips(tmp_path):

@@ -49,6 +49,30 @@ def test_override_typo_rejected():
         make_engine(cfg={"families": {"ORB_LONG": {"threshold": 2.0}}})
 
 
+@pytest.mark.parametrize("family,key,value", [
+    ("ORB_PULLBACK", "pullback_offset", "x"),
+    ("ORB_PULLBACK", "pullback_offset", True),
+    ("ORB_PULLBACK", "pullback_offset", None),
+    ("EVENT_DRIFT", "start_bar_offset", 6.5),
+    ("GAP_FILL_FADE", "entry_time", 945),
+    ("VVG_REVERSAL", "mode", ["REVERSAL"]),
+    ("LIQUIDITY_GRAB_FADE", "lookback", 0),
+    ("LIQUIDITY_GRAB_CONT", "lookback", 2.0),
+    ("LIQUIDITY_GRAB_CONT", "lookback", True),
+])
+def test_override_of_the_wrong_type_rejected(family, key, value):
+    with pytest.raises(EngineError, match=f"{family} parameter {key} must be"):
+        make_engine(cfg={"families": {family: {key: value}}})
+
+
+def test_override_of_the_default_type_accepted():
+    eng = make_engine(cfg={"families": {
+        "ORB_PULLBACK": {"pullback_offset": 4}, "EVENT_DRIFT": {"start_bar_offset": 8},
+        "GAP_FILL_FADE": {"entry_time": "09:45", "min_gap": 2.5},
+        "LIQUIDITY_GRAB_FADE": {"lookback": 3}, "LIQUIDITY_GRAB_CONT": {"lookback": None}}})
+    assert eng.config.family_overrides("ORB_PULLBACK") == {"pullback_offset": 4}
+
+
 def test_families_sharing_a_fit_share_its_state():
     days = two_year_null(60, seed=5)
     eng = make_engine(rth=days)

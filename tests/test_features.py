@@ -367,6 +367,126 @@ def test_gmm_fit_matches_golden_digest():
     assert h.hexdigest() == "fb01a699dc59f6748b52107651f5b390e3dc84d9bdbcc5d73b3decd9ba261012"
 
 
+def reference_log_prob(Z, means, variances, weights):
+    """The row-major n x k form ``RegimeGMM._log_prob`` replaced."""
+    inv = 1.0 / variances
+    const = (np.log(weights)
+             - 0.5 * np.sum(np.log(2 * np.pi * variances), axis=1)
+             - 0.5 * np.sum(means * means * inv, axis=1))
+    return const + Z @ (means * inv).T - 0.5 * ((Z * Z) @ inv.T)
+
+
+def reference_em(Z, seed, k=3, quantile_init=True, max_iter=500, tol=1e-8):
+    """The row-major EM loop ``RegimeGMM._em`` replaced; returns the relabelled
+    (means, variances, weights, loglik history)."""
+    n = len(Z)
+    rng = np.random.default_rng(seed)
+    if quantile_init:
+        parts = np.array_split(np.argsort(Z[:, 0], kind="stable"), k)
+        means = np.array([Z[p].mean(axis=0) for p in parts])
+        variances = np.array([np.maximum(Z[p].var(axis=0), 1e-6) for p in parts])
+    else:
+        means = Z[rng.choice(n, size=k, replace=False)].copy()
+        variances = np.tile(np.maximum(Z.var(axis=0), 1e-6), (k, 1))
+    weights = np.full(k, 1.0 / k)
+    Z2 = Z * Z
+    history, prev_ll = [], -np.inf
+    for _ in range(max_iter):
+        log_resp = reference_log_prob(Z, means, variances, weights)
+        ll_per = reference_logsumexp(log_resp)
+        ll = float(np.sum(ll_per))
+        resp = np.exp(log_resp - ll_per[:, None])
+        nk = resp.sum(axis=0)
+        if np.any(nk < 1e-10):
+            raise GmmDegenerateError("empty component")
+        means = (resp.T @ Z) / nk[:, None]
+        variances = (resp.T @ Z2) / nk[:, None] - means**2
+        if np.any(variances < 1e-10):
+            raise GmmDegenerateError("variance collapse")
+        weights = nk / n
+        history.append(ll)
+        if ll - prev_ll < tol and np.isfinite(prev_ll):
+            break
+        prev_ll = ll
+    order = np.argsort(means[:, 0], kind="stable")
+    return means[order], variances[order], weights[order], history
+
+
+def assert_em_matches_reference(X, seed, quantile_init=True):
+    """``RegimeGMM._em`` and ``reference_em`` agree bit for bit on the fitted
+    state and the posteriors, or raise the same error."""
+    model = RegimeGMM(seed=seed)
+    model.scale_mean_, model.scale_std_ = X.mean(axis=0), X.std(axis=0)
+    Z = (X - model.scale_mean_) / model.scale_std_
+    try:
+        want = reference_em(Z, seed, quantile_init=quantile_init)
+    except GmmDegenerateError as exc:
+        with pytest.raises(GmmDegenerateError, match=str(exc)):
+            model._em(Z, seed, quantile_init=quantile_init)
+        return None
+    model._em(Z, seed, quantile_init=quantile_init)
+    got = (model.means_, model.variances_, model.weights_, model.loglik_history_)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for rows in (X, X[:1], X[:7]):
+        log_p = reference_log_prob((rows - model.scale_mean_) / model.scale_std_, *want[:3])
+        proba = np.exp(log_p - reference_logsumexp(log_p)[:, None])
+        assert np.array_equal(model.predict_proba(rows), proba)
+        assert np.array_equal(model.predict(rows), np.argmax(proba, axis=1))
+    return model
+
+
+@st.composite
+def regime_windows(draw):
+    """Heavy-tailed three-cluster feature windows, sometimes on a tick grid."""
+    n = draw(st.integers(150, 5_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centers = rng.normal(0.0, draw(st.sampled_from([0.0, 0.5, 3.0])), size=(3, 3))
+    scales = rng.uniform(0.2, 2.0, size=(3, 3))
+    labels = rng.integers(0, 3, size=n)
+    X = centers[labels] + scales[labels] * rng.standard_t(draw(st.sampled_from([3, 30])),
+                                                          size=(n, 3))
+    if draw(st.booleans()):
+        X = np.round(X * 4) / 4
+    return X
+
+
+@settings(max_examples=40, deadline=None)
+@given(X=regime_windows(), seed=st.integers(0, 1_000), quantile_init=st.booleans())
+def test_component_major_em_matches_row_major_reference(X, seed, quantile_init):
+    assert_em_matches_reference(X, seed, quantile_init)
+
+
+def regime_window(n_days, seed):
+    """Regime features of a synthetic RTH corpus, past the volume warm-up."""
+    reg = RegimeSpec(transition=((0.94, 0.01, 0.05), (0.25, 0.50, 0.25), (0.05, 0.01, 0.94)),
+                     means=(-8.0, 0.0, 8.0), vols=(1.5, 4.0, 1.5), volume_mults=(1.0, 3.5, 1.0))
+    days, _ = gen_regime_days(SynthSpec(n_days, seed=seed, regimes=reg))
+    return regime_features(*bar_arrays(b for d in days for b in d.bars), vol_window=50)[50:]
+
+
+def test_component_major_em_matches_reference_on_a_large_window():
+    # BLAS may block or thread a long matmul differently from a short one
+    X = regime_window(280, seed=5)
+    assert len(X) >= 20_000
+    model = assert_em_matches_reference(X, seed=1)
+    assert model is not None and len(model.loglik_history_) > 10
+
+
+def test_random_init_restart_path_matches_reference():
+    X, _ = planted_clusters(seed=3, n_per=2_000)
+    for seed in range(4):
+        assert assert_em_matches_reference(X, seed, quantile_init=False) is not None
+
+
+def test_gmm_reports_whether_em_converged():
+    X, _ = planted_clusters(seed=5)
+    assert gmm_fit(X, seed=5).converged_
+    X = regime_window(40, seed=3)  # overlapping regimes take more than 3 iterations
+    capped = RegimeGMM(seed=5, max_iter=3).fit(X)
+    assert not capped.converged_ and len(capped.loglik_history_) == 3
+    assert RegimeGMM(seed=5).fit(X).converged_
+
+
 # -- Markov transition probabilities -------------------------------------------
 
 def test_markov_constant_labels():
