@@ -229,11 +229,12 @@ class Engine:
         if unknown:
             raise EngineError(f"unknown family {unknown[0]!r}")
         for name, overrides in config.raw["families"].items():
-            undeclared = sorted(set(overrides) - set(self.families[name].grid[0]))
+            defaults = self.families[name].grid[0]
+            undeclared = sorted(set(overrides) - set(defaults))
             if undeclared:
                 raise EngineError(f"unknown {name} parameters: {undeclared}")
             for key, value in overrides.items():
-                _check_override(name, key, self.families[name].grid[0][key], value)
+                _check_override(name, key, defaults[key], value)
         self._memo: dict = {}
         self._state: dict = {}
         self._kalman_v: Optional[dict[date, float]] = None

@@ -461,7 +461,8 @@ def regime_window(n_days, seed):
     reg = RegimeSpec(transition=((0.94, 0.01, 0.05), (0.25, 0.50, 0.25), (0.05, 0.01, 0.94)),
                      means=(-8.0, 0.0, 8.0), vols=(1.5, 4.0, 1.5), volume_mults=(1.0, 3.5, 1.0))
     days, _ = gen_regime_days(SynthSpec(n_days, seed=seed, regimes=reg))
-    return regime_features(*bar_arrays(b for d in days for b in d.bars), vol_window=50)[50:]
+    ohlc = np.concatenate([d.ohlc for d in days], axis=1)
+    return regime_features(ohlc, np.concatenate([d.volume for d in days]), vol_window=50)[50:]
 
 
 def test_component_major_em_matches_reference_on_a_large_window():
