@@ -72,12 +72,6 @@ class SessionSpec:
         minutes = delta.days * 24 * 60 + delta.seconds // 60
         return minutes // self.bar_minutes
 
-    def grid(self, session_day: date) -> list[datetime]:
-        """Expected bar-open timestamps for one session day."""
-        t0 = datetime.combine(session_day, self.start)
-        step = timedelta(minutes=self.bar_minutes)
-        return [t0 + i * step for i in range(self.nominal_bar_count)]
-
 
 RTH = SessionSpec("RTH", time(9, 30), time(16, 0), 5)
 ASIA = SessionSpec("ASIA", time(20, 0), time(2, 0), 5)
@@ -397,11 +391,11 @@ def day_primitives(day: TradingDay) -> DayPrimitives:
 EVENT_HEADER = "ts,kind,impact,currency"
 
 
-def parse_event_calendar(path: str | Path, rth_only: bool = False) -> list[EconEvent]:
+def parse_event_calendar(path: str | Path) -> list[EconEvent]:
     """Parse the economic-event calendar, keeping high-impact USD events.
 
-    Only FOMC/CPI/NFP/PCE kinds qualify. With ``rth_only`` set, events
-    timestamped outside 09:30-16:00 ET (e.g. 08:30 releases) are dropped.
+    Only FOMC/CPI/NFP/PCE kinds qualify. Events at any time of day are kept;
+    ``signals.events_by_day`` puts each in its session or drops it.
     """
     events: list[EconEvent] = []
     for i, ln in zip(*_data_rows(path, EVENT_HEADER, "calendar header")):
@@ -420,8 +414,6 @@ def parse_event_calendar(path: str | Path, rth_only: bool = False) -> list[EconE
             raise BarError(f"line {i}: unknown impact code {parts[2]!r}")
         ev = EconEvent(ts, kind, impact, parts[3].upper())
         if ev.impact != "HIGH" or ev.currency != "USD" or ev.kind not in QUALIFYING_KINDS:
-            continue
-        if rth_only and not (RTH.start <= ev.ts.time() < RTH.end):
             continue
         events.append(ev)
     return events

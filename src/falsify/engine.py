@@ -18,8 +18,7 @@ from . import signals as sig
 from .bars import (DayPrimitives, EconEvent, TradingDay, day_primitives, parse_bar_file,
                    parse_event_calendar, ASIA, LONDON, RTH)
 from .config import RunConfig
-from .execution import (ExitKind, ExitSpec, entry_order, event_arrays, fill_days,
-                        simulate)
+from .execution import ExitKind, ExitSpec, entry_order, fill_events, simulate
 from .features import (RegimeGMM, RollingSpec, Statistic, gmm_fit, kalman_velocity,
                        markov_transition_prob, ou_fit, regime_features, rolling_stat,
                        volume_zscore)
@@ -50,7 +49,7 @@ def load_bundle(config: RunConfig) -> DataBundle:
             setattr(bundle, key, parse_bar_file(path, sess))
     events_path = config.data_path("events")
     if events_path is not None:
-        bundle.events = parse_event_calendar(events_path, rth_only=True)
+        bundle.events = parse_event_calendar(events_path)
     return bundle
 
 
@@ -61,7 +60,9 @@ class FamilyDef:
     ``grid[0]`` names every tunable with its default and every other grid
     point has the same keys. ``emit(engine, day, params, state)`` returns
     one day's events; the optional ``fit(engine, session, train)`` builds
-    that state from training days only and never reads the params.
+    that state from training days only and never reads the params. The
+    optional ``check(params)`` raises ``ValueError`` on params the emitter
+    would reject, so that a bad override fails before any family runs.
     """
     name: str
     session: str
@@ -69,6 +70,7 @@ class FamilyDef:
     exit_grid: tuple[ExitSpec, ...]
     emit: Callable[..., list]
     fit: Optional[Callable[..., dict]] = None
+    check: Optional[Callable[[dict], Any]] = None
 
 
 def _h(n: int) -> ExitSpec:
@@ -161,6 +163,7 @@ def default_families() -> dict[str, FamilyDef]:
         ratio=e.per_day(sig.volume_ratio_series, day))
     vvg = lambda e, day, p, s: sig.vvg_strategy_signals(
         day, s["flags"].get(day.date, False), p["mode"], e.prims(day))
+    vvg_mode = lambda p: sig.check_vvg_mode(p["mode"])
     f = [
         FamilyDef("ORB_LONG", "rth", ({},), (_h(1), _h(15)), orb("ORB_LONG")),
         FamilyDef("ORB_SHORT", "rth", ({},), (_h(1), _h(15)), orb("ORB_SHORT")),
@@ -177,18 +180,20 @@ def default_families() -> dict[str, FamilyDef]:
                   grab("CONTINUATION")),
         FamilyDef("GAP_FILL_FADE", "rth",
                   tuple({"entry_time": t, "min_gap": 5.0}
-                        for t in ("09:30", "09:45", "10:00")), (_h(78),), _emit_gap_fill),
+                        for t in ("09:30", "09:45", "10:00")), (_h(78),), _emit_gap_fill,
+                  check=lambda p: sig.entry_time_bar(RTH, _parse_clock(p["entry_time"]))),
         FamilyDef("GAP_CONT_SHORT", "rth", ({"kalman_threshold": 2.5, "min_gap": 0.0},),
                   (_h(78),), _emit_gap_cont),
         FamilyDef("VOL_SPIKE", "rth", ({},), (_h(1),), vol("SPIKE"), _fit_volume_cutoffs),
         FamilyDef("VOL_DRYUP", "rth", ({},), (_h(1),), vol("DRYUP"), _fit_volume_cutoffs),
         FamilyDef("VVG_REVERSAL", "rth", ({"mode": "REVERSAL"}, {"mode": "CLOSE_FADE"}),
-                  (_h(6), _h(13)), vvg, _fit_vvg_flags),
+                  (_h(6), _h(13)), vvg, _fit_vvg_flags, vvg_mode),
         FamilyDef("VVG_CONTINUATION", "rth", ({"mode": "CONTINUATION"},), (_h(6), _h(13)),
-                  vvg, _fit_vvg_flags),
+                  vvg, _fit_vvg_flags, vvg_mode),
         FamilyDef("EVENT_DRIFT", "rth", ({"start_bar_offset": 6},), (_h(6),),
                   lambda e, day, p, s: sig.event_drift_signals(
-                      day, e.rth_events.get(day.date, ()), **p)),
+                      day, e.rth_events.get(day.date, ()), **p),
+                  check=lambda p: sig.check_drift_offset(p["start_bar_offset"])),
         FamilyDef("OU_REVERSION", "rth",
                   tuple({"threshold": t} for t in (1.5, 2.0, 2.5)), (_h(1), _h(6)),
                   lambda e, day, p, s: sig.ou_reversion_signals(day, s["fit"], **p), _fit_ou),
@@ -235,6 +240,12 @@ class Engine:
                 raise EngineError(f"unknown {name} parameters: {undeclared}")
             for key, value in overrides.items():
                 _check_override(name, key, defaults[key], value)
+            check = self.families[name].check
+            try:
+                for params in self.family_grid(name)[0] if check else ():
+                    check(params)
+            except ValueError as exc:
+                raise EngineError(f"{name} parameters {overrides}: {exc}") from None
         self._memo: dict = {}
         self._state: dict = {}
         self._kalman_v: Optional[dict[date, float]] = None
@@ -353,8 +364,8 @@ class Engine:
 
     def runner(self, family: str):
         """``run(train, eval_days, params, exit)`` for ``walk_forward``: each (fit-state key,
-        params, day) is emitted once into a cache the runner owns; one ``fill_days``
-        call gives the net points, and ``simulate`` builds records when asked."""
+        params, day) is emitted once into a cache the runner owns; one ``fill_events``
+        call gives the net points, and one ``simulate`` call builds records when asked."""
         fd = self.family_def(family)
         cache: dict[tuple, list[sig.SignalEvent]] = {}
 
@@ -365,13 +376,11 @@ class Engine:
             for d in eval_days:
                 if (key, d.date) not in cache:
                     cache[key, d.date] = entry_order(self.day_signals(family, d, params, state))
-            per_day = [(d, cache[key, d.date]) for d in eval_days if cache[key, d.date]]
-            bar, sign, level = event_arrays([e for _, evs in per_day for e in evs], exit_spec)
             fr, ins = self.config.friction, self.config.instrument
-            f = fill_days([d for d, _ in per_day], np.repeat(np.arange(len(per_day)), [
-                len(evs) for _, evs in per_day]), bar, sign, exit_spec, fr, ins, level)
-            return RunnerTrades(f.net_ticks[f.reason >= 0] * ins.tick_size, lambda: [
-                t for d, evs in per_day for t in simulate(evs, d, exit_spec, fr, ins).trades])
+            events, f = fill_events([(d, cache[key, d.date]) for d in eval_days], exit_spec,
+                                    fr, ins)
+            return RunnerTrades(f.net_ticks[f.reason >= 0] * ins.tick_size, lambda: list(
+                simulate(events, eval_days, exit_spec, fr, ins).trades) if events else [])
         return run
 
     def family_grid(self, family: str) -> tuple[tuple[dict, ...], tuple[ExitSpec, ...]]:

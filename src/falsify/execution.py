@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date, time
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -126,7 +126,8 @@ _REJECTIONS = {-1: "signal on last bar: cannot enter", -2: "limit never filled"}
 
 class Fills(NamedTuple):
     """Per event, in event order: ``reason`` indexes ``_REASONS`` (a trade) or
-    ``_REJECTIONS`` (the other fields mean nothing); entry and exit are columns."""
+    ``_REJECTIONS`` (the other fields mean nothing); entry and exit are bars of
+    the event's own day."""
     reason: np.ndarray
     entry: np.ndarray
     exit: np.ndarray
@@ -137,23 +138,8 @@ class Fills(NamedTuple):
 
 
 def entry_order(events: Sequence[SignalEvent]) -> list[SignalEvent]:
-    """Events in the order ``simulate`` resolves and reports them."""
+    """One day's events in the order ``simulate`` resolves and reports them."""
     return sorted(events, key=lambda e: (e.bar_index, e.direction))
-
-
-def event_arrays(events: Sequence[SignalEvent], exit: ExitSpec) -> tuple:
-    """``fill``'s bar, sign and (for a limit exit, NaN where none) level of each event."""
-    level = None if exit.kind is not ExitKind.PULLBACK_LIMIT else np.array(
-        [e.limit_level for e in events], dtype=float)  # None becomes NaN
-    return (np.array([e.bar_index for e in events], dtype=np.int64),
-            np.array([1 if e.direction == LONG else -1 for e in events], dtype=np.int64), level)
-
-
-def clock_bar(day: TradingDay, clock: time) -> int:
-    """Index of the day's bar opening at ``clock``, or -1 if it has none."""
-    us = ((clock.hour * 60 + clock.minute) * 60 + clock.second) * 1_000_000 + clock.microsecond
-    at = day.ts.view(np.int64) % 86_400_000_000 == us
-    return int(at.argmax()) if at.any() else -1
 
 
 def _first_touch(ohlc, col, span, sign, level, width: int) -> np.ndarray:
@@ -171,27 +157,35 @@ def _first_touch(ohlc, col, span, sign, level, width: int) -> np.ndarray:
     return first
 
 
-def fill(ohlc: np.ndarray, start, length, bar, sign, exit: ExitSpec,
-         friction: FrictionModel = FrictionModel(), instrument: Instrument = MNQ,
-         level: Optional[np.ndarray] = None, clock=None) -> Fills:
+def fill_days(days: Sequence[TradingDay], day, bar, sign, exit: ExitSpec,
+              friction: FrictionModel = FrictionModel(), instrument: Instrument = MNQ,
+              level: Optional[np.ndarray] = None) -> Fills:
     """The execution kernel: resolve every event's entry and exit at once.
 
-    ``ohlc`` holds whole days end to end (4 x N). Per event (scalars broadcast),
-    ``start`` and ``length`` locate its day, ``bar`` is the signal bar, ``sign`` +1
-    long or -1 short, ``level`` a limit level (NaN: the exit's offset) and
-    ``clock`` the day's ``clock_bar``. Ticks round half-to-even, as ``to_ticks``."""
+    ``days`` are laid end to end. Per event, ``day`` is its index in ``days``,
+    ``bar`` the signal bar, ``sign`` +1 long or -1 short and ``level`` a limit
+    level (NaN: the exit's offset). Ticks round half-to-even, as ``to_ticks``."""
+    ohlc = np.concatenate([d.ohlc for d in days] or [np.empty((4, 0))], axis=1)
     o, c = ohlc[0], ohlc[3]
+    length = np.array([len(d.ts) for d in days], dtype=np.int64)
+    day = np.asarray(day, dtype=np.int64)
+    start = (np.cumsum(length) - length)[day]  # columns of the events' days' first bars
+    last = start + length[day] - 1  # and of their last bars
     sign = np.asarray(sign, dtype=np.int64)
     first = np.asarray(bar, dtype=np.int64) + start  # columns of the signal bars
-    last = start + length - 1  # and of their days' last bars
     entry, end = first + 1, first + exit.horizon  # an entry past last is rejected below
     exit_col = np.minimum(end, last)
     reason = (end > last).astype(np.int8)  # _HORIZON or _SESSION_END
     entry_px, exit_px = o.take(entry, mode="clip"), c[exit_col]
     if exit.kind is ExitKind.CLOCK:
-        at = start + clock > first
-        exit_col = np.where(at, start + clock, last)
-        exit_px = np.where(at, o[start + clock], c[last])
+        # each day's bar opening at the clock time, -1 if it has none
+        t = exit.clock
+        us = ((t.hour * 60 + t.minute) * 60 + t.second) * 1_000_000 + t.microsecond
+        hits = [np.flatnonzero(d.ts.view(np.int64) % 86_400_000_000 == us) for d in days]
+        clock = start + np.array([h[0] if len(h) else -1 for h in hits], dtype=np.int64)[day]
+        at = clock > first
+        exit_col = np.where(at, clock, last)
+        exit_px = np.where(at, o[clock], c[last])
         reason = np.where(at, _CLOCK, _SESSION_END).astype(np.int8)
     elif exit.kind is ExitKind.STOP_HORIZON:
         # same-bar ambiguity is pessimistic: a stop touched on a bar is hit
@@ -216,37 +210,46 @@ def fill(ohlc: np.ndarray, start, length, bar, sign, exit: ExitSpec,
     entry_t, exit_t = np.rint(np.array((entry_px, exit_px)) / instrument.tick_size
                               ).astype(np.int64)
     gross = sign * (exit_t - entry_t)
-    return Fills(reason, entry, exit_col, entry_t, exit_t, gross,
+    return Fills(reason, entry - start, exit_col - start, entry_t, exit_t, gross,
                  gross - instrument.to_ticks(friction.round_trip))
 
 
-def fill_days(days: Sequence[TradingDay], day, bar, sign, exit: ExitSpec,
-              friction: FrictionModel = FrictionModel(), instrument: Instrument = MNQ,
-              level: Optional[np.ndarray] = None) -> Fills:
-    """``fill`` over ``days`` laid end to end; ``day`` is each event's index in ``days``."""
-    length = np.array([len(d.ts) for d in days], dtype=np.int64)
-    clock = None if exit.kind is not ExitKind.CLOCK else np.array(
-        [clock_bar(d, exit.clock) for d in days], dtype=np.int64)[day]
-    return fill(np.concatenate([d.ohlc for d in days] or [np.empty((4, 0))], axis=1),
-                (np.cumsum(length) - length)[day], length[day], bar, sign, exit, friction,
-                instrument, level, clock)
+def fill_events(per_day: Iterable[tuple[TradingDay, Sequence[SignalEvent]]], exit: ExitSpec,
+                friction: FrictionModel = FrictionModel(), instrument: Instrument = MNQ
+                ) -> tuple[list[SignalEvent], Fills]:
+    """Each (day, events) pair's events, in the order given, and their one ``fill_days``
+    call; days without events stay out of the kernel's arrays."""
+    per_day = [(d, evs) for d, evs in per_day if evs]
+    events = [e for _, evs in per_day for e in evs]
+    level = None if exit.kind is not ExitKind.PULLBACK_LIMIT else np.array(
+        [e.limit_level for e in events], dtype=float)  # None becomes NaN
+    return events, fill_days(
+        [d for d, _ in per_day],
+        np.repeat(np.arange(len(per_day)), [len(evs) for _, evs in per_day]),
+        [e.bar_index for e in events], [1 if e.direction == LONG else -1 for e in events],
+        exit, friction, instrument, level)
 
 
-def simulate(events: Sequence[SignalEvent], day: TradingDay, exit: ExitSpec,
+def simulate(events: Sequence[SignalEvent], days: Sequence[TradingDay], exit: ExitSpec,
              friction: FrictionModel = FrictionModel(),
              instrument: Instrument = MNQ) -> SimResult:
-    """Fill each event at the next bar open and resolve its exit, with ``fill``.
+    """Fill each event at the next bar open and resolve its exit, with one
+    ``fill_days`` call over ``days``, the days the events fall on. Results come
+    in day order, then ``entry_order``.
 
     Same-bar stop ambiguity is resolved pessimistically (stop assumed hit
     before any favorable move). Trades still open at session end exit at
     the last bar's close. A PULLBACK_LIMIT enters at the event's
     ``limit_level``, or else at the exit's offset from the signal close.
     """
-    events = entry_order(events)
-    bar, sign, level = event_arrays(events, exit)
-    clock = clock_bar(day, exit.clock) if exit.kind is ExitKind.CLOCK else None
-    f = fill(day.ohlc, 0, len(day.ts), bar, sign, exit, friction, instrument, level, clock)
-    rows = list(zip(events, *(a.tolist() for a in f)))  # one day: columns are bars
+    index = {d.date: i for i, d in enumerate(days)}
+    by_day: list[list[SignalEvent]] = [[] for _ in days]
+    for e in events:
+        if e.day not in index:
+            raise ExecutionError(f"event on {e.day} falls on none of the days given")
+        by_day[index[e.day]].append(e)
+    events, f = fill_events(zip(days, map(entry_order, by_day)), exit, friction, instrument)
+    rows = list(zip(events, *(a.tolist() for a in f)))
     to_points, tick = instrument.to_points, instrument.tick_size
     return SimResult(
         tuple(TradeRecord(ev.family, ev.day, ev.direction, eb, xb, to_points(et), to_points(xt),

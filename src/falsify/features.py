@@ -46,21 +46,6 @@ def _prior_mean(x: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def _prior_std(x: np.ndarray, window: int) -> np.ndarray:
-    """Population std of x[i-window:i]; NaN during warm-up."""
-    n = len(x)
-    out = np.full(n, np.nan)
-    if n < window + 1:
-        return out
-    csum = np.concatenate(([0.0], np.cumsum(x)))
-    csum2 = np.concatenate(([0.0], np.cumsum(x * x)))
-    m = (csum[window:-1] - csum[:-window - 1]) / window
-    m2 = (csum2[window:-1] - csum2[:-window - 1]) / window
-    var = np.maximum(m2 - m * m, 0.0)
-    out[window:] = np.sqrt(var)
-    return out
-
-
 def true_ranges(ohlc: np.ndarray) -> np.ndarray:
     """True range per bar of a 4 x n price array; first bar falls back to high-low."""
     _, h, lo, c = ohlc
@@ -89,7 +74,7 @@ def volume_zscore(volume: np.ndarray, window: int) -> np.ndarray:
         raise FeatureError("window must be >= 2")
     v = np.asarray(volume, dtype=float)
     m = _prior_mean(v, window)
-    s = _prior_std(v, window)
+    s = np.sqrt(np.maximum(_prior_mean(v * v, window) - m * m, 0.0))  # population std
     with np.errstate(invalid="ignore", divide="ignore"):
         z = (v - m) / s
     z[~np.isfinite(z)] = np.nan

@@ -153,17 +153,16 @@ def liquidity_grab_signals(day: TradingDay, lookback: Optional[int] = None,
     return events
 
 
-def _entry_time_bar(day: TradingDay, entry_time: time) -> int:
+def entry_time_bar(sess: SessionSpec, entry_time: time) -> int:
     """Signal bar for a wall-clock entry: the bar closing at entry_time.
 
     A session-open entry maps to bar 0 (signal at its close, fill at the
     next bar open, the earliest fill the execution contract allows).
     """
-    sess = day.session
     if entry_time == sess.start:
         return 0
-    anchor = datetime.combine(day.date, sess.start)
-    target = datetime.combine(day.date, entry_time)
+    anchor = datetime.combine(date.min, sess.start)
+    target = datetime.combine(date.min, entry_time)
     if sess.wraps_midnight and entry_time < sess.start:
         target += timedelta(days=1)
     minutes = (target - anchor).total_seconds() / 60
@@ -185,7 +184,7 @@ def gap_signals(day: TradingDay, prims: DayPrimitives, variant: str,
     last = _last_entryable(day)
 
     if variant == "FILL_FADE":
-        idx = _entry_time_bar(day, entry_time)
+        idx = entry_time_bar(day.session, entry_time)
         if gap == 0 or abs(gap) < min_gap or idx > last:
             return []
         return [SignalEvent("GAP_FILL_FADE", day.date, idx, SHORT if gap > 0 else LONG)]
@@ -279,18 +278,22 @@ def vvg_classify(metrics: np.ndarray, boundaries: VvgBoundaries) -> np.ndarray:
     return np.all(ok & np.isfinite(metrics), axis=1)
 
 
+def check_vvg_mode(mode: str) -> None:
+    if mode not in ("REVERSAL", "CONTINUATION", "CLOSE_FADE"):
+        raise SignalError(f"unknown VVG mode {mode!r}")
+
+
 def vvg_strategy_signals(day: TradingDay, flagged: bool, mode: str,
                          prims: DayPrimitives) -> list[SignalEvent]:
     """Directional strategies on VVG classifier-positive days."""
-    if mode not in ("REVERSAL", "CONTINUATION", "CLOSE_FADE"):
-        raise SignalError(f"unknown VVG mode {mode!r}")
+    check_vvg_mode(mode)
     if not flagged:
         return []
     last = _last_entryable(day)
     family = "VVG_CONTINUATION" if mode == "CONTINUATION" else "VVG_REVERSAL"
 
     if mode == "CLOSE_FADE":
-        idx = _entry_time_bar(day, time(15, 30)) if day.session.name == "RTH" else None
+        idx = entry_time_bar(day.session, time(15, 30)) if day.session.name == "RTH" else None
         if idx is None or idx > last:
             return []
         move = day.ohlc[3, idx] - day.ohlc[0, 0]
@@ -316,16 +319,21 @@ def events_by_day(events: Sequence[EconEvent], session: SessionSpec) -> dict[dat
     return out
 
 
+def check_drift_offset(start_bar_offset: int) -> None:
+    """The offset floor of 6 guards against contaminating the drift
+    measurement with the release spike itself (bars 1-5)."""
+    if start_bar_offset < 6:
+        raise SignalError("start_bar_offset must be >= 6 (release spike contamination)")
+
+
 def event_drift_signals(day: TradingDay, events: Sequence[EconEvent],
                         start_bar_offset: int = 6) -> list[SignalEvent]:
     """Post-release drift measured only from bar +offset, never the spike bars.
 
-    The offset floor of 6 guards against contaminating the measurement
-    with the release spike itself (bars 1-5). ``events`` may be the whole
-    calendar: only those ``events_by_day`` puts on this day count.
+    ``events`` may be the whole calendar: only those ``events_by_day`` puts
+    on this day count.
     """
-    if start_bar_offset < 6:
-        raise SignalError("start_bar_offset must be >= 6 (release spike contamination)")
+    check_drift_offset(start_bar_offset)
     closes = day.ohlc[3]
     sess = day.session
     last = _last_entryable(day)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rows
 from rows import day_from_bars
 from falsify.bars import ASIA, LONDON, RTH, Bar, TradingDay, serialize_days
 from falsify.cli import main as cli_main
@@ -62,14 +63,14 @@ def test_friction_gross_to_net_pairs_exact():
     for gross, net in pairs:
         closes = [100.0] * 78
         closes[11] = 100.0 + gross
-        grid = RTH.grid(date(2022, 1, 3))
+        grid = rows.grid(RTH, date(2022, 1, 3))
         bars, prev = [], closes[0]
         for ts, c in zip(grid, closes):
             bars.append(Bar(ts, prev, max(prev, c), min(prev, c), c, 100))
             prev = c
         day = day_from_bars(date(2022, 1, 3), RTH, bars, None, True)
         ev = SignalEvent("ORB_LONG", day.date, 10, LONG)
-        t = simulate([ev], day, ExitSpec(ExitKind.HORIZON, horizon=1),
+        t = simulate([ev], [day], ExitSpec(ExitKind.HORIZON, horizon=1),
                      instrument=cent).trades[0]
         assert t.gross == pytest.approx(gross, abs=1e-9)
         assert t.net == pytest.approx(net, abs=1e-9)
@@ -215,7 +216,7 @@ def test_no_lookahead_randomized_trials():
         # entry prices for fills at or before the cut must be untouched
         enterable = [e for e in before if e.bar_index + 1 <= cut]
         if enterable:
-            res = simulate(enterable, mutated, ExitSpec(ExitKind.HORIZON, horizon=1))
+            res = simulate(enterable, [mutated], ExitSpec(ExitKind.HORIZON, horizon=1))
             for t in res.trades:
                 if t.entry_price != day.bars[t.entry_bar].open:
                     violations += 1
@@ -329,7 +330,7 @@ def test_permutation_correctness():
             di = int(rng.integers(0, len(pool)))
             bi = int(rng.integers(0, 77))
             ev = SignalEvent("ORB_LONG", pool[di].date, bi, LONG)
-            trades.extend(simulate([ev], by_date[ev.day], exit).trades)
+            trades.extend(simulate([ev], [by_date[ev.day]], exit).trades)
         p = permutation_test(trades[:30], pool, exit, iterations=99, seed=rep)
         ps.append(p)
     ps = np.sort(ps)

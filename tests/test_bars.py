@@ -16,6 +16,7 @@ from rows import day_from_bars
 from falsify.bars import (ASIA, BAR_HEADER, LONDON, RTH, TS_FORMAT, Bar, BarError, EventKind,
                           SessionSpec, TradingDay, day_primitives, group_days, link_rth,
                           parse_bar_file, parse_event_calendar, serialize_days)
+from falsify.signals import events_by_day
 
 
 def make_day(d: date, session=RTH, base: float = 100.0, volume: int = 500,
@@ -587,17 +588,18 @@ def write_calendar(tmp_path, rows) -> Path:
     return p
 
 
-def test_premarket_nfp_excluded_with_rth_only(tmp_path):
+def test_premarket_nfp_excluded_from_rth_days(tmp_path):
     p = write_calendar(tmp_path, ["2022-06-03T08:30,NFP,HIGH,USD"])
-    assert parse_event_calendar(p, rth_only=True) == []
-    assert len(parse_event_calendar(p, rth_only=False)) == 1
+    events = parse_event_calendar(p)
+    assert len(events) == 1  # the parser keeps a qualifying release at any time
+    assert events_by_day(events, RTH) == {}
 
 
-def test_fomc_1400_kept_with_rth_only(tmp_path):
+def test_fomc_1400_kept_on_its_rth_day(tmp_path):
     p = write_calendar(tmp_path, ["2022-06-15T14:00,FOMC,HIGH,USD"])
-    events = parse_event_calendar(p, rth_only=True)
-    assert len(events) == 1
-    assert events[0].kind == EventKind.FOMC
+    by_day = events_by_day(parse_event_calendar(p), RTH)
+    assert list(by_day) == [date(2022, 6, 15)]
+    assert [e.kind for e in by_day[date(2022, 6, 15)]] == [EventKind.FOMC]
 
 
 def test_non_usd_and_low_impact_filtered(tmp_path):

@@ -167,6 +167,26 @@ def test_run_override_of_the_wrong_type_exits_two(tmp_path):
     assert "config error: ORB_PULLBACK parameter pullback_offset must be a number" in res.output
 
 
+@pytest.mark.parametrize("family,key,value,error", [
+    ("VVG_REVERSAL", "mode", "FOO", "unknown VVG mode 'FOO'"),
+    ("GAP_FILL_FADE", "entry_time", "'25:00'", "hour must be in 0..23"),
+    ("GAP_FILL_FADE", "entry_time", "'09:32'", "entry time 09:32:00 outside RTH session grid"),
+    ("EVENT_DRIFT", "start_bar_offset", "3", "start_bar_offset must be >= 6"),
+])
+def test_run_override_of_a_bad_value_exits_two_and_writes_nothing(tmp_path, family, key, value,
+                                                                  error):
+    # the emitter rejects each value too, but only after the families run before
+    # it have written their reports
+    bars = write_days(tmp_path, gen_null_days(SynthSpec(265, seed=1)))
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"data:\n  rth: {bars}\nfamilies:\n  {family}:\n    {key}: {value}\n",
+                   encoding="utf-8")
+    res = run_cli("run", "--config", cfg, "--out", tmp_path / "runs")
+    assert res.exit_code == 2, res.output
+    assert f"config error: {family} parameters" in res.output and error in res.output
+    assert not (tmp_path / "runs").exists()
+
+
 def test_report_params_are_the_last_fold_choice(tmp_path):
     days = gen_null_days(SynthSpec(290, seed=1, gap_sigma=15.0))
     bars = write_days(tmp_path, days)

@@ -164,7 +164,7 @@ def test_runner_nets_follow_the_trade_order_of_simulate():
     eng.families["ORB_LONG"] = dataclasses.replace(eng.families["ORB_LONG"], emit=emit)
     exit = ExitSpec(ExitKind.HORIZON, horizon=3)
     got = eng.runner("ORB_LONG")(days[:30], days[:30], {}, exit)
-    want = [t for d in days[:30] for t in simulate(emit(eng, d, {}, {}), d, exit).trades]
+    want = [t for d in days[:30] for t in simulate(emit(eng, d, {}, {}), [d], exit).trades]
     assert got.net.tolist() == [t.net for t in want] and got.records() == want
 
 
@@ -359,26 +359,34 @@ def three_year_bundle() -> DataBundle:
 
 def test_each_fit_state_and_day_is_emitted_once_and_only_test_days_simulated(monkeypatch):
     eng = Engine(three_year_bundle(), config_from_dict({}))
-    emitted, simulated = Counter(), Counter()
+    emitted, simulated = Counter(), []
     real_emit, real_simulate = Engine.day_signals, engine_mod.simulate
 
     def emit(self, family, day, params, state):
         emitted[family, id(state), repr(sorted(params.items())), day.date] += 1
         return real_emit(self, family, day, params, state)
 
-    def simulate(events, day, *a):
-        simulated[day.year] += 1
-        return real_simulate(events, day, *a)
+    def simulate(events, days, *a):
+        simulated.append((family, [d.date for d in days], len(events)))
+        return real_simulate(events, days, *a)
     monkeypatch.setattr(Engine, "day_signals", emit)
     monkeypatch.setattr(engine_mod, "simulate", simulate)
     for family in sorted(default_families()):
         result, _, _ = eng.run_family(family, permutation=False)
         assert [f.test_year for f in result.plan.folds] == [2022, 2023]
+        days = eng.complete_days(default_families()[family].session)
+        calls = [(dates, n) for fam, dates, n in simulated if fam == family]
+        years = [dates[0].year for dates, _ in calls]
+        # one simulate call per fold with test-year events, over that year's days only
+        assert len(set(years)) == len(years) and all(n > 0 for _, n in calls), family
+        assert [dates for dates, _ in calls] == [
+            [d.date for d in days if d.year == y] for y in years], family
+        assert {t.year for t in result.oos_trades} <= set(years), family
     # every state a family emitted under is one of the engine's fitted states
     states = {id(s) for s in eng._state.values()}
     assert {key[1] for key in emitted} <= states
     assert emitted and max(emitted.values()) == 1
-    assert simulated.keys() == {2022, 2023}
+    assert {dates[0].year for _, dates, _ in simulated} == {2022, 2023}
 
 
 def old_runner(eng, family):
@@ -395,7 +403,7 @@ def old_runner(eng, family):
             if (skey, day.date) not in signals:
                 signals[skey, day.date] = eng.day_signals(family, day, params, state)
             if signals[skey, day.date]:
-                trades.extend(engine_mod.simulate(signals[skey, day.date], day, exit_spec,
+                trades.extend(engine_mod.simulate(signals[skey, day.date], [day], exit_spec,
                                                   eng.config.friction,
                                                   eng.config.instrument).trades)
         return trades
@@ -507,7 +515,7 @@ def test_every_declared_tunable_moves_the_trades():
 
         def trades(params):
             per_day = [(d, eng.day_signals(name, d, params, state)) for d in days]
-            return [[t for d, evs in per_day for t in simulate(evs, d, ex).trades]
+            return [[t for d, evs in per_day for t in simulate(evs, [d], ex).trades]
                     for ex in fd.exit_grid]
         base = trades(fd.grid[0])
         for key, value in fd.grid[0].items():

@@ -39,7 +39,7 @@ def ev(bar_index, direction=LONG, family="ORB_LONG"):
 
 
 def one_trade(closes, event, exit, instrument=MNQ, **day_kwargs):
-    res = simulate([event], day_from_closes(closes, **day_kwargs), exit,
+    res = simulate([event], [day_from_closes(closes, **day_kwargs)], exit,
                    FrictionModel(), instrument)
     assert len(res.trades) == 1, res.rejections
     return res.trades[0]
@@ -101,7 +101,7 @@ def test_session_end_clipping():
 
 def test_signal_on_last_bar_rejected():
     closes = [100.0] * 78
-    res = simulate([ev(77)], day_from_closes(closes),
+    res = simulate([ev(77)], [day_from_closes(closes)],
                    ExitSpec(ExitKind.HORIZON, horizon=1))
     assert res.trades == ()
     assert len(res.rejections) == 1
@@ -152,7 +152,7 @@ def test_conservative_stop_dominates_favorable_oracle():
         day = day_from_closes(closes, highs=highs, lows=lows)
         spec = ExitSpec(ExitKind.STOP_HORIZON, horizon=10, stop=10.0)
         event = ev(int(rng.integers(0, 60)))
-        res = simulate([event], day, spec, FrictionModel(), CENT)
+        res = simulate([event], [day], spec, FrictionModel(), CENT)
         if not res.trades:
             continue
         t = res.trades[0]
@@ -217,7 +217,7 @@ def test_limit_gap_through_fills_at_better_open():
 
 def test_limit_never_touched_is_rejection_not_trade():
     closes = [100.0] * 78
-    res = simulate([limit_ev(10, 95.0)], day_from_closes(closes),
+    res = simulate([limit_ev(10, 95.0)], [day_from_closes(closes)],
                    ExitSpec(ExitKind.PULLBACK_LIMIT, horizon=13))
     assert res.trades == ()
     assert len(res.rejections) == 1
@@ -230,7 +230,7 @@ def test_friction_linearity_exact():
     closes = list((100 + np.cumsum(rng.normal(0, 2, 78))).round(2))
     day = day_from_closes(closes)
     events = [ev(int(i), LONG if i % 2 else SHORT) for i in range(5, 70, 7)]
-    res = simulate(events, day, ExitSpec(ExitKind.HORIZON, horizon=3),
+    res = simulate(events, [day], ExitSpec(ExitKind.HORIZON, horizon=3),
                    FrictionModel(), CENT)
     total_gross = sum(t.gross_ticks for t in res.trades)
     total_net = sum(t.net_ticks for t in res.trades)
@@ -250,7 +250,7 @@ def test_entry_price_independent_of_signal_bar():
     bars[11] = Bar(bars[11].ts, 100.0, max(100.0, bars[11].high), min(100.0, bars[11].low),
                    bars[11].close, bars[11].volume)
     day = day_from_bars(day.date, day.session, bars, None, True)
-    res = simulate([ev(10)], day, ExitSpec(ExitKind.HORIZON, horizon=3))
+    res = simulate([ev(10)], [day], ExitSpec(ExitKind.HORIZON, horizon=3))
     assert res.trades[0].entry_price == base.entry_price
 
 
@@ -274,7 +274,7 @@ def test_exit_never_precedes_entry():
         for spec in (ExitSpec(ExitKind.HORIZON, horizon=1),
                      ExitSpec(ExitKind.STOP_HORIZON, horizon=8, stop=5.0),
                      ExitSpec(ExitKind.CLOCK, clock=time(14, 0))):
-            for t in simulate(events, day, spec, FrictionModel(), CENT).trades:
+            for t in simulate(events, [day], spec, FrictionModel(), CENT).trades:
                 assert t.exit_bar >= t.entry_bar
 
 
@@ -486,15 +486,19 @@ def sim_case(draw):
           FrictionModel(), MNQ))
 def test_simulate_matches_the_per_event_loop(case):
     days, events, exit, friction, instrument = case
-    nets = []
-    for day, evs in zip(days, events):
-        got = simulate(evs, day, exit, friction, instrument)
-        want = old_simulate(evs, day, exit, friction, instrument)
-        assert [typed(t) for t in got.trades] == [typed(t) for t in want.trades]
-        assert got.rejections == want.rejections
+    want = [old_simulate(evs, day, exit, friction, instrument) for day, evs in zip(days, events)]
+    for day, evs, w in zip(days, events, want):
+        got = simulate(evs, [day], exit, friction, instrument)
+        assert [typed(t) for t in got.trades] == [typed(t) for t in w.trades]
+        assert got.rejections == w.rejections
         assert all(type(r.reason) is str for r in got.rejections)
-        nets += [t.net_ticks for t in want.trades]
-    # the batched form over all days at once, as the walk-forward runner calls it
+    trades = [t for w in want for t in w.trades]
+    # every day in one call, as walk-forward builds a test year's records: the
+    # results come in day order whatever order the events are given in
+    got = simulate([e for evs in events[::-1] for e in evs], days, exit, friction, instrument)
+    assert [typed(t) for t in got.trades] == [typed(t) for t in trades]
+    assert got.rejections == tuple(r for w in want for r in w.rejections)
+    # the kernel's own form, as the permutation table calls it; bars are the day's
     order = [sorted(evs, key=lambda e: (e.bar_index, e.direction)) for evs in events]
     flat = [e for evs in order for e in evs]
     f = fill_days(days, np.repeat(np.arange(len(days)), [len(evs) for evs in order]),
@@ -502,7 +506,16 @@ def test_simulate_matches_the_per_event_loop(case):
                   exit, friction, instrument,
                   np.array([np.nan if e.limit_level is None else e.limit_level
                             for e in flat]))
-    assert f.net_ticks[f.reason >= 0].tolist() == nets
+    traded = f.reason >= 0
+    assert f.net_ticks[traded].tolist() == [t.net_ticks for t in trades]
+    assert f.entry[traded].tolist() == [t.entry_bar for t in trades]
+    assert f.exit[traded].tolist() == [t.exit_bar for t in trades]
+
+
+def test_simulate_rejects_an_event_off_its_days():
+    with pytest.raises(ExecutionError, match="2022-01-03"):
+        simulate([ev(10)], [day_from_closes([100.0] * 20, d=date(2022, 1, 4))],
+                 ExitSpec(ExitKind.HORIZON, horizon=1))
 
 
 def test_kernel_rounds_half_ticks_to_even_like_to_ticks():

@@ -124,7 +124,7 @@ def test_planted_drift_recovered_by_simulation():
     exit = ExitSpec(ExitKind.HORIZON, horizon=13)
     gross = []
     for ev in events:
-        res = simulate([ev], by_date[ev.day], exit)
+        res = simulate([ev], [by_date[ev.day]], exit)
         gross.extend(t.gross for t in res.trades)
     assert np.mean(gross) == pytest.approx(15.0, abs=1.5)
 

@@ -213,7 +213,7 @@ def test_single_grid_point_always_chosen():
         evs = [SignalEvent("ORB_LONG", d.date, 10, LONG) for d in eval_days]
         out = []
         for d, e in zip(eval_days, evs):
-            out.extend(simulate([e], d, exit_spec).trades)
+            out.extend(simulate([e], [d], exit_spec).trades)
         return out
 
     res = walk_forward(days, runner, [{"k": 1}], [exit])
@@ -298,7 +298,7 @@ def reference_permutation_p(trades, day_pool, exit, iterations, seed):
             ev = SignalEvent("PERM", day_pool[di].date, int(bi), t.direction)
             by_day.setdefault(int(di), []).append(ev)
         nets = [tr.net for di, evs in by_day.items()
-                for tr in simulate(evs, day_pool[di], exit).trades]
+                for tr in simulate(evs, [day_pool[di]], exit).trades]
         if nets and float(np.mean(nets)) >= observed:
             exceed += 1
     return (1 + exceed) / (iterations + 1)
@@ -342,7 +342,7 @@ def per_day_table_p(trades, day_pool, exit, iterations, seed, friction=FrictionM
         entries = range(len(day.bars) - 1)
         for j, direction in enumerate(dirs):
             evs = [SignalEvent("PERM", day.date, bi, direction) for bi in entries]
-            res = simulate(evs, day, exit, friction, instrument)
+            res = simulate(evs, [day], exit, friction, instrument)
             missed = {r.event.bar_index for r in res.rejections}
             filled = [row + bi for bi in entries if bi not in missed]
             table[filled, j] = [t.net for t in res.trades]
@@ -377,7 +377,7 @@ def test_permutation_matches_the_per_day_table_build(kind):
 def test_permutation_pullback_case_has_unfilled_placements():
     days = gen_null_days(SynthSpec(25, seed=6))
     evs = [SignalEvent("PERM", days[0].date, bi, LONG) for bi in range(77)]
-    res = simulate(evs, days[0], PERMUTATION_EXITS["pullback_limit"])
+    res = simulate(evs, days[:1], PERMUTATION_EXITS["pullback_limit"])
     assert res.rejections and res.trades
 
 
@@ -405,7 +405,7 @@ def test_permutation_null_trades_get_large_p():
     obs = []
     by_date = {d.date: d for d in days}
     for e in evs:
-        obs.extend(simulate([e], by_date[e.day], ExitSpec(ExitKind.HORIZON, horizon=5)).trades)
+        obs.extend(simulate([e], [by_date[e.day]], ExitSpec(ExitKind.HORIZON, horizon=5)).trades)
     p = permutation_test(obs, days, ExitSpec(ExitKind.HORIZON, horizon=5),
                          iterations=300, seed=1)
     assert p > 0.05
