@@ -126,7 +126,7 @@ def config_from_dict(raw: dict, seed_override: Optional[int] = None) -> RunConfi
     if not (number(tick) and tick > 0):
         raise ConfigError(f"tick_size must be a positive number, got {tick!r}")
     if not (number(friction) and friction >= 0
-            and math.isclose(friction / tick, round(friction / tick), abs_tol=1e-9)):
+            and not Instrument(tick_size=tick).off_grid(friction)):
         raise ConfigError(f"friction must be a non-negative whole number of {tick}-point "
                           f"ticks, got {friction!r}")
     n = merged["permutation"]["iterations"]

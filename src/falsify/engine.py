@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from datetime import date, time
+from datetime import date, datetime, time
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from . import signals as sig
-from .bars import (DayPrimitives, EconEvent, TradingDay, day_primitives, parse_bar_file,
-                   parse_event_calendar, ASIA, LONDON, RTH)
+from .bars import (BarError, DayPrimitives, EconEvent, TradingDay, day_primitives,
+                   parse_bar_file, parse_event_calendar, ASIA, LONDON, RTH)
 from .config import RunConfig
 from .execution import ExitKind, ExitSpec, entry_order, fill_events, simulate
 from .features import (RegimeGMM, RollingSpec, Statistic, gmm_fit, kalman_velocity,
@@ -46,7 +46,15 @@ def load_bundle(config: RunConfig) -> DataBundle:
     for key, sess in (("rth", RTH), ("asia", ASIA), ("london", LONDON)):
         path = config.data_path(key)
         if path is not None:
-            setattr(bundle, key, parse_bar_file(path, sess))
+            days = parse_bar_file(path, sess)
+            ohlc = np.concatenate([d.ohlc for d in days] or [np.empty((4, 0))], axis=1)
+            off = config.instrument.off_grid(ohlc)
+            if off.any():  # the kernel would round such a price to the grid
+                col = int(off.any(axis=0).argmax())
+                ts = np.concatenate([d.ts for d in days])[col].astype(datetime)
+                raise BarError(f"{path}: bar {ts}: price {ohlc[:, col][off[:, col]][0]} is "
+                               f"off the {config.instrument.tick_size}-point tick grid")
+            setattr(bundle, key, days)
     events_path = config.data_path("events")
     if events_path is not None:
         bundle.events = parse_event_calendar(events_path)
@@ -58,8 +66,9 @@ class FamilyDef:
     """One signal family, declared once.
 
     ``grid[0]`` names every tunable with its default and every other grid
-    point has the same keys. ``emit(engine, day, params, state)`` returns
-    one day's events; the optional ``fit(engine, session, train)`` builds
+    point has the same keys. ``emit(engine, day, params, state)`` returns one
+    day's entries (see ``signals``), which ``Engine.day_signals`` names after
+    the family; the optional ``fit(engine, session, train)`` builds
     that state from training days only and never reads the params. The
     optional ``check(params)`` raises ``ValueError`` on params the emitter
     would reject, so that a bad override fails before any family runs.
@@ -125,18 +134,9 @@ def _regime_inputs(days: Sequence[TradingDay]) -> tuple[np.ndarray, np.ndarray, 
             rolling_stat(ohlc, volume, RollingSpec(20, Statistic.ATR)))
 
 
-def _emit_gap_fill(eng: Engine, day: TradingDay, p: dict, state: dict) -> list:
-    prims = eng.prims(day)
-    if prims.overnight_gap is None:
-        return []
-    return sig.gap_signals(day, prims, "FILL_FADE", entry_time=_parse_clock(p["entry_time"]),
-                           min_gap=p["min_gap"])
-
-
 def _emit_gap_cont(eng: Engine, day: TradingDay, p: dict, state: dict) -> list:
-    prims = eng.prims(day)
-    v = None if prims.overnight_gap is None else eng.overnight_velocity().get(day.date)
-    return [] if v is None else sig.gap_signals(day, prims, "CONT_SHORT", kalman_v=v, **p)
+    v = eng.overnight_velocity().get(day.date)
+    return [] if v is None else sig.gap_cont_signals(day, eng.prims(day), v, **p)
 
 
 def _emit_confluence(eng: Engine, day: TradingDay, p: dict, state: dict) -> list:
@@ -152,44 +152,54 @@ def _emit_london_b(eng: Engine, day: TradingDay, p: dict, state: dict) -> list:
     return [] if s is None else sig.london_b_signals(day, s["labels"])
 
 
+def _check_mode(p: dict, modes: dict) -> None:
+    if p["mode"] not in modes:
+        raise ValueError(f"mode must be one of {sorted(modes)}, got {p['mode']!r}")
+
+
 def default_families() -> dict[str, FamilyDef]:
     """Every family's declaration; grids are data, not code. Tunables named
     like the signal function's keywords are passed on as ``**p``."""
-    orb = lambda fam: lambda e, day, p, s: [
-        ev for ev in sig.orb_signals(day, e.prims(day), "IMMEDIATE") if ev.family == fam]
-    grab = lambda mode: lambda e, day, p, s: sig.liquidity_grab_signals(day, mode=mode, **p)
-    vol = lambda kind: lambda e, day, p, s: sig.volume_signature_signals(
-        day, kind, s["spike_cutoff"], s["dryup_cutoff"],
+    orb = lambda direction: lambda e, day, p, s: sig.orb_signals(day, e.prims(day), direction)
+    grab = lambda fade: lambda e, day, p, s: sig.liquidity_grab_signals(day, fade=fade, **p)
+    vol = lambda spike: lambda e, day, p, s: sig.volume_signature_signals(
+        day, spike, s["spike_cutoff" if spike else "dryup_cutoff"],
         ratio=e.per_day(sig.volume_ratio_series, day))
-    vvg = lambda e, day, p, s: sig.vvg_strategy_signals(
-        day, s["flags"].get(day.date, False), p["mode"], e.prims(day))
-    vvg_mode = lambda p: sig.check_vvg_mode(p["mode"])
+    # the VVG strategies trade only the days the classifier flags
+    vvg = lambda emit: lambda e, day, p, s: emit(e, day, p) if s["flags"].get(day.date) else []
+    vvg_reversal = {
+        "REVERSAL": lambda e, day: sig.vvg_open_signals(day, e.prims(day), follow=False),
+        "CLOSE_FADE": lambda e, day: sig.vvg_close_fade_signals(day)}
     f = [
-        FamilyDef("ORB_LONG", "rth", ({},), (_h(1), _h(15)), orb("ORB_LONG")),
-        FamilyDef("ORB_SHORT", "rth", ({},), (_h(1), _h(15)), orb("ORB_SHORT")),
+        FamilyDef("ORB_LONG", "rth", ({},), (_h(1), _h(15)), orb(sig.LONG)),
+        FamilyDef("ORB_SHORT", "rth", ({},), (_h(1), _h(15)), orb(sig.SHORT)),
         FamilyDef("ORB_PULLBACK", "rth", ({"pullback_offset": 5.0},),
                   (ExitSpec(ExitKind.STOP_HORIZON, horizon=15, stop=20.0),),
-                  lambda e, day, p, s: sig.orb_signals(day, e.prims(day), "PULLBACK", **p)),
+                  lambda e, day, p, s: sig.orb_pullback_signals(day, e.prims(day), **p)),
         FamilyDef("ASIA_EXPANSION", "asia",
                   tuple({"multiple": m} for m in (1.5, 2.0, 2.5)), (_h(1), _h(6)),
                   lambda e, day, p, s: sig.asia_expansion_signals(
                       day, **p, mean_range=e.per_day(sig.mean_range_series, day))),
         FamilyDef("LIQUIDITY_GRAB_FADE", "asia", ({"lookback": None},), (_h(1), _h(6)),
-                  grab("FADE")),
+                  grab(fade=True)),
         FamilyDef("LIQUIDITY_GRAB_CONT", "asia", ({"lookback": None},), (_h(1), _h(6)),
-                  grab("CONTINUATION")),
+                  grab(fade=False)),
         FamilyDef("GAP_FILL_FADE", "rth",
                   tuple({"entry_time": t, "min_gap": 5.0}
-                        for t in ("09:30", "09:45", "10:00")), (_h(78),), _emit_gap_fill,
+                        for t in ("09:30", "09:45", "10:00")), (_h(78),),
+                  lambda e, day, p, s: sig.gap_fill_signals(
+                      day, e.prims(day), _parse_clock(p["entry_time"]), p["min_gap"]),
                   check=lambda p: sig.entry_time_bar(RTH, _parse_clock(p["entry_time"]))),
         FamilyDef("GAP_CONT_SHORT", "rth", ({"kalman_threshold": 2.5, "min_gap": 0.0},),
                   (_h(78),), _emit_gap_cont),
-        FamilyDef("VOL_SPIKE", "rth", ({},), (_h(1),), vol("SPIKE"), _fit_volume_cutoffs),
-        FamilyDef("VOL_DRYUP", "rth", ({},), (_h(1),), vol("DRYUP"), _fit_volume_cutoffs),
-        FamilyDef("VVG_REVERSAL", "rth", ({"mode": "REVERSAL"}, {"mode": "CLOSE_FADE"}),
-                  (_h(6), _h(13)), vvg, _fit_vvg_flags, vvg_mode),
-        FamilyDef("VVG_CONTINUATION", "rth", ({"mode": "CONTINUATION"},), (_h(6), _h(13)),
-                  vvg, _fit_vvg_flags, vvg_mode),
+        FamilyDef("VOL_SPIKE", "rth", ({},), (_h(1),), vol(spike=True), _fit_volume_cutoffs),
+        FamilyDef("VOL_DRYUP", "rth", ({},), (_h(1),), vol(spike=False), _fit_volume_cutoffs),
+        FamilyDef("VVG_REVERSAL", "rth", tuple({"mode": m} for m in vvg_reversal),
+                  (_h(6), _h(13)), vvg(lambda e, day, p: vvg_reversal[p["mode"]](e, day)),
+                  _fit_vvg_flags, lambda p: _check_mode(p, vvg_reversal)),
+        FamilyDef("VVG_CONTINUATION", "rth", ({},), (_h(6), _h(13)),
+                  vvg(lambda e, day, p: sig.vvg_open_signals(day, e.prims(day), follow=True)),
+                  _fit_vvg_flags),
         FamilyDef("EVENT_DRIFT", "rth", ({"start_bar_offset": 6},), (_h(6),),
                   lambda e, day, p, s: sig.event_drift_signals(
                       day, e.rth_events.get(day.date, ()), **p),
@@ -356,9 +366,10 @@ class Engine:
 
     def day_signals(self, family: str, day: TradingDay, params: dict,
                     state: dict) -> list[sig.SignalEvent]:
-        """One day's events; ``params`` may be partial, ``grid[0]`` fills the rest."""
+        """One day's events, named after the family; ``grid[0]`` fills in missing ``params``."""
         fd = self.family_def(family)
-        return fd.emit(self, day, {**fd.grid[0], **params}, state)
+        return [sig.SignalEvent(fd.name, day.date, i, d, limit_level=lv[0] if lv else None)
+                for i, d, *lv in fd.emit(self, day, {**fd.grid[0], **params}, state)]
 
     # -- runners and runs ---------------------------------------------------
 

@@ -73,6 +73,11 @@ class Instrument:
     def to_ticks(self, points: float) -> int:
         return round(points / self.tick_size)
 
+    def off_grid(self, points) -> np.ndarray:
+        """Where ``points`` is not a whole number of ticks, beyond float error."""
+        q = np.asarray(points, dtype=float) / self.tick_size
+        return ~np.isclose(q, np.rint(q), rtol=1e-9, atol=1e-9)
+
     def to_points(self, ticks: int) -> float:
         return ticks * self.tick_size
 

@@ -1,9 +1,11 @@
 """Signal family detectors.
 
 Every detector is a pure function of a completed day (plus any state
-fitted on strictly earlier data) and emits events at bar close. An event
-is only emitted when a next bar exists to enter on, so bar_index is
-always at most len(bars) - 2.
+fitted on strictly earlier data) and returns entries at bar close:
+``(bar_index, direction)`` pairs, with a limit level as a third item where
+the family rests a pullback order. The engine names them after the family
+that declares the detector. An entry is only returned when a next bar
+exists to enter on, so bar_index is always at most len(bars) - 2.
 """
 from __future__ import annotations
 
@@ -53,40 +55,37 @@ def _first(mask: np.ndarray, at: int) -> Optional[int]:
     return at + int(mask.argmax()) if mask.any() else None
 
 
-def orb_signals(day: TradingDay, prims: DayPrimitives, variant: str = "IMMEDIATE",
-                pullback_offset: float = 5.0) -> list[SignalEvent]:
-    """Opening range breakout, immediate or pullback entry.
+def _breakouts(day: TradingDay, prims: DayPrimitives) -> tuple[Optional[int], Optional[int]]:
+    """First bar *closing* above and first closing below the range of bars 0..5."""
+    closes = day.ohlc[3]
+    return (_first(closes[6:] > prims.opening_range_high, 6),
+            _first(closes[6:] < prims.opening_range_low, 6))
 
-    A breakout is a bar *close* beyond the range of bars 0..5; at most
-    one long and one short event per day.
-    """
-    if variant not in ("IMMEDIATE", "PULLBACK"):
-        raise SignalError(f"unknown ORB variant {variant!r}")
-    _, highs, lows, closes = day.ohlc
+
+def orb_signals(day: TradingDay, prims: DayPrimitives, direction: str) -> list[tuple]:
+    """Opening range breakout on the ``direction`` side, entered at once; at most one a day."""
+    up, down = _breakouts(day, prims)
+    brk = up if direction == LONG else down
+    return [] if brk is None or brk > _last_entryable(day) else [(brk, direction)]
+
+
+def orb_pullback_signals(day: TradingDay, prims: DayPrimitives,
+                         pullback_offset: float = 5.0) -> list[tuple]:
+    """After a breakout, the first bar back within ``pullback_offset`` of the broken
+    level; at most one long and one short a day."""
+    _, highs, lows, _ = day.ohlc
     last = _last_entryable(day)
-    or_hi, or_lo = prims.opening_range_high, prims.opening_range_low
-    break_long = _first(closes[6:] > or_hi, 6)
-    break_short = _first(closes[6:] < or_lo, 6)
-
-    events: list[SignalEvent] = []
-    if variant == "IMMEDIATE":
-        if break_long is not None and break_long <= last:
-            events.append(SignalEvent("ORB_LONG", day.date, break_long, LONG))
-        if break_short is not None and break_short <= last:
-            events.append(SignalEvent("ORB_SHORT", day.date, break_short, SHORT))
-        events.sort(key=lambda e: (e.bar_index, e.direction))
-        return events
-
-    for brk, level, direction in ((break_long, or_hi, LONG), (break_short, or_lo, SHORT)):
+    levels = (prims.opening_range_high, prims.opening_range_low)
+    entries = []
+    for brk, level, direction in zip(_breakouts(day, prims), levels, (LONG, SHORT)):
         if brk is None:
             continue
         span = slice(brk + 1, last + 1)
         i = _first(lows[span] <= level + pullback_offset if direction == LONG
-                  else highs[span] >= level - pullback_offset, brk + 1)
+                   else highs[span] >= level - pullback_offset, brk + 1)
         if i is not None:
-            events.append(SignalEvent("ORB_PULLBACK", day.date, i, direction))
-    events.sort(key=lambda e: (e.bar_index, e.direction))
-    return events
+            entries.append((i, direction))
+    return sorted(entries)
 
 
 def mean_range_series(day: TradingDay, window: int = 20) -> np.ndarray:
@@ -99,37 +98,40 @@ def _entryable(mask: np.ndarray) -> list[int]:
     return mask[:len(mask) - 1].nonzero()[0].tolist()
 
 
+def _with_body(day: TradingDay, hit: np.ndarray, with_bar: bool = True) -> list[tuple]:
+    """Entries at ``hit`` bars with a body: in its direction if ``with_bar``, else against it."""
+    o, _, _, c = day.ohlc
+    body = c - o
+    idx = _entryable(hit & (body != 0))
+    return [(i, LONG if (b > 0) == with_bar else SHORT) for i, b in zip(idx, body[idx].tolist())]
+
+
 def asia_expansion_signals(day: TradingDay, multiple: float,
-                           mean_range: Optional[np.ndarray] = None) -> list[SignalEvent]:
+                           mean_range: Optional[np.ndarray] = None) -> list[tuple]:
     """Expansion bar: range above a multiple of the rolling mean range.
 
     Direction follows the expansion bar's close-vs-open; dojis emit nothing.
     ``mean_range`` defaults to ``mean_range_series(day)``.
     """
     mr = np.asarray(mean_range_series(day) if mean_range is None else mean_range, dtype=float)
-    o, h, lo, c = day.ohlc
-    rng, body = h - lo, c - o
+    _, h, lo, _ = day.ohlc
     with np.errstate(invalid="ignore"):  # 0 * inf; such bars are skipped as non-finite
-        hit = np.isfinite(mr) & (mr > 0) & (rng > multiple * mr) & (body != 0)
-    idx = _entryable(hit)
-    return [SignalEvent("ASIA_EXPANSION", day.date, i, LONG if b > 0 else SHORT)
-            for i, b in zip(idx, body[idx].tolist())]
+        hit = np.isfinite(mr) & (mr > 0) & (h - lo > multiple * mr)
+    return _with_body(day, hit)
 
 
 def liquidity_grab_signals(day: TradingDay, lookback: Optional[int] = None,
-                           mode: str = "FADE") -> list[SignalEvent]:
-    """Pierce of a recent extreme with a close back inside the range.
+                           fade: bool = True) -> list[tuple]:
+    """Pierce of a recent extreme with a close back inside the range, faded
+    (or, unless ``fade``, followed).
 
     ``lookback=None`` uses the running session extreme over all prior
     bars (requires ``GRAB_MIN_HISTORY`` bars of history); an integer uses
     a fixed prior-bar window.
     """
-    if mode not in ("FADE", "CONTINUATION"):
-        raise SignalError(f"unknown liquidity grab mode {mode!r}")
     if lookback is not None and lookback < 1:
         raise SignalError(f"liquidity grab lookback must be >= 1, got {lookback}")
-    family = "LIQUIDITY_GRAB_FADE" if mode == "FADE" else "LIQUIDITY_GRAB_CONT"
-    up_dir, down_dir = (SHORT, LONG) if mode == "FADE" else (LONG, SHORT)
+    up_dir, down_dir = (SHORT, LONG) if fade else (LONG, SHORT)
     _, highs, lows, closes = day.ohlc
     start = GRAB_MIN_HISTORY if lookback is None else lookback
     if start > _last_entryable(day):
@@ -144,13 +146,13 @@ def liquidity_grab_signals(day: TradingDay, lookback: Optional[int] = None,
     h, lo, c = highs[start:], lows[start:], closes[start:]
     up = (h > prior_hi) & (c < prior_hi)
     down = (lo < prior_lo) & (c > prior_lo)
-    events = []
+    entries = []
     for j in _entryable(up | down):
         if up[j]:
-            events.append(SignalEvent(family, day.date, start + j, up_dir))
+            entries.append((start + j, up_dir))
         if down[j]:
-            events.append(SignalEvent(family, day.date, start + j, down_dir))
-    return events
+            entries.append((start + j, down_dir))
+    return entries
 
 
 def entry_time_bar(sess: SessionSpec, entry_time: time) -> int:
@@ -172,26 +174,25 @@ def entry_time_bar(sess: SessionSpec, entry_time: time) -> int:
     return int(idx)
 
 
-def gap_signals(day: TradingDay, prims: DayPrimitives, variant: str,
-                entry_time: time = time(9, 30), kalman_v: float = 0.0,
-                kalman_threshold: float = 2.5, min_gap: float = 5.0) -> list[SignalEvent]:
-    """Overnight-gap strategies: fade toward the fill, or filtered continuation short."""
-    if variant not in ("FILL_FADE", "CONT_SHORT"):
-        raise SignalError(f"unknown gap variant {variant!r}")
+def gap_fill_signals(day: TradingDay, prims: DayPrimitives, entry_time: time = time(9, 30),
+                     min_gap: float = 5.0) -> list[tuple]:
+    """Fade an overnight gap of at least ``min_gap`` toward its fill, from ``entry_time``;
+    a day without a prior RTH close has no gap."""
     gap = prims.overnight_gap
-    if gap is None:
-        raise SignalError(f"day {day.date}: overnight gap undefined (no prior RTH close)")
-    last = _last_entryable(day)
+    if not gap or abs(gap) < min_gap:
+        return []
+    idx = entry_time_bar(day.session, entry_time)
+    return [] if idx > _last_entryable(day) else [(idx, SHORT if gap > 0 else LONG)]
 
-    if variant == "FILL_FADE":
-        idx = entry_time_bar(day.session, entry_time)
-        if gap == 0 or abs(gap) < min_gap or idx > last:
-            return []
-        return [SignalEvent("GAP_FILL_FADE", day.date, idx, SHORT if gap > 0 else LONG)]
 
-    if gap < 0 and abs(gap) >= min_gap and abs(kalman_v) > kalman_threshold and last >= 0:
-        return [SignalEvent("GAP_CONT_SHORT", day.date, 0, SHORT)]
-    return []
+def gap_cont_signals(day: TradingDay, prims: DayPrimitives, kalman_v: float,
+                     kalman_threshold: float = 2.5, min_gap: float = 5.0) -> list[tuple]:
+    """Short a gap down of at least ``min_gap`` at the open when the overnight
+    Kalman velocity exceeds ``kalman_threshold`` in size."""
+    gap = prims.overnight_gap
+    hit = (gap is not None and gap < 0 and abs(gap) >= min_gap
+           and abs(kalman_v) > kalman_threshold and _last_entryable(day) >= 0)
+    return [(0, SHORT)] if hit else []
 
 
 def volume_ratio_series(day: TradingDay, window: int = 20) -> np.ndarray:
@@ -212,27 +213,17 @@ def volume_ratio_cutoffs(days: Sequence[TradingDay], window: int = 20) -> tuple[
     return (float(np.quantile(ratios, 0.10)), float(np.quantile(ratios, 0.90)))
 
 
-def volume_signature_signals(day: TradingDay, kind: str, spike_cutoff: float,
-                             dryup_cutoff: float,
-                             ratio: Optional[np.ndarray] = None) -> list[SignalEvent]:
-    """Volume spike momentum (with the bar) or dry-up exhaustion (against it).
+def volume_signature_signals(day: TradingDay, spike: bool, cutoff: float,
+                             ratio: Optional[np.ndarray] = None) -> list[tuple]:
+    """Volume spike momentum (ratio above ``cutoff``, with the bar) if ``spike``,
+    else dry-up exhaustion (ratio below ``cutoff``, against the bar).
 
-    Decile cutoffs are frozen on the training window and passed in.
+    The decile cutoff is frozen on the training window and passed in.
     ``ratio`` defaults to ``volume_ratio_series(day)``.
     """
-    if kind not in ("SPIKE", "DRYUP"):
-        raise SignalError(f"unknown volume signature kind {kind!r}")
     ratio = np.asarray(volume_ratio_series(day) if ratio is None else ratio, dtype=float)
-    o, _, _, c = day.ohlc
-    body = c - o
-    if kind == "SPIKE":
-        family, hit, with_bar = "VOL_SPIKE", ratio > spike_cutoff, True
-    else:
-        family, hit, with_bar = "VOL_DRYUP", ratio < dryup_cutoff, False
-    hit &= np.isfinite(ratio) & (body != 0)
-    idx = _entryable(hit)
-    return [SignalEvent(family, day.date, i, LONG if (b > 0) == with_bar else SHORT)
-            for i, b in zip(idx, body[idx].tolist())]
+    hit = ratio > cutoff if spike else ratio < cutoff
+    return _with_body(day, hit & np.isfinite(ratio), with_bar=spike)
 
 
 @dataclass(frozen=True)
@@ -278,36 +269,21 @@ def vvg_classify(metrics: np.ndarray, boundaries: VvgBoundaries) -> np.ndarray:
     return np.all(ok & np.isfinite(metrics), axis=1)
 
 
-def check_vvg_mode(mode: str) -> None:
-    if mode not in ("REVERSAL", "CONTINUATION", "CLOSE_FADE"):
-        raise SignalError(f"unknown VVG mode {mode!r}")
-
-
-def vvg_strategy_signals(day: TradingDay, flagged: bool, mode: str,
-                         prims: DayPrimitives) -> list[SignalEvent]:
-    """Directional strategies on VVG classifier-positive days."""
-    check_vvg_mode(mode)
-    if not flagged:
-        return []
-    last = _last_entryable(day)
-    family = "VVG_CONTINUATION" if mode == "CONTINUATION" else "VVG_REVERSAL"
-
-    if mode == "CLOSE_FADE":
-        idx = entry_time_bar(day.session, time(15, 30)) if day.session.name == "RTH" else None
-        if idx is None or idx > last:
-            return []
-        move = day.ohlc[3, idx] - day.ohlc[0, 0]
-        if move == 0:
-            return []
-        return [SignalEvent("VVG_REVERSAL", day.date, idx, SHORT if move > 0 else LONG)]
-
+def vvg_open_signals(day: TradingDay, prims: DayPrimitives, follow: bool) -> list[tuple]:
+    """Enter after the 30-minute opening window with its move (against it unless ``follow``)."""
     f30 = prims.first30_return
-    if f30 == 0 or VVG_ENTRY_BAR > last:
+    if f30 == 0 or VVG_ENTRY_BAR > _last_entryable(day):
         return []
-    base_dir = LONG if f30 > 0 else SHORT
-    if mode == "REVERSAL":
-        base_dir = SHORT if base_dir == LONG else LONG
-    return [SignalEvent(family, day.date, VVG_ENTRY_BAR, base_dir)]
+    return [(VVG_ENTRY_BAR, LONG if (f30 > 0) == follow else SHORT)]
+
+
+def vvg_close_fade_signals(day: TradingDay) -> list[tuple]:
+    """Fade the day's move from the open at the 15:30 RTH close."""
+    idx = entry_time_bar(day.session, time(15, 30)) if day.session.name == "RTH" else None
+    if idx is None or idx > _last_entryable(day):
+        return []
+    move = day.ohlc[3, idx] - day.ohlc[0, 0]
+    return [] if move == 0 else [(idx, SHORT if move > 0 else LONG)]
 
 
 def events_by_day(events: Sequence[EconEvent], session: SessionSpec) -> dict[date, list]:
@@ -327,7 +303,7 @@ def check_drift_offset(start_bar_offset: int) -> None:
 
 
 def event_drift_signals(day: TradingDay, events: Sequence[EconEvent],
-                        start_bar_offset: int = 6) -> list[SignalEvent]:
+                        start_bar_offset: int = 6) -> list[tuple]:
     """Post-release drift measured only from bar +offset, never the spike bars.
 
     ``events`` may be the whole calendar: only those ``events_by_day`` puts
@@ -348,25 +324,24 @@ def event_drift_signals(day: TradingDay, events: Sequence[EconEvent],
         sig = r + start_bar_offset
         if sig > last:
             continue
-        out.append(SignalEvent("EVENT_DRIFT", day.date, sig, LONG if move > 0 else SHORT))
+        out.append((sig, LONG if move > 0 else SHORT))
     return out
 
 
-def ou_reversion_signals(day: TradingDay, fit: OuFit, threshold: float) -> list[SignalEvent]:
+def ou_reversion_signals(day: TradingDay, fit: OuFit, threshold: float) -> list[tuple]:
     """OU z-score threshold entries with a re-arm band against stacking."""
     if fit.half_life is None:
         return []
     z = ou_zscore(day.ohlc[3], fit)
-    events = []
+    entries = []
     armed = True
     for i in range(min(len(z), _last_entryable(day) + 1)):
         if not armed and abs(z[i]) < OU_REARM_LEVEL:
             armed = True
         if armed and abs(z[i]) >= threshold:
-            events.append(SignalEvent("OU_REVERSION", day.date, i,
-                                      LONG if z[i] <= -threshold else SHORT))
+            entries.append((i, LONG if z[i] <= -threshold else SHORT))
             armed = False
-    return events
+    return entries
 
 
 def confluence_rth_signals(day: TradingDay, labels: Sequence[int],
@@ -374,11 +349,11 @@ def confluence_rth_signals(day: TradingDay, labels: Sequence[int],
                            atr: Sequence[float], atr_baseline: float,
                            trans_threshold: float = 0.15,
                            vz_threshold: float = 0.5,
-                           pullback_points: float = 25.0) -> list[SignalEvent]:
+                           pullback_points: float = 25.0) -> list[tuple]:
     """Regime-1 bars with elevated transition-to-2 probability and volume z.
 
-    All three conditions are strict inequalities. Each event carries the
-    ATR-scaled pullback limit level.
+    All three conditions are strict inequalities. Each long entry carries the
+    ATR-scaled pullback limit level as its third item.
     """
     n = len(day.ts)
     if not (len(labels) == len(trans_prob) == len(vol_z) == len(atr) == n):
@@ -391,11 +366,10 @@ def confluence_rth_signals(day: TradingDay, labels: Sequence[int],
         scale = np.where(np.isfinite(atr) & (atr_baseline > 0), atr / atr_baseline, 1.0)
     level = closes - pullback_points * scale
     idx = _entryable(hit)
-    return [SignalEvent("CONFLUENCE_RTH", day.date, i, LONG, limit_level=lv)
-            for i, lv in zip(idx, level[idx].tolist())]
+    return [(i, LONG, lv) for i, lv in zip(idx, level[idx].tolist())]
 
 
-def london_b_signals(day: TradingDay, labels: Sequence[int]) -> list[SignalEvent]:
+def london_b_signals(day: TradingDay, labels: Sequence[int]) -> list[tuple]:
     """Clean Regime 0 -> Regime 2 transition with no Regime 1 contamination.
 
     The family's exit (4 15-minute bars, or session end at 08:30 ET if that
@@ -405,12 +379,12 @@ def london_b_signals(day: TradingDay, labels: Sequence[int]) -> list[SignalEvent
     n = len(day.ts)
     if len(labels) != n:
         raise SignalError("labels must align with bars")
-    events = []
+    entries = []
     for t in range(1, min(n, _last_entryable(day) + 1)):
         if labels[t] != 2 or labels[t - 1] != 0:
             continue
         prior_two = labels[max(0, t - 2):t]
         if 1 in prior_two:
             continue
-        events.append(SignalEvent("LONDON_B", day.date, t, LONG))
-    return events
+        entries.append((t, LONG))
+    return entries

@@ -23,8 +23,8 @@ from falsify.engine import DataBundle, Engine, default_families
 from falsify.execution import (ExitKind, ExitSpec, Instrument, MNQ, simulate)
 from falsify.features import (gmm_fit, hurst_exponent, kalman_velocity,
                               markov_transition_prob, ou_fit)
-from falsify.signals import (LONG, SignalEvent, asia_expansion_signals,
-                             gap_signals, liquidity_grab_signals, orb_signals,
+from falsify.signals import (LONG, SHORT, SignalEvent, asia_expansion_signals,
+                             gap_fill_signals, liquidity_grab_signals, orb_signals,
                              vvg_boundaries, vvg_classify)
 from falsify.synth import (RegimeSpec, SynthSpec, gen_event_calendar,
                            gen_null_days, gen_regime_days, plant_drift)
@@ -173,20 +173,15 @@ def mutate_after(day: TradingDay, cut: int, rng: np.random.Generator) -> Trading
 
 
 def emit(family: str, day: TradingDay):
-    if family in ("ORB_LONG", "ORB_SHORT"):
-        evs = orb_signals(day, day_primitives(day), "IMMEDIATE")
-        return [e for e in evs if e.family == family]
-    if family == "LIQUIDITY_GRAB_FADE":
-        return liquidity_grab_signals(day, None, "FADE")
-    if family == "GAP_FILL_FADE":
-        prims = day_primitives(day)
-        if prims.overnight_gap is None:
-            return []
-        return gap_signals(day, prims, "FILL_FADE", entry_time=time(9, 45),
-                           min_gap=5.0)
-    if family == "ASIA_EXPANSION":
-        return asia_expansion_signals(day, 1.5)
-    raise AssertionError(family)
+    entries = {
+        "ORB_LONG": lambda: orb_signals(day, day_primitives(day), LONG),
+        "ORB_SHORT": lambda: orb_signals(day, day_primitives(day), SHORT),
+        "LIQUIDITY_GRAB_FADE": lambda: liquidity_grab_signals(day, None, fade=True),
+        "GAP_FILL_FADE": lambda: gap_fill_signals(day, day_primitives(day), time(9, 45),
+                                                  min_gap=5.0),
+        "ASIA_EXPANSION": lambda: asia_expansion_signals(day, 1.5),
+    }[family]()
+    return [SignalEvent(family, day.date, i, d) for i, d in entries]
 
 
 def test_no_lookahead_randomized_trials():

@@ -49,6 +49,28 @@ def test_ingest_non_finite_price_exits_one(tmp_path, row):
     assert "error: line 2: bar 2022-01-03 09:30:00: non-finite price" in res.output
 
 
+def test_run_rejects_a_price_off_the_tick_grid(tmp_path):
+    bars = write_days(tmp_path, gen_null_days(SynthSpec(265, seed=1)))
+    lines = bars.read_text(encoding="utf-8").splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("2022-01-04T10:00"))
+    f = lines[row].split(",")
+    f[3] = f"{float(f[3]) - 0.1:.2f}"  # the low, 0.1 off the 0.25 grid
+    lines[row] = ",".join(f)
+    write_lines(bars, lines)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"data:\n  rth: {bars}\n", encoding="utf-8")
+    res = run_cli("run", "--config", cfg, "--out", tmp_path / "runs")
+    assert res.exit_code == 1, res.output
+    assert (f"error: {bars}: bar 2022-01-04 10:00:00: price {float(f[3])} is off the 0.25-point "
+            "tick grid") in res.output
+    assert not (tmp_path / "runs").exists()
+    # on a 0.05-point grid the same price is whole, float error and all
+    cfg.write_text(f"data:\n  rth: {bars}\ninstrument:\n  tick_size: 0.05\n"
+                   "  friction_points: 0.1\n", encoding="utf-8")
+    res = run_cli("run", "--config", cfg, "--family", "ORB_LONG", "--out", tmp_path / "runs")
+    assert res.exit_code == 0, res.output
+
+
 # -- synth ----------------------------------------------------------------------
 
 def test_synth_round_trips_through_ingest(tmp_path):
@@ -168,7 +190,9 @@ def test_run_override_of_the_wrong_type_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize("family,key,value,error", [
-    ("VVG_REVERSAL", "mode", "FOO", "unknown VVG mode 'FOO'"),
+    ("VVG_REVERSAL", "mode", "FOO", "mode must be one of ['CLOSE_FADE', 'REVERSAL'], got 'FOO'"),
+    # VVG_CONTINUATION's strategy, which VVG_REVERSAL's report would name as its own
+    ("VVG_REVERSAL", "mode", "CONTINUATION", "mode must be one of ['CLOSE_FADE', 'REVERSAL']"),
     ("GAP_FILL_FADE", "entry_time", "'25:00'", "hour must be in 0..23"),
     ("GAP_FILL_FADE", "entry_time", "'09:32'", "entry time 09:32:00 outside RTH session grid"),
     ("EVENT_DRIFT", "start_bar_offset", "3", "start_bar_offset must be >= 6"),
@@ -261,6 +285,29 @@ def test_report_recomputes_from_trade_log(tmp_path):
     assert rep.exit_code == 0
     assert "| Variant |" in rep.output
     assert "ORB_LONG" in rep.output
+
+
+@pytest.mark.parametrize("edit,error", [
+    # a header that is not the trade log's, with an eleventh column in every row
+    (lambda lines: [ln + ",x" for ln in lines], "error: line 1: header is not"),
+    (lambda lines: [lines[0], ",".join(lines[1].split(",")[:5])],
+     "error: line 2: 5 fields, not 10"),
+], ids=["bad_header_eleven_columns", "five_column_row"])
+def test_report_rejects_a_malformed_trade_log(tmp_path, edit, error):
+    from datetime import date
+    from falsify.execution import ExitReason, TradeRecord, serialize_trades
+    trade = TradeRecord("ORB_LONG", date(2022, 1, 3), "LONG", 8, 9, 100.25, 101.0, 3, -5,
+                        ExitReason.HORIZON, 0.25)
+    p = tmp_path / "trades.csv"
+    lines = serialize_trades([trade]).splitlines()
+    assert run_cli("report", write_lines(p, lines)).exit_code == 0
+    res = run_cli("report", write_lines(p, edit(lines)))
+    assert res.exit_code == 1 and error in res.output, res.output
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 def test_report_rejects_garbage(tmp_path):

@@ -159,12 +159,13 @@ def test_runner_nets_follow_the_trade_order_of_simulate():
     eng = make_engine(rth=days)
 
     def emit(e, day, p, s):  # out of entry order, as a family may emit them
-        return [SignalEvent("ORB_LONG", day.date, b, d)
-                for b, d in ((40, SHORT), (40, LONG), (10, LONG))]
+        return [(40, SHORT), (40, LONG), (10, LONG)]
     eng.families["ORB_LONG"] = dataclasses.replace(eng.families["ORB_LONG"], emit=emit)
     exit = ExitSpec(ExitKind.HORIZON, horizon=3)
     got = eng.runner("ORB_LONG")(days[:30], days[:30], {}, exit)
-    want = [t for d in days[:30] for t in simulate(emit(eng, d, {}, {}), [d], exit).trades]
+    want = [t for d in days[:30] for t in simulate(
+        [SignalEvent("ORB_LONG", d.date, b, dr) for b, dr in emit(eng, d, {}, {})], [d],
+        exit).trades]
     assert got.net.tolist() == [t.net for t in want] and got.records() == want
 
 
@@ -221,6 +222,11 @@ def test_gap_cont_short_min_gap_applies():
     assert strict.oos_trades == []
 
 
+def entries(events):
+    """Events as the (bar_index, direction) entries their emitter returned."""
+    return [(e.bar_index, e.direction) for e in events]
+
+
 def test_per_day_series_computed_once_and_shared(monkeypatch):
     from falsify import signals as sig
     from falsify.bars import ASIA
@@ -229,8 +235,8 @@ def test_per_day_series_computed_once_and_shared(monkeypatch):
     eng = make_engine(rth=rth, asia=asia)
     state = eng._fit_state("VOL_SPIKE", rth[:30], {})
     cuts = state["spike_cutoff"], state["dryup_cutoff"]
-    want = [(sig.volume_signature_signals(d, "SPIKE", *cuts),
-             sig.volume_signature_signals(d, "DRYUP", *cuts)) for d in rth[30:]]
+    want = [(sig.volume_signature_signals(d, True, cuts[0]),
+             sig.volume_signature_signals(d, False, cuts[1])) for d in rth[30:]]
     multiples = (1.5, 2.0, 2.5)
     want_asia = [[sig.asia_expansion_signals(d, m) for m in multiples] for d in asia]
 
@@ -239,10 +245,10 @@ def test_per_day_series_computed_once_and_shared(monkeypatch):
         real = getattr(sig, name)
         monkeypatch.setattr(sig, name, lambda day, *a, real=real, name=name:
                             calls.append((name, day.date)) or real(day, *a))
-    got = [(eng.day_signals("VOL_SPIKE", d, {}, state),
-            eng.day_signals("VOL_DRYUP", d, {}, state)) for d in rth[30:]]
-    got_asia = [[eng.day_signals("ASIA_EXPANSION", d, {"multiple": m}, {}) for m in multiples]
-                for d in asia]
+    got = [(entries(eng.day_signals("VOL_SPIKE", d, {}, state)),
+            entries(eng.day_signals("VOL_DRYUP", d, {}, state))) for d in rth[30:]]
+    got_asia = [[entries(eng.day_signals("ASIA_EXPANSION", d, {"multiple": m}, {}))
+                 for m in multiples] for d in asia]
     assert got == want and got_asia == want_asia
     assert any(s and d for s, d in want) and any(any(evs) for evs in want_asia)
     assert sorted(calls) == sorted([("volume_ratio_series", d.date) for d in rth[30:]]
@@ -461,7 +467,7 @@ def test_event_drift_date_index_matches_the_whole_calendar_scan():
     eng = Engine(DataBundle(rth=days, events=events), config_from_dict({}))
     emitted = [eng.day_signals("EVENT_DRIFT", d, {}, {}) for d in days]
     assert emitted == [old_event_drift(d, events) for d in days]
-    assert emitted == [event_drift_signals(d, events) for d in days]
+    assert list(map(entries, emitted)) == [event_drift_signals(d, events) for d in days]
     assert sum(map(len, emitted)) >= 10
 
 
@@ -472,11 +478,7 @@ def perturbed(key: str, value, grid):
     others = [g[key] for g in grid if g[key] != value]
     if others:
         return others[0]
-    if value is None:
-        return 3
-    if isinstance(value, str):
-        return {"mode": "REVERSAL"}[key]
-    return value * 4 + 5
+    return 3 if value is None else value * 4 + 5
 
 
 def mean_reverting_days(n: int, seed: int):
@@ -522,7 +524,7 @@ def test_every_declared_tunable_moves_the_trades():
             if trades({**fd.grid[0], key: perturbed(key, value, fd.grid)}) == base:
                 dead.append(f"{name}.{key}")
             checked += 1
-    assert dead == [] and checked == 15
+    assert dead == [] and checked == 14
 
 
 def test_only_a_pullback_limit_family_sets_a_limit_level():
@@ -545,6 +547,59 @@ def test_only_a_pullback_limit_family_sets_a_limit_level():
         else:
             assert set(levels) <= {None}, name
     assert limit_families == ["CONFLUENCE_RTH"]
+
+
+# per family and grid point, the (count, sha256 prefix) of its events as (day, bar,
+# direction, limit level) on the corpus below: a recorded reference for every entry
+EMITTED = {
+    ("ORB_LONG", 0): (227, "27e5bf71d14f6b90"),
+    ("ORB_SHORT", 0): (241, "4f0413c05b9976bd"),
+    ("ORB_PULLBACK", 0): (445, "dd995063c758e254"),
+    ("ASIA_EXPANSION", 0): (2083, "786fa8f01acae4e9"),
+    ("ASIA_EXPANSION", 1): (487, "ba94385d614ef07d"),
+    ("ASIA_EXPANSION", 2): (98, "5d9cf25092787709"),
+    ("LIQUIDITY_GRAB_FADE", 0): (1377, "12054d99349363cc"),
+    ("LIQUIDITY_GRAB_CONT", 0): (1377, "a764f6383b35699f"),
+    ("GAP_FILL_FADE", 0): (221, "38c6e7c8e22b31b1"),
+    ("GAP_FILL_FADE", 1): (221, "1bcdf663c14e8a45"),
+    ("GAP_FILL_FADE", 2): (221, "50a1d3f19e4b7527"),
+    ("GAP_CONT_SHORT", 0): (49, "aa9464f67917898a"),
+    ("VOL_SPIKE", 0): (1684, "12daba31519b853e"),
+    ("VOL_DRYUP", 0): (1689, "b7d52daee7b67e11"),
+    ("VVG_REVERSAL", 0): (15, "b9d41f3dad4bf752"),
+    ("VVG_REVERSAL", 1): (15, "cc133e9775e65da9"),
+    ("VVG_CONTINUATION", 0): (15, "3affd31fcb5c83ea"),
+    ("EVENT_DRIFT", 0): (51, "b7debe2c0444fbcd"),
+    ("OU_REVERSION", 0): (396, "f3eaed669d22ea10"),
+    ("OU_REVERSION", 1): (187, "4dd503c1dbe8614c"),
+    ("OU_REVERSION", 2): (59, "5c3aee4cd56f5785"),
+    ("CONFLUENCE_RTH", 0): (1766, "dfd30ed364b27c1d"),
+    ("LONDON_B", 0): (57, "84d6f86d9f6728a0"),
+}
+
+
+def test_every_event_carries_its_family_name_and_the_recorded_entries():
+    import hashlib
+    from falsify.bars import ASIA
+    from falsify.synth import gen_event_calendar
+    rth = gen_null_days(SynthSpec(300, seed=3, gap_sigma=15.0))
+    asia = gen_null_days(SynthSpec(300, session=ASIA, seed=10_003))
+    london = gen_null_days(SynthSpec(300, session=LONDON, seed=20_003))
+    null = Engine(DataBundle(rth, asia, london, gen_event_calendar(rth, seed=3)),
+                  config_from_dict({}))
+    ou = make_engine(rth=mean_reverting_days(300, seed=3))
+    got = {}
+    for name, fd in default_families().items():
+        eng = ou if name == "OU_REVERSION" else null
+        days = eng.complete_days(fd.session)
+        state = eng._fit_state(name, [d for d in days if d.year == days[0].year], {})
+        for i, params in enumerate(fd.grid):
+            events = [e for d in days for e in eng.day_signals(name, d, params, state)]
+            assert {e.family for e in events} == {name}
+            text = repr([(e.day.isoformat(), e.bar_index, e.direction, e.limit_level)
+                         for e in events])
+            got[name, i] = (len(events), hashlib.sha256(text.encode()).hexdigest()[:16])
+    assert got == EMITTED
 
 
 def test_the_verdict_path_builds_no_bar(tmp_path, monkeypatch):

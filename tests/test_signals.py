@@ -9,14 +9,16 @@ import pytest
 import rows
 from rows import day_from_bars
 from falsify.bars import Bar, EconEvent, EventKind, RTH, ASIA, LONDON, TradingDay, day_primitives
+from falsify.config import config_from_dict
+from falsify.engine import DataBundle, Engine
 from falsify.features import OuFit
 from falsify.signals import (LONG, SHORT, SignalError, SignalEvent,
                              asia_expansion_signals, confluence_rth_signals,
-                             event_drift_signals, gap_signals,
+                             event_drift_signals, gap_cont_signals, gap_fill_signals,
                              liquidity_grab_signals, london_b_signals,
-                             orb_signals, ou_reversion_signals,
-                             vvg_boundaries, vvg_classify, vvg_metrics,
-                             vvg_strategy_signals, volume_ratio_cutoffs,
+                             orb_pullback_signals, orb_signals, ou_reversion_signals,
+                             vvg_boundaries, vvg_classify, vvg_close_fade_signals,
+                             vvg_metrics, vvg_open_signals, volume_ratio_cutoffs,
                              volume_signature_signals)
 
 
@@ -38,11 +40,20 @@ def day_from_closes(closes, d=date(2022, 1, 3), session=RTH, volumes=None,
     return day_from_bars(d, session, bars, prior_rth_close, n == len(grid))
 
 
+def named(family, day, state):
+    """``family``'s events on ``day`` as the engine names them, under a given fitted state."""
+    sessions = {RTH: "rth", ASIA: "asia", LONDON: "london"}
+    eng = Engine(DataBundle(**{sessions[day.session]: [day]}), config_from_dict({}))
+    return eng.day_signals(family, day, {}, state)
+
+
 # -- opening range breakout ----------------------------------------------------
 
 def test_orb_quiet_day_emits_nothing():
     day = day_from_closes([100.0] * 78)
-    assert orb_signals(day, day_primitives(day)) == []
+    prims = day_primitives(day)
+    assert orb_signals(day, prims, LONG) == orb_signals(day, prims, SHORT) == []
+    assert orb_pullback_signals(day, prims) == []
 
 
 def test_orb_long_at_first_close_above_range():
@@ -50,10 +61,8 @@ def test_orb_long_at_first_close_above_range():
     closes[7] = 101.0  # opening range high is 100.5 from the helper's padding
     day = day_from_closes(closes)
     prims = day_primitives(day)
-    events = orb_signals(day, prims)
-    assert len(events) == 1
-    ev = events[0]
-    assert (ev.family, ev.bar_index, ev.direction) == ("ORB_LONG", 7, LONG)
+    assert orb_signals(day, prims, LONG) == [(7, LONG)]
+    assert orb_signals(day, prims, SHORT) == []
 
 
 def test_orb_short_side_and_intrabar_pierce_ignored():
@@ -62,9 +71,9 @@ def test_orb_short_side_and_intrabar_pierce_ignored():
     highs = [100.4] * 78
     highs[7] = 150.0  # intrabar spike without a close beyond the range
     day = day_from_closes(closes, highs=highs, lows=[c - 0.5 for c in closes])
-    events = orb_signals(day, day_primitives(day))
-    assert [e.family for e in events] == ["ORB_SHORT"]
-    assert events[0].bar_index == 9
+    prims = day_primitives(day)
+    assert orb_signals(day, prims, LONG) == []
+    assert orb_signals(day, prims, SHORT) == [(9, SHORT)]
 
 
 def test_orb_pullback_touch_within_offset():
@@ -74,23 +83,14 @@ def test_orb_pullback_touch_within_offset():
     lows[9] = 100.9  # first dip back within 5 points of the breakout level
     day = day_from_closes(closes, lows=lows)
     prims = day_primitives(day)
-    events = orb_signals(day, prims, "PULLBACK", pullback_offset=5.0)
-    assert len(events) == 1
-    assert (events[0].family, events[0].bar_index, events[0].direction) == \
-        ("ORB_PULLBACK", 9, LONG)
+    assert orb_pullback_signals(day, prims, pullback_offset=5.0) == [(9, LONG)]
 
 
 def test_orb_breakout_on_final_bar_not_entryable():
     closes = [100.0] * 78
     closes[77] = 101.0
     day = day_from_closes(closes)
-    assert orb_signals(day, day_primitives(day)) == []
-
-
-def test_orb_unknown_variant_rejected():
-    day = day_from_closes([100.0] * 78)
-    with pytest.raises(SignalError):
-        orb_signals(day, day_primitives(day), "LIMIT")
+    assert orb_signals(day, day_primitives(day), LONG) == []
 
 
 # -- expansion bars --------------------------------------------------------------
@@ -108,8 +108,7 @@ def test_expansion_single_wide_bar():
     highs[25] = 102.0
     lows[25] = 98.0  # range 4.0 > 1.5 * 2.0
     day = day_from_closes(closes, session=ASIA, highs=highs, lows=lows)
-    events = asia_expansion_signals(day, multiple=1.5)
-    assert [(e.bar_index, e.direction) for e in events] == [(25, LONG)]
+    assert asia_expansion_signals(day, multiple=1.5) == [(25, LONG)]
 
 
 def test_expansion_doji_emits_nothing():
@@ -127,7 +126,7 @@ def test_expansion_doji_emits_nothing():
 def test_liquidity_grab_monotone_trend_empty():
     closes = [100.0 + 0.5 * i for i in range(72)]
     day = day_from_closes(closes, session=ASIA)
-    assert liquidity_grab_signals(day, None, "FADE") == []
+    assert liquidity_grab_signals(day, None, fade=True) == []
 
 
 def test_liquidity_grab_pierce_and_reject():
@@ -138,19 +137,15 @@ def test_liquidity_grab_pierce_and_reject():
         highs[i] = 105.0
     closes[12] = 104.0
     day = day_from_closes(closes, session=ASIA, highs=highs)
-    fade = liquidity_grab_signals(day, 12, "FADE")
-    cont = liquidity_grab_signals(day, 12, "CONTINUATION")
-    assert [(e.bar_index, e.direction) for e in fade] == [(12, SHORT)]
-    assert [(e.bar_index, e.direction) for e in cont] == [(12, LONG)]
+    assert liquidity_grab_signals(day, 12, fade=True) == [(12, SHORT)]
+    assert liquidity_grab_signals(day, 12, fade=False) == [(12, LONG)]
 
 
 def test_liquidity_grab_running_extreme_matches_window_none():
     rng = np.random.default_rng(12)
     closes = 100 + np.cumsum(rng.normal(0, 2, 72))
     day = day_from_closes(list(closes), session=ASIA)
-    events = liquidity_grab_signals(day, None, "FADE")
-    for ev in events:
-        i = ev.bar_index
+    for i, _ in liquidity_grab_signals(day, None, fade=True):
         prior_hi = max(b.high for b in day.bars[:i])
         prior_lo = min(b.low for b in day.bars[:i])
         b = day.bars[i]
@@ -168,32 +163,34 @@ def gap_day(gap, closes=None):
 def test_zero_gap_emits_nothing():
     day = gap_day(0.0)
     prims = day_primitives(day)
-    assert gap_signals(day, prims, "FILL_FADE") == []
-    assert gap_signals(day, prims, "CONT_SHORT", kalman_v=5.0) == []
+    assert gap_fill_signals(day, prims) == []
+    assert gap_cont_signals(day, prims, kalman_v=5.0) == []
+    # nor does a day without a prior RTH close
+    first = day_from_closes([100.0] * 78)
+    prims = day_primitives(first)
+    assert gap_fill_signals(first, prims, min_gap=0.0) == []
+    assert gap_cont_signals(first, prims, kalman_v=5.0, min_gap=0.0) == []
 
 
 def test_gap_fill_fade_at_0945_shorts_an_up_gap():
     day = gap_day(10.0)
-    events = gap_signals(day, day_primitives(day), "FILL_FADE",
-                         entry_time=time(9, 45))
     # the 09:45 wall-clock entry keys off the bar closing at 09:45
-    assert [(e.bar_index, e.direction) for e in events] == [(2, SHORT)]
+    assert gap_fill_signals(day, day_primitives(day), entry_time=time(9, 45)) == [(2, SHORT)]
 
 
 def test_gap_below_minimum_ignored():
     day = gap_day(3.0)
-    assert gap_signals(day, day_primitives(day), "FILL_FADE", min_gap=5.0) == []
+    assert gap_fill_signals(day, day_primitives(day), min_gap=5.0) == []
 
 
 def test_gap_cont_short_requires_velocity_filter():
     day = gap_day(-8.0)
     prims = day_primitives(day)
-    hit = gap_signals(day, prims, "CONT_SHORT", kalman_v=-3.0, min_gap=0.0)
-    assert [(e.bar_index, e.direction) for e in hit] == [(0, SHORT)]
-    assert gap_signals(day, prims, "CONT_SHORT", kalman_v=-1.0, min_gap=0.0) == []
+    assert gap_cont_signals(day, prims, kalman_v=-3.0, min_gap=0.0) == [(0, SHORT)]
+    assert gap_cont_signals(day, prims, kalman_v=-1.0, min_gap=0.0) == []
     # positive gaps never continuation-short
     up = gap_day(8.0)
-    assert gap_signals(up, day_primitives(up), "CONT_SHORT", kalman_v=5.0) == []
+    assert gap_cont_signals(up, day_primitives(up), kalman_v=5.0) == []
 
 
 # -- volume signatures -------------------------------------------------------------
@@ -201,8 +198,8 @@ def test_gap_cont_short_requires_velocity_filter():
 def test_uniform_volume_emits_nothing():
     day = day_from_closes([100.0 + 0.1 * i for i in range(78)])
     lo, hi = volume_ratio_cutoffs([day])
-    assert volume_signature_signals(day, "SPIKE", hi, lo) == []
-    assert volume_signature_signals(day, "DRYUP", hi, lo) == []
+    assert volume_signature_signals(day, True, hi) == []
+    assert volume_signature_signals(day, False, lo) == []
 
 
 def test_volume_spike_goes_with_the_bar():
@@ -211,9 +208,8 @@ def test_volume_spike_goes_with_the_bar():
     closes = [100.0] * 78
     closes[30] = 101.0  # up-close on the spike bar
     day = day_from_closes(closes, volumes=vols)
-    events = volume_signature_signals(day, "SPIKE", spike_cutoff=3.0,
-                                      dryup_cutoff=0.3)
-    assert [(e.bar_index, e.direction) for e in events] == [(30, LONG)]
+    assert volume_signature_signals(day, True, 3.0) == [(30, LONG)]
+    assert volume_signature_signals(day, False, 0.3) == []
 
 
 def test_volume_dryup_fades_the_bar():
@@ -222,9 +218,8 @@ def test_volume_dryup_fades_the_bar():
     closes = [100.0] * 78
     closes[30] = 100.75  # drifting up on no volume
     day = day_from_closes(closes, volumes=vols)
-    events = volume_signature_signals(day, "DRYUP", spike_cutoff=3.0,
-                                      dryup_cutoff=0.3)
-    assert [(e.bar_index, e.direction) for e in events] == [(30, SHORT)]
+    assert volume_signature_signals(day, False, 0.3) == [(30, SHORT)]
+    assert volume_signature_signals(day, True, 3.0) == []
 
 
 def test_volume_cutoffs_are_deciles():
@@ -271,26 +266,27 @@ def test_vvg_exactly_one_joint_tercile_day_flagged():
 
 def test_vvg_unflagged_day_empty():
     day = vvg_day(30, f30=12.0)
-    assert vvg_strategy_signals(day, False, "REVERSAL", day_primitives(day)) == []
+    for family in ("VVG_REVERSAL", "VVG_CONTINUATION"):
+        assert named(family, day, {"flags": {day.date: False}}) == []
+        assert named(family, day, {"flags": {}}) == []
 
 
 def test_vvg_direction_rules():
     day = vvg_day(30, f30=12.0)
     prims = day_primitives(day)
-    cont = vvg_strategy_signals(day, True, "CONTINUATION", prims)
-    rev = vvg_strategy_signals(day, True, "REVERSAL", prims)
-    assert [(e.bar_index, e.direction) for e in cont] == [(6, LONG)]
-    assert [(e.bar_index, e.direction) for e in rev] == [(6, SHORT)]
-    assert cont[0].family == "VVG_CONTINUATION"
-    assert rev[0].family == "VVG_REVERSAL"
+    assert vvg_open_signals(day, prims, follow=True) == [(6, LONG)]
+    assert vvg_open_signals(day, prims, follow=False) == [(6, SHORT)]
+    flagged = {"flags": {day.date: True}}
+    assert named("VVG_CONTINUATION", day, flagged) == [
+        SignalEvent("VVG_CONTINUATION", day.date, 6, LONG)]
+    assert named("VVG_REVERSAL", day, flagged) == [SignalEvent("VVG_REVERSAL", day.date, 6, SHORT)]
 
 
 def test_vvg_close_fade_shorts_an_up_day():
     closes = [100.0 + 40.0 * min(i, 40) / 40 for i in range(78)]
     day = day_from_closes(closes, prior_rth_close=99.0)
-    events = vvg_strategy_signals(day, True, "CLOSE_FADE", day_primitives(day))
     # 15:30 close sits at bar index 71
-    assert [(e.bar_index, e.direction) for e in events] == [(71, SHORT)]
+    assert vvg_close_fade_signals(day) == [(71, SHORT)]
 
 
 # -- event drift ------------------------------------------------------------------
@@ -314,7 +310,7 @@ def test_event_drift_follows_spike_direction():
     day = day_from_closes(closes)
     events = event_drift_signals(day, [fomc(datetime(2022, 1, 3, 14, 0))],
                                  start_bar_offset=6)
-    assert [(e.bar_index, e.direction) for e in events] == [(60, LONG)]
+    assert events == [(60, LONG)]
 
 
 def test_event_drift_offset_guard():
@@ -348,8 +344,7 @@ def test_ou_crossing_triggers_once():
     closes = [100.0] * 78
     closes[20] = 100.0 - 2.1 * sd
     day = day_from_closes(closes)
-    events = ou_reversion_signals(day, fit, threshold=2.0)
-    assert [(e.bar_index, e.direction) for e in events] == [(20, LONG)]
+    assert ou_reversion_signals(day, fit, threshold=2.0) == [(20, LONG)]
 
 
 def test_ou_rearm_requires_return_inside_band():
@@ -397,11 +392,10 @@ def test_confluence_single_qualifying_bar():
     labels[30] = 1
     trans[30] = 0.2
     vz[30] = 1.0
-    events = confluence_rth_signals(day, labels, trans, vz, atr, 5.0)
-    assert [(e.bar_index, e.direction) for e in events] == [(30, LONG)]
+    (entry,) = confluence_rth_signals(day, labels, trans, vz, atr, 5.0)
+    assert entry[:2] == (30, LONG)
     # ATR at baseline: the pullback limit sits exactly 25 points below the close
-    assert events[0].limit_level == pytest.approx(
-        day.bars[30].close - 25.0)
+    assert entry[2] == pytest.approx(day.bars[30].close - 25.0)
 
 
 def test_confluence_thresholds_are_strict():
@@ -418,10 +412,10 @@ def test_london_b_transition_rules():
     day = day_from_closes([100.0] * 22, session=LONDON)
     lab = [0] * 22
     lab[2] = 2
-    assert [e.bar_index for e in london_b_signals(day, lab)] == [2]
+    assert [i for i, _ in london_b_signals(day, lab)] == [2]
 
     lab2 = [0, 2] + [2] * 20
-    assert [e.bar_index for e in london_b_signals(day, lab2)] == [1]
+    assert [i for i, _ in london_b_signals(day, lab2)] == [1]
 
     lab3 = [1, 0, 2] + [0] * 19
     assert london_b_signals(day, lab3) == []  # regime-1 contamination
@@ -430,9 +424,9 @@ def test_london_b_transition_rules():
 def test_london_b_direction_and_family():
     day = day_from_closes([100.0] * 22, session=LONDON)
     lab = [0, 0, 2] + [0] * 19
-    events = london_b_signals(day, lab)
-    assert events[0].family == "LONDON_B"
-    assert events[0].direction == LONG
+    assert london_b_signals(day, lab) == [(2, LONG)]
+    assert named("LONDON_B", day, {"series": {day.date: {"labels": lab}}}) == [
+        SignalEvent("LONDON_B", day.date, 2, LONG)]
 
 
 # -- cross-family invariants -----------------------------------------------------
@@ -444,17 +438,18 @@ def test_no_signal_on_final_bar_anywhere():
     day = day_from_closes(closes, volumes=vols, prior_rth_close=closes[0] - 12)
     prims = day_primitives(day)
     pools = [
-        orb_signals(day, prims),
-        orb_signals(day, prims, "PULLBACK"),
-        liquidity_grab_signals(day, None, "FADE"),
-        gap_signals(day, prims, "FILL_FADE", min_gap=1.0),
-        volume_signature_signals(day, "SPIKE", 1.5, 0.6),
-        volume_signature_signals(day, "DRYUP", 1.5, 0.6),
+        orb_signals(day, prims, LONG),
+        orb_signals(day, prims, SHORT),
+        orb_pullback_signals(day, prims),
+        liquidity_grab_signals(day, None, fade=True),
+        gap_fill_signals(day, prims, min_gap=1.0),
+        volume_signature_signals(day, True, 1.5),
+        volume_signature_signals(day, False, 0.6),
     ]
-    for events in pools:
-        for ev in events:
-            assert ev.bar_index <= len(day.bars) - 2
-            assert ev.direction in (LONG, SHORT)
+    for entries in pools:
+        for i, direction in entries:
+            assert i <= len(day.bars) - 2
+            assert direction in (LONG, SHORT)
 
 
 def test_event_is_hashable_and_carries_no_level_by_default():
@@ -482,12 +477,11 @@ def reference_asia_expansion(day, multiple, mean_range):
         rng, body = bars[i].high - bars[i].low, bars[i].close - bars[i].open
         if rng > multiple * mr and body != 0:
             direction = LONG if body > 0 else SHORT
-            events.append(SignalEvent("ASIA_EXPANSION", day.date, i, direction))
+            events.append((i, direction))
     return events
 
 
-def reference_liquidity_grab(day, lookback, mode):
-    family = "LIQUIDITY_GRAB_FADE" if mode == "FADE" else "LIQUIDITY_GRAB_CONT"
+def reference_liquidity_grab(day, lookback, fade):
     bars = day.bars
     events = []
     start = 6 if lookback is None else lookback
@@ -503,16 +497,13 @@ def reference_liquidity_grab(day, lookback, mode):
             prior_lo = lows[i - lookback:i].min()
         b = bars[i]
         if b.high > prior_hi and b.close < prior_hi:
-            direction = SHORT if mode == "FADE" else LONG
-            events.append(SignalEvent(family, day.date, i, direction))
+            events.append((i, SHORT if fade else LONG))
         if b.low < prior_lo and b.close > prior_lo:
-            direction = LONG if mode == "FADE" else SHORT
-            events.append(SignalEvent(family, day.date, i, direction))
+            events.append((i, LONG if fade else SHORT))
     return events
 
 
-def reference_volume_signature(day, kind, spike_cutoff, dryup_cutoff, ratio):
-    family = "VOL_SPIKE" if kind == "SPIKE" else "VOL_DRYUP"
+def reference_volume_signature(day, spike, cutoff, ratio):
     events = []
     for i in range(min(len(day.bars), len(day.bars) - 1)):
         r = ratio[i]
@@ -522,11 +513,10 @@ def reference_volume_signature(day, kind, spike_cutoff, dryup_cutoff, ratio):
         if body == 0:
             continue
         bar_dir = LONG if body > 0 else SHORT
-        if kind == "SPIKE" and r > spike_cutoff:
-            events.append(SignalEvent(family, day.date, i, bar_dir))
-        elif kind == "DRYUP" and r < dryup_cutoff:
-            direction = SHORT if bar_dir == LONG else LONG
-            events.append(SignalEvent(family, day.date, i, direction))
+        if spike and r > cutoff:
+            events.append((i, bar_dir))
+        elif not spike and r < cutoff:
+            events.append((i, SHORT if bar_dir == LONG else LONG))
     return events
 
 
@@ -541,8 +531,7 @@ def reference_confluence(day, labels, trans_prob, vol_z, atr, atr_baseline,
         if tp > trans_threshold and vz > vz_threshold:
             scale = atr[i] / atr_baseline if np.isfinite(atr[i]) and atr_baseline > 0 else 1.0
             level = bars[i].close - pullback_points * scale
-            events.append(SignalEvent("CONFLUENCE_RTH", day.date, i, LONG,
-                                      limit_level=float(level)))
+            events.append((i, LONG, float(level)))
     return events
 
 
@@ -589,10 +578,10 @@ def test_asia_expansion_mask_matches_loop(data, day, multiple, computed):
 
 @settings(max_examples=300, deadline=None)
 @given(day=tick_days(session=ASIA), lookback=st.sampled_from([None, 1, 2, 5, 12]),
-       mode=st.sampled_from(["FADE", "CONTINUATION"]))
-def test_liquidity_grab_mask_matches_loop(day, lookback, mode):
-    same_events(liquidity_grab_signals(day, lookback, mode),
-                reference_liquidity_grab(day, lookback, mode))
+       fade=st.booleans())
+def test_liquidity_grab_mask_matches_loop(day, lookback, fade):
+    same_events(liquidity_grab_signals(day, lookback, fade),
+                reference_liquidity_grab(day, lookback, fade))
 
 
 def test_liquidity_grab_lookback_below_one_rejected():
@@ -603,14 +592,13 @@ def test_liquidity_grab_lookback_below_one_rejected():
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), day=tick_days(), kind=st.sampled_from(["SPIKE", "DRYUP"]),
-       cuts=st.tuples(odd_floats, odd_floats), computed=st.booleans())
-def test_volume_signature_mask_matches_loop(data, day, kind, cuts, computed):
+@given(data=st.data(), day=tick_days(), spike=st.booleans(), cutoff=odd_floats,
+       computed=st.booleans())
+def test_volume_signature_mask_matches_loop(data, day, spike, cutoff, computed):
     ratio = volume_ratio_series(day, window=3) if computed \
         else data.draw(per_bar(day, odd_floats))
-    spike, dryup = max(cuts), min(cuts)
-    same_events(volume_signature_signals(day, kind, spike, dryup, ratio=ratio),
-                reference_volume_signature(day, kind, spike, dryup, ratio))
+    same_events(volume_signature_signals(day, spike, cutoff, ratio=ratio),
+                reference_volume_signature(day, spike, cutoff, ratio))
 
 
 @settings(max_examples=300, deadline=None)
