@@ -13,7 +13,7 @@ from .engine import Engine, EngineError, default_families, load_bundle
 from .execution import TRADE_HEADER, TradeRecord, ExitReason, serialize_trades
 from .ledger import DecisionRecord, Ledger, LedgerError
 from .report import RunReport, render_report, render_summary
-from .synth import DriftSpec, SynthSpec, gen_edge_days, gen_null_days
+from .synth import DriftSpec, SynthError, SynthSpec, gen_edge_days, gen_null_days
 from .validation import summary_metrics, validate
 
 EXIT_OK = 0
@@ -54,17 +54,18 @@ def synth(out: str, n_days: int, session: str, seed: int, vol: float,
           drift_magnitude: float | None, drift_horizon: int,
           events_per_day: int) -> None:
     """Generate a synthetic bar file (optionally with planted drift)."""
-    drift = None
-    if drift_magnitude is not None:
-        drift = DriftSpec(drift_magnitude, drift_horizon, events_per_day)
-    spec = SynthSpec(n_days=n_days, session=SESSIONS[session], vol_per_bar=vol,
-                     seed=seed, drift=drift)
     header = (f"synth n_days={n_days} session={session} seed={seed} vol={vol} "
               f"drift={drift_magnitude} horizon={drift_horizon}")
-    if drift is None:
-        days = gen_null_days(spec)
-    else:
-        days, planted = gen_edge_days(spec)
+    try:
+        drift = (None if drift_magnitude is None
+                 else DriftSpec(drift_magnitude, drift_horizon, events_per_day))
+        spec = SynthSpec(n_days=n_days, session=SESSIONS[session], vol_per_bar=vol,
+                         seed=seed, drift=drift)
+        days, planted = (gen_null_days(spec), None) if drift is None else gen_edge_days(spec)
+    except SynthError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
+    if planted is not None:
         truth = Path(out).with_suffix(".events.csv")
         lines = ["family,date,bar_index,direction"]
         lines += [f"{e.family},{e.day.isoformat()},{e.bar_index},{e.direction}"

@@ -123,8 +123,9 @@ def config_from_dict(raw: dict, seed_override: Optional[int] = None) -> RunConfi
     # numbers that would be divided by zero, rounded or truncated fail here
     tick, friction = (merged["instrument"][k] for k in ("tick_size", "friction_points"))
     number = lambda x: type(x) in (int, float) and math.isfinite(x)
-    if not (number(tick) and tick > 0):
-        raise ConfigError(f"tick_size must be a positive number, got {tick!r}")
+    # the trade log and `falsify report` carry prices in cents
+    if not (number(tick) and tick >= 0.01 and not Instrument(tick_size=0.01).off_grid(tick)):
+        raise ConfigError(f"tick_size must be a positive whole number of cents, got {tick!r}")
     if not (number(friction) and friction >= 0
             and not Instrument(tick_size=tick).off_grid(friction)):
         raise ConfigError(f"friction must be a non-negative whole number of {tick}-point "

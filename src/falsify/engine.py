@@ -1,13 +1,12 @@
 """Binds data, features, signal families, execution and validation into runs.
 
-Each family gets a runner whose fitted state (GMM model, decile cutoffs,
+Each family gets a runner whose fitted state (regime labels, decile cutoffs,
 tercile boundaries, OU fit) comes from the training days only; rolling
 per-bar series are computed over the chronological bar stream and are
 strictly backward-looking, so slicing them per day leaks nothing.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
 from typing import Any, Callable, Optional, Sequence
@@ -19,7 +18,7 @@ from .bars import (BarError, DayPrimitives, EconEvent, TradingDay, day_primitive
                    parse_bar_file, parse_event_calendar, ASIA, LONDON, RTH)
 from .config import RunConfig
 from .execution import ExitKind, ExitSpec, entry_order, fill_events, simulate
-from .features import (RegimeGMM, RollingSpec, Statistic, gmm_fit, kalman_velocity,
+from .features import (RollingSpec, Statistic, gmm_fit, kalman_velocity,
                        markov_transition_prob, ou_fit, regime_features, rolling_stat,
                        volume_zscore)
 from .validation import (EvalMetrics, RunnerTrades, Verdict, WalkForwardResult,
@@ -92,7 +91,7 @@ def _parse_clock(s: str) -> time:
 
 
 def _fit_volume_cutoffs(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
-    lo, hi = sig.volume_ratio_cutoffs(train, window=20)
+    lo, hi = sig.volume_ratio_cutoffs([eng.per_day(sig.volume_ratio_series, d) for d in train])
     return {"dryup_cutoff": lo, "spike_cutoff": hi}
 
 
@@ -121,8 +120,9 @@ def _fit_regime(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
     n = sum(len(d.ts) for d in train)
     model = gmm_fit(X[50:n], k=3, seed=eng.config.seed)
     finite = atr[:n][np.isfinite(atr[:n])]
-    return {"atr_baseline": float(np.median(finite)) if len(finite) else 1.0,
-            "series": eng._regime_series(session, model)}
+    labels = model.predict(X)
+    return {"labels": labels, "trans": markov_transition_prob(labels, window=200, frm=1, to=2),
+            "atr_baseline": float(np.median(finite)) if len(finite) else 1.0}
 
 
 def _regime_inputs(days: Sequence[TradingDay]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,22 +134,29 @@ def _regime_inputs(days: Sequence[TradingDay]) -> tuple[np.ndarray, np.ndarray, 
             rolling_stat(ohlc, volume, RollingSpec(20, Statistic.ATR)))
 
 
+def _day_columns(days: Sequence[TradingDay]) -> dict[date, slice]:
+    """Each day's columns in the days' bar stream."""
+    ends = np.cumsum([len(d.ts) for d in days]).tolist()
+    return {d.date: slice(end - len(d.ts), end) for d, end in zip(days, ends)}
+
+
 def _emit_gap_cont(eng: Engine, day: TradingDay, p: dict, state: dict) -> list:
     v = eng.overnight_velocity().get(day.date)
     return [] if v is None else sig.gap_cont_signals(day, eng.prims(day), v, **p)
 
 
 def _emit_confluence(eng: Engine, day: TradingDay, p: dict, state: dict) -> list:
-    s = state["series"].get(day.date)
-    if s is None:
+    cols = eng.per_session(_day_columns, "rth").get(day.date)
+    if cols is None:
         return []
-    return sig.confluence_rth_signals(day, s["labels"], s["trans"], s["vz"], s["atr"],
-                                      state["atr_baseline"], **p)
+    _, vz, atr = eng.per_session(_regime_inputs, "rth")
+    return sig.confluence_rth_signals(day, state["labels"][cols], state["trans"][cols],
+                                      vz[cols], atr[cols], state["atr_baseline"], **p)
 
 
 def _emit_london_b(eng: Engine, day: TradingDay, p: dict, state: dict) -> list:
-    s = state["series"].get(day.date)
-    return [] if s is None else sig.london_b_signals(day, s["labels"])
+    cols = eng.per_session(_day_columns, "london").get(day.date)
+    return [] if cols is None else sig.london_b_signals(day, state["labels"][cols])
 
 
 def _check_mode(p: dict, modes: dict) -> None:
@@ -258,7 +265,6 @@ class Engine:
                 raise EngineError(f"{name} parameters {overrides}: {exc}") from None
         self._memo: dict = {}
         self._state: dict = {}
-        self._kalman_v: Optional[dict[date, float]] = None
         self.rth_events = sig.events_by_day(bundle.events, RTH)
 
     # -- shared caches ----------------------------------------------------
@@ -292,61 +298,31 @@ class Engine:
     def overnight_velocity(self) -> dict[date, float]:
         """Kalman velocity entering each RTH open, from the overnight session.
 
-        Falls back to the prior RTH day's closes when no Asia data is
-        loaded. Uses only bars strictly before the day's open.
+        Each day's source is the last complete Asia session dated before it,
+        or the prior complete RTH day when no Asia data is loaded, so only
+        bars strictly before the day's open are read. One filter pass covers
+        every day's source.
         """
-        if self._kalman_v is not None:
-            return self._kalman_v
+        if "overnight_velocity" in self._memo:
+            return self._memo["overnight_velocity"]
         cfg = self.config.raw["kalman"]
-        q, r = float(cfg["q"]), float(cfg["r"])
+        rth, asia = self.complete_days("rth"), self.complete_days("asia")
+        if asia:  # days are in date order, as ingest guarantees
+            dates = lambda days: np.array([d.date for d in days], dtype="M8[D]")
+            before = np.searchsorted(dates(asia), dates(rth)) - 1
+            pairs = [(d, asia[i]) for d, i in zip(rth, before.tolist()) if i >= 0]
+        else:
+            pairs = list(zip(rth[1:], rth))
         out: dict[date, float] = {}
-        rth_days = self.complete_days("rth")
-        asia_by_date = {d.date: d for d in self.complete_days("asia")}
-        asia_dates = sorted(asia_by_date)
-        prev_rth: Optional[TradingDay] = None
-        for day in rth_days:
-            source: Optional[TradingDay] = None
-            if asia_dates:
-                i = bisect.bisect_left(asia_dates, day.date)
-                if i:
-                    source = asia_by_date[asia_dates[i - 1]]
-            elif prev_rth is not None:
-                source = prev_rth
-            if source is not None:
-                vel = kalman_velocity(source.ohlc[3], q, r)
-                if bool(cfg.get("zscored")):
-                    sd = float(np.std(vel))
-                    out[day.date] = float(vel[-1] / sd) if sd > 0 else 0.0
-                else:
-                    out[day.date] = float(vel[-1])
-            prev_rth = day
-        self._kalman_v = out
-        return out
-
-    def _regime_series(self, session: str, model: RegimeGMM) -> dict[date, dict]:
-        """Per-day slices of labels / transition prob / volume z / ATR.
-
-        Computed over the full chronological stream; every component is
-        strictly backward-looking. The regime features, volume z-score and
-        ATR do not depend on the fold, so they are built once per session
-        (``per_session``); only the fold's model labels and the transition
-        probability over those labels are built per fold.
-        """
-        days = self.complete_days(session)
-        X, vz, atr = self.per_session(_regime_inputs, session)
-        labels = model.predict(X)
-        trans = markov_transition_prob(labels, window=200, frm=1, to=2)
-        out: dict[date, dict] = {}
-        pos = 0
-        for d in days:
-            n = len(d.ts)
-            out[d.date] = {
-                "labels": labels[pos:pos + n],
-                "trans": trans[pos:pos + n],
-                "vz": vz[pos:pos + n],
-                "atr": atr[pos:pos + n],
-            }
-            pos += n
+        if pairs:
+            vel = kalman_velocity(np.stack([src.ohlc[3] for _, src in pairs]),
+                                  float(cfg["q"]), float(cfg["r"]))
+            v = vel[:, -1]
+            if cfg["zscored"]:
+                sd = np.std(vel, axis=1)
+                v = np.divide(v, sd, out=np.zeros_like(v), where=sd > 0)
+            out = {d.date: x for (d, _), x in zip(pairs, v.tolist())}
+        self._memo["overnight_velocity"] = out
         return out
 
     # -- fitted state per family ------------------------------------------

@@ -81,16 +81,16 @@ def volume_zscore(volume: np.ndarray, window: int) -> np.ndarray:
     return z
 
 
-def kalman_velocity(closes: Sequence[float], q: float = 1e-3, r: float = 1.0,
-                    return_cov: bool = False):
+def kalman_velocity(closes, q: float = 1e-3, r: float = 1.0) -> np.ndarray:
     """Constant-velocity (level + slope) Kalman filter; returns per-bar velocity.
 
     The estimate at index i uses closes 0..i only. Initial state is
-    (first close, 0) with a large prior covariance. With ``return_cov``
-    also returns the per-bar (p00, p01, p11) covariance entries.
+    (first close, 0) with a large prior covariance. A 2-d input is one
+    series per row, filtered in one pass: the covariance recursion, and so
+    every gain, does not depend on the data.
     """
     x = np.asarray(closes, dtype=float)
-    if len(x) == 0:
+    if x.size == 0:
         raise FeatureError("empty series")
     if not np.all(np.isfinite(x)):
         raise FeatureError("non-finite value in input series")
@@ -100,11 +100,11 @@ def kalman_velocity(closes: Sequence[float], q: float = 1e-3, r: float = 1.0,
     # scalar form of the 2-state filter; the 2x2 covariance is unrolled
     # (p00, p01, p11) and kept symmetric by construction
     q00, q01, q11 = 0.25 * q, 0.5 * q, 1.0 * q  # dt = 1 bar
-    level, vel = x[0], 0.0
+    rows = np.atleast_2d(x)
+    level, vel = rows[:, 0].copy(), np.zeros(len(rows))
     p00, p01, p11 = 1e6, 0.0, 1e6
-    out = np.empty(len(x))
-    covs = np.empty((len(x), 3)) if return_cov else None
-    for i in range(len(x)):
+    out = np.empty(rows.shape)
+    for i in range(rows.shape[1]):
         if i > 0:
             level += vel
             p00 = p00 + 2.0 * p01 + p11 + q00
@@ -112,18 +112,14 @@ def kalman_velocity(closes: Sequence[float], q: float = 1e-3, r: float = 1.0,
             p11 = p11 + q11
         s = p00 + r
         k0, k1 = p00 / s, p01 / s
-        resid = x[i] - level
+        resid = rows[:, i] - level
         level += k0 * resid
         vel += k1 * resid
         p11 -= k1 * p01
         p01 *= 1.0 - k0
         p00 *= 1.0 - k0
-        out[i] = vel
-        if covs is not None:
-            covs[i] = (p00, p01, p11)
-    if covs is not None:
-        return out, covs
-    return out
+        out[:, i] = vel
+    return out if x.ndim > 1 else out[0]
 
 
 def hurst_exponent(returns: Sequence[float], min_chunk: int = 16) -> float:

@@ -107,13 +107,13 @@ def _with_body(day: TradingDay, hit: np.ndarray, with_bar: bool = True) -> list[
 
 
 def asia_expansion_signals(day: TradingDay, multiple: float,
-                           mean_range: Optional[np.ndarray] = None) -> list[tuple]:
-    """Expansion bar: range above a multiple of the rolling mean range.
+                           mean_range: np.ndarray) -> list[tuple]:
+    """Expansion bar: range above a multiple of the rolling mean range
+    (``mean_range_series(day)``).
 
     Direction follows the expansion bar's close-vs-open; dojis emit nothing.
-    ``mean_range`` defaults to ``mean_range_series(day)``.
     """
-    mr = np.asarray(mean_range_series(day) if mean_range is None else mean_range, dtype=float)
+    mr = np.asarray(mean_range, dtype=float)
     _, h, lo, _ = day.ohlc
     with np.errstate(invalid="ignore"):  # 0 * inf; such bars are skipped as non-finite
         hit = np.isfinite(mr) & (mr > 0) & (h - lo > multiple * mr)
@@ -204,9 +204,9 @@ def volume_ratio_series(day: TradingDay, window: int = 20) -> np.ndarray:
     return ratio
 
 
-def volume_ratio_cutoffs(days: Sequence[TradingDay], window: int = 20) -> tuple[float, float]:
-    """(bottom-decile, top-decile) cutoffs of the volume ratio on a training set."""
-    ratios = np.concatenate([volume_ratio_series(d, window) for d in days]) if days else np.array([])
+def volume_ratio_cutoffs(series: Sequence[np.ndarray]) -> tuple[float, float]:
+    """(bottom-decile, top-decile) cutoffs of a training set's volume ratio series."""
+    ratios = np.concatenate(series) if len(series) else np.array([])
     ratios = ratios[np.isfinite(ratios)]
     if len(ratios) == 0:
         return (0.0, float("inf"))
@@ -214,14 +214,14 @@ def volume_ratio_cutoffs(days: Sequence[TradingDay], window: int = 20) -> tuple[
 
 
 def volume_signature_signals(day: TradingDay, spike: bool, cutoff: float,
-                             ratio: Optional[np.ndarray] = None) -> list[tuple]:
-    """Volume spike momentum (ratio above ``cutoff``, with the bar) if ``spike``,
-    else dry-up exhaustion (ratio below ``cutoff``, against the bar).
+                             ratio: np.ndarray) -> list[tuple]:
+    """Volume spike momentum (``ratio`` above ``cutoff``, with the bar) if ``spike``,
+    else dry-up exhaustion (``ratio`` below ``cutoff``, against the bar).
 
-    The decile cutoff is frozen on the training window and passed in.
-    ``ratio`` defaults to ``volume_ratio_series(day)``.
+    ``ratio`` is ``volume_ratio_series(day)``; the decile cutoff is frozen
+    on the training window and passed in.
     """
-    ratio = np.asarray(volume_ratio_series(day) if ratio is None else ratio, dtype=float)
+    ratio = np.asarray(ratio, dtype=float)
     hit = ratio > cutoff if spike else ratio < cutoff
     return _with_body(day, hit & np.isfinite(ratio), with_bar=spike)
 

@@ -38,6 +38,10 @@ class DriftSpec:
     horizon: int
     events_per_day: int = 1
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.magnitude):
+            raise SynthError(f"drift magnitude must be finite, got {self.magnitude}")
+
 
 @dataclass(frozen=True)
 class RegimeSpec:
@@ -85,8 +89,10 @@ class SynthSpec:
     regimes: Optional[RegimeSpec] = None
 
     def __post_init__(self) -> None:
-        if self.vol_per_bar <= 0:
-            raise SynthError("vol_per_bar must be positive")
+        if self.n_days < 0:
+            raise SynthError(f"n_days must be >= 0, got {self.n_days}")
+        if not (self.vol_per_bar > 0 and math.isfinite(self.vol_per_bar)):
+            raise SynthError(f"vol_per_bar must be positive and finite, got {self.vol_per_bar}")
 
 
 def _weekdays(start: date, n: int) -> list[date]:

@@ -24,8 +24,8 @@ from falsify.execution import (ExitKind, ExitSpec, Instrument, MNQ, simulate)
 from falsify.features import (gmm_fit, hurst_exponent, kalman_velocity,
                               markov_transition_prob, ou_fit)
 from falsify.signals import (LONG, SHORT, SignalEvent, asia_expansion_signals,
-                             gap_fill_signals, liquidity_grab_signals, orb_signals,
-                             vvg_boundaries, vvg_classify)
+                             gap_fill_signals, liquidity_grab_signals, mean_range_series,
+                             orb_signals, vvg_boundaries, vvg_classify)
 from falsify.synth import (RegimeSpec, SynthSpec, gen_event_calendar,
                            gen_null_days, gen_regime_days, plant_drift)
 from falsify.validation import (EvalMetrics, GateThresholds, YearMetrics,
@@ -179,7 +179,7 @@ def emit(family: str, day: TradingDay):
         "LIQUIDITY_GRAB_FADE": lambda: liquidity_grab_signals(day, None, fade=True),
         "GAP_FILL_FADE": lambda: gap_fill_signals(day, day_primitives(day), time(9, 45),
                                                   min_gap=5.0),
-        "ASIA_EXPANSION": lambda: asia_expansion_signals(day, 1.5),
+        "ASIA_EXPANSION": lambda: asia_expansion_signals(day, 1.5, mean_range_series(day)),
     }[family]()
     return [SignalEvent(family, day.date, i, d) for i, d in entries]
 

@@ -97,6 +97,20 @@ def test_synth_with_drift_writes_ground_truth(tmp_path):
     assert len(lines) > 1
 
 
+@pytest.mark.parametrize("args,error", [
+    (["--vol", -1], "vol_per_bar must be positive and finite, got -1.0"),
+    (["--vol", "nan"], "vol_per_bar must be positive and finite, got nan"),
+    (["--drift-magnitude", "nan"], "drift magnitude must be finite, got nan"),
+    (["--drift-magnitude", 15.0, "--drift-horizon", 0], "horizon must be >= 1, got 0"),
+    (["--days", -3], "n_days must be >= 0, got -3"),
+], ids=["negative_vol", "nan_vol", "nan_drift", "zero_drift_horizon", "negative_days"])
+def test_synth_bad_option_exits_two_and_writes_nothing(tmp_path, args, error):
+    res = run_cli("synth", "--out", tmp_path / "synth.csv", *args)
+    assert res.exit_code == 2, res.output
+    assert f"config error: {error}" in res.output
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- run ------------------------------------------------------------------------
 
 def test_run_single_family_writes_artifacts(tmp_path):
@@ -285,6 +299,19 @@ def test_report_recomputes_from_trade_log(tmp_path):
     assert rep.exit_code == 0
     assert "| Variant |" in rep.output
     assert "ORB_LONG" in rep.output
+
+
+def test_run_rejects_a_tick_size_the_trade_log_cannot_carry(tmp_path):
+    # the trade log writes prices to the cent: a 0.125-point tick would log an
+    # entry at 14670.375 as 14670.38
+    bars = write_days(tmp_path, gen_null_days(SynthSpec(5, seed=1)))
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"data:\n  rth: {bars}\ninstrument:\n  tick_size: 0.125\n", encoding="utf-8")
+    res = run_cli("run", "--config", cfg, "--out", tmp_path / "runs")
+    assert res.exit_code == 2, res.output
+    assert "config error: tick_size must be a positive whole number of cents, got 0.125" \
+        in res.output
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("edit,error", [

@@ -80,6 +80,9 @@ def test_negative_friction_rejected(tmp_path):
     ({"permutation": {"iterations": 0}}, "iterations"),
     ({"permutation": {"iterations": 10.5}}, "iterations"),
     ({"permutation": {"iterations": True}}, "iterations"),
+    # trade logs and `falsify report` carry prices to the cent
+    ({"instrument": {"tick_size": 0.125}}, "whole number of cents"),
+    ({"instrument": {"tick_size": 1e-12, "friction_points": 0}}, "whole number of cents"),
 ])
 def test_zero_tick_off_grid_friction_and_bad_iterations_rejected(raw, match):
     with pytest.raises(ConfigError, match=match):

@@ -187,6 +187,25 @@ def test_overnight_velocity_prefers_asia_bars():
     assert any(with_asia[d] != without[d] for d in shared)
 
 
+@pytest.mark.parametrize("with_asia", [True, False])
+def test_zscored_overnight_velocity_divides_by_its_source_std(with_asia):
+    from falsify.bars import ASIA
+    from falsify.features import kalman_velocity
+    rth = two_year_null(30, seed=3)
+    asia = gen_null_days(SynthSpec(30, session=ASIA, seed=4)) if with_asia else []
+    kalman = {"q": 2e-3, "r": 0.5}
+    raw = make_engine(rth=rth, asia=asia, cfg={"kalman": kalman}).overnight_velocity()
+    z = make_engine(rth=rth, asia=asia,
+                    cfg={"kalman": {**kalman, "zscored": True}}).overnight_velocity()
+    # the Asia session dated the day before, or else the prior RTH day
+    sources = dict(zip([d.date for d in rth[1:]], asia or rth))
+    assert raw.keys() == z.keys() == sources.keys()
+    for day, src in sources.items():
+        vel = kalman_velocity(src.ohlc[3], **kalman)
+        assert raw[day] == vel[-1]
+        assert z[day] == vel[-1] / np.std(vel)
+
+
 def test_config_overrides_reach_the_grid():
     eng = make_engine(rth=two_year_null(10),
                       cfg={"families": {"OU_REVERSION": {"threshold": 9.9}}})
@@ -235,10 +254,12 @@ def test_per_day_series_computed_once_and_shared(monkeypatch):
     eng = make_engine(rth=rth, asia=asia)
     state = eng._fit_state("VOL_SPIKE", rth[:30], {})
     cuts = state["spike_cutoff"], state["dryup_cutoff"]
-    want = [(sig.volume_signature_signals(d, True, cuts[0]),
-             sig.volume_signature_signals(d, False, cuts[1])) for d in rth[30:]]
+    want = [(sig.volume_signature_signals(d, True, cuts[0], sig.volume_ratio_series(d)),
+             sig.volume_signature_signals(d, False, cuts[1], sig.volume_ratio_series(d)))
+            for d in rth[30:]]
     multiples = (1.5, 2.0, 2.5)
-    want_asia = [[sig.asia_expansion_signals(d, m) for m in multiples] for d in asia]
+    want_asia = [[sig.asia_expansion_signals(d, m, sig.mean_range_series(d)) for m in multiples]
+                 for d in asia]
 
     calls = []
     for name in ("volume_ratio_series", "mean_range_series"):
@@ -265,15 +286,9 @@ def reference_fit_regime(eng, session, train):
     days = eng.complete_days(session)
     full = bar_arrays(b for d in days for b in d.bars)
     labels = model.predict(regime_features(*full, vol_window=50))
-    trans = markov_transition_prob(labels, window=200, frm=1, to=2)
-    vz = volume_zscore(full[1], 50)
-    atr_full = rolling_stat(*full, RollingSpec(20, Statistic.ATR))
-    series, pos = {}, 0
-    for d in days:
-        n = len(d.bars)
-        series[d.date] = {"labels": labels[pos:pos + n], "trans": trans[pos:pos + n],
-                          "vz": vz[pos:pos + n], "atr": atr_full[pos:pos + n]}
-        pos += n
+    series = {"labels": labels, "trans": markov_transition_prob(labels, window=200, frm=1, to=2),
+              "vz": volume_zscore(full[1], 50),
+              "atr": rolling_stat(*full, RollingSpec(20, Statistic.ATR))}
     return {"atr_baseline": float(np.median(finite)) if len(finite) else 1.0,
             "series": series}
 
@@ -300,13 +315,18 @@ def test_regime_state_is_bit_equal_on_every_fold_and_built_once(monkeypatch):
             train = [d for d in days if d.year in fold.train_years]
             state = eng._fit_state(family, train, {})
             want = reference_fit_regime(eng, session, train)
+            assert state.keys() == {"labels", "trans", "atr_baseline"}
             assert state["atr_baseline"] == want["atr_baseline"]
-            assert state["series"].keys() == want["series"].keys()
-            for day, ref in want["series"].items():
-                for key, arr in ref.items():
-                    got = state["series"][day][key]
-                    assert got.dtype == arr.dtype and np.array_equal(got, arr, equal_nan=True)
-            assert any(np.isfinite(s["trans"]).any() for s in state["series"].values())
+            _, vz, atr = eng.per_session(engine_mod._regime_inputs, session)
+            got = {"labels": state["labels"], "trans": state["trans"], "vz": vz, "atr": atr}
+            for key, arr in want["series"].items():
+                assert got[key].dtype == arr.dtype
+                assert np.array_equal(got[key], arr, equal_nan=True), key
+            assert np.isfinite(state["trans"]).any()
+        # the emitters slice each day's columns out of those session-long arrays
+        ends = np.cumsum([len(d.ts) for d in days])
+        assert eng.per_session(engine_mod._day_columns, session) == {
+            d.date: slice(int(end) - len(d.ts), int(end)) for d, end in zip(days, ends)}
         n = sum(len(d.bars) for d in days)
         assert [built[(name, n)] for name in ("regime_features", "volume_zscore",
                                               "rolling_stat")] == [1, 1, 1], family
@@ -346,8 +366,8 @@ def test_regime_fit_rejects_a_window_that_does_not_open_the_session():
     for train in (rth[40:120], copies, rth + rth[:1]):
         with pytest.raises(EngineError, match="leading run of the complete rth days"):
             eng._fit_state("CONFLUENCE_RTH", train, {})
-    assert eng._fit_state("CONFLUENCE_RTH", rth[:80], {})["series"].keys() == \
-        {d.date for d in rth}
+    state = eng._fit_state("CONFLUENCE_RTH", rth[:80], {})
+    assert len(state["labels"]) == len(state["trans"]) == sum(len(d.ts) for d in rth)
 
 
 # -- walk-forward on the array kernel ----------------------------------------------
@@ -414,6 +434,28 @@ def old_runner(eng, family):
                                                   eng.config.instrument).trades)
         return trades
     return run
+
+
+def test_appending_a_year_leaves_every_earlier_fold_unchanged():
+    # session-long inputs (regime labels, VVG flags, overnight velocity) must
+    # not let a later year reach back into an earlier fold
+    from falsify.bars import ASIA
+    from falsify.synth import gen_event_calendar
+    short = three_year_bundle()
+    start = date(2024, 1, 2)
+    rth = gen_null_days(SynthSpec(60, seed=31, start_date=start, gap_sigma=15.0))
+    longer = DataBundle(
+        short.rth + rth,
+        short.asia + gen_null_days(SynthSpec(60, session=ASIA, seed=32, start_date=start)),
+        short.london + gen_null_days(SynthSpec(60, session=LONDON, seed=33, start_date=start)),
+        short.events + gen_event_calendar(rth, seed=31))
+    engines = [Engine(b, config_from_dict({})) for b in (short, longer)]
+    for family in sorted(default_families()):
+        before, after = (e.run_family(family, permutation=False)[0] for e in engines)
+        assert [f.test_year for f in before.plan.folds] == [2022, 2023], family
+        assert [f.test_year for f in after.plan.folds] == [2022, 2023, 2024], family
+        assert after.chosen[:2] == before.chosen, family
+        assert [t for t in after.oos_trades if t.date.year < 2024] == before.oos_trades, family
 
 
 def test_walk_forward_picks_and_trades_match_the_record_runner():

@@ -119,14 +119,37 @@ def test_kalman_noisy_ramp_monte_carlo():
     assert max(errs) < 0.2
 
 
-def test_kalman_covariance_stays_psd():
+def scalar_kalman(closes, q, r):
+    """The filter one series at a time, on Python floats."""
+    level, vel = float(closes[0]), 0.0
+    p00, p01, p11 = 1e6, 0.0, 1e6
+    out = []
+    for i, x in enumerate(closes):
+        if i > 0:
+            level += vel
+            p00 = p00 + 2.0 * p01 + p11 + 0.25 * q
+            p01 = p01 + p11 + 0.5 * q
+            p11 = p11 + 1.0 * q
+        s = p00 + r
+        k0, k1 = p00 / s, p01 / s
+        resid = float(x) - level
+        level += k0 * resid
+        vel += k1 * resid
+        p11 -= k1 * p01
+        p01 *= 1.0 - k0
+        p00 *= 1.0 - k0
+        out.append(vel)
+    return out
+
+
+def test_kalman_filters_each_row_of_a_2d_input_as_its_own_series():
     rng = np.random.default_rng(0)
-    closes = np.cumsum(rng.normal(0, 5, 10_000)) + 15000
-    _, covs = kalman_velocity(closes, q=1e-3, r=1.0, return_cov=True)
-    p00, p01, p11 = covs[:, 0], covs[:, 1], covs[:, 2]
-    assert np.all(p00 >= 0)
-    assert np.all(p11 >= 0)
-    assert np.all(p00 * p11 - p01 * p01 >= -1e-12)
+    rows = np.cumsum(rng.normal(0, 5, (6, 300)), axis=1) + 15000
+    got = kalman_velocity(rows, q=2e-3, r=0.5)
+    assert got.shape == rows.shape
+    for row, v in zip(rows, got):
+        assert v.tolist() == scalar_kalman(row, q=2e-3, r=0.5)
+        assert np.array_equal(v, kalman_velocity(row, q=2e-3, r=0.5))
 
 
 def test_kalman_rejects_bad_input():

@@ -15,11 +15,11 @@ from falsify.features import OuFit
 from falsify.signals import (LONG, SHORT, SignalError, SignalEvent,
                              asia_expansion_signals, confluence_rth_signals,
                              event_drift_signals, gap_cont_signals, gap_fill_signals,
-                             liquidity_grab_signals, london_b_signals,
+                             liquidity_grab_signals, london_b_signals, mean_range_series,
                              orb_pullback_signals, orb_signals, ou_reversion_signals,
                              vvg_boundaries, vvg_classify, vvg_close_fade_signals,
                              vvg_metrics, vvg_open_signals, volume_ratio_cutoffs,
-                             volume_signature_signals)
+                             volume_ratio_series, volume_signature_signals)
 
 
 def day_from_closes(closes, d=date(2022, 1, 3), session=RTH, volumes=None,
@@ -97,7 +97,7 @@ def test_orb_breakout_on_final_bar_not_entryable():
 
 def test_expansion_uniform_ranges_empty():
     day = day_from_closes([100.0] * 72, session=ASIA)
-    assert asia_expansion_signals(day, multiple=1.5) == []
+    assert asia_expansion_signals(day, 1.5, mean_range_series(day)) == []
 
 
 def test_expansion_single_wide_bar():
@@ -108,7 +108,7 @@ def test_expansion_single_wide_bar():
     highs[25] = 102.0
     lows[25] = 98.0  # range 4.0 > 1.5 * 2.0
     day = day_from_closes(closes, session=ASIA, highs=highs, lows=lows)
-    assert asia_expansion_signals(day, multiple=1.5) == [(25, LONG)]
+    assert asia_expansion_signals(day, 1.5, mean_range_series(day)) == [(25, LONG)]
 
 
 def test_expansion_doji_emits_nothing():
@@ -118,7 +118,7 @@ def test_expansion_doji_emits_nothing():
     highs[25] = 103.0
     lows[25] = 97.0  # wide but close == open
     day = day_from_closes(closes, session=ASIA, highs=highs, lows=lows)
-    assert asia_expansion_signals(day, multiple=1.5) == []
+    assert asia_expansion_signals(day, 1.5, mean_range_series(day)) == []
 
 
 # -- liquidity grabs -------------------------------------------------------------
@@ -197,9 +197,10 @@ def test_gap_cont_short_requires_velocity_filter():
 
 def test_uniform_volume_emits_nothing():
     day = day_from_closes([100.0 + 0.1 * i for i in range(78)])
-    lo, hi = volume_ratio_cutoffs([day])
-    assert volume_signature_signals(day, True, hi) == []
-    assert volume_signature_signals(day, False, lo) == []
+    ratio = volume_ratio_series(day)
+    lo, hi = volume_ratio_cutoffs([ratio])
+    assert volume_signature_signals(day, True, hi, ratio) == []
+    assert volume_signature_signals(day, False, lo, ratio) == []
 
 
 def test_volume_spike_goes_with_the_bar():
@@ -208,8 +209,8 @@ def test_volume_spike_goes_with_the_bar():
     closes = [100.0] * 78
     closes[30] = 101.0  # up-close on the spike bar
     day = day_from_closes(closes, volumes=vols)
-    assert volume_signature_signals(day, True, 3.0) == [(30, LONG)]
-    assert volume_signature_signals(day, False, 0.3) == []
+    assert volume_signature_signals(day, True, 3.0, volume_ratio_series(day)) == [(30, LONG)]
+    assert volume_signature_signals(day, False, 0.3, volume_ratio_series(day)) == []
 
 
 def test_volume_dryup_fades_the_bar():
@@ -218,8 +219,8 @@ def test_volume_dryup_fades_the_bar():
     closes = [100.0] * 78
     closes[30] = 100.75  # drifting up on no volume
     day = day_from_closes(closes, volumes=vols)
-    assert volume_signature_signals(day, False, 0.3) == [(30, SHORT)]
-    assert volume_signature_signals(day, True, 3.0) == []
+    assert volume_signature_signals(day, False, 0.3, volume_ratio_series(day)) == [(30, SHORT)]
+    assert volume_signature_signals(day, True, 3.0, volume_ratio_series(day)) == []
 
 
 def test_volume_cutoffs_are_deciles():
@@ -228,9 +229,9 @@ def test_volume_cutoffs_are_deciles():
                             d=date(2022, 1, 3 + i),
                             volumes=rng.integers(500, 1500, 78))
             for i in range(3)]
-    lo, hi = volume_ratio_cutoffs(days)
-    from falsify.signals import volume_ratio_series
-    ratios = np.concatenate([volume_ratio_series(d) for d in days])
+    series = [volume_ratio_series(d) for d in days]
+    lo, hi = volume_ratio_cutoffs(series)
+    ratios = np.concatenate(series)
     ratios = ratios[np.isfinite(ratios)]
     assert lo == pytest.approx(np.quantile(ratios, 0.10))
     assert hi == pytest.approx(np.quantile(ratios, 0.90))
@@ -425,7 +426,7 @@ def test_london_b_direction_and_family():
     day = day_from_closes([100.0] * 22, session=LONDON)
     lab = [0, 0, 2] + [0] * 19
     assert london_b_signals(day, lab) == [(2, LONG)]
-    assert named("LONDON_B", day, {"series": {day.date: {"labels": lab}}}) == [
+    assert named("LONDON_B", day, {"labels": np.array(lab)}) == [
         SignalEvent("LONDON_B", day.date, 2, LONG)]
 
 
@@ -443,8 +444,8 @@ def test_no_signal_on_final_bar_anywhere():
         orb_pullback_signals(day, prims),
         liquidity_grab_signals(day, None, fade=True),
         gap_fill_signals(day, prims, min_gap=1.0),
-        volume_signature_signals(day, True, 1.5),
-        volume_signature_signals(day, False, 0.6),
+        volume_signature_signals(day, True, 1.5, volume_ratio_series(day)),
+        volume_signature_signals(day, False, 0.6, volume_ratio_series(day)),
     ]
     for entries in pools:
         for i, direction in entries:
@@ -463,8 +464,6 @@ def test_event_is_hashable_and_carries_no_level_by_default():
 # -- masked emitters against the per-bar loops they replaced -------------------------
 
 from hypothesis import given, settings, strategies as st
-
-from falsify.signals import mean_range_series, volume_ratio_series
 
 
 def reference_asia_expansion(day, multiple, mean_range):
