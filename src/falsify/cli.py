@@ -16,7 +16,6 @@ from .report import RunReport, render_report, render_summary
 from .synth import DriftSpec, SynthError, SynthSpec, gen_edge_days, gen_null_days
 from .validation import summary_metrics, validate
 
-EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_CONFIG = 2
 
@@ -56,7 +55,12 @@ def synth(out: str, n_days: int, session: str, seed: int, vol: float,
     """Generate a synthetic bar file (optionally with planted drift)."""
     header = (f"synth n_days={n_days} session={session} seed={seed} vol={vol} "
               f"drift={drift_magnitude} horizon={drift_horizon}")
+    ctx = click.get_current_context()
+    given = [p for p in ("drift_horizon", "events_per_day")
+             if ctx.get_parameter_source(p) is not click.core.ParameterSource.DEFAULT]
     try:
+        if drift_magnitude is None and given:
+            raise SynthError(f"--{given[0].replace('_', '-')} needs --drift-magnitude")
         drift = (None if drift_magnitude is None
                  else DriftSpec(drift_magnitude, drift_horizon, events_per_day))
         spec = SynthSpec(n_days=n_days, session=SESSIONS[session], vol_per_bar=vol,

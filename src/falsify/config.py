@@ -4,7 +4,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Optional
 
@@ -45,7 +46,7 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.raw["seed"])
+        return self.raw["seed"]
 
     @property
     def output_dir(self) -> Path:
@@ -53,7 +54,7 @@ class RunConfig:
 
     @property
     def permutation_iterations(self) -> int:
-        return int(self.raw["permutation"]["iterations"])
+        return self.raw["permutation"]["iterations"]
 
     @property
     def permutation_families(self) -> set[str]:
@@ -62,13 +63,13 @@ class RunConfig:
     def gate(self, family: str) -> GateThresholds:
         g = self.raw["gate"]
         return GateThresholds(
-            t_min=float(g["t_min"]), n_min=int(g["n_min"]), p_max=float(g["p_max"]),
+            t_min=float(g["t_min"]), n_min=g["n_min"], p_max=float(g["p_max"]),
             permutation_required=family in self.permutation_families,
         )
 
     def data_path(self, key: str) -> Optional[Path]:
         p = self.raw["data"].get(key)
-        return Path(p) if p else None
+        return None if p is None else Path(p)
 
     def family_overrides(self, family: str) -> dict:
         return dict(self.raw["families"].get(family, {}))
@@ -130,9 +131,23 @@ def config_from_dict(raw: dict, seed_override: Optional[int] = None) -> RunConfi
             and not Instrument(tick_size=tick).off_grid(friction)):
         raise ConfigError(f"friction must be a non-negative whole number of {tick}-point "
                           f"ticks, got {friction!r}")
-    n = merged["permutation"]["iterations"]
-    if type(n) is not int or n < 1:
-        raise ConfigError(f"permutation iterations must be an integer >= 1, got {n!r}")
+    # the rest are read later as numbers, flags or paths: none is truncated or taken as truthy
+    integer = lambda least: (lambda x: type(x) is int and x >= least, f"an integer >= {least}")
+    positive = (lambda x: number(x) and x > 0, "a positive finite number")
+    string = (lambda x: isinstance(x, str), "a string")
+    rules = {("seed",): integer(0), ("output_dir",): string, ("instrument", "name"): string,
+             ("permutation", "iterations"): integer(1),
+             ("gate", "t_min"): (number, "a finite number"), ("gate", "n_min"): integer(0),
+             ("gate", "p_max"): (lambda x: number(x) and 0 < x <= 1, "a number in (0, 1]"),
+             ("kalman", "q"): positive, ("kalman", "r"): positive,
+             ("kalman", "zscored"): (lambda x: type(x) is bool, "true or false"),
+             **{("data", k): (lambda x: x is None or isinstance(x, str) and x != "",
+                              "a path or null")
+                for k in DEFAULTS["data"]}}
+    for path, (ok, want) in rules.items():
+        value = reduce(dict.__getitem__, path, merged)
+        if not ok(value):
+            raise ConfigError(f"{' '.join(path)} must be {want}, got {value!r}")
     # one spelling per meaning, so configs that run alike hash alike
     merged["instrument"] = {**merged["instrument"], "tick_size": float(tick),
                             "friction_points": float(friction)}

@@ -18,9 +18,8 @@ from .bars import (BarError, DayPrimitives, EconEvent, TradingDay, day_primitive
                    parse_bar_file, parse_event_calendar, ASIA, LONDON, RTH)
 from .config import RunConfig
 from .execution import ExitKind, ExitSpec, entry_order, fill_events, simulate
-from .features import (RollingSpec, Statistic, gmm_fit, kalman_velocity,
-                       markov_transition_prob, ou_fit, regime_features, rolling_stat,
-                       volume_zscore)
+from .features import (gmm_fit, kalman_velocity, markov_transition_prob, ou_fit,
+                       regime_features, rolling_stat, true_ranges, volume_zscore)
 from .validation import (EvalMetrics, RunnerTrades, Verdict, WalkForwardResult,
                          permutation_test, summary_metrics, validate, walk_forward)
 
@@ -131,7 +130,7 @@ def _regime_inputs(days: Sequence[TradingDay]) -> tuple[np.ndarray, np.ndarray, 
     volume = np.concatenate([d.volume for d in days])
     vz = volume_zscore(volume, 50)
     return (regime_features(ohlc, volume, vol_window=50, vz=vz), vz,
-            rolling_stat(ohlc, volume, RollingSpec(20, Statistic.ATR)))
+            rolling_stat(true_ranges(ohlc), 20))
 
 
 def _day_columns(days: Sequence[TradingDay]) -> dict[date, slice]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,22 +16,6 @@ import numpy as np
 
 class FeatureError(ValueError):
     pass
-
-
-class Statistic(Enum):
-    MEAN_RANGE = "MEAN_RANGE"
-    VOLUME_MEAN = "VOLUME_MEAN"
-    ATR = "ATR"
-
-
-@dataclass(frozen=True)
-class RollingSpec:
-    window: int
-    statistic: Statistic
-
-    def __post_init__(self) -> None:
-        if self.window < 2:
-            raise FeatureError("rolling window must be >= 2")
 
 
 def _prior_mean(x: np.ndarray, window: int) -> np.ndarray:
@@ -56,16 +39,11 @@ def true_ranges(ohlc: np.ndarray) -> np.ndarray:
     return tr
 
 
-def rolling_stat(ohlc: np.ndarray, volume: np.ndarray, spec: RollingSpec) -> np.ndarray:
-    """Rolling statistic over strictly prior bars of a 4 x n price array and
-    its volumes. NaN marks warm-up."""
-    if spec.statistic is Statistic.MEAN_RANGE:
-        return _prior_mean(ohlc[1] - ohlc[2], spec.window)
-    if spec.statistic is Statistic.VOLUME_MEAN:
-        return _prior_mean(np.asarray(volume, dtype=float), spec.window)
-    if spec.statistic is Statistic.ATR:
-        return _prior_mean(true_ranges(ohlc), spec.window)
-    raise FeatureError(f"unknown statistic {spec.statistic}")
+def rolling_stat(x: np.ndarray, window: int) -> np.ndarray:
+    """Mean of ``x`` over the strictly prior ``window`` values; NaN marks warm-up."""
+    if window < 2:
+        raise FeatureError("rolling window must be >= 2")
+    return _prior_mean(np.asarray(x, dtype=float), window)
 
 
 def volume_zscore(volume: np.ndarray, window: int) -> np.ndarray:

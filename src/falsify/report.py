@@ -18,12 +18,12 @@ class RunReport:
     seed: int = 0
 
 
-def _fmt(x: Optional[float], digits: int = 2) -> str:
+def _fmt(x: Optional[float]) -> str:
     if x is None:
         return "—"
     if x == float("inf"):
         return "inf"
-    return f"{x:+.{digits}f}" if digits == 2 else f"{x:.{digits}f}"
+    return f"{x:+.2f}"
 
 
 def _pct(x: Optional[float]) -> str:

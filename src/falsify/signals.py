@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bars import DayPrimitives, EconEvent, SessionSpec, TradingDay
-from .features import OuFit, RollingSpec, Statistic, ou_zscore, rolling_stat
+from .features import OuFit, ou_zscore, rolling_stat
 
 LONG = "LONG"
 SHORT = "SHORT"
@@ -70,7 +70,7 @@ def orb_signals(day: TradingDay, prims: DayPrimitives, direction: str) -> list[t
 
 
 def orb_pullback_signals(day: TradingDay, prims: DayPrimitives,
-                         pullback_offset: float = 5.0) -> list[tuple]:
+                         pullback_offset: float) -> list[tuple]:
     """After a breakout, the first bar back within ``pullback_offset`` of the broken
     level; at most one long and one short a day."""
     _, highs, lows, _ = day.ohlc
@@ -90,7 +90,7 @@ def orb_pullback_signals(day: TradingDay, prims: DayPrimitives,
 
 def mean_range_series(day: TradingDay, window: int = 20) -> np.ndarray:
     """Per-bar rolling mean bar range over the prior window; NaN on warm-up."""
-    return rolling_stat(day.ohlc, day.volume, RollingSpec(window, Statistic.MEAN_RANGE))
+    return rolling_stat(day.ohlc[1] - day.ohlc[2], window)
 
 
 def _entryable(mask: np.ndarray) -> list[int]:
@@ -120,7 +120,7 @@ def asia_expansion_signals(day: TradingDay, multiple: float,
     return _with_body(day, hit)
 
 
-def liquidity_grab_signals(day: TradingDay, lookback: Optional[int] = None,
+def liquidity_grab_signals(day: TradingDay, lookback: Optional[int],
                            fade: bool = True) -> list[tuple]:
     """Pierce of a recent extreme with a close back inside the range, faded
     (or, unless ``fade``, followed).
@@ -174,8 +174,8 @@ def entry_time_bar(sess: SessionSpec, entry_time: time) -> int:
     return int(idx)
 
 
-def gap_fill_signals(day: TradingDay, prims: DayPrimitives, entry_time: time = time(9, 30),
-                     min_gap: float = 5.0) -> list[tuple]:
+def gap_fill_signals(day: TradingDay, prims: DayPrimitives, entry_time: time,
+                     min_gap: float) -> list[tuple]:
     """Fade an overnight gap of at least ``min_gap`` toward its fill, from ``entry_time``;
     a day without a prior RTH close has no gap."""
     gap = prims.overnight_gap
@@ -186,7 +186,7 @@ def gap_fill_signals(day: TradingDay, prims: DayPrimitives, entry_time: time = t
 
 
 def gap_cont_signals(day: TradingDay, prims: DayPrimitives, kalman_v: float,
-                     kalman_threshold: float = 2.5, min_gap: float = 5.0) -> list[tuple]:
+                     kalman_threshold: float, min_gap: float) -> list[tuple]:
     """Short a gap down of at least ``min_gap`` at the open when the overnight
     Kalman velocity exceeds ``kalman_threshold`` in size."""
     gap = prims.overnight_gap
@@ -197,7 +197,7 @@ def gap_cont_signals(day: TradingDay, prims: DayPrimitives, kalman_v: float,
 
 def volume_ratio_series(day: TradingDay, window: int = 20) -> np.ndarray:
     """Per-bar volume over the rolling prior-window mean volume; NaN on warm-up."""
-    vmean = rolling_stat(day.ohlc, day.volume, RollingSpec(window, Statistic.VOLUME_MEAN))
+    vmean = rolling_stat(day.volume, window)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = day.volume / vmean
     ratio[~np.isfinite(ratio)] = np.nan
@@ -226,15 +226,6 @@ def volume_signature_signals(day: TradingDay, spike: bool, cutoff: float,
     return _with_body(day, hit & np.isfinite(ratio), with_bar=spike)
 
 
-@dataclass(frozen=True)
-class VvgBoundaries:
-    """Upper-tercile boundaries of the three VVG day metrics."""
-
-    abs_first30: float
-    abs_gap: float
-    vol_deviation: float
-
-
 def vvg_metrics(days: Sequence[TradingDay],
                 prims: Sequence[DayPrimitives]) -> np.ndarray:
     """Per-day (|first30 return|, |gap|, first-bar volume deviation); NaN where undefined."""
@@ -251,21 +242,19 @@ def vvg_metrics(days: Sequence[TradingDay],
     return out
 
 
-def vvg_boundaries(metrics: np.ndarray) -> VvgBoundaries:
-    """Tercile boundaries from a training metric matrix."""
+def vvg_boundaries(metrics: np.ndarray) -> np.ndarray:
+    """Upper-tercile cut of each column of a training metric matrix; inf where none is finite."""
     cuts = []
-    for j in range(3):
-        col = metrics[:, j]
+    for col in metrics.T:
         col = col[np.isfinite(col)]
         cuts.append(float(np.quantile(col, 2.0 / 3.0)) if len(col) else float("inf"))
-    return VvgBoundaries(*cuts)
+    return np.array(cuts)
 
 
-def vvg_classify(metrics: np.ndarray, boundaries: VvgBoundaries) -> np.ndarray:
-    """Day flags: all three metrics strictly above their tercile boundary."""
-    b = np.array([boundaries.abs_first30, boundaries.abs_gap, boundaries.vol_deviation])
+def vvg_classify(metrics: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Day flags: all three metrics strictly above their tercile cut."""
     with np.errstate(invalid="ignore"):
-        ok = metrics > b
+        ok = metrics > cuts
     return np.all(ok & np.isfinite(metrics), axis=1)
 
 
@@ -303,7 +292,7 @@ def check_drift_offset(start_bar_offset: int) -> None:
 
 
 def event_drift_signals(day: TradingDay, events: Sequence[EconEvent],
-                        start_bar_offset: int = 6) -> list[tuple]:
+                        start_bar_offset: int) -> list[tuple]:
     """Post-release drift measured only from bar +offset, never the spike bars.
 
     ``events`` may be the whole calendar: only those ``events_by_day`` puts
@@ -347,9 +336,8 @@ def ou_reversion_signals(day: TradingDay, fit: OuFit, threshold: float) -> list[
 def confluence_rth_signals(day: TradingDay, labels: Sequence[int],
                            trans_prob: Sequence[float], vol_z: Sequence[float],
                            atr: Sequence[float], atr_baseline: float,
-                           trans_threshold: float = 0.15,
-                           vz_threshold: float = 0.5,
-                           pullback_points: float = 25.0) -> list[tuple]:
+                           trans_threshold: float, vz_threshold: float,
+                           pullback_points: float) -> list[tuple]:
     """Regime-1 bars with elevated transition-to-2 probability and volume z.
 
     All three conditions are strict inequalities. Each long entry carries the

@@ -41,6 +41,9 @@ class DriftSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.magnitude):
             raise SynthError(f"drift magnitude must be finite, got {self.magnitude}")
+        for name, n in (("horizon", self.horizon), ("events_per_day", self.events_per_day)):
+            if n < 1:
+                raise SynthError(f"{name} must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,14 @@ def test_synth_with_drift_writes_ground_truth(tmp_path):
     (["--drift-magnitude", "nan"], "drift magnitude must be finite, got nan"),
     (["--drift-magnitude", 15.0, "--drift-horizon", 0], "horizon must be >= 1, got 0"),
     (["--days", -3], "n_days must be >= 0, got -3"),
-], ids=["negative_vol", "nan_vol", "nan_drift", "zero_drift_horizon", "negative_days"])
+    # drift options that would plant nothing, or be ignored
+    (["--drift-magnitude", 5, "--events-per-day", 0], "events_per_day must be >= 1, got 0"),
+    (["--drift-magnitude", 5, "--events-per-day", -2], "events_per_day must be >= 1, got -2"),
+    (["--drift-horizon", 0], "--drift-horizon needs --drift-magnitude"),
+    (["--events-per-day", 3], "--events-per-day needs --drift-magnitude"),
+], ids=["negative_vol", "nan_vol", "nan_drift", "zero_drift_horizon", "negative_days",
+        "zero_events_per_day", "negative_events_per_day", "horizon_without_drift",
+        "events_without_drift"])
 def test_synth_bad_option_exits_two_and_writes_nothing(tmp_path, args, error):
     res = run_cli("synth", "--out", tmp_path / "synth.csv", *args)
     assert res.exit_code == 2, res.output
@@ -161,6 +168,40 @@ def test_run_bad_number_in_config_exits_two(tmp_path, text):
     res = run_cli("run", "--config", cfg, "--out", tmp_path / "runs")
     assert res.exit_code == 2, res.output
     assert "config error" in res.output and isinstance(res.exception, SystemExit)
+
+
+BAD_CONFIG_VALUES = [
+    ("gate: {n_min: x}", "gate n_min must be an integer >= 0, got 'x'"),
+    ("gate: {n_min: 2.5}", "gate n_min must be an integer >= 0, got 2.5"),
+    ("gate: {n_min: -3}", "gate n_min must be an integer >= 0, got -3"),
+    ("gate: {t_min: x}", "gate t_min must be a finite number, got 'x'"),
+    ("gate: {p_max: 2}", "gate p_max must be a number in (0, 1], got 2"),
+    ("gate: {p_max: 0}", "gate p_max must be a number in (0, 1], got 0"),
+    ("kalman: {q: x}", "kalman q must be a positive finite number, got 'x'"),
+    ("kalman: {q: -1}", "kalman q must be a positive finite number, got -1"),
+    ("kalman: {r: 0}", "kalman r must be a positive finite number, got 0"),
+    ("kalman: {zscored: maybe}", "kalman zscored must be true or false, got 'maybe'"),
+    ("seed: abc", "seed must be an integer >= 0, got 'abc'"),
+    ("seed: 1.5", "seed must be an integer >= 0, got 1.5"),
+    ("seed: true", "seed must be an integer >= 0, got True"),
+    ("data: {rth: 5}", "data rth must be a path or null, got 5"),
+    ("data: {rth: ''}", "data rth must be a path or null, got ''"),
+    ("output_dir: 5", "output_dir must be a string, got 5"),
+    ("instrument: {name: 5}", "instrument name must be a string, got 5"),
+]
+
+
+@pytest.mark.parametrize("text,error", BAD_CONFIG_VALUES, ids=[t for t, _ in BAD_CONFIG_VALUES])
+def test_run_bad_config_value_exits_two_and_writes_nothing(tmp_path, text, error):
+    # each was truncated, taken as truthy, accepted, or failed only after the
+    # run directory was written
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text + "\n", encoding="utf-8")
+    res = run_cli("run", "--config", cfg, "--family", "GAP_CONT_SHORT",
+                  "--out", tmp_path / "runs")
+    assert res.exit_code == 2, res.output
+    assert f"config error: {error}" in res.output
+    assert not (tmp_path / "runs").exists()
 
 
 def test_run_unknown_family_in_config_exits_two(tmp_path):

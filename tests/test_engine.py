@@ -12,8 +12,8 @@ from falsify import engine as engine_mod
 from falsify.bars import LONDON, TradingDay
 from falsify.config import config_from_dict
 from falsify.engine import DataBundle, Engine, EngineError, default_families
-from falsify.features import (RollingSpec, Statistic, gmm_fit, markov_transition_prob,
-                              regime_features, rolling_stat, volume_zscore)
+from falsify.features import (gmm_fit, markov_transition_prob, regime_features, rolling_stat,
+                              true_ranges, volume_zscore)
 from falsify.signals import LONG
 from falsify.synth import RegimeSpec, SynthSpec, gen_null_days, gen_regime_days, plant_drift
 from falsify.validation import make_plan
@@ -281,14 +281,14 @@ def reference_fit_regime(eng, session, train):
     stream = bar_arrays(b for d in train for b in d.bars)
     X = regime_features(*stream, vol_window=50)
     model = gmm_fit(X[50:], k=3, seed=eng.config.seed)
-    atr = rolling_stat(*stream, RollingSpec(20, Statistic.ATR))
+    atr = rolling_stat(true_ranges(stream[0]), 20)
     finite = atr[np.isfinite(atr)]
     days = eng.complete_days(session)
     full = bar_arrays(b for d in days for b in d.bars)
     labels = model.predict(regime_features(*full, vol_window=50))
     series = {"labels": labels, "trans": markov_transition_prob(labels, window=200, frm=1, to=2),
               "vz": volume_zscore(full[1], 50),
-              "atr": rolling_stat(*full, RollingSpec(20, Statistic.ATR))}
+              "atr": rolling_stat(true_ranges(full[0]), 20)}
     return {"atr_baseline": float(np.median(finite)) if len(finite) else 1.0,
             "series": series}
 
@@ -509,7 +509,7 @@ def test_event_drift_date_index_matches_the_whole_calendar_scan():
     eng = Engine(DataBundle(rth=days, events=events), config_from_dict({}))
     emitted = [eng.day_signals("EVENT_DRIFT", d, {}, {}) for d in days]
     assert emitted == [old_event_drift(d, events) for d in days]
-    assert list(map(entries, emitted)) == [event_drift_signals(d, events) for d in days]
+    assert list(map(entries, emitted)) == [event_drift_signals(d, events, 6) for d in days]
     assert sum(map(len, emitted)) >= 10
 
 

@@ -12,10 +12,9 @@ from hypothesis.extra import numpy as hnp
 from rows import bar_arrays
 from falsify.bars import Bar, RTH
 from falsify.features import (FeatureError, GmmDegenerateError, OuFit, RegimeGMM,
-                              RollingSpec, Statistic, _logsumexp, gmm_fit, hurst_exponent,
-                              kalman_velocity, markov_transition_prob, ou_fit,
-                              ou_zscore, regime_features, rolling_stat,
-                              volume_zscore)
+                              _logsumexp, gmm_fit, hurst_exponent, kalman_velocity,
+                              markov_transition_prob, ou_fit, ou_zscore, regime_features,
+                              rolling_stat, true_ranges, volume_zscore)
 from falsify.synth import RegimeSpec, SynthSpec, gen_regime_days
 
 
@@ -35,8 +34,8 @@ def flat_bars(n, rng=2.0, volume=1000):
 # -- rolling statistics -------------------------------------------------------
 
 def test_mean_range_constant_bars():
-    bars = flat_bars(30)
-    out = rolling_stat(*bar_arrays(bars), RollingSpec(20, Statistic.MEAN_RANGE))
+    ohlc, _ = bar_arrays(flat_bars(30))
+    out = rolling_stat(ohlc[1] - ohlc[2], 20)
     assert np.all(np.isnan(out[:20]))  # strictly-prior window needs 20 bars
     assert np.allclose(out[20:], 2.0)
 
@@ -46,21 +45,22 @@ def test_mean_range_spreadsheet_window():
     ranges = rng.uniform(1.0, 6.0, size=25)
     bars = bars_from_arrays([100] * 25, 100 + ranges, [100.0] * 25,
                             [100] * 25, [1] * 25)
-    out = rolling_stat(*bar_arrays(bars), RollingSpec(20, Statistic.MEAN_RANGE))
+    ohlc, _ = bar_arrays(bars)
+    out = rolling_stat(ohlc[1] - ohlc[2], 20)
     # index 24 must average ranges of bars 4..23 only
     assert out[24] == pytest.approx(np.mean(ranges[4:24]), abs=1e-12)
 
 
 def test_rolling_window_validation():
     with pytest.raises(FeatureError):
-        RollingSpec(1, Statistic.MEAN_RANGE)
+        rolling_stat(np.ones(30), 1)
 
 
 def test_atr_uses_prior_close_gap():
     # second bar gaps far above its own high-low span
     bars = bars_from_arrays([100, 110], [101, 111], [99, 109], [100, 110], [1, 1])
     bars += flat_bars(25)[2:]
-    out = rolling_stat(*bar_arrays(bars[:25]), RollingSpec(2, Statistic.ATR))
+    out = rolling_stat(true_ranges(bar_arrays(bars[:25])[0]), 2)
     # true range of bar 1 = max(2, |111-100|, |109-100|) = 11
     assert out[2] == pytest.approx((2.0 + 11.0) / 2)
 

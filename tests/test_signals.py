@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import math
 from datetime import date, datetime, time, timedelta
 
@@ -10,7 +11,8 @@ import rows
 from rows import day_from_bars
 from falsify.bars import Bar, EconEvent, EventKind, RTH, ASIA, LONDON, TradingDay, day_primitives
 from falsify.config import config_from_dict
-from falsify.engine import DataBundle, Engine
+from falsify import signals
+from falsify.engine import DataBundle, Engine, default_families
 from falsify.features import OuFit
 from falsify.signals import (LONG, SHORT, SignalError, SignalEvent,
                              asia_expansion_signals, confluence_rth_signals,
@@ -53,7 +55,7 @@ def test_orb_quiet_day_emits_nothing():
     day = day_from_closes([100.0] * 78)
     prims = day_primitives(day)
     assert orb_signals(day, prims, LONG) == orb_signals(day, prims, SHORT) == []
-    assert orb_pullback_signals(day, prims) == []
+    assert orb_pullback_signals(day, prims, pullback_offset=5.0) == []
 
 
 def test_orb_long_at_first_close_above_range():
@@ -163,34 +165,37 @@ def gap_day(gap, closes=None):
 def test_zero_gap_emits_nothing():
     day = gap_day(0.0)
     prims = day_primitives(day)
-    assert gap_fill_signals(day, prims) == []
-    assert gap_cont_signals(day, prims, kalman_v=5.0) == []
+    assert gap_fill_signals(day, prims, entry_time=time(9, 30), min_gap=5.0) == []
+    assert gap_cont_signals(day, prims, kalman_v=5.0, kalman_threshold=2.5, min_gap=0.0) == []
     # nor does a day without a prior RTH close
     first = day_from_closes([100.0] * 78)
     prims = day_primitives(first)
-    assert gap_fill_signals(first, prims, min_gap=0.0) == []
-    assert gap_cont_signals(first, prims, kalman_v=5.0, min_gap=0.0) == []
+    assert gap_fill_signals(first, prims, entry_time=time(9, 30), min_gap=0.0) == []
+    assert gap_cont_signals(first, prims, kalman_v=5.0, kalman_threshold=2.5, min_gap=0.0) == []
 
 
 def test_gap_fill_fade_at_0945_shorts_an_up_gap():
     day = gap_day(10.0)
     # the 09:45 wall-clock entry keys off the bar closing at 09:45
-    assert gap_fill_signals(day, day_primitives(day), entry_time=time(9, 45)) == [(2, SHORT)]
+    assert gap_fill_signals(day, day_primitives(day), entry_time=time(9, 45),
+                            min_gap=5.0) == [(2, SHORT)]
 
 
 def test_gap_below_minimum_ignored():
     day = gap_day(3.0)
-    assert gap_fill_signals(day, day_primitives(day), min_gap=5.0) == []
+    assert gap_fill_signals(day, day_primitives(day), entry_time=time(9, 30), min_gap=5.0) == []
 
 
 def test_gap_cont_short_requires_velocity_filter():
     day = gap_day(-8.0)
     prims = day_primitives(day)
-    assert gap_cont_signals(day, prims, kalman_v=-3.0, min_gap=0.0) == [(0, SHORT)]
-    assert gap_cont_signals(day, prims, kalman_v=-1.0, min_gap=0.0) == []
+    assert gap_cont_signals(day, prims, kalman_v=-3.0, kalman_threshold=2.5,
+                            min_gap=0.0) == [(0, SHORT)]
+    assert gap_cont_signals(day, prims, kalman_v=-1.0, kalman_threshold=2.5, min_gap=0.0) == []
     # positive gaps never continuation-short
     up = gap_day(8.0)
-    assert gap_cont_signals(up, day_primitives(up), kalman_v=5.0) == []
+    assert gap_cont_signals(up, day_primitives(up), kalman_v=5.0, kalman_threshold=2.5,
+                            min_gap=0.0) == []
 
 
 # -- volume signatures -------------------------------------------------------------
@@ -298,7 +303,7 @@ def fomc(dt):
 
 def test_event_drift_no_events_empty():
     day = day_from_closes([100.0] * 78)
-    assert event_drift_signals(day, []) == []
+    assert event_drift_signals(day, [], start_bar_offset=6) == []
 
 
 def test_event_drift_follows_spike_direction():
@@ -323,7 +328,8 @@ def test_event_drift_offset_guard():
 
 def test_event_on_other_day_ignored():
     day = day_from_closes([100.0] * 78)
-    assert event_drift_signals(day, [fomc(datetime(2022, 1, 4, 14, 0))]) == []
+    assert event_drift_signals(day, [fomc(datetime(2022, 1, 4, 14, 0))],
+                               start_bar_offset=6) == []
 
 
 # -- OU reversion -----------------------------------------------------------------
@@ -380,7 +386,7 @@ def test_confluence_requires_regime_one():
     trans = [0.5] * n
     vz = [2.0] * n
     atr = [5.0] * n
-    assert confluence_rth_signals(day, labels, trans, vz, atr, 5.0) == []
+    assert confluence_rth_signals(day, labels, trans, vz, atr, 5.0, 0.15, 0.5, 25.0) == []
 
 
 def test_confluence_single_qualifying_bar():
@@ -393,7 +399,7 @@ def test_confluence_single_qualifying_bar():
     labels[30] = 1
     trans[30] = 0.2
     vz[30] = 1.0
-    (entry,) = confluence_rth_signals(day, labels, trans, vz, atr, 5.0)
+    (entry,) = confluence_rth_signals(day, labels, trans, vz, atr, 5.0, 0.15, 0.5, 25.0)
     assert entry[:2] == (30, LONG)
     # ATR at baseline: the pullback limit sits exactly 25 points below the close
     assert entry[2] == pytest.approx(day.bars[30].close - 25.0)
@@ -406,7 +412,7 @@ def test_confluence_thresholds_are_strict():
     trans = [0.15] * n  # not strictly above
     vz = [0.5] * n
     atr = [5.0] * n
-    assert confluence_rth_signals(day, labels, trans, vz, atr, 5.0) == []
+    assert confluence_rth_signals(day, labels, trans, vz, atr, 5.0, 0.15, 0.5, 25.0) == []
 
 
 def test_london_b_transition_rules():
@@ -432,6 +438,18 @@ def test_london_b_direction_and_family():
 
 # -- cross-family invariants -----------------------------------------------------
 
+def test_no_emitter_defaults_a_tunable_that_a_grid_declares():
+    # grid[0] is the one place a tunable's default is named; a second default
+    # in an emitter could disagree with it unseen
+    tunables = {key for fd in default_families().values() for key in fd.grid[0]}
+    emitters = [f for _, f in inspect.getmembers(signals, inspect.isfunction)
+                if f.__module__ == signals.__name__]
+    defaulted = sorted(f"{f.__name__}({name})" for f in emitters
+                       for name, p in inspect.signature(f).parameters.items()
+                       if name in tunables and p.default is not p.empty)
+    assert defaulted == []
+
+
 def test_no_signal_on_final_bar_anywhere():
     rng = np.random.default_rng(44)
     closes = list(100 + np.cumsum(rng.normal(0, 3, 78)))
@@ -441,9 +459,9 @@ def test_no_signal_on_final_bar_anywhere():
     pools = [
         orb_signals(day, prims, LONG),
         orb_signals(day, prims, SHORT),
-        orb_pullback_signals(day, prims),
+        orb_pullback_signals(day, prims, pullback_offset=5.0),
         liquidity_grab_signals(day, None, fade=True),
-        gap_fill_signals(day, prims, min_gap=1.0),
+        gap_fill_signals(day, prims, entry_time=time(9, 30), min_gap=1.0),
         volume_signature_signals(day, True, 1.5, volume_ratio_series(day)),
         volume_signature_signals(day, False, 0.6, volume_ratio_series(day)),
     ]
