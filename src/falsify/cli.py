@@ -10,7 +10,7 @@ import click
 from .bars import BarError, SESSIONS, parse_bar_file, serialize_days
 from .config import ConfigError, dump_config, load_config
 from .engine import Engine, EngineError, default_families, load_bundle
-from .execution import TRADE_HEADER, TradeRecord, ExitReason, serialize_trades
+from .execution import read_trades, serialize_trades
 from .ledger import DecisionRecord, Ledger, LedgerError
 from .report import RunReport, render_report, render_summary
 from .synth import DriftSpec, SynthError, SynthSpec, gen_edge_days, gen_null_days
@@ -184,7 +184,7 @@ def ledger_verify(path: str) -> None:
 def report(tradelog: str) -> None:
     """Recompute metrics and verdict from a trade log."""
     try:
-        trades = _read_trades(tradelog)
+        trades = read_trades(tradelog)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA)
@@ -193,31 +193,6 @@ def report(tradelog: str) -> None:
     family = trades[0].family if trades else "(empty)"
     rep = RunReport(family, {}, metrics, verdict)
     click.echo(render_report(rep, "markdown-table"))
-
-
-def _read_trades(path: str) -> list[TradeRecord]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != TRADE_HEADER:
-        raise ValueError(f"line 1: header is not {TRADE_HEADER!r}")
-    width = len(TRADE_HEADER.split(","))
-    out: list[TradeRecord] = []
-    for n, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        f = ln.split(",")
-        try:
-            if len(f) != width:
-                raise ValueError(f"{len(f)} fields, not {width}")
-            out.append(TradeRecord(
-                family=f[0], date=_dt.date.fromisoformat(f[1]), direction=f[2],
-                entry_bar=int(f[3]), exit_bar=int(f[4]),
-                entry_price=float(f[5]), exit_price=float(f[6]),
-                gross_ticks=round(float(f[7]) * 100), net_ticks=round(float(f[8]) * 100),
-                exit_reason=ExitReason(f[9]), tick_size=0.01,
-            ))
-        except ValueError as exc:
-            raise ValueError(f"line {n}: {exc}") from None
-    return out
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from typing import Optional
 
 import yaml
 
-from .execution import FrictionModel, Instrument
+from .execution import LOG_GRID, MNQ, Instrument
 from .validation import GateThresholds
 
 
@@ -20,7 +20,8 @@ class ConfigError(ValueError):
 
 
 DEFAULTS: dict = {
-    "instrument": {"name": "MNQ", "tick_size": 0.25, "friction_points": 2.0},
+    "instrument": {"name": MNQ.name, "tick_size": MNQ.tick_size,
+                   "friction_points": MNQ.round_trip},
     "data": {"rth": None, "asia": None, "london": None, "events": None},
     "gate": {"t_min": 2.0, "n_min": 30, "p_max": 0.05},
     "permutation": {"iterations": 1000, "families": ["CONFLUENCE_RTH", "LONDON_B"]},
@@ -38,11 +39,7 @@ class RunConfig:
     @property
     def instrument(self) -> Instrument:
         ins = self.raw["instrument"]
-        return Instrument(ins["name"], float(ins["tick_size"]))
-
-    @property
-    def friction(self) -> FrictionModel:
-        return FrictionModel(float(self.raw["instrument"]["friction_points"]))
+        return Instrument(ins["name"], ins["tick_size"], ins["friction_points"])
 
     @property
     def seed(self) -> int:
@@ -124,11 +121,10 @@ def config_from_dict(raw: dict, seed_override: Optional[int] = None) -> RunConfi
     # numbers that would be divided by zero, rounded or truncated fail here
     tick, friction = (merged["instrument"][k] for k in ("tick_size", "friction_points"))
     number = lambda x: type(x) in (int, float) and math.isfinite(x)
-    # the trade log and `falsify report` carry prices in cents
-    if not (number(tick) and tick >= 0.01 and not Instrument(tick_size=0.01).off_grid(tick)):
+    if not (number(tick) and tick >= LOG_GRID.tick_size and not LOG_GRID.off_grid(tick)):
         raise ConfigError(f"tick_size must be a positive whole number of cents, got {tick!r}")
     if not (number(friction) and friction >= 0
-            and not Instrument(tick_size=tick).off_grid(friction)):
+            and not Instrument("", tick).off_grid(friction)):
         raise ConfigError(f"friction must be a non-negative whole number of {tick}-point "
                           f"ticks, got {friction!r}")
     # the rest are read later as numbers, flags or paths: none is truncated or taken as truthy

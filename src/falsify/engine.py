@@ -96,7 +96,8 @@ def _fit_volume_cutoffs(eng: Engine, session: str, train: Sequence[TradingDay]) 
 
 def _fit_vvg_flags(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
     days = eng.complete_days(session)
-    metrics = sig.vvg_metrics(days, [eng.prims(d) for d in days])
+    metrics = eng.memo((sig.vvg_metrics, session),
+                       lambda: sig.vvg_metrics(days, [eng.prims(d) for d in days]))
     train_dates = {d.date for d in train}
     rows = metrics[[i for i, d in enumerate(days) if d.date in train_dates]]
     flags = sig.vvg_classify(metrics, sig.vvg_boundaries(rows))
@@ -273,16 +274,16 @@ class Engine:
 
     def per_day(self, fn: Callable[[TradingDay], Any], day: TradingDay) -> Any:
         """``fn(day)``, computed once per day and shared by every family and grid point."""
-        key = (fn, day.session.name, day.date)
-        if key not in self._memo:
-            self._memo[key] = fn(day)
-        return self._memo[key]
+        return self.memo((fn, day.session.name, day.date), lambda: fn(day))
 
     def per_session(self, fn: Callable[[list[TradingDay]], Any], session: str) -> Any:
         """``fn(complete days)``, computed once per session and shared by every fold."""
-        key = (fn, session)
+        return self.memo((fn, session), lambda: fn(self.complete_days(session)))
+
+    def memo(self, key: tuple, make: Callable[[], Any]) -> Any:
+        """``make()``, computed once per ``key`` for the life of the engine."""
         if key not in self._memo:
-            self._memo[key] = fn(self.complete_days(session))
+            self._memo[key] = make()
         return self._memo[key]
 
     def prims(self, day: TradingDay) -> DayPrimitives:
@@ -362,18 +363,18 @@ class Engine:
             for d in eval_days:
                 if (key, d.date) not in cache:
                     cache[key, d.date] = entry_order(self.day_signals(family, d, params, state))
-            fr, ins = self.config.friction, self.config.instrument
-            events, f = fill_events([(d, cache[key, d.date]) for d in eval_days], exit_spec,
-                                    fr, ins)
+            ins = self.config.instrument
+            events, f = fill_events([(d, cache[key, d.date]) for d in eval_days], exit_spec, ins)
             return RunnerTrades(f.net_ticks[f.reason >= 0] * ins.tick_size, lambda: list(
-                simulate(events, eval_days, exit_spec, fr, ins).trades) if events else [])
+                simulate(events, eval_days, exit_spec, ins).trades) if events else [])
         return run
 
     def family_grid(self, family: str) -> tuple[tuple[dict, ...], tuple[ExitSpec, ...]]:
         fd = self.family_def(family)
         overrides = self.config.family_overrides(family)
-        grid = tuple({**g, **overrides} for g in fd.grid) if overrides else fd.grid
-        return grid, fd.exit_grid
+        grid = [{**g, **overrides} for g in fd.grid]
+        # an override of a tunable the grid varies makes equal points: keep the first
+        return tuple(g for i, g in enumerate(grid) if g not in grid[:i]), fd.exit_grid
 
     def run_family(self, family: str, permutation: bool = True) -> tuple[WalkForwardResult, EvalMetrics, Verdict]:
         """Full expanding-window walk-forward, metrics and gate for one family."""
@@ -397,7 +398,6 @@ class Engine:
                                      result.chosen[-1].exit,
                                      iterations=self.config.permutation_iterations,
                                      seed=self.config.seed,
-                                     friction=self.config.friction,
                                      instrument=self.config.instrument)
         metrics = summary_metrics(result.oos_trades, permutation_p=p)
         verdict = validate(metrics, gate)

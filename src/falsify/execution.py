@@ -1,7 +1,7 @@
 """Trade simulation under the strict execution contract.
 
 Entry is always at the open of the bar after the signal bar. Friction is
-a fixed round-trip deduction applied once per trade. All price
+the instrument's fixed round-trip deduction, applied once per trade. All price
 arithmetic is done in integer ticks so gross/net accounting is exact.
 """
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date, time
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -55,20 +56,16 @@ class ExitSpec:
 
 
 @dataclass(frozen=True)
-class FrictionModel:
-    """Round-trip friction in points, deducted once per trade."""
+class Instrument:
+    """A contract's tick grid and its round-trip friction in points, deducted once per trade."""
 
+    name: str
+    tick_size: float
     round_trip: float = 2.0
 
     def __post_init__(self) -> None:
         if self.round_trip < 0:
             raise ExecutionError("friction must be non-negative")
-
-
-@dataclass(frozen=True)
-class Instrument:
-    name: str = "MNQ"
-    tick_size: float = 0.25
 
     def to_ticks(self, points: float) -> int:
         return round(points / self.tick_size)
@@ -82,7 +79,7 @@ class Instrument:
         return ticks * self.tick_size
 
 
-MNQ = Instrument("MNQ", 0.25)
+MNQ = Instrument("MNQ", 0.25, 2.0)
 
 
 @dataclass(frozen=True)
@@ -163,8 +160,7 @@ def _first_touch(ohlc, col, span, sign, level, width: int) -> np.ndarray:
 
 
 def fill_days(days: Sequence[TradingDay], day, bar, sign, exit: ExitSpec,
-              friction: FrictionModel = FrictionModel(), instrument: Instrument = MNQ,
-              level: Optional[np.ndarray] = None) -> Fills:
+              instrument: Instrument = MNQ, level: Optional[np.ndarray] = None) -> Fills:
     """The execution kernel: resolve every event's entry and exit at once.
 
     ``days`` are laid end to end. Per event, ``day`` is its index in ``days``,
@@ -216,12 +212,11 @@ def fill_days(days: Sequence[TradingDay], day, bar, sign, exit: ExitSpec,
                               ).astype(np.int64)
     gross = sign * (exit_t - entry_t)
     return Fills(reason, entry - start, exit_col - start, entry_t, exit_t, gross,
-                 gross - instrument.to_ticks(friction.round_trip))
+                 gross - instrument.to_ticks(instrument.round_trip))
 
 
 def fill_events(per_day: Iterable[tuple[TradingDay, Sequence[SignalEvent]]], exit: ExitSpec,
-                friction: FrictionModel = FrictionModel(), instrument: Instrument = MNQ
-                ) -> tuple[list[SignalEvent], Fills]:
+                instrument: Instrument = MNQ) -> tuple[list[SignalEvent], Fills]:
     """Each (day, events) pair's events, in the order given, and their one ``fill_days``
     call; days without events stay out of the kernel's arrays."""
     per_day = [(d, evs) for d, evs in per_day if evs]
@@ -232,11 +227,10 @@ def fill_events(per_day: Iterable[tuple[TradingDay, Sequence[SignalEvent]]], exi
         [d for d, _ in per_day],
         np.repeat(np.arange(len(per_day)), [len(evs) for _, evs in per_day]),
         [e.bar_index for e in events], [1 if e.direction == LONG else -1 for e in events],
-        exit, friction, instrument, level)
+        exit, instrument, level)
 
 
 def simulate(events: Sequence[SignalEvent], days: Sequence[TradingDay], exit: ExitSpec,
-             friction: FrictionModel = FrictionModel(),
              instrument: Instrument = MNQ) -> SimResult:
     """Fill each event at the next bar open and resolve its exit, with one
     ``fill_days`` call over ``days``, the days the events fall on. Results come
@@ -253,7 +247,7 @@ def simulate(events: Sequence[SignalEvent], days: Sequence[TradingDay], exit: Ex
         if e.day not in index:
             raise ExecutionError(f"event on {e.day} falls on none of the days given")
         by_day[index[e.day]].append(e)
-    events, f = fill_events(zip(days, map(entry_order, by_day)), exit, friction, instrument)
+    events, f = fill_events(zip(days, map(entry_order, by_day)), exit, instrument)
     rows = list(zip(events, *(a.tolist() for a in f)))
     to_points, tick = instrument.to_points, instrument.tick_size
     return SimResult(
@@ -272,6 +266,8 @@ def aggregate_by_year(trades: Sequence[TradeRecord]) -> dict[int, list[TradeReco
 
 TRADE_HEADER = ("family,date,direction,entry_bar,exit_bar,entry_price,exit_price,"
                 "gross,net,exit_reason")
+# the trade log writes prices and points in cents, so every tick size must be whole cents
+LOG_GRID = Instrument("trade log", 0.01, 0.0)
 
 
 def serialize_trades(trades: Sequence[TradeRecord]) -> str:
@@ -283,3 +279,30 @@ def serialize_trades(trades: Sequence[TradeRecord]) -> str:
             f"{t.exit_reason.value}"
         )
     return "\n".join(lines) + "\n"
+
+
+def read_trades(path: str | Path) -> list[TradeRecord]:
+    """The records of a trade log that ``serialize_trades`` wrote, on the log's cent grid."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != TRADE_HEADER:
+        raise ValueError(f"line 1: header is not {TRADE_HEADER!r}")
+    width = len(TRADE_HEADER.split(","))
+    out: list[TradeRecord] = []
+    for n, ln in enumerate(lines[1:], start=2):
+        if not ln.strip():
+            continue
+        f = ln.split(",")
+        try:
+            if len(f) != width:
+                raise ValueError(f"{len(f)} fields, not {width}")
+            out.append(TradeRecord(
+                family=f[0], date=date.fromisoformat(f[1]), direction=f[2],
+                entry_bar=int(f[3]), exit_bar=int(f[4]),
+                entry_price=float(f[5]), exit_price=float(f[6]),
+                gross_ticks=LOG_GRID.to_ticks(float(f[7])),
+                net_ticks=LOG_GRID.to_ticks(float(f[8])),
+                exit_reason=ExitReason(f[9]), tick_size=LOG_GRID.tick_size,
+            ))
+        except ValueError as exc:
+            raise ValueError(f"line {n}: {exc}") from None
+    return out

@@ -224,8 +224,12 @@ def gen_edge_days(spec: SynthSpec) -> tuple[list[TradingDay], list[SignalEvent]]
     if spec.drift is None:
         raise SynthError("edge generator requires a drift spec")
     drift = spec.drift
-    days = gen_null_days(replace(spec, drift=None))
     nbars = spec.session.nominal_bar_count
+    # signal bars are drawn from 6 to nbars - 2, and a planting needs horizon bars after one
+    if drift.horizon > nbars - 7:
+        raise SynthError(f"drift horizon {drift.horizon} leaves no signal bar to plant in a "
+                         f"{nbars}-bar {spec.session.name} session (at most {nbars - 7})")
+    days = gen_null_days(replace(spec, drift=None))
 
     events: list[SignalEvent] = []
     skipped = 0

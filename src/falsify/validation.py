@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .bars import TradingDay
-from .execution import (LONG, ExitSpec, FrictionModel, Instrument, MNQ, TradeRecord,
+from .execution import (LONG, ExitSpec, Instrument, MNQ, TradeRecord,
                         aggregate_by_year, fill_days, simulate)  # noqa: F401 (bench wraps simulate)
 
 
@@ -95,13 +95,13 @@ def admissible_positions(day_pool: Sequence[TradingDay]) -> np.ndarray:
 
 def permutation_test(trades: Sequence[TradeRecord], day_pool: Sequence[TradingDay],
                      exit: ExitSpec, iterations: int = 1000, seed: int = 0,
-                     friction: FrictionModel = FrictionModel(),
                      instrument: Instrument = MNQ) -> float:
     """Placement-randomization p-value for the observed mean net.
 
     The null re-places the same number of same-direction entries at
     uniformly random admissible (day, bar) positions and re-simulates
-    under the identical exit spec and friction. Deterministic per seed.
+    under the identical exit spec and the instrument's friction. Deterministic
+    per seed.
     """
     if not trades:
         raise ValidationError("permutation test needs at least one trade")
@@ -120,7 +120,7 @@ def permutation_test(trades: Sequence[TradeRecord], day_pool: Sequence[TradingDa
     col = np.array([dirs.index(t.direction) for t in trades])
     day, bar = np.tile(positions, (len(dirs), 1)).T
     f = fill_days(day_pool, day, bar, np.repeat([1 if d == LONG else -1 for d in dirs],
-                                                len(positions)), exit, friction, instrument)
+                                                len(positions)), exit, instrument)
     table = np.where(f.reason >= 0, f.net_ticks * instrument.tick_size, np.nan
                      ).reshape(len(dirs), len(positions)).T
 

@@ -108,9 +108,14 @@ def test_synth_with_drift_writes_ground_truth(tmp_path):
     (["--drift-magnitude", 5, "--events-per-day", -2], "events_per_day must be >= 1, got -2"),
     (["--drift-horizon", 0], "--drift-horizon needs --drift-magnitude"),
     (["--events-per-day", 3], "--events-per-day needs --drift-magnitude"),
+    # a horizon that leaves no signal bar room to plant
+    (["--session", "LONDON", "--days", 30, "--drift-magnitude", 5, "--drift-horizon", 16],
+     "drift horizon 16 leaves no signal bar to plant in a 22-bar LONDON session (at most 15)"),
+    (["--days", 5, "--drift-magnitude", 5, "--drift-horizon", 72],
+     "drift horizon 72 leaves no signal bar to plant in a 78-bar RTH session (at most 71)"),
 ], ids=["negative_vol", "nan_vol", "nan_drift", "zero_drift_horizon", "negative_days",
         "zero_events_per_day", "negative_events_per_day", "horizon_without_drift",
-        "events_without_drift"])
+        "events_without_drift", "london_horizon_past_the_session", "rth_horizon_past_the_session"])
 def test_synth_bad_option_exits_two_and_writes_nothing(tmp_path, args, error):
     res = run_cli("synth", "--out", tmp_path / "synth.csv", *args)
     assert res.exit_code == 2, res.output

@@ -22,7 +22,7 @@ def test_defaults_fill_missing_sections(tmp_path):
     cfg = load_config(write_cfg(tmp_path, "seed: 7\n"))
     assert cfg.seed == 7
     assert cfg.instrument.tick_size == 0.25
-    assert cfg.friction.round_trip == 2.0
+    assert cfg.instrument.round_trip == 2.0
     assert cfg.permutation_iterations == 1000
 
 
@@ -91,8 +91,8 @@ def test_zero_tick_off_grid_friction_and_bad_iterations_rejected(raw, match):
 
 def test_friction_on_the_tick_grid_accepted():
     cfg = config_from_dict({"instrument": {"tick_size": 0.01, "friction_points": 1.3}})
-    assert cfg.instrument.to_ticks(cfg.friction.round_trip) == 130
-    assert config_from_dict({"instrument": {"friction_points": 0}}).friction.round_trip == 0
+    assert cfg.instrument.to_ticks(cfg.instrument.round_trip) == 130
+    assert config_from_dict({"instrument": {"friction_points": 0}}).instrument.round_trip == 0
     assert config_from_dict({"permutation": {"iterations": 1}}).permutation_iterations == 1
 
 

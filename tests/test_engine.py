@@ -16,7 +16,7 @@ from falsify.features import (gmm_fit, markov_transition_prob, regime_features, 
                               true_ranges, volume_zscore)
 from falsify.signals import LONG
 from falsify.synth import RegimeSpec, SynthSpec, gen_null_days, gen_regime_days, plant_drift
-from falsify.validation import make_plan
+from falsify.validation import make_plan, walk_forward
 
 
 def make_engine(rth=None, asia=None, london=None, cfg=None):
@@ -415,6 +415,50 @@ def test_each_fit_state_and_day_is_emitted_once_and_only_test_days_simulated(mon
     assert {dates[0].year for _, dates, _ in simulated} == {2022, 2023}
 
 
+def test_equal_grid_points_are_evaluated_once(monkeypatch):
+    # overriding the tunable ASIA_EXPANSION's grid varies makes its three points equal
+    eng = Engine(three_year_bundle(), config_from_dict({"families": {"ASIA_EXPANSION": {"multiple": 2.0}}}))
+    calls = []
+    real = Engine.runner
+
+    def runner(self, family):
+        run = real(self, family)
+        return lambda *a: calls.append(a[2]) or run(*a)
+    monkeypatch.setattr(Engine, "runner", runner)
+    result, _, _ = eng.run_family("ASIA_EXPANSION", permutation=False)
+    # per fold: one point under each of the two exits, then the test year
+    assert len(result.plan.folds) == 2 and len(calls) == 6
+    assert all(c == {"multiple": 2.0} for c in calls)
+    assert eng.family_grid("ASIA_EXPANSION")[0] == ({"multiple": 2.0},)
+    # the same choices and trades as the grid with the point declared once
+    days = eng.complete_days("asia")
+    once = walk_forward(days, real(eng, "ASIA_EXPANSION"), ({"multiple": 2.0},),
+                        default_families()["ASIA_EXPANSION"].exit_grid)
+    assert result.chosen == once.chosen and result.oos_trades == once.oos_trades
+
+
+def test_vvg_metrics_are_built_once_per_session_and_the_flags_are_unchanged(monkeypatch):
+    from falsify import signals as sig
+    from falsify.bars import day_primitives
+    eng = Engine(three_year_bundle(), config_from_dict({}))
+    days = eng.complete_days("rth")
+    metrics = sig.vvg_metrics(days, [day_primitives(d) for d in days])
+    calls = []
+    real = sig.vvg_metrics
+    monkeypatch.setattr(sig, "vvg_metrics", lambda *a: calls.append(1) or real(*a))
+    folds = make_plan([d.year for d in days]).folds
+    assert len(folds) == 2
+    for fold in folds:
+        train = [d for d in days if d.year in fold.train_years]
+        rows = metrics[[i for i, d in enumerate(days) if d.year in fold.train_years]]
+        flags = sig.vvg_classify(metrics, sig.vvg_boundaries(rows))
+        state = eng._fit_state("VVG_REVERSAL", train, {})
+        assert state["flags"] == {d.date: bool(f) for d, f in zip(days, flags)}
+    for family in ("VVG_REVERSAL", "VVG_CONTINUATION"):
+        eng.run_family(family, permutation=False)
+    assert len(calls) == 1
+
+
 def old_runner(eng, family):
     """The runner as it was: per-day signals keyed by training window, and
     ``simulate`` on every day, training days included."""
@@ -430,7 +474,6 @@ def old_runner(eng, family):
                 signals[skey, day.date] = eng.day_signals(family, day, params, state)
             if signals[skey, day.date]:
                 trades.extend(engine_mod.simulate(signals[skey, day.date], [day], exit_spec,
-                                                  eng.config.friction,
                                                   eng.config.instrument).trades)
         return trades
     return run

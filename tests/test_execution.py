@@ -12,9 +12,8 @@ import rows
 from rows import day_from_bars
 from falsify.bars import Bar, RTH, TradingDay
 from falsify.execution import (ExecutionError, ExitKind, ExitReason, ExitSpec,
-                               FrictionModel, Instrument, MNQ, Rejection, SimResult,
-                               TradeRecord, aggregate_by_year, fill_days, serialize_trades,
-                               simulate)
+                               Instrument, MNQ, Rejection, SimResult, TradeRecord,
+                               aggregate_by_year, fill_days, serialize_trades, simulate)
 from falsify.signals import LONG, SHORT, SignalEvent
 
 CENT = Instrument("TEST", 0.01)
@@ -39,8 +38,7 @@ def ev(bar_index, direction=LONG, family="ORB_LONG"):
 
 
 def one_trade(closes, event, exit, instrument=MNQ, **day_kwargs):
-    res = simulate([event], [day_from_closes(closes, **day_kwargs)], exit,
-                   FrictionModel(), instrument)
+    res = simulate([event], [day_from_closes(closes, **day_kwargs)], exit, instrument)
     assert len(res.trades) == 1, res.rejections
     return res.trades[0]
 
@@ -152,7 +150,7 @@ def test_conservative_stop_dominates_favorable_oracle():
         day = day_from_closes(closes, highs=highs, lows=lows)
         spec = ExitSpec(ExitKind.STOP_HORIZON, horizon=10, stop=10.0)
         event = ev(int(rng.integers(0, 60)))
-        res = simulate([event], [day], spec, FrictionModel(), CENT)
+        res = simulate([event], [day], spec, CENT)
         if not res.trades:
             continue
         t = res.trades[0]
@@ -230,8 +228,7 @@ def test_friction_linearity_exact():
     closes = list((100 + np.cumsum(rng.normal(0, 2, 78))).round(2))
     day = day_from_closes(closes)
     events = [ev(int(i), LONG if i % 2 else SHORT) for i in range(5, 70, 7)]
-    res = simulate(events, [day], ExitSpec(ExitKind.HORIZON, horizon=3),
-                   FrictionModel(), CENT)
+    res = simulate(events, [day], ExitSpec(ExitKind.HORIZON, horizon=3), CENT)
     total_gross = sum(t.gross_ticks for t in res.trades)
     total_net = sum(t.net_ticks for t in res.trades)
     assert total_net == total_gross - len(res.trades) * CENT.to_ticks(2.0)
@@ -274,7 +271,7 @@ def test_exit_never_precedes_entry():
         for spec in (ExitSpec(ExitKind.HORIZON, horizon=1),
                      ExitSpec(ExitKind.STOP_HORIZON, horizon=8, stop=5.0),
                      ExitSpec(ExitKind.CLOCK, clock=time(14, 0))):
-            for t in simulate(events, [day], spec, FrictionModel(), CENT).trades:
+            for t in simulate(events, [day], spec, CENT).trades:
                 assert t.exit_bar >= t.entry_bar
 
 
@@ -288,7 +285,7 @@ def test_exit_spec_validation():
     with pytest.raises(ExecutionError):
         ExitSpec(ExitKind.CLOCK)
     with pytest.raises(ExecutionError):
-        FrictionModel(-0.5)
+        Instrument("TEST", 0.25, -0.5)
 
 
 # -- aggregation and serialization ----------------------------------------------------
@@ -331,12 +328,12 @@ def test_serialize_trades_header_and_rows():
 
 
 def _old_make_trade(event, entry_bar, exit_bar, entry_price, exit_price, reason,
-                    friction, instrument):
+                    instrument):
     sign = 1 if event.direction == LONG else -1
     entry_t = instrument.to_ticks(entry_price)
     exit_t = instrument.to_ticks(exit_price)
     gross_t = sign * (exit_t - entry_t)
-    net_t = gross_t - instrument.to_ticks(friction.round_trip)
+    net_t = gross_t - instrument.to_ticks(instrument.round_trip)
     return TradeRecord(
         family=event.family, date=event.day, direction=event.direction,
         entry_bar=entry_bar, exit_bar=exit_bar,
@@ -354,7 +351,7 @@ def _old_clock_bar(day, clock) -> Optional[int]:
     return None
 
 
-def _old_pullback_limit(ev, day, exit, friction, instrument):
+def _old_pullback_limit(ev, day, exit, instrument):
     bars = day.bars
     n = len(bars)
     sign = 1 if ev.direction == LONG else -1
@@ -376,10 +373,10 @@ def _old_pullback_limit(ev, day, exit, friction, instrument):
     fill_price = min(open_i, level) if sign > 0 else max(open_i, level)
     reason = ExitReason.SESSION_END if clipped else ExitReason.HORIZON
     return _old_make_trade(ev, fill_bar, horizon_bar, fill_price,
-                           bars[horizon_bar].close, reason, friction, instrument)
+                           bars[horizon_bar].close, reason, instrument)
 
 
-def old_simulate(events, day, exit, friction=FrictionModel(), instrument=MNQ):
+def old_simulate(events, day, exit, instrument=MNQ):
     """The per-event loop ``simulate`` ran before the array kernel."""
     bars = day.bars
     n = len(bars)
@@ -391,7 +388,7 @@ def old_simulate(events, day, exit, friction=FrictionModel(), instrument=MNQ):
             continue
         sign = 1 if ev.direction == LONG else -1
         if exit.kind is ExitKind.PULLBACK_LIMIT:
-            trade = _old_pullback_limit(ev, day, exit, friction, instrument)
+            trade = _old_pullback_limit(ev, day, exit, instrument)
             if trade is None:
                 rejections.append(Rejection(ev, "limit never filled"))
             else:
@@ -404,11 +401,11 @@ def old_simulate(events, day, exit, friction=FrictionModel(), instrument=MNQ):
             cb = _old_clock_bar(day, exit.clock)
             if cb is not None and cb >= entry_bar:
                 trades.append(_old_make_trade(ev, entry_bar, cb, entry_price, bars[cb].open,
-                                              ExitReason.CLOCK, friction, instrument))
+                                              ExitReason.CLOCK, instrument))
             else:
                 trades.append(_old_make_trade(ev, entry_bar, n - 1, entry_price,
                                               bars[n - 1].close, ExitReason.SESSION_END,
-                                              friction, instrument))
+                                              instrument))
             continue
         stopped = False
         if exit.kind is ExitKind.STOP_HORIZON:
@@ -417,14 +414,14 @@ def old_simulate(events, day, exit, friction=FrictionModel(), instrument=MNQ):
                 hit = bars[i].low <= stop_price if sign > 0 else bars[i].high >= stop_price
                 if hit:
                     trades.append(_old_make_trade(ev, entry_bar, i, entry_price, stop_price,
-                                                  ExitReason.STOP, friction, instrument))
+                                                  ExitReason.STOP, instrument))
                     stopped = True
                     break
         if stopped:
             continue
         reason = ExitReason.SESSION_END if clipped else ExitReason.HORIZON
         trades.append(_old_make_trade(ev, entry_bar, horizon_bar, entry_price,
-                                      bars[horizon_bar].close, reason, friction, instrument))
+                                      bars[horizon_bar].close, reason, instrument))
     return SimResult(tuple(trades), tuple(rejections))
 
 
@@ -442,8 +439,8 @@ PRICE = st.one_of(st.integers(0, 160).map(lambda k: 90.0 + k / 8),
 @st.composite
 def sim_case(draw):
     """1-3 days of 1-14 bars, events on any bar (the last one too) and an exit."""
-    instrument = draw(st.sampled_from([MNQ, CENT]))
-    friction = FrictionModel(draw(st.sampled_from([0.0, 2.0, 1.3])))
+    instrument = Instrument("TEST", draw(st.sampled_from([0.25, 0.01])),
+                            draw(st.sampled_from([0.0, 2.0, 1.3])))
     days, events = [], []
     for k in range(draw(st.integers(1, 3))):
         d = date(2022, 1, 3) + timedelta(days=k)
@@ -477,25 +474,25 @@ def sim_case(draw):
             [t.time() for t in rows.grid(RTH, days[0].date)[:16]] + [time(16, 30)])))
     else:
         exit = ExitSpec(kind, horizon=horizon)
-    return days, events, exit, friction, instrument
+    return days, events, exit, instrument
 
 
 @settings(max_examples=400, deadline=None)
 @given(sim_case())
 @example(([day_from_closes([100.0, 101.0])], [[ev(1)]], ExitSpec(ExitKind.HORIZON, horizon=1),
-          FrictionModel(), MNQ))
+          MNQ))
 def test_simulate_matches_the_per_event_loop(case):
-    days, events, exit, friction, instrument = case
-    want = [old_simulate(evs, day, exit, friction, instrument) for day, evs in zip(days, events)]
+    days, events, exit, instrument = case
+    want = [old_simulate(evs, day, exit, instrument) for day, evs in zip(days, events)]
     for day, evs, w in zip(days, events, want):
-        got = simulate(evs, [day], exit, friction, instrument)
+        got = simulate(evs, [day], exit, instrument)
         assert [typed(t) for t in got.trades] == [typed(t) for t in w.trades]
         assert got.rejections == w.rejections
         assert all(type(r.reason) is str for r in got.rejections)
     trades = [t for w in want for t in w.trades]
     # every day in one call, as walk-forward builds a test year's records: the
     # results come in day order whatever order the events are given in
-    got = simulate([e for evs in events[::-1] for e in evs], days, exit, friction, instrument)
+    got = simulate([e for evs in events[::-1] for e in evs], days, exit, instrument)
     assert [typed(t) for t in got.trades] == [typed(t) for t in trades]
     assert got.rejections == tuple(r for w in want for r in w.rejections)
     # the kernel's own form, as the permutation table calls it; bars are the day's
@@ -503,7 +500,7 @@ def test_simulate_matches_the_per_event_loop(case):
     flat = [e for evs in order for e in evs]
     f = fill_days(days, np.repeat(np.arange(len(days)), [len(evs) for evs in order]),
                   [e.bar_index for e in flat], [1 if e.direction == LONG else -1 for e in flat],
-                  exit, friction, instrument,
+                  exit, instrument,
                   np.array([np.nan if e.limit_level is None else e.limit_level
                             for e in flat]))
     traded = f.reason >= 0

@@ -163,6 +163,16 @@ def test_plant_rejects_bad_horizon(horizon):
         plant_drift(base, [ev], 15.0, horizon)
 
 
+def test_edge_generator_rejects_a_horizon_that_can_never_plant():
+    # signal bars are drawn from 6 to n - 2, so a horizon above n - 7 plants nothing
+    london = lambda horizon: SynthSpec(30, session=LONDON, seed=8,
+                                       drift=DriftSpec(5.0, horizon))
+    assert gen_edge_days(london(15))[1]
+    for spec in (london(16), SynthSpec(5, seed=8, drift=DriftSpec(5.0, 72))):
+        with pytest.raises(SynthError, match="leaves no signal bar to plant"):
+            gen_edge_days(spec)
+
+
 @pytest.mark.parametrize("bar_index", [-1, 78, 500])
 def test_plant_rejects_event_outside_the_day(bar_index):
     base = gen_null_days(SynthSpec(1, seed=19))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from rows import day_from_bars
-from falsify.execution import (ExitKind, ExitReason, ExitSpec, FrictionModel,
-                               Instrument, MNQ, TradeRecord, simulate)
+from falsify.execution import (ExitKind, ExitReason, ExitSpec, Instrument, MNQ,
+                               TradeRecord, simulate)
 from falsify.signals import LONG, SHORT, SignalEvent
 from falsify.synth import SynthSpec, gen_null_days
 from falsify.validation import (EvalMetrics, Fold, GateThresholds,
@@ -17,9 +17,6 @@ from falsify.validation import (EvalMetrics, Fold, GateThresholds,
                                 permutation_test, summary_metrics,
                                 t_statistic, validate, walk_forward,
                                 year_stability)
-
-
-CENT = Instrument("TEST", 0.01)
 
 
 def trade(net, d=date(2022, 3, 1), direction=LONG, family="ORB_LONG"):
@@ -329,8 +326,7 @@ def test_permutation_matches_per_iteration_resimulation(kind, mixed):
                                      iterations=120, seed=3)
 
 
-def per_day_table_p(trades, day_pool, exit, iterations, seed, friction=FrictionModel(),
-                    instrument=MNQ):
+def per_day_table_p(trades, day_pool, exit, iterations, seed, instrument=MNQ):
     """The permutation test as it was: one ``simulate`` per pool day and direction."""
     positions = [(di, bi) for di, day in enumerate(day_pool) for bi in range(len(day.bars) - 1)]
     observed = float(np.mean([t.net for t in trades]))
@@ -342,7 +338,7 @@ def per_day_table_p(trades, day_pool, exit, iterations, seed, friction=FrictionM
         entries = range(len(day.bars) - 1)
         for j, direction in enumerate(dirs):
             evs = [SignalEvent("PERM", day.date, bi, direction) for bi in entries]
-            res = simulate(evs, [day], exit, friction, instrument)
+            res = simulate(evs, [day], exit, instrument)
             missed = {r.event.bar_index for r in res.rejections}
             filled = [row + bi for bi in entries if bi not in missed]
             table[filled, j] = [t.net for t in res.trades]
@@ -368,9 +364,9 @@ def test_permutation_matches_the_per_day_table_build(kind):
         nets = np.random.default_rng(5).normal(1, 6, 40)
         trades = [trade(float(x), direction=SHORT if mixed and i % 2 else LONG)
                   for i, x in enumerate(nets)]
-        p = permutation_test(trades, days, exit, iterations=300, seed=4,
-                             friction=FrictionModel(1.5), instrument=CENT)
-        assert p == per_day_table_p(trades, days, exit, 300, 4, FrictionModel(1.5), CENT)
+        cent = Instrument("TEST", 0.01, 1.5)
+        p = permutation_test(trades, days, exit, iterations=300, seed=4, instrument=cent)
+        assert p == per_day_table_p(trades, days, exit, 300, 4, cent)
         assert 0 < p < 1
 
 
