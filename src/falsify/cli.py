@@ -11,6 +11,7 @@ from .bars import BarError, SESSIONS, parse_bar_file, serialize_days
 from .config import ConfigError, dump_config, load_config
 from .engine import Engine, EngineError, default_families, load_bundle
 from .execution import read_trades, serialize_trades
+from .features import GmmDegenerateError
 from .ledger import DecisionRecord, Ledger, LedgerError
 from .report import RunReport, render_report, render_summary
 from .synth import DriftSpec, SynthError, SynthSpec, gen_edge_days, gen_null_days
@@ -113,7 +114,11 @@ def run(config_path: str, family: str | None, out_dir: str | None,
             if not engine.complete_days(session):
                 click.echo(f"{name}: skipped (no {session} data)")
                 continue
-            result, metrics, verdict = engine.run_family(name)
+            try:
+                result, metrics, verdict = engine.run_family(name)
+            except GmmDegenerateError as exc:  # the data leave a regime nothing to fit
+                click.echo(f"error: {name}: {exc}", err=True)
+                sys.exit(EXIT_DATA)
             rep = RunReport(name, result.chosen[-1].params, metrics, verdict,
                             config_hash=cfg.hash, seed=cfg.seed)
             reports.append(rep)

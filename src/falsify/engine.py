@@ -122,7 +122,8 @@ def _fit_regime(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
     finite = atr[:n][np.isfinite(atr[:n])]
     labels = model.predict(X)
     return {"labels": labels, "trans": markov_transition_prob(labels, window=200, frm=1, to=2),
-            "atr_baseline": float(np.median(finite)) if len(finite) else 1.0}
+            "atr_baseline": float(np.median(finite)) if len(finite) else 1.0,
+            "n_iter": model.n_iter_, "converged": model.converged_}
 
 
 def _regime_inputs(days: Sequence[TradingDay]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -225,7 +225,7 @@ class RegimeGMM:
     """
 
     def __init__(self, k: int = 3, seed: int = 0, max_iter: int = 500,
-                 tol: float = 1e-8, restarts: int = 5):
+                 tol: float = 1e-6, restarts: int = 5):
         self.k = k
         self.seed = seed
         self.max_iter = max_iter
@@ -275,13 +275,12 @@ class RegimeGMM:
             variances = np.tile(np.maximum(Z.var(axis=0), 1e-6), (self.k, 1))
         weights = np.full(self.k, 1.0 / self.k)
 
-        # component-major: the E-step runs on k x n arrays so every pass is
-        # n long, not 3. Z and Z2 stay row-major for the M-step matmuls,
-        # whose operand layout gives the bits of the row-major EM
-        Z2 = Z * Z
+        # component-major: every pass runs on a k x n array or an n-long row.
+        # No step goes through BLAS, so the bits do not depend on its kernel
         ZT = np.ascontiguousarray(Z.T)
         Z2T = ZT * ZT
         log_resp, resp = np.empty((self.k, n)), np.empty((self.k, n))
+        s1, s2 = np.empty((self.k, d)), np.empty((self.k, d))
         history: list[float] = []
         converged = False
         prev_ll = -np.inf
@@ -291,18 +290,22 @@ class RegimeGMM:
             ll = float(np.sum(ll_per))
             np.exp(np.subtract(log_resp, ll_per, out=resp), out=resp)
 
-            # a left-to-right running sum: the bits of the row-major axis-0 sum
-            nk = np.cumsum(resp, axis=1, out=log_resp)[:, -1].copy()
+            # pairwise sums along each n-long row; log_resp is the scratch
+            nk = resp.sum(axis=1)
             if np.any(nk < 1e-10):
                 raise GmmDegenerateError("empty component")
-            means = (Z.T @ resp.T).T / nk[:, None]
-            variances = (Z2.T @ resp.T).T / nk[:, None] - means**2
+            for c in range(d):
+                s1[:, c] = np.multiply(resp, ZT[c], out=log_resp).sum(axis=1)
+                s2[:, c] = np.multiply(resp, Z2T[c], out=log_resp).sum(axis=1)
+            means = s1 / nk[:, None]
+            variances = s2 / nk[:, None] - means**2
             if np.any(variances < 1e-10):
                 raise GmmDegenerateError("variance collapse")
             weights = nk / n
 
             history.append(ll)
-            if ll - prev_ll < self.tol and np.isfinite(prev_ll):
+            # scikit-learn's rule: the mean log-likelihood gains less than tol
+            if (ll - prev_ll) / n < self.tol:
                 converged = True
                 break
             prev_ll = ll
@@ -314,6 +317,7 @@ class RegimeGMM:
         self.weights_ = weights[order]
         self.label_order_ = order
         self.loglik_history_ = history
+        self.n_iter_ = len(history)
         self.converged_ = converged
 
     @staticmethod
@@ -321,13 +325,17 @@ class RegimeGMM:
                   weights: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         """log(weight_j * N(z_i | j)) into the k x n ``out``, from the d x n
         ``ZT`` and its squares; ``scratch`` is a second k x n buffer."""
-        # expand the quadratic form so the k x n work is two matmuls
+        # the quadratic form expanded, one feature at a time: const, then
+        # + lin * z - half_inv * z^2 for each feature in order
         inv = 1.0 / variances
         const = (np.log(weights)
                  - 0.5 * np.sum(np.log(2 * np.pi * variances), axis=1)
                  - 0.5 * np.sum(means * means * inv, axis=1))
-        np.add(const[:, None], np.matmul(means * inv, ZT, out=out), out=out)
-        out -= np.multiply(np.matmul(inv, Z2T, out=scratch), 0.5, out=scratch)
+        lin, half_inv = means * inv, 0.5 * inv
+        out[:] = const[:, None]
+        for c in range(len(ZT)):
+            out += np.multiply(lin[:, c, None], ZT[c], out=scratch)
+            out -= np.multiply(half_inv[:, c, None], Z2T[c], out=scratch)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         Z = (np.asarray(X, dtype=float) - self.scale_mean_) / self.scale_std_

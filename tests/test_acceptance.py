@@ -117,6 +117,41 @@ def test_null_calibration_sweep():
     print(f"null calibration: {passes}/{total} gate passes, {elapsed:.0f}s")
 
 
+def binomial_quantile(m: int, p: float, q: float) -> int:
+    """Smallest c with P(Binomial(m, p) <= c) >= q."""
+    cdf = 0.0
+    for c in range(m + 1):
+        cdf += math.comb(m, c) * p**c * (1 - p) ** (m - c)
+        if cdf >= q:
+            return c
+    return m
+
+
+def test_permutation_p_is_calibrated_on_noise():
+    # the gate's cheaper criteria fail first on noise, so the sweep above
+    # never reaches the permutation; force it for every family with trades
+    p_values = []
+    for seed in range(1, 21):
+        eng = null_engine(seed)
+        for family in sorted(default_families()):
+            result, _, _ = eng.run_family(family, permutation=False)
+            if len(result.oos_trades) < 2:
+                continue
+            test_years = {f.test_year for f in result.plan.folds}
+            days = eng.complete_days(eng.family_def(family).session)
+            p_values.append(permutation_test(
+                result.oos_trades, [d for d in days if d.year in test_years],
+                result.chosen[-1].exit, iterations=200, seed=eng.config.seed,
+                instrument=eng.config.instrument))
+    m = len(p_values)
+    below_05 = sum(p < 0.05 for p in p_values)
+    below_10 = sum(p < 0.10 for p in p_values)
+    bound = binomial_quantile(m, 0.05, 0.999)
+    assert below_05 <= bound, (below_05, m, bound)
+    print(f"p calibration on noise: {below_05}/{m} below 0.05 (bound {bound}), "
+          f"{below_10}/{m} below 0.10")
+
+
 # -- 4. planted-edge power -----------------------------------------------------------
 
 CONFLUENCE_REGIMES = RegimeSpec(

@@ -71,6 +71,21 @@ def test_run_rejects_a_price_off_the_tick_grid(tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_run_reports_a_degenerate_regime_fit_as_a_data_error(tmp_path):
+    # flat bars give every regime feature one value, so EM collapses a variance
+    bars = write_days(tmp_path, gen_null_days(SynthSpec(300, seed=1)))
+    lines = bars.read_text(encoding="utf-8").splitlines()
+    write_lines(bars, [lines[0]] + [ln.split(",")[0] + ",15000.00,15000.00,15000.00,15000.00,100"
+                                    for ln in lines[1:]])
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"data:\n  rth: {bars}\n", encoding="utf-8")
+    res = run_cli("run", "--config", cfg, "--family", "CONFLUENCE_RTH",
+                  "--out", tmp_path / "runs")
+    assert res.exit_code == 1, res.output
+    assert "error: CONFLUENCE_RTH: EM degenerate after 5 restarts" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 # -- synth ----------------------------------------------------------------------
 
 def test_synth_round_trips_through_ingest(tmp_path):

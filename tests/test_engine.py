@@ -290,7 +290,7 @@ def reference_fit_regime(eng, session, train):
               "vz": volume_zscore(full[1], 50),
               "atr": rolling_stat(true_ranges(full[0]), 20)}
     return {"atr_baseline": float(np.median(finite)) if len(finite) else 1.0,
-            "series": series}
+            "n_iter": model.n_iter_, "converged": model.converged_, "series": series}
 
 
 def test_regime_state_is_bit_equal_on_every_fold_and_built_once(monkeypatch):
@@ -315,8 +315,9 @@ def test_regime_state_is_bit_equal_on_every_fold_and_built_once(monkeypatch):
             train = [d for d in days if d.year in fold.train_years]
             state = eng._fit_state(family, train, {})
             want = reference_fit_regime(eng, session, train)
-            assert state.keys() == {"labels", "trans", "atr_baseline"}
-            assert state["atr_baseline"] == want["atr_baseline"]
+            assert state.keys() == {"labels", "trans", "atr_baseline", "n_iter", "converged"}
+            for key in ("atr_baseline", "n_iter", "converged"):
+                assert state[key] == want[key], key
             _, vz, atr = eng.per_session(engine_mod._regime_inputs, session)
             got = {"labels": state["labels"], "trans": state["trans"], "vz": vz, "atr": atr}
             for key, arr in want["series"].items():
@@ -501,6 +502,19 @@ def test_appending_a_year_leaves_every_earlier_fold_unchanged():
         assert [t for t in after.oos_trades if t.date.year < 2024] == before.oos_trades, family
 
 
+def test_every_regime_fold_fit_converges_before_the_iteration_cap():
+    from falsify.features import RegimeGMM
+    eng = Engine(three_year_bundle(), config_from_dict({}))
+    fits = []
+    for family in ("CONFLUENCE_RTH", "LONDON_B"):
+        days = eng.complete_days(default_families()[family].session)
+        for fold in make_plan([d.year for d in days]).folds:
+            state = eng._fit_state(family, [d for d in days if d.year in fold.train_years], {})
+            fits.append((family, fold.test_year, state["n_iter"], state["converged"]))
+    assert len(fits) == 4
+    assert all(conv and n_iter < RegimeGMM().max_iter for _, _, n_iter, conv in fits), fits
+
+
 def test_walk_forward_picks_and_trades_match_the_record_runner():
     eng = Engine(three_year_bundle(), config_from_dict({"instrument": {"friction_points": 1.5}}))
     from falsify.validation import walk_forward
@@ -658,7 +672,7 @@ EMITTED = {
     ("OU_REVERSION", 0): (396, "f3eaed669d22ea10"),
     ("OU_REVERSION", 1): (187, "4dd503c1dbe8614c"),
     ("OU_REVERSION", 2): (59, "5c3aee4cd56f5785"),
-    ("CONFLUENCE_RTH", 0): (1766, "dfd30ed364b27c1d"),
+    ("CONFLUENCE_RTH", 0): (1789, "d408d647c9b54db7"),
     ("LONDON_B", 0): (57, "84d6f86d9f6728a0"),
 }
 

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,35 +378,75 @@ def test_logsumexp_matches_axis1_reductions(a):
     assert np.array_equal(_logsumexp(a), reference_logsumexp(a))
 
 
-def test_gmm_fit_matches_golden_digest():
-    # recorded with the axis-1 log-sum-exp; any change to the EM arithmetic
-    # changes this digest
+def golden_window():
     reg = RegimeSpec(transition=((0.94, 0.01, 0.05), (0.25, 0.50, 0.25), (0.05, 0.01, 0.94)),
                      means=(-8.0, 0.0, 8.0), vols=(1.5, 4.0, 1.5), volume_mults=(1.0, 3.5, 1.0))
     days, _ = gen_regime_days(SynthSpec(40, seed=3, regimes=reg))
-    X = regime_features(*bar_arrays(b for d in days for b in d.bars), vol_window=50)
-    model = gmm_fit(X[50:], seed=7)
+    return regime_features(*bar_arrays(b for d in days for b in d.bars), vol_window=50)
+
+
+def golden_fit(**kwargs):
+    """The golden window's fit and a sha256 over its fitted state and labels."""
+    X = golden_window()
+    model = RegimeGMM(seed=7, **kwargs).fit(X[50:])
     h = hashlib.sha256()
     for a in (model.means_, model.variances_, model.weights_,
               np.array(model.loglik_history_), model.predict(X)):
         h.update(np.ascontiguousarray(a).tobytes())
-    assert len(model.loglik_history_) == 34
-    assert h.hexdigest() == "fb01a699dc59f6748b52107651f5b390e3dc84d9bdbcc5d73b3decd9ba261012"
+    return model, h.hexdigest()
+
+
+def test_gmm_fit_matches_golden_digest():
+    # the old stopping rule, a total gain below 1e-8; any change to the EM
+    # arithmetic changes this digest
+    model, digest = golden_fit(tol=1e-8 / (len(golden_window()) - 50))
+    assert model.n_iter_ == len(model.loglik_history_) == 34 and model.converged_
+    assert digest == "6df5e993b3c833a0a014325c136ac8cbdbf9d5b6a79bd05c1c80f99d12e575d0"
+
+
+def test_gmm_default_fit_matches_golden_digest():
+    # the default rule: the mean log-likelihood gains less than 1e-6
+    model, digest = golden_fit()
+    assert model.n_iter_ == len(model.loglik_history_) == 18 and model.converged_
+    assert digest == "b9d663c01a388bbb0af55f558afe795b5fb0f10c96c070c4241ff09eeab50a4d"
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_gmm_fit_bits_do_not_depend_on_the_blas_kernel(coretype):
+    # OpenBLAS picks its kernel when it loads, so the fit runs in a child
+    # interpreter whose environment alone names the kernel
+    import falsify
+    here = Path(__file__).resolve().parent
+    path = [str(here), str(Path(falsify.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": os.pathsep.join(path)}
+    child = subprocess.run(
+        [sys.executable, "-c", "import test_features as t; print(t.golden_fit()[1])"],
+        cwd=here, env=env, capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == golden_fit()[1]
 
 
 def reference_log_prob(Z, means, variances, weights):
-    """The row-major n x k form ``RegimeGMM._log_prob`` replaced."""
+    """Row-major n x k log(weight_j * N(z_i | j)), column by column in
+    ``RegimeGMM._log_prob``'s order, and with no BLAS call."""
     inv = 1.0 / variances
     const = (np.log(weights)
              - 0.5 * np.sum(np.log(2 * np.pi * variances), axis=1)
              - 0.5 * np.sum(means * means * inv, axis=1))
-    return const + Z @ (means * inv).T - 0.5 * ((Z * Z) @ inv.T)
+    out = np.empty((len(Z), len(means)))
+    for j in range(len(means)):
+        col = np.full(len(Z), const[j])
+        for c in range(Z.shape[1]):
+            col = col + (means[j, c] * inv[j, c]) * Z[:, c]
+            col = col - (0.5 * inv[j, c]) * (Z[:, c] * Z[:, c])
+        out[:, j] = col
+    return out
 
 
-def reference_em(Z, seed, k=3, quantile_init=True, max_iter=500, tol=1e-8):
-    """The row-major EM loop ``RegimeGMM._em`` replaced; returns the relabelled
-    (means, variances, weights, loglik history)."""
-    n = len(Z)
+def reference_em(Z, seed, k=3, quantile_init=True, max_iter=500, tol=1e-6):
+    """A row-major EM loop whose sums are n-long columns; returns the
+    relabelled (means, variances, weights, loglik history)."""
+    n, d = Z.shape
     rng = np.random.default_rng(seed)
     if quantile_init:
         parts = np.array_split(np.argsort(Z[:, 0], kind="stable"), k)
@@ -419,16 +463,18 @@ def reference_em(Z, seed, k=3, quantile_init=True, max_iter=500, tol=1e-8):
         ll_per = reference_logsumexp(log_resp)
         ll = float(np.sum(ll_per))
         resp = np.exp(log_resp - ll_per[:, None])
-        nk = resp.sum(axis=0)
+        nk = np.array([np.sum(resp[:, j]) for j in range(k)])
         if np.any(nk < 1e-10):
             raise GmmDegenerateError("empty component")
-        means = (resp.T @ Z) / nk[:, None]
-        variances = (resp.T @ Z2) / nk[:, None] - means**2
+        means = np.array([[np.sum(resp[:, j] * Z[:, c]) for c in range(d)]
+                          for j in range(k)]) / nk[:, None]
+        variances = np.array([[np.sum(resp[:, j] * Z2[:, c]) for c in range(d)]
+                              for j in range(k)]) / nk[:, None] - means**2
         if np.any(variances < 1e-10):
             raise GmmDegenerateError("variance collapse")
         weights = nk / n
         history.append(ll)
-        if ll - prev_ll < tol and np.isfinite(prev_ll):
+        if (ll - prev_ll) / n < tol:
             break
         prev_ll = ll
     order = np.argsort(means[:, 0], kind="stable")
@@ -489,7 +535,7 @@ def regime_window(n_days, seed):
 
 
 def test_component_major_em_matches_reference_on_a_large_window():
-    # BLAS may block or thread a long matmul differently from a short one
+    # a long row's pairwise sum recurses deeper than a short one's
     X = regime_window(280, seed=5)
     assert len(X) >= 20_000
     model = assert_em_matches_reference(X, seed=1)
@@ -507,7 +553,7 @@ def test_gmm_reports_whether_em_converged():
     assert gmm_fit(X, seed=5).converged_
     X = regime_window(40, seed=3)  # overlapping regimes take more than 3 iterations
     capped = RegimeGMM(seed=5, max_iter=3).fit(X)
-    assert not capped.converged_ and len(capped.loglik_history_) == 3
+    assert not capped.converged_ and capped.n_iter_ == len(capped.loglik_history_) == 3
     assert RegimeGMM(seed=5).fit(X).converged_
 
 
