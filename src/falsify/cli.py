@@ -104,10 +104,7 @@ def run(config_path: str, family: str | None, out_dir: str | None,
 
     try:
         engine = Engine(load_bundle(cfg), cfg)
-        run_dir = Path(out_dir or cfg.output_dir) / cfg.hash
-        run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "config.yaml").write_text(dump_config(cfg), encoding="utf-8")
-
+        files = {"config.yaml": dump_config(cfg)}
         reports: list[RunReport] = []
         for name in names:
             session = families[name].session
@@ -122,14 +119,13 @@ def run(config_path: str, family: str | None, out_dir: str | None,
             rep = RunReport(name, result.chosen[-1].params, metrics, verdict,
                             config_hash=cfg.hash, seed=cfg.seed)
             reports.append(rep)
-            (run_dir / f"{name}.report.md").write_text(
-                render_report(rep, "markdown-table"), encoding="utf-8")
-            (run_dir / f"{name}.report.json").write_text(
-                render_report(rep, "structured-records"), encoding="utf-8")
-            (run_dir / f"{name}.trades.csv").write_text(
-                serialize_trades(result.oos_trades), encoding="utf-8")
+            files[f"{name}.report.md"] = render_report(rep, "markdown-table")
+            files[f"{name}.report.json"] = render_report(rep, "structured-records")
+            files[f"{name}.trades.csv"] = serialize_trades(result.oos_trades)
             click.echo(f"{name}: N={metrics.n} verdict={verdict.failure_label}")
-        (run_dir / "summary.md").write_text(render_summary(reports), encoding="utf-8")
+        files["summary.md"] = render_summary(reports)
+        run_dir = Path(out_dir or cfg.output_dir) / cfg.hash
+        write_run(run_dir, files)
         click.echo(f"run directory: {run_dir}")
     except EngineError as exc:
         click.echo(f"config error: {exc}", err=True)
@@ -137,6 +133,29 @@ def run(config_path: str, family: str | None, out_dir: str | None,
     except (BarError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA)
+
+
+def write_run(run_dir: Path, files: dict[str, str]) -> None:
+    """Write ``files`` into ``run_dir``, all of them before any is moved in.
+
+    They go to a staging directory beside ``run_dir`` first. Moving them in
+    is one rename per file, so a failure part-way through can leave
+    ``run_dir`` part-updated. The staging directory is removed on every exit
+    path but a killed process, which leaves its ``.<name>.*`` behind.
+    """
+    import tempfile
+    run_dir.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{run_dir.name}.", dir=run_dir.parent))
+    try:
+        for name, text in files.items():
+            (stage / name).write_text(text, encoding="utf-8")
+        run_dir.mkdir(exist_ok=True)
+        for name in files:
+            (stage / name).replace(run_dir / name)
+    finally:
+        for p in stage.iterdir():
+            p.unlink()
+        stage.rmdir()
 
 
 @main.group()

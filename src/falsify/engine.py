@@ -118,12 +118,19 @@ def _fit_regime(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
                           f"complete {session} days")
     X, _, atr = eng.per_session(_regime_inputs, session)
     n = sum(len(d.ts) for d in train)
-    model = gmm_fit(X[50:n], k=3, seed=eng.config.seed)
+    # EM starts from the previous fold's model: the window of the calendar
+    # years before the last one, fitted once through the same memo, so the
+    # chain reads only ``train``. A window whose earlier years hold under a
+    # quarter of its days (none, inside one year) is fitted cold: from so
+    # short a start EM can settle in a worse optimum than the cold fit's
+    prev = [d for d in train if d.year < train[-1].year]
+    warm = 4 * len(prev) >= len(train)
+    start = eng.fitted(_fit_regime, session, prev)["model"] if warm else None
+    model = gmm_fit(X[50:n], k=3, seed=eng.config.seed, start=start)
     finite = atr[:n][np.isfinite(atr[:n])]
     labels = model.predict(X)
     return {"labels": labels, "trans": markov_transition_prob(labels, window=200, frm=1, to=2),
-            "atr_baseline": float(np.median(finite)) if len(finite) else 1.0,
-            "n_iter": model.n_iter_, "converged": model.converged_}
+            "atr_baseline": float(np.median(finite)) if len(finite) else 1.0, "model": model}
 
 
 def _regime_inputs(days: Sequence[TradingDay]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,17 +335,23 @@ class Engine:
 
     # -- fitted state per family ------------------------------------------
 
-    def _state_key(self, fd: FamilyDef, train: Sequence[TradingDay]) -> tuple:
+    def _state_key(self, fit: Optional[Callable[..., dict]], session: str,
+                   train: Sequence[TradingDay]) -> tuple:
         """Families sharing a fit and a session share a fitted state; no fit, no key."""
-        return () if fd.fit is None else (fd.fit, fd.session, train[0].date, train[-1].date,
-                                          len(train))
+        return () if fit is None else (fit, session, train[0].date, train[-1].date, len(train))
 
     def _fit_state(self, family: str, train: Sequence[TradingDay], params: dict) -> dict:
-        """Fitted state for ``family`` on ``train``, one per ``_state_key``."""
+        """Fitted state for ``family`` on ``train``, one per ``_state_key``; it does
+        not depend on ``params``."""
         fd = self.family_def(family)
-        key = self._state_key(fd, train)
+        return self.fitted(fd.fit, fd.session, train)
+
+    def fitted(self, fit: Optional[Callable[..., dict]], session: str,
+               train: Sequence[TradingDay]) -> dict:
+        """``fit(self, session, train)``, computed once per ``_state_key``."""
+        key = self._state_key(fit, session, train)
         if key not in self._state:
-            self._state[key] = fd.fit(self, fd.session, train) if key else {}
+            self._state[key] = fit(self, session, train) if key else {}
         return self._state[key]
 
     def day_signals(self, family: str, day: TradingDay, params: dict,
@@ -360,7 +373,7 @@ class Engine:
         def run(train: Sequence[TradingDay], eval_days: Sequence[TradingDay],
                 params: dict, exit_spec: ExitSpec) -> RunnerTrades:
             state = self._fit_state(family, train, params)
-            key = (self._state_key(fd, train), repr(sorted(params.items())))
+            key = (self._state_key(fd.fit, fd.session, train), repr(sorted(params.items())))
             for d in eval_days:
                 if (key, d.date) not in cache:
                     cache[key, d.date] = entry_order(self.day_signals(family, d, params, state))

@@ -222,6 +222,8 @@ class RegimeGMM:
     Inputs are standardized on the fit window. After fitting, components
     are relabeled so Regime 0 has the lowest mean of feature 0 (bar
     return) and Regime 2 the highest; Regime 1 is the remainder.
+    ``warm_start_`` says whether EM started from a given model rather than
+    from the quantile partition.
     """
 
     def __init__(self, k: int = 3, seed: int = 0, max_iter: int = 500,
@@ -232,7 +234,10 @@ class RegimeGMM:
         self.tol = tol
         self.restarts = restarts
 
-    def fit(self, X: np.ndarray) -> "RegimeGMM":
+    def fit(self, X: np.ndarray, start: Optional["RegimeGMM"] = None) -> "RegimeGMM":
+        """Fit on ``X``. EM starts from the fitted ``start`` model when one is
+        given, mapped into this window's standardized units, and falls back
+        to the cold restarts if that start degenerates."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise FeatureError("X must be 2-d")
@@ -246,6 +251,17 @@ class RegimeGMM:
         self.scale_std_ = np.where(sd > 0, sd, 1.0)
         Z = (X - self.scale_mean_) / self.scale_std_
 
+        if start is not None:
+            # the start's components in raw units, re-standardized on this window
+            r = start.scale_std_ / self.scale_std_
+            means = (start.scale_mean_ - self.scale_mean_) / self.scale_std_ + start.means_ * r
+            try:
+                self._em(Z, self.seed, start=(means, start.variances_ * r * r, start.weights_))
+                self.warm_start_ = True
+                return self
+            except GmmDegenerateError:
+                pass
+        self.warm_start_ = False
         last_err: Exception | None = None
         for attempt in range(self.restarts):
             try:
@@ -255,10 +271,16 @@ class RegimeGMM:
                 last_err = exc
         raise GmmDegenerateError(f"EM degenerate after {self.restarts} restarts") from last_err
 
-    def _em(self, Z: np.ndarray, seed: int, quantile_init: bool = True) -> None:
+    def _em(self, Z: np.ndarray, seed: int, quantile_init: bool = True,
+            start: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None) -> None:
+        """EM from ``start`` (means, variances, weights) when given, else from
+        the quantile partition or ``seed``'s random rows."""
         n, d = Z.shape
         rng = np.random.default_rng(seed)
-        if quantile_init:
+        weights = np.full(self.k, 1.0 / self.k)
+        if start is not None:
+            means, variances, weights = start
+        elif quantile_init:
             # deterministic: hard-partition rows into feature-0 quantile
             # bands and start from their moments, so EM begins inside the
             # basin whose components are ordered by bar return (the
@@ -273,7 +295,6 @@ class RegimeGMM:
             idx = rng.choice(n, size=self.k, replace=False)
             means = Z[idx].copy()
             variances = np.tile(np.maximum(Z.var(axis=0), 1e-6), (self.k, 1))
-        weights = np.full(self.k, 1.0 / self.k)
 
         # component-major: every pass runs on a k x n array or an n-long row.
         # No step goes through BLAS, so the bits do not depend on its kernel
@@ -368,8 +389,9 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return np.add(m, np.log(s, out=s), out=s)
 
 
-def gmm_fit(features: np.ndarray, k: int = 3, seed: int = 0) -> RegimeGMM:
-    return RegimeGMM(k=k, seed=seed).fit(features)
+def gmm_fit(features: np.ndarray, k: int = 3, seed: int = 0,
+            start: Optional[RegimeGMM] = None) -> RegimeGMM:
+    return RegimeGMM(k=k, seed=seed).fit(features, start=start)
 
 
 def regime_features(ohlc: np.ndarray, volume: np.ndarray, vol_window: int = 50,

@@ -372,7 +372,7 @@ def bar_files(draw):
         elif kind == "outside":
             parts[0] = parts[0][:11] + rng.choice(OUTSIDE[session.name])
             lines[i] = ",".join(parts)
-        elif kind == "off_grid":
+        elif kind == "off_grid" and parts[0][-1:].isdigit():
             parts[0] = parts[0][:-1] + str(int(parts[0][-1]) + 1)
             lines[i] = ",".join(parts)
         elif kind == "indented_comment":

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from falsify.bars import RTH, serialize_days
-from falsify.cli import main
+from falsify.cli import main, write_run
 from falsify.synth import SynthSpec, gen_null_days
 
 
@@ -84,6 +84,34 @@ def test_run_reports_a_degenerate_regime_fit_as_a_data_error(tmp_path):
     assert res.exit_code == 1, res.output
     assert "error: CONFLUENCE_RTH: EM degenerate after 5 restarts" in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_a_run_that_stops_on_a_data_error_leaves_no_directory(tmp_path):
+    # every family runs: the flat bars pass ingest and stop the run at
+    # CONFLUENCE_RTH, after the run's config is known
+    bars = write_days(tmp_path, gen_null_days(SynthSpec(300, seed=1)))
+    lines = bars.read_text(encoding="utf-8").splitlines()
+    write_lines(bars, [lines[0]] + [ln.split(",")[0] + ",15000.00,15000.00,15000.00,15000.00,100"
+                                    for ln in lines[1:]])
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"data:\n  rth: {bars}\n", encoding="utf-8")
+    res = run_cli("run", "--config", cfg, "--out", tmp_path / "runs")
+    assert res.exit_code == 1, res.output
+    assert "error: CONFLUENCE_RTH:" in res.output
+    assert not (tmp_path / "runs").exists()
+
+
+def test_write_run_writes_every_file_before_moving_any_in(tmp_path):
+    runs = tmp_path / "runs"
+    with pytest.raises(OSError):  # the second file cannot be written
+        write_run(runs / "abc", {"a.md": "a", "no/such/dir.md": "b"})
+    assert list(runs.iterdir()) == []
+    # a second run into the same directory adds its files beside the first's
+    write_run(runs / "abc", {"a.md": "a", "c.md": "old"})
+    write_run(runs / "abc", {"b.md": "b", "c.md": "new"})
+    assert [p.name for p in runs.iterdir()] == ["abc"]
+    assert {p.name: p.read_text(encoding="utf-8") for p in (runs / "abc").iterdir()} == {
+        "a.md": "a", "b.md": "b", "c.md": "new"}
 
 
 # -- synth ----------------------------------------------------------------------

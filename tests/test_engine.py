@@ -122,6 +122,25 @@ def test_planted_breakout_edge_passes_only_its_family():
     assert not verdict_s.overall
 
 
+def test_the_null_pool_is_exactly_the_test_years(monkeypatch):
+    # three calendar years, two folds: the training-only first year must not
+    # reach the placements the null draws from
+    days = two_year_null(600, seed=31)
+    probe = make_engine(rth=days)
+    events = [e for d in days for e in probe.day_signals("ORB_LONG", d, {}, {})]
+    eng = make_engine(rth=plant_drift(days, events, 25.0, 15),
+                      cfg={"permutation": {"iterations": 20, "families": ["ORB_LONG"]}})
+    pools = []
+    real = engine_mod.permutation_test
+    monkeypatch.setattr(engine_mod, "permutation_test",
+                        lambda trades, pool, *a, **kw: pools.append(pool) or
+                        real(trades, pool, *a, **kw))
+    result, metrics, _ = eng.run_family("ORB_LONG")
+    assert [f.test_year for f in result.plan.folds] == [2023, 2024]
+    assert metrics.permutation_p is not None and len(pools) == 1
+    assert pools[0] == [d for d in eng.complete_days("rth") if d.year in (2023, 2024)]
+
+
 def test_exit_selection_tracks_planted_horizon():
     days = two_year_null(350, seed=31)
     probe = make_engine(rth=days)
@@ -277,10 +296,14 @@ def test_per_day_series_computed_once_and_shared(monkeypatch):
 
 
 def reference_fit_regime(eng, session, train):
-    """``_fit_regime`` as it was: every fold rebuilds the full-stream inputs."""
+    """``_fit_regime`` recomputed from the bars: every fold rebuilds the full-stream
+    inputs, and refits the fold chain before it to start its EM from."""
+    prev = [d for d in train if d.year < train[-1].year]
+    warm = 4 * len(prev) >= len(train)
+    start = reference_fit_regime(eng, session, prev)["model"] if warm else None
     stream = bar_arrays(b for d in train for b in d.bars)
     X = regime_features(*stream, vol_window=50)
-    model = gmm_fit(X[50:], k=3, seed=eng.config.seed)
+    model = gmm_fit(X[50:], k=3, seed=eng.config.seed, start=start)
     atr = rolling_stat(true_ranges(stream[0]), 20)
     finite = atr[np.isfinite(atr)]
     days = eng.complete_days(session)
@@ -290,7 +313,10 @@ def reference_fit_regime(eng, session, train):
               "vz": volume_zscore(full[1], 50),
               "atr": rolling_stat(true_ranges(full[0]), 20)}
     return {"atr_baseline": float(np.median(finite)) if len(finite) else 1.0,
-            "n_iter": model.n_iter_, "converged": model.converged_, "series": series}
+            "model": model, "series": series}
+
+
+MODEL_ATTRS = ("n_iter_", "converged_", "warm_start_", "means_", "variances_", "weights_")
 
 
 def test_regime_state_is_bit_equal_on_every_fold_and_built_once(monkeypatch):
@@ -315,9 +341,11 @@ def test_regime_state_is_bit_equal_on_every_fold_and_built_once(monkeypatch):
             train = [d for d in days if d.year in fold.train_years]
             state = eng._fit_state(family, train, {})
             want = reference_fit_regime(eng, session, train)
-            assert state.keys() == {"labels", "trans", "atr_baseline", "n_iter", "converged"}
-            for key in ("atr_baseline", "n_iter", "converged"):
-                assert state[key] == want[key], key
+            assert state.keys() == {"labels", "trans", "atr_baseline", "model"}
+            assert state["atr_baseline"] == want["atr_baseline"]
+            for attr in MODEL_ATTRS:
+                assert np.array_equal(getattr(state["model"], attr),
+                                      getattr(want["model"], attr)), attr
             _, vz, atr = eng.per_session(engine_mod._regime_inputs, session)
             got = {"labels": state["labels"], "trans": state["trans"], "vz": vz, "atr": atr}
             for key, arr in want["series"].items():
@@ -510,9 +538,93 @@ def test_every_regime_fold_fit_converges_before_the_iteration_cap():
         days = eng.complete_days(default_families()[family].session)
         for fold in make_plan([d.year for d in days]).folds:
             state = eng._fit_state(family, [d for d in days if d.year in fold.train_years], {})
-            fits.append((family, fold.test_year, state["n_iter"], state["converged"]))
+            fits.append((family, fold.test_year, state["model"].n_iter_,
+                         state["model"].converged_))
     assert len(fits) == 4
     assert all(conv and n_iter < RegimeGMM().max_iter for _, _, n_iter, conv in fits), fits
+
+
+def regime_windows(eng, family):
+    """The regime session's training window of every walk-forward fold."""
+    days = eng.complete_days(default_families()[family].session)
+    return [[d for d in days if d.year in f.train_years]
+            for f in make_plan([d.year for d in days]).folds]
+
+
+def chain_bundle() -> DataBundle:
+    """RTH and London from 2021-08 to 2024-01: three folds, the first on 110 days."""
+    start = date(2021, 8, 2)
+    return DataBundle(
+        rth=gen_null_days(SynthSpec(650, seed=41, start_date=start, gap_sigma=15.0)),
+        london=gen_null_days(SynthSpec(650, session=LONDON, seed=42, start_date=start)))
+
+
+@pytest.mark.parametrize("family", ["CONFLUENCE_RTH", "LONDON_B"])
+def test_a_fold_fitted_alone_equals_the_fold_fitted_after_the_chain(family, monkeypatch):
+    # the last fold's EM starts from the fold before it, which starts from the
+    # one before that; a fresh engine asked for the last fold alone fits the
+    # same chain, each window once, and gets the same bits
+    bundle = chain_bundle()
+    in_order, alone = Engine(bundle, config_from_dict({})), Engine(bundle, config_from_dict({}))
+    windows = regime_windows(in_order, family)
+    assert [len(w) for w in windows] == [110, 370, 630]
+    chain = [in_order._fit_state(family, w, {}) for w in windows]
+    fits = []
+    real = engine_mod.gmm_fit
+    monkeypatch.setattr(engine_mod, "gmm_fit", lambda X, *a, **kw: fits.append(len(X)) or
+                        real(X, *a, **kw))
+    last = alone._fit_state(family, windows[-1], {})
+    assert len(fits) == 3 and fits == sorted(fits)
+    assert [s["model"].warm_start_ for s in chain] == [False, True, True]
+    for attr in MODEL_ATTRS:
+        assert np.array_equal(getattr(last["model"], attr), getattr(chain[-1]["model"], attr))
+    for key in ("labels", "trans"):
+        assert np.array_equal(last[key], chain[-1][key], equal_nan=True), key
+    alone._fit_state(family, windows[1], {})
+    assert len(fits) == 3  # an earlier window comes from the memo
+    want = reference_fit_regime(alone, default_families()[family].session, windows[-1])
+    for attr in MODEL_ATTRS:
+        assert np.array_equal(getattr(last["model"], attr), getattr(want["model"], attr))
+
+
+def test_warm_folds_end_no_worse_than_a_cold_fit():
+    eng = Engine(chain_bundle(), config_from_dict({}))
+    fits = {}
+    for family in ("CONFLUENCE_RTH", "LONDON_B"):
+        X = eng.per_session(engine_mod._regime_inputs, default_families()[family].session)[0]
+        for fold, train in enumerate(regime_windows(eng, family)[1:], 2):
+            state = eng._fit_state(family, train, {})
+            rows = X[50:sum(len(d.ts) for d in train)]
+            warm, cold = state["model"], gmm_fit(rows, k=3, seed=eng.config.seed)
+            assert warm.warm_start_ and warm.converged_, (family, fold)
+            gain = (warm.loglik_history_[-1] - cold.loglik_history_[-1]) / len(rows)
+            fits[family, fold] = (warm.n_iter_, cold.n_iter_, gain,
+                                  float(np.mean(cold.predict(X) == state["labels"])))
+    # measured (warm iterations, cold iterations, mean log-likelihood gain per
+    # row, share of labels equal to the cold fit's):
+    #   RTH fold 2: 25, 62, +2.2e-6, 99.91%    fold 3: 10, 65, +1.0e-6, 99.97%
+    #   London 2:  103, 43, +9.3e-3, 91.94%    fold 3: 153, 43, +2.0e-2, 85.33%
+    # RTH EM lands in the cold fit's optimum in fewer iterations; London EM
+    # climbs on to a higher one, whose wide third component relabels 8-15% of bars
+    assert all(gain > -1e-6 for _, _, gain, _ in fits.values()), fits
+    assert all(fits["CONFLUENCE_RTH", f][0] < fits["CONFLUENCE_RTH", f][1] for f in (2, 3)), fits
+    assert all(fits["CONFLUENCE_RTH", f][3] > 0.999 for f in (2, 3)), fits
+
+
+def test_a_fold_whose_earlier_years_are_short_is_fitted_cold():
+    # fold 2 of three_year_bundle trains on December 2021 (23 days) and 2022:
+    # under a quarter of its days come before its last year, so its EM starts
+    # from the quantile partition, as the first fold's does
+    eng = Engine(three_year_bundle(), config_from_dict({}))
+    for family in ("CONFLUENCE_RTH", "LONDON_B"):
+        windows = regime_windows(eng, family)
+        assert [len(w) for w in windows] == [23, 283]
+        X = eng.per_session(engine_mod._regime_inputs, default_families()[family].session)[0]
+        model = eng._fit_state(family, windows[1], {})["model"]
+        cold = gmm_fit(X[50:sum(len(d.ts) for d in windows[1])], k=3, seed=eng.config.seed)
+        assert not model.warm_start_
+        for attr in MODEL_ATTRS:
+            assert np.array_equal(getattr(model, attr), getattr(cold, attr)), (family, attr)
 
 
 def test_walk_forward_picks_and_trades_match_the_record_runner():

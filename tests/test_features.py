@@ -396,19 +396,43 @@ def golden_fit(**kwargs):
     return model, h.hexdigest()
 
 
+def simd_target() -> str:
+    """The SIMD target numpy runs float64 ``exp`` and ``log`` on: their bits, and
+    so the fitted bits, differ between targets (X86_V4 is AVX-512, X86_V3 AVX2)."""
+    from numpy.lib.introspect import opt_func_info
+    info = opt_func_info(func_name="^(exp|log)$", signature="float64")
+    targets = {sig["current"] for sigs in info.values() for sig in sigs.values()}
+    assert len(targets) == 1, info
+    return targets.pop()
+
+
+# one digest per target, recorded with NPY_DISABLE_CPU_FEATURES selecting each
+# target of numpy 2.4 on an AVX-512 CPU
+GOLDEN_OLD_RULE = {
+    "X86_V4": "6df5e993b3c833a0a014325c136ac8cbdbf9d5b6a79bd05c1c80f99d12e575d0",
+    "X86_V3": "192a9b339da714be0ce2fec228a07d96af51d90bfb5384cebac3fa7f6942d0b5",
+    "baseline(X86_V2)": "192a9b339da714be0ce2fec228a07d96af51d90bfb5384cebac3fa7f6942d0b5",
+}
+GOLDEN_DEFAULT = {
+    "X86_V4": "b9d663c01a388bbb0af55f558afe795b5fb0f10c96c070c4241ff09eeab50a4d",
+    "X86_V3": "97dc9a016a7cd2018599736eefc801e81ae53d9edeec2a9acdf2eef5e31ccb8d",
+    "baseline(X86_V2)": "97dc9a016a7cd2018599736eefc801e81ae53d9edeec2a9acdf2eef5e31ccb8d",
+}
+
+
 def test_gmm_fit_matches_golden_digest():
     # the old stopping rule, a total gain below 1e-8; any change to the EM
     # arithmetic changes this digest
     model, digest = golden_fit(tol=1e-8 / (len(golden_window()) - 50))
     assert model.n_iter_ == len(model.loglik_history_) == 34 and model.converged_
-    assert digest == "6df5e993b3c833a0a014325c136ac8cbdbf9d5b6a79bd05c1c80f99d12e575d0"
+    assert digest == GOLDEN_OLD_RULE.get(simd_target()), simd_target()
 
 
 def test_gmm_default_fit_matches_golden_digest():
     # the default rule: the mean log-likelihood gains less than 1e-6
     model, digest = golden_fit()
     assert model.n_iter_ == len(model.loglik_history_) == 18 and model.converged_
-    assert digest == "b9d663c01a388bbb0af55f558afe795b5fb0f10c96c070c4241ff09eeab50a4d"
+    assert digest == GOLDEN_DEFAULT.get(simd_target()), simd_target()
 
 
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
@@ -555,6 +579,34 @@ def test_gmm_reports_whether_em_converged():
     capped = RegimeGMM(seed=5, max_iter=3).fit(X)
     assert not capped.converged_ and capped.n_iter_ == len(capped.loglik_history_) == 3
     assert RegimeGMM(seed=5).fit(X).converged_
+
+
+def test_a_warm_start_is_the_start_model_in_the_new_window_units():
+    # with no EM step the fit is its start: the previous window's components,
+    # mapped into the new window's standardized units, are the same in raw units
+    X = regime_window(40, seed=3)
+    old = RegimeGMM(seed=5).fit(X[:1_500])
+    new = RegimeGMM(seed=5, max_iter=0).fit(X, start=old)
+    assert new.warm_start_ and new.n_iter_ == 0
+    assert not np.allclose(new.scale_std_, old.scale_std_)
+    raw = lambda m: (m.means_ * m.scale_std_ + m.scale_mean_, m.variances_ * m.scale_std_**2)
+    for got, want in zip(raw(new), raw(old)):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(new.weights_, old.weights_)
+
+
+def test_a_degenerate_warm_start_falls_back_to_the_cold_restarts():
+    X, _ = planted_clusters(seed=4)
+    cold = RegimeGMM(seed=9).fit(X)
+    start = RegimeGMM(seed=9).fit(X)
+    start.means_ = start.means_ + np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1e3, 0.0, 0.0]])
+    # the start alone degenerates: with no cold restart to fall back on, the fit fails
+    with pytest.raises(GmmDegenerateError, match="after 0 restarts"):
+        RegimeGMM(seed=9, restarts=0).fit(X, start=start)
+    warm = RegimeGMM(seed=9).fit(X, start=start)
+    assert not warm.warm_start_
+    for attr in ("means_", "variances_", "weights_", "loglik_history_"):
+        assert np.array_equal(getattr(warm, attr), getattr(cold, attr)), attr
 
 
 # -- Markov transition probabilities -------------------------------------------

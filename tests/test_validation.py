@@ -257,6 +257,20 @@ def test_tie_breaks_by_trade_count_then_order():
     assert res.chosen[0].params["tag"] == "y"
 
 
+def test_equal_training_t_and_n_pick_the_first_grid_point():
+    days = two_year_days()
+    exits = [ExitSpec(ExitKind.HORIZON, horizon=h) for h in (1, 6)]
+
+    def runner(train, eval_days, params, exit_spec):
+        # the same defined t and N for every grid point and exit
+        return [trade(net) for net in (1.0, 2.0, 0.5, 3.0)]
+
+    for grid in ([{"tag": "x"}, {"tag": "y"}, {"tag": "z"}], [{"tag": "y"}, {"tag": "x"}]):
+        res = walk_forward(days, runner, grid, exits)
+        assert res.chosen[0].params == grid[0] and res.chosen[0].exit == exits[0]
+        assert res.chosen[0].train_n == 4 and res.chosen[0].train_t is not None
+
+
 def test_empty_grid_rejected():
     with pytest.raises(ValidationError):
         walk_forward(two_year_days(), lambda *a: [], [], [ExitSpec(ExitKind.HORIZON, horizon=1)])
