@@ -156,6 +156,32 @@ class BarRows(Sequence):
         return map(Bar, d.ts.tolist(), *d.ohlc.tolist(), d.volume.tolist())
 
 
+@dataclass(frozen=True, eq=False)
+class SessionStore:
+    """A session's days laid end to end once: ``ohlc`` (4 x n) and ``volume``
+    hold every bar in day order, ``start`` the column of each day's first bar
+    with the bar count appended, and ``cols`` each day's columns by date."""
+
+    days: Sequence[TradingDay]
+    ohlc: np.ndarray
+    volume: np.ndarray
+    start: np.ndarray
+    cols: dict[date, slice]
+
+    def __post_init__(self) -> None:
+        for arr in (self.ohlc, self.volume, self.start):
+            arr.flags.writeable = False
+
+
+def session_store(days: Sequence[TradingDay]) -> SessionStore:
+    """``days`` laid end to end, in the order given."""
+    start = np.cumsum([0, *(len(d.ts) for d in days)])
+    bounds = start.tolist()
+    return SessionStore(days, np.concatenate([np.empty((4, 0)), *(d.ohlc for d in days)], axis=1),
+                        np.concatenate([np.empty(0, np.int64), *(d.volume for d in days)]),
+                        start, {d.date: slice(a, b) for d, a, b in zip(days, bounds, bounds[1:])})
+
+
 @dataclass(frozen=True)
 class DayPrimitives:
     """Pre-computed day-level quantities used by several signal families."""

@@ -14,8 +14,8 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from . import signals as sig
-from .bars import (BarError, DayPrimitives, EconEvent, TradingDay, day_primitives,
-                   parse_bar_file, parse_event_calendar, ASIA, LONDON, RTH)
+from .bars import (BarError, DayPrimitives, EconEvent, SessionStore, TradingDay, day_primitives,
+                   parse_bar_file, parse_event_calendar, session_store, ASIA, LONDON, RTH)
 from .config import RunConfig
 from .execution import ExitKind, ExitSpec, entry_order, fill_events, simulate
 from .features import (gmm_fit, kalman_velocity, markov_transition_prob, ou_fit,
@@ -117,7 +117,7 @@ def _fit_regime(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
         raise EngineError(f"regime training window must be a leading run of the "
                           f"complete {session} days")
     X, _, atr = eng.per_session(_regime_inputs, session)
-    n = sum(len(d.ts) for d in train)
+    n = eng.store(session).start[len(train)]
     # EM starts from the previous fold's model: the window of the calendar
     # years before the last one, fitted once through the same memo, so the
     # chain reads only ``train``. A window whose earlier years hold under a
@@ -133,19 +133,11 @@ def _fit_regime(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
             "atr_baseline": float(np.median(finite)) if len(finite) else 1.0, "model": model}
 
 
-def _regime_inputs(days: Sequence[TradingDay]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Regime features, volume z-score and 20-bar ATR over the days' bar stream."""
-    ohlc = np.concatenate([d.ohlc for d in days], axis=1)
-    volume = np.concatenate([d.volume for d in days])
-    vz = volume_zscore(volume, 50)
-    return (regime_features(ohlc, volume, vol_window=50, vz=vz), vz,
-            rolling_stat(true_ranges(ohlc), 20))
-
-
-def _day_columns(days: Sequence[TradingDay]) -> dict[date, slice]:
-    """Each day's columns in the days' bar stream."""
-    ends = np.cumsum([len(d.ts) for d in days]).tolist()
-    return {d.date: slice(end - len(d.ts), end) for d, end in zip(days, ends)}
+def _regime_inputs(store: SessionStore) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Regime features, volume z-score and 20-bar ATR over the session's bar stream."""
+    vz = volume_zscore(store.volume, 50)
+    return (regime_features(store.ohlc, store.volume, vol_window=50, vz=vz), vz,
+            rolling_stat(true_ranges(store.ohlc), 20))
 
 
 def _emit_gap_cont(eng: Engine, day: TradingDay, p: dict, state: dict) -> list:
@@ -154,7 +146,7 @@ def _emit_gap_cont(eng: Engine, day: TradingDay, p: dict, state: dict) -> list:
 
 
 def _emit_confluence(eng: Engine, day: TradingDay, p: dict, state: dict) -> list:
-    cols = eng.per_session(_day_columns, "rth").get(day.date)
+    cols = eng.store("rth").cols.get(day.date)
     if cols is None:
         return []
     _, vz, atr = eng.per_session(_regime_inputs, "rth")
@@ -163,7 +155,7 @@ def _emit_confluence(eng: Engine, day: TradingDay, p: dict, state: dict) -> list
 
 
 def _emit_london_b(eng: Engine, day: TradingDay, p: dict, state: dict) -> list:
-    cols = eng.per_session(_day_columns, "london").get(day.date)
+    cols = eng.store("london").cols.get(day.date)
     return [] if cols is None else sig.london_b_signals(day, state["labels"][cols])
 
 
@@ -272,21 +264,25 @@ class Engine:
             except ValueError as exc:
                 raise EngineError(f"{name} parameters {overrides}: {exc}") from None
         self._memo: dict = {}
-        self._state: dict = {}
         self.rth_events = sig.events_by_day(bundle.events, RTH)
 
     # -- shared caches ----------------------------------------------------
 
+    def store(self, session: str) -> SessionStore:
+        """The session's complete days, laid end to end once."""
+        return self.memo((session_store, session), lambda: session_store(
+            [d for d in self.bundle.days(session) if d.complete]))
+
     def complete_days(self, session: str) -> list[TradingDay]:
-        return [d for d in self.bundle.days(session) if d.complete]
+        return self.store(session).days
 
     def per_day(self, fn: Callable[[TradingDay], Any], day: TradingDay) -> Any:
         """``fn(day)``, computed once per day and shared by every family and grid point."""
         return self.memo((fn, day.session.name, day.date), lambda: fn(day))
 
-    def per_session(self, fn: Callable[[list[TradingDay]], Any], session: str) -> Any:
-        """``fn(complete days)``, computed once per session and shared by every fold."""
-        return self.memo((fn, session), lambda: fn(self.complete_days(session)))
+    def per_session(self, fn: Callable[[SessionStore], Any], session: str) -> Any:
+        """``fn(store)``, computed once per session and shared by every fold."""
+        return self.memo((fn, session), lambda: fn(self.store(session)))
 
     def memo(self, key: tuple, make: Callable[[], Any]) -> Any:
         """``make()``, computed once per ``key`` for the life of the engine."""
@@ -311,33 +307,30 @@ class Engine:
         bars strictly before the day's open are read. One filter pass covers
         every day's source.
         """
-        if "overnight_velocity" in self._memo:
-            return self._memo["overnight_velocity"]
+        return self.memo(("overnight_velocity",), self._overnight_velocity)
+
+    def _overnight_velocity(self) -> dict[date, float]:
         cfg = self.config.raw["kalman"]
-        rth, asia = self.complete_days("rth"), self.complete_days("asia")
-        if asia:  # days are in date order, as ingest guarantees
-            dates = lambda days: np.array([d.date for d in days], dtype="M8[D]")
-            before = np.searchsorted(dates(asia), dates(rth)) - 1
-            pairs = [(d, asia[i]) for d, i in zip(rth, before.tolist()) if i >= 0]
-        else:
-            pairs = list(zip(rth[1:], rth))
-        out: dict[date, float] = {}
-        if pairs:
-            vel = kalman_velocity(np.stack([src.ohlc[3] for _, src in pairs]),
-                                  float(cfg["q"]), float(cfg["r"]))
-            v = vel[:, -1]
-            if cfg["zscored"]:
-                sd = np.std(vel, axis=1)
-                v = np.divide(v, sd, out=np.zeros_like(v), where=sd > 0)
-            out = {d.date: x for (d, _), x in zip(pairs, v.tolist())}
-        self._memo["overnight_velocity"] = out
-        return out
+        rth, asia = self.store("rth"), self.store("asia")
+        src = asia if asia.days else rth  # days are in date order, as ingest guarantees
+        dates = lambda store: np.array([d.date for d in store.days], dtype="M8[D]")
+        before = np.searchsorted(dates(src), dates(rth)) - 1
+        pairs = [(d, src.days[i]) for d, i in zip(rth.days, before.tolist()) if i >= 0]
+        if not pairs:
+            return {}
+        vel = kalman_velocity(np.stack([s.ohlc[3] for _, s in pairs]),
+                              float(cfg["q"]), float(cfg["r"]))
+        v = vel[:, -1]
+        if cfg["zscored"]:
+            sd = np.std(vel, axis=1)
+            v = np.divide(v, sd, out=np.zeros_like(v), where=sd > 0)
+        return {d.date: x for (d, _), x in zip(pairs, v.tolist())}
 
     # -- fitted state per family ------------------------------------------
 
     def _state_key(self, fit: Optional[Callable[..., dict]], session: str,
                    train: Sequence[TradingDay]) -> tuple:
-        """Families sharing a fit and a session share a fitted state; no fit, no key."""
+        """Families sharing a fit and a session share a fitted state; no fit, the empty key."""
         return () if fit is None else (fit, session, train[0].date, train[-1].date, len(train))
 
     def _fit_state(self, family: str, train: Sequence[TradingDay], params: dict) -> dict:
@@ -349,10 +342,8 @@ class Engine:
     def fitted(self, fit: Optional[Callable[..., dict]], session: str,
                train: Sequence[TradingDay]) -> dict:
         """``fit(self, session, train)``, computed once per ``_state_key``."""
-        key = self._state_key(fit, session, train)
-        if key not in self._state:
-            self._state[key] = fit(self, session, train) if key else {}
-        return self._state[key]
+        return self.memo(self._state_key(fit, session, train),
+                         lambda: fit(self, session, train) if fit else {})
 
     def day_signals(self, family: str, day: TradingDay, params: dict,
                     state: dict) -> list[sig.SignalEvent]:
@@ -378,7 +369,8 @@ class Engine:
                 if (key, d.date) not in cache:
                     cache[key, d.date] = entry_order(self.day_signals(family, d, params, state))
             ins = self.config.instrument
-            events, f = fill_events([(d, cache[key, d.date]) for d in eval_days], exit_spec, ins)
+            events = [e for d in eval_days for e in cache[key, d.date]]
+            f = fill_events(self.store(fd.session), events, exit_spec, ins)
             return RunnerTrades(f.net_ticks[f.reason >= 0] * ins.tick_size, lambda: list(
                 simulate(events, eval_days, exit_spec, ins).trades) if events else [])
         return run

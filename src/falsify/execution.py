@@ -10,11 +10,11 @@ from dataclasses import dataclass
 from datetime import date, time
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bars import TradingDay
+from .bars import SessionStore, TradingDay, session_store
 from .signals import LONG, SignalEvent
 
 
@@ -65,7 +65,7 @@ class Instrument:
 
     def __post_init__(self) -> None:
         if self.round_trip < 0:
-            raise ExecutionError("friction must be non-negative")
+            raise ExecutionError("round_trip must be non-negative")
 
     def to_ticks(self, points: float) -> int:
         return round(points / self.tick_size)
@@ -159,21 +159,18 @@ def _first_touch(ohlc, col, span, sign, level, width: int) -> np.ndarray:
     return first
 
 
-def fill_days(days: Sequence[TradingDay], day, bar, sign, exit: ExitSpec,
-              instrument: Instrument = MNQ, level: Optional[np.ndarray] = None) -> Fills:
+def fill_days(days: SessionStore, col, sign, exit: ExitSpec, instrument: Instrument = MNQ,
+              level: Optional[np.ndarray] = None) -> Fills:
     """The execution kernel: resolve every event's entry and exit at once.
 
-    ``days`` are laid end to end. Per event, ``day`` is its index in ``days``,
-    ``bar`` the signal bar, ``sign`` +1 long or -1 short and ``level`` a limit
-    level (NaN: the exit's offset). Ticks round half-to-even, as ``to_ticks``."""
-    ohlc = np.concatenate([d.ohlc for d in days] or [np.empty((4, 0))], axis=1)
-    o, c = ohlc[0], ohlc[3]
-    length = np.array([len(d.ts) for d in days], dtype=np.int64)
-    day = np.asarray(day, dtype=np.int64)
-    start = (np.cumsum(length) - length)[day]  # columns of the events' days' first bars
-    last = start + length[day] - 1  # and of their last bars
+    Per event, ``col`` is its signal bar's column in ``days``, ``sign`` +1 long
+    or -1 short and ``level`` a limit level (NaN: the exit's offset). Ticks
+    round half-to-even, as ``to_ticks``."""
+    o, c = days.ohlc[0], days.ohlc[3]
+    first = np.asarray(col, dtype=np.int64)  # columns of the signal bars
+    day = np.searchsorted(days.start, first, side="right") - 1
+    start, last = days.start[day], days.start[day + 1] - 1  # the days' first and last bars
     sign = np.asarray(sign, dtype=np.int64)
-    first = np.asarray(bar, dtype=np.int64) + start  # columns of the signal bars
     entry, end = first + 1, first + exit.horizon  # an entry past last is rejected below
     exit_col = np.minimum(end, last)
     reason = (end > last).astype(np.int8)  # _HORIZON or _SESSION_END
@@ -182,7 +179,7 @@ def fill_days(days: Sequence[TradingDay], day, bar, sign, exit: ExitSpec,
         # each day's bar opening at the clock time, -1 if it has none
         t = exit.clock
         us = ((t.hour * 60 + t.minute) * 60 + t.second) * 1_000_000 + t.microsecond
-        hits = [np.flatnonzero(d.ts.view(np.int64) % 86_400_000_000 == us) for d in days]
+        hits = [np.flatnonzero(d.ts.view(np.int64) % 86_400_000_000 == us) for d in days.days]
         clock = start + np.array([h[0] if len(h) else -1 for h in hits], dtype=np.int64)[day]
         at = clock > first
         exit_col = np.where(at, clock, last)
@@ -191,7 +188,7 @@ def fill_days(days: Sequence[TradingDay], day, bar, sign, exit: ExitSpec,
     elif exit.kind is ExitKind.STOP_HORIZON:
         # same-bar ambiguity is pessimistic: a stop touched on a bar is hit
         stop_px = entry_px - sign * exit.stop
-        k = _first_touch(ohlc, entry, exit_col - entry, sign, stop_px, exit.horizon)
+        k = _first_touch(days.ohlc, entry, exit_col - entry, sign, stop_px, exit.horizon)
         hit = k >= 0
         exit_col = np.where(hit, entry + k, exit_col)
         exit_px = np.where(hit, stop_px, exit_px)
@@ -201,7 +198,7 @@ def fill_days(days: Sequence[TradingDay], day, bar, sign, exit: ExitSpec,
         lv = c[first] - sign * offset
         if level is not None:
             lv = np.where(np.isnan(level), lv, level)
-        k = _first_touch(ohlc, entry, exit_col - entry, sign, lv, exit.horizon)
+        k = _first_touch(days.ohlc, entry, exit_col - entry, sign, lv, exit.horizon)
         entry = entry + k
         # a gap through the level fills at the (better) open, not the level
         op = o.take(entry, mode="clip")
@@ -215,19 +212,13 @@ def fill_days(days: Sequence[TradingDay], day, bar, sign, exit: ExitSpec,
                  gross - instrument.to_ticks(instrument.round_trip))
 
 
-def fill_events(per_day: Iterable[tuple[TradingDay, Sequence[SignalEvent]]], exit: ExitSpec,
-                instrument: Instrument = MNQ) -> tuple[list[SignalEvent], Fills]:
-    """Each (day, events) pair's events, in the order given, and their one ``fill_days``
-    call; days without events stay out of the kernel's arrays."""
-    per_day = [(d, evs) for d, evs in per_day if evs]
-    events = [e for _, evs in per_day for e in evs]
+def fill_events(days: SessionStore, events: Sequence[SignalEvent], exit: ExitSpec,
+                instrument: Instrument = MNQ) -> Fills:
+    """``fill_days`` on events, in the order given, each located by its date in ``days``."""
     level = None if exit.kind is not ExitKind.PULLBACK_LIMIT else np.array(
         [e.limit_level for e in events], dtype=float)  # None becomes NaN
-    return events, fill_days(
-        [d for d, _ in per_day],
-        np.repeat(np.arange(len(per_day)), [len(evs) for _, evs in per_day]),
-        [e.bar_index for e in events], [1 if e.direction == LONG else -1 for e in events],
-        exit, instrument, level)
+    return fill_days(days, [days.cols[e.day].start + e.bar_index for e in events],
+                     [1 if e.direction == LONG else -1 for e in events], exit, instrument, level)
 
 
 def simulate(events: Sequence[SignalEvent], days: Sequence[TradingDay], exit: ExitSpec,
@@ -241,14 +232,12 @@ def simulate(events: Sequence[SignalEvent], days: Sequence[TradingDay], exit: Ex
     the last bar's close. A PULLBACK_LIMIT enters at the event's
     ``limit_level``, or else at the exit's offset from the signal close.
     """
-    index = {d.date: i for i, d in enumerate(days)}
-    by_day: list[list[SignalEvent]] = [[] for _ in days]
-    for e in events:
-        if e.day not in index:
-            raise ExecutionError(f"event on {e.day} falls on none of the days given")
-        by_day[index[e.day]].append(e)
-    events, f = fill_events(zip(days, map(entry_order, by_day)), exit, instrument)
-    rows = list(zip(events, *(a.tolist() for a in f)))
+    store = session_store(days)
+    off = [e.day for e in events if e.day not in store.cols]
+    if off:
+        raise ExecutionError(f"event on {off[0]} falls on none of the days given")
+    events = sorted(entry_order(events), key=lambda e: store.cols[e.day].start)
+    rows = list(zip(events, *(a.tolist() for a in fill_events(store, events, exit, instrument))))
     to_points, tick = instrument.to_points, instrument.tick_size
     return SimResult(
         tuple(TradeRecord(ev.family, ev.day, ev.direction, eb, xb, to_points(et), to_points(xt),

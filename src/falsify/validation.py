@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bars import TradingDay
+from .bars import TradingDay, session_store
 from .execution import (LONG, ExitSpec, Instrument, MNQ, TradeRecord,
                         aggregate_by_year, fill_days, simulate)  # noqa: F401 (bench wraps simulate)
 
@@ -84,15 +84,6 @@ def summary_metrics(trades: Sequence[TradeRecord],
     )
 
 
-def admissible_positions(day_pool: Sequence[TradingDay]) -> np.ndarray:
-    """(day index, bar index) rows where a signal could be entered: every bar
-    but each day's last, in day and bar order."""
-    per_day = np.array([max(len(d.ts) - 1, 0) for d in day_pool], dtype=np.int64)
-    first = np.repeat(np.cumsum(per_day) - per_day, per_day)  # each row's day's first row
-    return np.column_stack((np.repeat(np.arange(len(day_pool)), per_day),
-                            np.arange(len(first)) - first))
-
-
 def permutation_test(trades: Sequence[TradeRecord], day_pool: Sequence[TradingDay],
                      exit: ExitSpec, iterations: int = 1000, seed: int = 0,
                      instrument: Instrument = MNQ) -> float:
@@ -107,7 +98,9 @@ def permutation_test(trades: Sequence[TradeRecord], day_pool: Sequence[TradingDa
         raise ValidationError("permutation test needs at least one trade")
     if iterations < 1:
         raise ValidationError("iterations must be >= 1")
-    positions = admissible_positions(day_pool)
+    pool = session_store(day_pool)
+    # every column but each day's last, in day and bar order
+    positions = np.delete(np.arange(pool.start[-1]), pool.start[1:] - 1)
     if not len(positions):
         raise ValidationError("no admissible placements in day pool")
 
@@ -118,9 +111,8 @@ def permutation_test(trades: Sequence[TradeRecord], day_pool: Sequence[TradingDa
     # and is dropped as rejected
     dirs = sorted({t.direction for t in trades})
     col = np.array([dirs.index(t.direction) for t in trades])
-    day, bar = np.tile(positions, (len(dirs), 1)).T
-    f = fill_days(day_pool, day, bar, np.repeat([1 if d == LONG else -1 for d in dirs],
-                                                len(positions)), exit, instrument)
+    f = fill_days(pool, np.tile(positions, len(dirs)), np.repeat(
+        [1 if d == LONG else -1 for d in dirs], len(positions)), exit, instrument)
     table = np.where(f.reason >= 0, f.net_ticks * instrument.tick_size, np.nan
                      ).reshape(len(dirs), len(positions)).T
 

@@ -1,0 +1,110 @@
+"""Mutation checks: each row breaks one line of ``src/`` and names the tests
+that must catch it.
+
+    python tests/mutants.py [NAME ...]
+
+The repository's ``src/`` and ``tests/`` are copied into a temporary
+directory (``TMPDIR`` picks where). Every selection first runs on the
+unchanged copy and must pass there; then each mutant is applied in turn,
+its selection runs, and the tests that failed are printed. Exits 1 if a
+selection fails on the unchanged copy, a mutant's old text is not found
+exactly once, or a mutant survives. Pytest does not collect this file.
+"""
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+ENGINE = "src/falsify/engine.py"
+EXECUTION = "src/falsify/execution.py"
+VALIDATION = "src/falsify/validation.py"
+MUTANTS = (
+    Mutant("null pool takes the training years", ENGINE,
+           "pool = [d for d in days if d.year in test_years]", "pool = list(days)",
+           ("tests/test_engine.py::test_the_null_pool_is_exactly_the_test_years",)),
+    Mutant("overnight source opens after the RTH close", ENGINE,
+           "before = np.searchsorted(dates(src), dates(rth)) - 1",
+           'before = np.searchsorted(dates(src), dates(rth), side="right") - 1',
+           ("tests/test_engine.py::test_what_comes_after_an_instant_changes_nothing_before_it",)),
+    Mutant("GMM fitted on the whole session", ENGINE,
+           "model = gmm_fit(X[50:n],", "model = gmm_fit(X[50:],",
+           ("tests/test_engine.py::test_appending_a_year_leaves_every_earlier_fold_unchanged",
+            "tests/test_engine.py::test_what_comes_after_an_instant_changes_nothing_before_it")),
+    Mutant("ATR baseline from the whole session", ENGINE,
+           "finite = atr[:n][np.isfinite(atr[:n])]", "finite = atr[np.isfinite(atr)]",
+           ("tests/test_engine.py::test_appending_a_year_leaves_every_earlier_fold_unchanged",)),
+    Mutant("training window one day short", ENGINE,
+           "n = eng.store(session).start[len(train)]",
+           "n = eng.store(session).start[len(train) - 1]",
+           ("tests/test_engine.py::test_regime_state_is_bit_equal_on_every_fold_and_built_once",)),
+    Mutant("ties pick the last grid point", VALIDATION,
+           'float("-inf"), len(net), -order)', 'float("-inf"), len(net), order)',
+           ("tests/test_validation.py::test_equal_training_t_and_n_pick_the_first_grid_point",)),
+    Mutant("null places on each day's last bar", VALIDATION,
+           "positions = np.delete(np.arange(pool.start[-1]), pool.start[1:] - 1)",
+           "positions = np.arange(pool.start[-1])",
+           ("tests/test_validation.py::test_permutation_matches_per_iteration_resimulation",
+            "tests/test_validation.py::test_permutation_matches_the_per_day_table_build")),
+    Mutant("kernel puts a day's first bar in the day before", EXECUTION,
+           'day = np.searchsorted(days.start, first, side="right") - 1',
+           'day = np.searchsorted(days.start, first, side="left") - 1',
+           ("tests/test_execution.py::test_simulate_matches_the_per_event_loop",)),
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run(copy: Path, tests: tuple[str, ...]) -> tuple[int, list[str]]:
+    """Exit code of pytest on ``tests`` in ``copy``, and the tests that failed."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+                           *tests], cwd=copy, env=env, capture_output=True, text=True)
+    return proc.returncode, re.findall(r"^FAILED (\S+)", proc.stdout, re.M)
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    with tempfile.TemporaryDirectory(prefix="falsify-mutants-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        code, failed = run(copy, tuple(sorted({t for m in chosen for t in m.tests})))
+        if code:
+            print(f"the unchanged copy fails: {failed or 'see pytest'}")
+            return 1
+        survived = 0
+        for m in chosen:
+            path = copy / m.file
+            text = path.read_text(encoding="utf-8")
+            if text.count(m.old) != 1:
+                print(f"{m.name}: old text found {text.count(m.old)} times in {m.file}")
+                survived += 1
+                continue
+            path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+            try:
+                code, failed = run(copy, m.tests)
+            finally:
+                path.write_text(text, encoding="utf-8")
+            survived += code == 0
+            print(f"{m.name}: " + (f"killed by {', '.join(failed)}" if code else "SURVIVED"))
+        return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

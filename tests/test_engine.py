@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from datetime import date
+from datetime import date, datetime, time, timedelta
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import pytest
 import rows
 from rows import bar_arrays, day_from_bars
 from falsify import engine as engine_mod
-from falsify.bars import LONDON, TradingDay
+from falsify.bars import LONDON, TradingDay, link_rth
 from falsify.config import config_from_dict
 from falsify.engine import DataBundle, Engine, EngineError, default_families
 from falsify.features import (gmm_fit, markov_transition_prob, regime_features, rolling_stat,
@@ -354,7 +354,7 @@ def test_regime_state_is_bit_equal_on_every_fold_and_built_once(monkeypatch):
             assert np.isfinite(state["trans"]).any()
         # the emitters slice each day's columns out of those session-long arrays
         ends = np.cumsum([len(d.ts) for d in days])
-        assert eng.per_session(engine_mod._day_columns, session) == {
+        assert eng.store(session).cols == {
             d.date: slice(int(end) - len(d.ts), int(end)) for d, end in zip(days, ends)}
         n = sum(len(d.bars) for d in days)
         assert [built[(name, n)] for name in ("regime_features", "volume_zscore",
@@ -426,10 +426,13 @@ def test_each_fit_state_and_day_is_emitted_once_and_only_test_days_simulated(mon
         return real_simulate(events, days, *a)
     monkeypatch.setattr(Engine, "day_signals", emit)
     monkeypatch.setattr(engine_mod, "simulate", simulate)
+    states = set()
     for family in sorted(default_families()):
         result, _, _ = eng.run_family(family, permutation=False)
         assert [f.test_year for f in result.plan.folds] == [2022, 2023]
         days = eng.complete_days(default_families()[family].session)
+        states |= {id(eng._fit_state(family, [d for d in days if d.year in f.train_years], {}))
+                   for f in result.plan.folds}
         calls = [(dates, n) for fam, dates, n in simulated if fam == family]
         years = [dates[0].year for dates, _ in calls]
         # one simulate call per fold with test-year events, over that year's days only
@@ -437,8 +440,7 @@ def test_each_fit_state_and_day_is_emitted_once_and_only_test_days_simulated(mon
         assert [dates for dates, _ in calls] == [
             [d.date for d in days if d.year == y] for y in years], family
         assert {t.year for t in result.oos_trades} <= set(years), family
-    # every state a family emitted under is one of the engine's fitted states
-    states = {id(s) for s in eng._state.values()}
+    # every state a family emitted under is its fold's fitted state
     assert {key[1] for key in emitted} <= states
     assert emitted and max(emitted.values()) == 1
     assert {dates[0].year for _, dates, _ in simulated} == {2022, 2023}
@@ -528,6 +530,84 @@ def test_appending_a_year_leaves_every_earlier_fold_unchanged():
         assert [f.test_year for f in after.plan.folds] == [2022, 2023, 2024], family
         assert after.chosen[:2] == before.chosen, family
         assert [t for t in after.oos_trades if t.date.year < 2024] == before.oos_trades, family
+
+
+def time_cut_bundle(seed: int) -> DataBundle:
+    """RTH, Asia and London from 2021-09 to 2023-04, and a calendar: two folds."""
+    from falsify.bars import ASIA, RTH
+    from falsify.synth import gen_event_calendar
+    spec = lambda session, k: SynthSpec(420, session=session, seed=seed + k,
+                                        start_date=date(2021, 9, 1), gap_sigma=15.0)
+    rth = gen_null_days(spec(RTH, 0))
+    return DataBundle(rth, gen_null_days(spec(ASIA, 1)), gen_null_days(spec(LONDON, 2)),
+                      gen_event_calendar(rth, seed=seed))
+
+
+def cut_at(bundle: DataBundle, fresh: DataBundle, cut: datetime) -> DataBundle:
+    """``bundle`` with every bar at or after ``cut``, in every session, and every
+    calendar event after it taken from ``fresh``, a corpus of the same days."""
+    def session(mine, theirs):
+        assert [d.date for d in mine] == [d.date for d in theirs]
+        out = []
+        for d, f in zip(mine, theirs):
+            late = d.ts >= np.datetime64(cut)
+            out.append(TradingDay(d.date, d.session, d.ts, np.where(late, f.ohlc, d.ohlc),
+                                  np.where(late, f.volume, d.volume), complete=d.complete))
+        return link_rth(out)
+    return DataBundle(*map(session, (bundle.rth, bundle.asia, bundle.london),
+                           (fresh.rth, fresh.asia, fresh.london)),
+                      [e for e in bundle.events if e.ts <= cut]
+                      + [e for e in fresh.events if e.ts > cut])
+
+
+def fold_choices_and_trades(bundle: DataBundle) -> dict:
+    """Per family, its fold choices and its out-of-sample trades with the opening
+    time of each one's exit bar."""
+    eng = Engine(bundle, config_from_dict({}))
+    out = {}
+    for family, fd in sorted(default_families().items()):
+        result = eng.run_family(family, permutation=False)[0]
+        assert [f.test_year for f in result.plan.folds] == [2022, 2023], family
+        days = {d.date: d for d in eng.complete_days(fd.session)}
+        out[family] = (result.chosen,
+                       [(t, days[t.date].ts[t.exit_bar]) for t in result.oos_trades])
+    return out
+
+
+def before_the_cut(runs: dict, cut: datetime) -> dict:
+    """The fold choices trained before ``cut`` and the trades whose exit bar opens before it."""
+    return {family: ([c for c in chosen if c.fold.train_years[-1] < cut.year],
+                     [t for t, at in trades if at < np.datetime64(cut)])
+            for family, (chosen, trades) in runs.items()}
+
+
+def test_what_comes_after_an_instant_changes_nothing_before_it():
+    # every bar at or after a cut, in every session, and every calendar event
+    # after it come from another seed: the fold choices trained before the cut,
+    # and the trades that exit before it, must not change. Half the cuts fall
+    # between the RTH close and the Asia open after a gap-down day, where
+    # GAP_CONT_SHORT reads that day's overnight source: it must be the Asia
+    # session that opened the evening before, not the one about to open
+    base, fresh = time_cut_bundle(51), time_cut_bundle(61)
+    rng = np.random.default_rng(5)
+    test_days = [d for d in base.rth if d.year >= 2022]
+    gap_down = [d for d in test_days if d.ohlc[0, 0] < d.prior_rth_close]
+    cuts = [datetime.combine(test_days[i].date, time(0)) + timedelta(minutes=int(m))
+            for i, m in zip(rng.choice(len(test_days), 6, replace=False),
+                            rng.integers(0, 24 * 60, 6))]
+    cuts += [datetime.combine(gap_down[i].date, time(16)) + timedelta(minutes=int(m))
+             for i, m in zip(rng.choice(len(gap_down), 6, replace=False),
+                             rng.integers(0, 4 * 60, 6))]
+    whole = fold_choices_and_trades(base)
+    compared = Counter()
+    for cut in cuts:
+        runs = fold_choices_and_trades(cut_at(base, fresh, cut))
+        assert runs != whole, cut  # what follows the cut did change
+        want, got = before_the_cut(whole, cut), before_the_cut(runs, cut)
+        for family in want:
+            assert got[family] == want[family], (family, cut)
+            compared.update({"folds": len(want[family][0]), "trades": len(want[family][1])})
+    assert compared["folds"] >= 16 and compared["trades"] >= 1000, compared
 
 
 def test_every_regime_fold_fit_converges_before_the_iteration_cap():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import rows
 from rows import day_from_bars
-from falsify.bars import Bar, RTH, TradingDay
+from falsify.bars import Bar, RTH, TradingDay, session_store
 from falsify.execution import (ExecutionError, ExitKind, ExitReason, ExitSpec,
                                Instrument, MNQ, Rejection, SimResult, TradeRecord,
                                aggregate_by_year, fill_days, serialize_trades, simulate)
@@ -477,10 +477,27 @@ def sim_case(draw):
     return days, events, exit, instrument
 
 
+def edge_days():
+    """1-bar days between longer ones, with both directions on every day's first
+    and last bar: the bars where a day meets the next in the kernel's columns."""
+    days, events = [], []
+    for k, closes in enumerate(([100.0], [100.0, 103.0, 99.0, 104.0], [101.0],
+                                [98.0, 97.0, 102.0], [105.0])):
+        d = date(2022, 1, 3) + timedelta(days=k)
+        days.append(day_from_closes(closes, d=d))
+        events.append([SignalEvent("F", d, b, dr) for b in sorted({0, len(closes) - 1})
+                       for dr in (LONG, SHORT)])
+    return days, events
+
+
 @settings(max_examples=400, deadline=None)
 @given(sim_case())
 @example(([day_from_closes([100.0, 101.0])], [[ev(1)]], ExitSpec(ExitKind.HORIZON, horizon=1),
           MNQ))
+@example((*edge_days(), ExitSpec(ExitKind.HORIZON, horizon=2), MNQ))
+@example((*edge_days(), ExitSpec(ExitKind.STOP_HORIZON, horizon=3, stop=2.0), MNQ))
+@example((*edge_days(), ExitSpec(ExitKind.PULLBACK_LIMIT, horizon=3, limit_offset=1.0), MNQ))
+@example((*edge_days(), ExitSpec(ExitKind.CLOCK, clock=time(9, 40)), MNQ))
 def test_simulate_matches_the_per_event_loop(case):
     days, events, exit, instrument = case
     want = [old_simulate(evs, day, exit, instrument) for day, evs in zip(days, events)]
@@ -495,12 +512,14 @@ def test_simulate_matches_the_per_event_loop(case):
     got = simulate([e for evs in events[::-1] for e in evs], days, exit, instrument)
     assert [typed(t) for t in got.trades] == [typed(t) for t in trades]
     assert got.rejections == tuple(r for w in want for r in w.rejections)
-    # the kernel's own form, as the permutation table calls it; bars are the day's
+    # the kernel's own form, as the permutation table calls it: signal bars are
+    # columns of the days laid end to end, and entry and exit bars are the day's
     order = [sorted(evs, key=lambda e: (e.bar_index, e.direction)) for evs in events]
     flat = [e for evs in order for e in evs]
-    f = fill_days(days, np.repeat(np.arange(len(days)), [len(evs) for evs in order]),
-                  [e.bar_index for e in flat], [1 if e.direction == LONG else -1 for e in flat],
-                  exit, instrument,
+    first = np.cumsum([0] + [len(d.ts) for d in days])[:-1]
+    f = fill_days(session_store(days),
+                  [first[k] + e.bar_index for k, evs in enumerate(order) for e in evs],
+                  [1 if e.direction == LONG else -1 for e in flat], exit, instrument,
                   np.array([np.nan if e.limit_level is None else e.limit_level
                             for e in flat]))
     traded = f.reason >= 0

@@ -13,7 +13,7 @@ from falsify.signals import LONG, SHORT, SignalEvent
 from falsify.synth import SynthSpec, gen_null_days
 from falsify.validation import (EvalMetrics, Fold, GateThresholds,
                                 ValidationError, Verdict, YearMetrics,
-                                admissible_positions, make_plan,
+                                make_plan,
                                 permutation_test, summary_metrics,
                                 t_statistic, validate, walk_forward,
                                 year_stability)
@@ -278,13 +278,6 @@ def test_empty_grid_rejected():
 
 # -- permutation test ---------------------------------------------------------------
 
-def test_admissible_positions_exclude_last_bar():
-    days = gen_null_days(SynthSpec(3, seed=1))
-    pos = admissible_positions(days)
-    assert len(pos) == 3 * 77
-    assert all(bi < 77 for _, bi in pos)
-
-
 def test_permutation_deterministic_per_seed():
     days = gen_null_days(SynthSpec(40, seed=2))
     trades = [trade(float(x)) for x in np.random.default_rng(0).normal(5, 10, 25)]
@@ -297,9 +290,11 @@ def test_permutation_deterministic_per_seed():
 
 
 def reference_permutation_p(trades, day_pool, exit, iterations, seed):
-    """Re-simulates every iteration's placements from scratch."""
+    """Re-simulates every iteration's placements from scratch; a placement is any
+    (day, bar) but a day's last bar, in day and bar order."""
     observed = float(np.mean([t.net for t in trades]))
-    pos_arr = np.array(admissible_positions(day_pool))
+    pos_arr = np.array([(di, bi) for di, day in enumerate(day_pool)
+                        for bi in range(len(day.ts) - 1)])
     exceed = 0
     for it in range(iterations):
         rng = np.random.default_rng([seed, it])
