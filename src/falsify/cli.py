@@ -27,7 +27,7 @@ def main() -> None:
 
 
 @main.command()
-@click.argument("path", type=click.Path(exists=True))
+@click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--session", default="RTH", type=click.Choice(sorted(SESSIONS)))
 def ingest(path: str, session: str) -> None:
     """Parse a bar file and report day completeness."""
@@ -82,7 +82,8 @@ def synth(out: str, n_days: int, session: str, seed: int, vol: float,
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True,
+              type=click.Path(exists=True, dir_okay=False))
 @click.option("--family", "family", default=None)
 @click.option("--out", "out_dir", default=None, type=click.Path())
 @click.option("--seed-override", default=None, type=int)
@@ -130,7 +131,7 @@ def run(config_path: str, family: str | None, out_dir: str | None,
     except EngineError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    except (BarError, ValueError) as exc:
+    except (BarError, OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA)
 
@@ -204,7 +205,7 @@ def ledger_verify(path: str) -> None:
 
 
 @main.command()
-@click.argument("tradelog", type=click.Path(exists=True))
+@click.argument("tradelog", type=click.Path(exists=True, dir_okay=False))
 def report(tradelog: str) -> None:
     """Recompute metrics and verdict from a trade log."""
     try:

@@ -45,12 +45,13 @@ def load_bundle(config: RunConfig) -> DataBundle:
         path = config.data_path(key)
         if path is not None:
             days = parse_bar_file(path, sess)
-            ohlc = np.concatenate([d.ohlc for d in days] or [np.empty((4, 0))], axis=1)
-            off = config.instrument.off_grid(ohlc)
+            store = session_store(days)
+            off = config.instrument.off_grid(store.ohlc)
             if off.any():  # the kernel would round such a price to the grid
                 col = int(off.any(axis=0).argmax())
-                ts = np.concatenate([d.ts for d in days])[col].astype(datetime)
-                raise BarError(f"{path}: bar {ts}: price {ohlc[:, col][off[:, col]][0]} is "
+                i = int(np.searchsorted(store.start, col, side="right")) - 1
+                ts, price = days[i].ts[col - store.start[i]], store.ohlc[:, col][off[:, col]][0]
+                raise BarError(f"{path}: bar {ts.astype(datetime)}: price {price} is "
                                f"off the {config.instrument.tick_size}-point tick grid")
             setattr(bundle, key, days)
     events_path = config.data_path("events")
@@ -66,8 +67,9 @@ class FamilyDef:
     ``grid[0]`` names every tunable with its default and every other grid
     point has the same keys. ``emit(engine, day, params, state)`` returns one
     day's entries (see ``signals``), which ``Engine.day_signals`` names after
-    the family; the optional ``fit(engine, session, train)`` builds
-    that state from training days only and never reads the params. The
+    the family; the optional ``fit(engine, session, n)`` builds that
+    state from the session's first ``n`` complete days, the training window
+    that ``Engine._fit_state`` checks, and never reads the params. The
     optional ``check(params)`` raises ``ValueError`` on params the emitter
     would reject, so that a bad override fails before any family runs.
     """
@@ -89,45 +91,39 @@ def _parse_clock(s: str) -> time:
     return time(int(hh), int(mm))
 
 
-def _fit_volume_cutoffs(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
-    lo, hi = sig.volume_ratio_cutoffs([eng.per_day(sig.volume_ratio_series, d) for d in train])
+def _fit_volume_cutoffs(eng: Engine, session: str, n: int) -> dict:
+    lo, hi = sig.volume_ratio_cutoffs([eng.per_day(sig.volume_ratio_series, d)
+                                       for d in eng.complete_days(session)[:n]])
     return {"dryup_cutoff": lo, "spike_cutoff": hi}
 
 
-def _fit_vvg_flags(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
+def _fit_vvg_flags(eng: Engine, session: str, n: int) -> dict:
     days = eng.complete_days(session)
     metrics = eng.memo((sig.vvg_metrics, session),
                        lambda: sig.vvg_metrics(days, [eng.prims(d) for d in days]))
-    train_dates = {d.date for d in train}
-    rows = metrics[[i for i, d in enumerate(days) if d.date in train_dates]]
-    flags = sig.vvg_classify(metrics, sig.vvg_boundaries(rows))
+    flags = sig.vvg_classify(metrics, sig.vvg_boundaries(metrics[:n]))
     return {"flags": {d.date: bool(flags[i]) for i, d in enumerate(days)}}
 
 
-def _fit_ou(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
-    return {"fit": ou_fit(np.concatenate([d.ohlc[3] for d in train]))}
+def _fit_ou(eng: Engine, session: str, n: int) -> dict:
+    store = eng.store(session)
+    return {"fit": ou_fit(store.ohlc[3, :store.start[n]])}
 
 
-def _fit_regime(eng: Engine, session: str, train: Sequence[TradingDay]) -> dict:
+def _fit_regime(eng: Engine, session: str, n: int) -> dict:
     # the training features and ATR are a prefix of the session's: both look
-    # only backward, so the prefix is bit-exact when the window opens the
-    # session's complete days, as every walk-forward window does
-    days = eng.complete_days(session)
-    if len(train) > len(days) or any(a is not b for a, b in zip(train, days)):
-        raise EngineError(f"regime training window must be a leading run of the "
-                          f"complete {session} days")
+    # only backward, so the prefix is bit-exact for a window of leading days
     X, _, atr = eng.per_session(_regime_inputs, session)
-    n = eng.store(session).start[len(train)]
-    # EM starts from the previous fold's model: the window of the calendar
-    # years before the last one, fitted once through the same memo, so the
-    # chain reads only ``train``. A window whose earlier years hold under a
+    days, end = eng.complete_days(session), eng.store(session).start[n]
+    # EM starts from the previous fold's model: the days of the calendar years
+    # before the window's last one, fitted once through the same memo, so the
+    # chain reads only the window. A window whose earlier years hold under a
     # quarter of its days (none, inside one year) is fitted cold: from so
     # short a start EM can settle in a worse optimum than the cold fit's
-    prev = [d for d in train if d.year < train[-1].year]
-    warm = 4 * len(prev) >= len(train)
-    start = eng.fitted(_fit_regime, session, prev)["model"] if warm else None
-    model = gmm_fit(X[50:n], k=3, seed=eng.config.seed, start=start)
-    finite = atr[:n][np.isfinite(atr[:n])]
+    prev = sum(d.year < days[n - 1].year for d in days[:n])
+    start = eng.fitted(_fit_regime, session, prev)["model"] if 4 * prev >= n else None
+    model = gmm_fit(X[50:end], k=3, seed=eng.config.seed, start=start)
+    finite = atr[:end][np.isfinite(atr[:end])]
     labels = model.predict(X)
     return {"labels": labels, "trans": markov_transition_prob(labels, window=200, frm=1, to=2),
             "atr_baseline": float(np.median(finite)) if len(finite) else 1.0, "model": model}
@@ -328,22 +324,24 @@ class Engine:
 
     # -- fitted state per family ------------------------------------------
 
-    def _state_key(self, fit: Optional[Callable[..., dict]], session: str,
-                   train: Sequence[TradingDay]) -> tuple:
+    def _state_key(self, fit: Optional[Callable[..., dict]], session: str, n: int) -> tuple:
         """Families sharing a fit and a session share a fitted state; no fit, the empty key."""
-        return () if fit is None else (fit, session, train[0].date, train[-1].date, len(train))
+        return () if fit is None else (fit, session, n)
 
     def _fit_state(self, family: str, train: Sequence[TradingDay], params: dict) -> dict:
-        """Fitted state for ``family`` on ``train``, one per ``_state_key``; it does
-        not depend on ``params``."""
+        """Fitted state for ``family`` on ``train``, one per ``_state_key`` whatever the
+        ``params``. Every fit reads the first ``len(train)`` days of the session's store,
+        so ``train`` must be a non-empty leading run of those very day objects."""
         fd = self.family_def(family)
-        return self.fitted(fd.fit, fd.session, train)
+        if not train or list(train) != self.complete_days(fd.session)[:len(train)]:
+            raise EngineError(f"training window must be a non-empty leading run of the "
+                              f"complete {fd.session} days")
+        return self.fitted(fd.fit, fd.session, len(train))
 
-    def fitted(self, fit: Optional[Callable[..., dict]], session: str,
-               train: Sequence[TradingDay]) -> dict:
-        """``fit(self, session, train)``, computed once per ``_state_key``."""
-        return self.memo(self._state_key(fit, session, train),
-                         lambda: fit(self, session, train) if fit else {})
+    def fitted(self, fit: Optional[Callable[..., dict]], session: str, n: int) -> dict:
+        """``fit(self, session, n)``, computed once per ``_state_key``."""
+        return self.memo(self._state_key(fit, session, n),
+                         lambda: fit(self, session, n) if fit else {})
 
     def day_signals(self, family: str, day: TradingDay, params: dict,
                     state: dict) -> list[sig.SignalEvent]:
@@ -364,7 +362,7 @@ class Engine:
         def run(train: Sequence[TradingDay], eval_days: Sequence[TradingDay],
                 params: dict, exit_spec: ExitSpec) -> RunnerTrades:
             state = self._fit_state(family, train, params)
-            key = (self._state_key(fd.fit, fd.session, train), repr(sorted(params.items())))
+            key = (self._state_key(fd.fit, fd.session, len(train)), repr(sorted(params.items())))
             for d in eval_days:
                 if (key, d.date) not in cache:
                     cache[key, d.date] = entry_order(self.day_signals(family, d, params, state))

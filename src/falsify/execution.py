@@ -236,7 +236,7 @@ def simulate(events: Sequence[SignalEvent], days: Sequence[TradingDay], exit: Ex
     off = [e.day for e in events if e.day not in store.cols]
     if off:
         raise ExecutionError(f"event on {off[0]} falls on none of the days given")
-    events = sorted(entry_order(events), key=lambda e: store.cols[e.day].start)
+    events = sorted(events, key=lambda e: (store.cols[e.day].start, e.bar_index, e.direction))
     rows = list(zip(events, *(a.tolist() for a in fill_events(store, events, exit, instrument))))
     to_points, tick = instrument.to_points, instrument.tick_size
     return SimResult(

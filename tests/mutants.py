@@ -42,16 +42,29 @@ MUTANTS = (
            'before = np.searchsorted(dates(src), dates(rth), side="right") - 1',
            ("tests/test_engine.py::test_what_comes_after_an_instant_changes_nothing_before_it",)),
     Mutant("GMM fitted on the whole session", ENGINE,
-           "model = gmm_fit(X[50:n],", "model = gmm_fit(X[50:],",
+           "model = gmm_fit(X[50:end],", "model = gmm_fit(X[50:],",
            ("tests/test_engine.py::test_appending_a_year_leaves_every_earlier_fold_unchanged",
             "tests/test_engine.py::test_what_comes_after_an_instant_changes_nothing_before_it")),
     Mutant("ATR baseline from the whole session", ENGINE,
-           "finite = atr[:n][np.isfinite(atr[:n])]", "finite = atr[np.isfinite(atr)]",
+           "finite = atr[:end][np.isfinite(atr[:end])]", "finite = atr[np.isfinite(atr)]",
            ("tests/test_engine.py::test_appending_a_year_leaves_every_earlier_fold_unchanged",)),
     Mutant("training window one day short", ENGINE,
-           "n = eng.store(session).start[len(train)]",
-           "n = eng.store(session).start[len(train) - 1]",
+           "days, end = eng.complete_days(session), eng.store(session).start[n]",
+           "days, end = eng.complete_days(session), eng.store(session).start[n - 1]",
            ("tests/test_engine.py::test_regime_state_is_bit_equal_on_every_fold_and_built_once",)),
+    Mutant("OU fitted on the whole session", ENGINE,
+           "ou_fit(store.ohlc[3, :store.start[n]])", "ou_fit(store.ohlc[3])",
+           ("tests/test_engine.py::test_every_fit_equals_its_value_from_the_training_days_alone",)),
+    Mutant("volume cutoffs from every day", ENGINE,
+           "for d in eng.complete_days(session)[:n]]", "for d in eng.complete_days(session)]",
+           ("tests/test_engine.py::test_every_fit_equals_its_value_from_the_training_days_alone",)),
+    Mutant("VVG cuts from every day", ENGINE,
+           "sig.vvg_boundaries(metrics[:n])", "sig.vvg_boundaries(metrics)",
+           ("tests/test_engine.py::test_every_fit_equals_its_value_from_the_training_days_alone",)),
+    Mutant("training window left unchecked", ENGINE,
+           "if not train or list(train) != self.complete_days(fd.session)[:len(train)]:",
+           "if False:",
+           ("tests/test_engine.py::test_every_fit_rejects_a_window_that_does_not_open_the_session",)),
     Mutant("ties pick the last grid point", VALIDATION,
            'float("-inf"), len(net), -order)', 'float("-inf"), len(net), order)',
            ("tests/test_validation.py::test_equal_training_t_and_n_pick_the_first_grid_point",)),

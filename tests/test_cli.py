@@ -101,6 +101,27 @@ def test_a_run_that_stops_on_a_data_error_leaves_no_directory(tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("name,error", [("missing.csv", "No such file or directory"),
+                                        ("a_dir", "Is a directory")])
+def test_run_whose_data_path_is_not_a_file_exits_one_with_one_line(tmp_path, name, error):
+    (tmp_path / "a_dir").mkdir()
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"data:\n  rth: {tmp_path / name}\n", encoding="utf-8")
+    res = run_cli("run", "--config", cfg, "--out", tmp_path / "runs")
+    assert res.exit_code == 1, res.output
+    assert "error: [Errno" in res.output and error in res.output
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("args", [("run", "--config"), ("ingest",), ("report",)],
+                         ids=["run_config", "ingest", "report"])
+def test_a_directory_for_a_file_argument_is_a_usage_error(tmp_path, args):
+    res = run_cli(*args, tmp_path)
+    assert res.exit_code == 2, res.output
+    assert "is a directory" in res.output
+
+
 def test_write_run_writes_every_file_before_moving_any_in(tmp_path):
     runs = tmp_path / "runs"
     with pytest.raises(OSError):  # the second file cannot be written

@@ -383,22 +383,6 @@ def test_regime_inputs_read_each_stream_once(monkeypatch):
                              ("rolling_stat", n): 1})
 
 
-def test_regime_fit_rejects_a_window_that_does_not_open_the_session():
-    # the training inputs are a prefix of the session's, so the window must be
-    # a leading run of the very day objects the engine holds
-    reg = RegimeSpec(transition=((0.9, 0.05, 0.05), (0.2, 0.5, 0.3), (0.05, 0.05, 0.9)),
-                     means=(-6.0, 0.0, 6.0), vols=(2.0, 5.0, 2.0), volume_mults=(1.0, 3.0, 1.0))
-    rth, _ = gen_regime_days(SynthSpec(200, seed=3, regimes=reg))
-    eng = make_engine(rth=rth)
-    copies = [day_from_bars(d.date, d.session, d.bars, d.prior_rth_close, d.complete)
-              for d in rth[:80]]
-    for train in (rth[40:120], copies, rth + rth[:1]):
-        with pytest.raises(EngineError, match="leading run of the complete rth days"):
-            eng._fit_state("CONFLUENCE_RTH", train, {})
-    state = eng._fit_state("CONFLUENCE_RTH", rth[:80], {})
-    assert len(state["labels"]) == len(state["trans"]) == sum(len(d.ts) for d in rth)
-
-
 # -- walk-forward on the array kernel ----------------------------------------------
 
 def three_year_bundle() -> DataBundle:
@@ -410,6 +394,59 @@ def three_year_bundle() -> DataBundle:
     asia = gen_null_days(SynthSpec(300, session=ASIA, seed=22, start_date=start))
     london = gen_null_days(SynthSpec(300, session=LONDON, seed=23, start_date=start))
     return DataBundle(rth, asia, london, gen_event_calendar(rth, seed=21))
+
+
+FIT_FAMILIES = ("CONFLUENCE_RTH", "LONDON_B", "OU_REVERSION", "VOL_SPIKE", "VVG_REVERSAL")
+
+
+@pytest.mark.parametrize("family", FIT_FAMILIES)
+def test_every_fit_rejects_a_window_that_does_not_open_the_session(family):
+    # every fit reads the first len(train) days of its session's store, so the
+    # window must be a non-empty leading run of the very day objects the engine holds
+    eng = Engine(three_year_bundle(), config_from_dict({}))
+    session = default_families()[family].session
+    days = eng.complete_days(session)
+    copies = [day_from_bars(d.date, d.session, d.bars, d.prior_rth_close, d.complete)
+              for d in days[:80]]
+    for train in (days[40:120], copies, days + days[:1], []):
+        with pytest.raises(EngineError, match=f"leading run of the complete {session} days"):
+            eng._fit_state(family, train, {})
+    assert eng._fit_state(family, days[:80], {})
+
+
+def reference_fit(eng, family, train):
+    """``family``'s fitted state recomputed from ``train`` alone: its closes laid
+    end to end, its ratio series, or the VVG metric rows of its dates."""
+    from falsify import signals as sig
+    from falsify.bars import day_primitives
+    from falsify.features import ou_fit
+    if family == "OU_REVERSION":
+        return {"fit": ou_fit(np.concatenate([d.ohlc[3] for d in train]))}
+    if family == "VOL_SPIKE":
+        lo, hi = sig.volume_ratio_cutoffs([sig.volume_ratio_series(d) for d in train])
+        return {"dryup_cutoff": lo, "spike_cutoff": hi}
+    days = eng.complete_days("rth")
+    metrics = sig.vvg_metrics(days, [day_primitives(d) for d in days])
+    dates = {d.date for d in train}
+    cuts = sig.vvg_boundaries(metrics[[i for i, d in enumerate(days) if d.date in dates]])
+    return {"flags": dict(zip([d.date for d in days],
+                              sig.vvg_classify(metrics, cuts).tolist()))}
+
+
+@pytest.mark.parametrize("family", FIT_FAMILIES)
+def test_every_fit_equals_its_value_from_the_training_days_alone(family):
+    eng = Engine(three_year_bundle(), config_from_dict({}))
+    session = default_families()[family].session
+    days = eng.complete_days(session)
+    for fold in make_plan([d.year for d in days]).folds:
+        train = [d for d in days if d.year in fold.train_years]
+        state = eng._fit_state(family, train, {})
+        if family in ("CONFLUENCE_RTH", "LONDON_B"):
+            want = reference_fit_regime(eng, session, train)
+            assert state["atr_baseline"] == want["atr_baseline"]
+            assert np.array_equal(state["labels"], want["series"]["labels"])
+        else:
+            assert state == reference_fit(eng, family, train), fold
 
 
 def test_each_fit_state_and_day_is_emitted_once_and_only_test_days_simulated(monkeypatch):
