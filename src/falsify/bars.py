@@ -172,6 +172,13 @@ class SessionStore:
         for arr in (self.ohlc, self.volume, self.start):
             arr.flags.writeable = False
 
+    def by_day(self, x: np.ndarray) -> np.ndarray:
+        """A per-bar array (bars on its last axis) as days x bars, for days of one length."""
+        width = np.diff(self.start)
+        if np.any(width != width[:1]):
+            raise ValueError("days of unequal bar counts cannot be laid out as days x bars")
+        return np.reshape(x, (*np.shape(x)[:-1], len(width), int(width[0]) if len(width) else 0))
+
 
 def session_store(days: Sequence[TradingDay]) -> SessionStore:
     """``days`` laid end to end, in the order given."""
@@ -184,7 +191,8 @@ def session_store(days: Sequence[TradingDay]) -> SessionStore:
 
 @dataclass(frozen=True)
 class DayPrimitives:
-    """Pre-computed day-level quantities used by several signal families."""
+    """Day-level quantities used by several signal families: of one day, or of
+    every day of a store as arrays (``session_primitives``)."""
 
     opening_range_high: float
     opening_range_low: float
@@ -402,16 +410,25 @@ def serialize_days(days: Iterable[TradingDay], header_comment: str | None = None
     return "\n".join(out) + "\n"
 
 
+def session_primitives(store: SessionStore) -> DayPrimitives:
+    """``day_primitives`` of every day of ``store``, as arrays over its days, with NaN
+    for no overnight gap; every day must hold as many bars, at least 6."""
+    o, h, lo, c = store.by_day(store.ohlc)[:, :, :6]
+    if store.days and o.shape[1] < 6:
+        raise BarError(f"day {store.days[0].date}: need >= 6 bars for primitives, "
+                       f"got {store.start[1]}")
+    prior = np.array([d.prior_rth_close for d in store.days], dtype=float)  # None: NaN
+    return DayPrimitives(opening_range_high=h.max(axis=1), opening_range_low=lo.min(axis=1),
+                         overnight_gap=o[:, 0] - prior, first30_return=c[:, 5] - o[:, 0],
+                         first_bar_volume=store.volume[store.start[:-1]])
+
+
 def day_primitives(day: TradingDay) -> DayPrimitives:
     """Opening range over bars 0..5, overnight gap, first-30-minute return."""
-    n = len(day.ts)
-    if n < 6:
-        raise BarError(f"day {day.date}: need >= 6 bars for primitives, got {n}")
-    o, h, lo, c = day.ohlc[:, :6]
-    gap = None if day.prior_rth_close is None else o[0] - day.prior_rth_close
-    return DayPrimitives(opening_range_high=h.max(), opening_range_low=lo.min(),
-                         overnight_gap=gap, first30_return=c[5] - o[0],
-                         first_bar_volume=int(day.volume[0]))
+    p = session_primitives(session_store([day]))
+    return DayPrimitives(p.opening_range_high[0], p.opening_range_low[0],
+                         None if day.prior_rth_close is None else p.overnight_gap[0],
+                         p.first30_return[0], int(p.first_bar_volume[0]))
 
 
 EVENT_HEADER = "ts,kind,impact,currency"

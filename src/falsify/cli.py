@@ -42,7 +42,7 @@ def ingest(path: str, session: str) -> None:
 
 
 @main.command()
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--days", "n_days", default=10, type=int)
 @click.option("--session", default="RTH", type=click.Choice(sorted(SESSIONS)))
 @click.option("--seed", default=0, type=int)
@@ -70,14 +70,18 @@ def synth(out: str, n_days: int, session: str, seed: int, vol: float,
     except SynthError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    if planted is not None:
-        truth = Path(out).with_suffix(".events.csv")
-        lines = ["family,date,bar_index,direction"]
-        lines += [f"{e.family},{e.day.isoformat()},{e.bar_index},{e.direction}"
-                  for e in planted]
-        truth.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        click.echo(f"wrote ground truth {truth}")
-    Path(out).write_text(serialize_days(days, header_comment=header), encoding="utf-8")
+    try:
+        if planted is not None:
+            truth = Path(out).with_suffix(".events.csv")
+            lines = ["family,date,bar_index,direction"]
+            lines += [f"{e.family},{e.day.isoformat()},{e.bar_index},{e.direction}"
+                      for e in planted]
+            truth.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            click.echo(f"wrote ground truth {truth}")
+        Path(out).write_text(serialize_days(days, header_comment=header), encoding="utf-8")
+    except OSError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_DATA)
     click.echo(f"wrote {len(days)} days to {out}")
 
 
@@ -165,7 +169,7 @@ def ledger() -> None:
 
 
 @ledger.command("append")
-@click.argument("path", type=click.Path())
+@click.argument("path", type=click.Path(dir_okay=False))
 @click.option("--id", "rec_id", required=True)
 @click.option("--text", required=True)
 @click.option("--status", default="OPEN", type=click.Choice(["OPEN", "LOCKED"]))
@@ -177,28 +181,32 @@ def ledger_append(path: str, rec_id: str, text: str, status: str,
             id=rec_id, text=text, status=status,
             created_at=_dt.datetime.now().strftime("%Y-%m-%dT%H:%M"),
             supersedes=supersedes))
-    except LedgerError as exc:
+    except (LedgerError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA)
     click.echo(f"appended {rec_id}")
 
 
 @ledger.command("list")
-@click.argument("path", type=click.Path(exists=True))
+@click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--status", default=None, type=click.Choice(["OPEN", "LOCKED"]))
 def ledger_list(path: str, status: str | None) -> None:
-    store = Ledger(path)
-    records = store.by_status(status) if status else store.records()
+    try:
+        store = Ledger(path)
+        records = store.by_status(status) if status else store.records()
+    except (LedgerError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_DATA)
     for r in records:
         click.echo(f"{r.id}  {r.status:<6}  {r.text}")
 
 
 @ledger.command("verify")
-@click.argument("path", type=click.Path(exists=True))
+@click.argument("path", type=click.Path(exists=True, dir_okay=False))
 def ledger_verify(path: str) -> None:
     try:
         Ledger(path).verify()
-    except LedgerError as exc:
+    except (LedgerError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA)
     click.echo("ledger chain verified")

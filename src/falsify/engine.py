@@ -3,7 +3,8 @@
 Each family gets a runner whose fitted state (regime labels, decile cutoffs,
 tercile boundaries, OU fit) comes from the training days only; rolling
 per-bar series are computed over the chronological bar stream and are
-strictly backward-looking, so slicing them per day leaks nothing.
+strictly backward-looking, so slicing them per day leaks nothing. A family
+emits once per (fitted state, params) over its session's store.
 """
 from __future__ import annotations
 
@@ -14,10 +15,10 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from . import signals as sig
-from .bars import (BarError, DayPrimitives, EconEvent, SessionStore, TradingDay, day_primitives,
-                   parse_bar_file, parse_event_calendar, session_store, ASIA, LONDON, RTH)
+from .bars import (BarError, EconEvent, SessionStore, TradingDay, parse_bar_file,
+                   parse_event_calendar, session_primitives, session_store, ASIA, LONDON, RTH)
 from .config import RunConfig
-from .execution import ExitKind, ExitSpec, entry_order, fill_events, simulate
+from .execution import ExitKind, ExitSpec, fill_days, simulate
 from .features import (gmm_fit, kalman_velocity, markov_transition_prob, ou_fit,
                        regime_features, rolling_stat, true_ranges, volume_zscore)
 from .validation import (EvalMetrics, RunnerTrades, Verdict, WalkForwardResult,
@@ -62,22 +63,19 @@ def load_bundle(config: RunConfig) -> DataBundle:
 
 @dataclass(frozen=True)
 class FamilyDef:
-    """One signal family, declared once.
-
-    ``grid[0]`` names every tunable with its default and every other grid
-    point has the same keys. ``emit(engine, day, params, state)`` returns one
-    day's entries (see ``signals``), which ``Engine.day_signals`` names after
-    the family; the optional ``fit(engine, session, n)`` builds that
-    state from the session's first ``n`` complete days, the training window
-    that ``Engine._fit_state`` checks, and never reads the params. The
-    optional ``check(params)`` raises ``ValueError`` on params the emitter
-    would reject, so that a bad override fails before any family runs.
-    """
+    """One signal family, declared once. ``grid[0]`` names every tunable with its
+    default and every other grid point has the same keys. ``emit(engine, store,
+    params, state)`` returns the ``signals.Entries`` of every day of a store of the
+    family's session: the engine's own, or that of a day outside it. The optional
+    ``fit(engine, session, n)`` builds the state from the session's first ``n``
+    complete days, the window ``Engine._fit_state`` checks, and never reads the
+    params. The optional ``check(params)`` raises ``ValueError`` on params the rule
+    would reject, so that a bad override fails before any family runs."""
     name: str
     session: str
     grid: tuple[dict, ...]
     exit_grid: tuple[ExitSpec, ...]
-    emit: Callable[..., list]
+    emit: Callable[..., sig.Entries]
     fit: Optional[Callable[..., dict]] = None
     check: Optional[Callable[[dict], Any]] = None
 
@@ -92,17 +90,16 @@ def _parse_clock(s: str) -> time:
 
 
 def _fit_volume_cutoffs(eng: Engine, session: str, n: int) -> dict:
-    lo, hi = sig.volume_ratio_cutoffs([eng.per_day(sig.volume_ratio_series, d)
-                                       for d in eng.complete_days(session)[:n]])
+    ratio = eng.per_session(sig.volume_ratio_series, session)
+    lo, hi = sig.volume_ratio_cutoffs([ratio[:eng.store(session).start[n]]])
     return {"dryup_cutoff": lo, "spike_cutoff": hi}
 
 
 def _fit_vvg_flags(eng: Engine, session: str, n: int) -> dict:
-    days = eng.complete_days(session)
-    metrics = eng.memo((sig.vvg_metrics, session),
-                       lambda: sig.vvg_metrics(days, [eng.prims(d) for d in days]))
+    metrics = eng.memo((sig.vvg_metrics, session), lambda: sig.vvg_metrics(
+        eng.per_session(session_primitives, session)))
     flags = sig.vvg_classify(metrics, sig.vvg_boundaries(metrics[:n]))
-    return {"flags": {d.date: bool(flags[i]) for i, d in enumerate(days)}}
+    return {"flags": dict(zip([d.date for d in eng.complete_days(session)], flags.tolist()))}
 
 
 def _fit_ou(eng: Engine, session: str, n: int) -> dict:
@@ -136,25 +133,6 @@ def _regime_inputs(store: SessionStore) -> tuple[np.ndarray, np.ndarray, np.ndar
             rolling_stat(true_ranges(store.ohlc), 20))
 
 
-def _emit_gap_cont(eng: Engine, day: TradingDay, p: dict, state: dict) -> list:
-    v = eng.overnight_velocity().get(day.date)
-    return [] if v is None else sig.gap_cont_signals(day, eng.prims(day), v, **p)
-
-
-def _emit_confluence(eng: Engine, day: TradingDay, p: dict, state: dict) -> list:
-    cols = eng.store("rth").cols.get(day.date)
-    if cols is None:
-        return []
-    _, vz, atr = eng.per_session(_regime_inputs, "rth")
-    return sig.confluence_rth_signals(day, state["labels"][cols], state["trans"][cols],
-                                      vz[cols], atr[cols], state["atr_baseline"], **p)
-
-
-def _emit_london_b(eng: Engine, day: TradingDay, p: dict, state: dict) -> list:
-    cols = eng.store("london").cols.get(day.date)
-    return [] if cols is None else sig.london_b_signals(day, state["labels"][cols])
-
-
 def _check_mode(p: dict, modes: dict) -> None:
     if p["mode"] not in modes:
         raise ValueError(f"mode must be one of {sorted(modes)}, got {p['mode']!r}")
@@ -162,27 +140,32 @@ def _check_mode(p: dict, modes: dict) -> None:
 
 def default_families() -> dict[str, FamilyDef]:
     """Every family's declaration; grids are data, not code. Tunables named
-    like the signal function's keywords are passed on as ``**p``."""
-    orb = lambda direction: lambda e, day, p, s: sig.orb_signals(day, e.prims(day), direction)
-    grab = lambda fade: lambda e, day, p, s: sig.liquidity_grab_signals(day, fade=fade, **p)
-    vol = lambda spike: lambda e, day, p, s: sig.volume_signature_signals(
-        day, spike, s["spike_cutoff" if spike else "dryup_cutoff"],
-        ratio=e.per_day(sig.volume_ratio_series, day))
+    like the rule's keywords are passed on as ``**p``."""
+    prims = lambda e, store: e.per_store(session_primitives, store)
+    orb = lambda direction: lambda e, st, p, s: sig.orb_entries(st, prims(e, st), direction)
+    grab = lambda fade: lambda e, st, p, s: sig.liquidity_grab_entries(st, fade=fade, **p)
+    vol = lambda spike: lambda e, st, p, s: sig.volume_signature_entries(
+        st, spike, s["spike_cutoff" if spike else "dryup_cutoff"],
+        ratio=e.per_store(sig.volume_ratio_series, st))
+    # a regime family's labels cover its session's own store only: no other day has entries
+    regime = lambda session, rule: lambda e, st, p, s: (
+        rule(e, st, p, s) if st is e.store(session) else sig.NO_ENTRIES)
     # the VVG strategies trade only the days the classifier flags
-    vvg = lambda emit: lambda e, day, p, s: emit(e, day, p) if s["flags"].get(day.date) else []
+    vvg = lambda rule: lambda e, st, p, s: rule(e, st, p).on_days(
+        st, [s["flags"].get(d.date, False) for d in st.days])
     vvg_reversal = {
-        "REVERSAL": lambda e, day: sig.vvg_open_signals(day, e.prims(day), follow=False),
-        "CLOSE_FADE": lambda e, day: sig.vvg_close_fade_signals(day)}
+        "REVERSAL": lambda e, st: sig.vvg_open_entries(st, prims(e, st), follow=False),
+        "CLOSE_FADE": lambda e, st: sig.vvg_close_fade_entries(st)}
     f = [
         FamilyDef("ORB_LONG", "rth", ({},), (_h(1), _h(15)), orb(sig.LONG)),
         FamilyDef("ORB_SHORT", "rth", ({},), (_h(1), _h(15)), orb(sig.SHORT)),
         FamilyDef("ORB_PULLBACK", "rth", ({"pullback_offset": 5.0},),
                   (ExitSpec(ExitKind.STOP_HORIZON, horizon=15, stop=20.0),),
-                  lambda e, day, p, s: sig.orb_pullback_signals(day, e.prims(day), **p)),
+                  lambda e, st, p, s: sig.orb_pullback_entries(st, prims(e, st), **p)),
         FamilyDef("ASIA_EXPANSION", "asia",
                   tuple({"multiple": m} for m in (1.5, 2.0, 2.5)), (_h(1), _h(6)),
-                  lambda e, day, p, s: sig.asia_expansion_signals(
-                      day, **p, mean_range=e.per_day(sig.mean_range_series, day))),
+                  lambda e, st, p, s: sig.asia_expansion_entries(
+                      st, **p, mean_range=e.per_store(sig.mean_range_series, st))),
         FamilyDef("LIQUIDITY_GRAB_FADE", "asia", ({"lookback": None},), (_h(1), _h(6)),
                   grab(fade=True)),
         FamilyDef("LIQUIDITY_GRAB_CONT", "asia", ({"lookback": None},), (_h(1), _h(6)),
@@ -190,31 +173,36 @@ def default_families() -> dict[str, FamilyDef]:
         FamilyDef("GAP_FILL_FADE", "rth",
                   tuple({"entry_time": t, "min_gap": 5.0}
                         for t in ("09:30", "09:45", "10:00")), (_h(78),),
-                  lambda e, day, p, s: sig.gap_fill_signals(
-                      day, e.prims(day), _parse_clock(p["entry_time"]), p["min_gap"]),
+                  lambda e, st, p, s: sig.gap_fill_entries(
+                      st, prims(e, st), _parse_clock(p["entry_time"]), p["min_gap"]),
                   check=lambda p: sig.entry_time_bar(RTH, _parse_clock(p["entry_time"]))),
         FamilyDef("GAP_CONT_SHORT", "rth", ({"kalman_threshold": 2.5, "min_gap": 0.0},),
-                  (_h(78),), _emit_gap_cont),
+                  (_h(78),), lambda e, st, p, s: sig.gap_cont_entries(st, prims(e, st), [
+                      v.get(d.date, np.nan) for v in [e.overnight_velocity()] for d in st.days],
+                      **p)),
         FamilyDef("VOL_SPIKE", "rth", ({},), (_h(1),), vol(spike=True), _fit_volume_cutoffs),
         FamilyDef("VOL_DRYUP", "rth", ({},), (_h(1),), vol(spike=False), _fit_volume_cutoffs),
         FamilyDef("VVG_REVERSAL", "rth", tuple({"mode": m} for m in vvg_reversal),
-                  (_h(6), _h(13)), vvg(lambda e, day, p: vvg_reversal[p["mode"]](e, day)),
+                  (_h(6), _h(13)), vvg(lambda e, st, p: vvg_reversal[p["mode"]](e, st)),
                   _fit_vvg_flags, lambda p: _check_mode(p, vvg_reversal)),
         FamilyDef("VVG_CONTINUATION", "rth", ({},), (_h(6), _h(13)),
-                  vvg(lambda e, day, p: sig.vvg_open_signals(day, e.prims(day), follow=True)),
+                  vvg(lambda e, st, p: sig.vvg_open_entries(st, prims(e, st), follow=True)),
                   _fit_vvg_flags),
         FamilyDef("EVENT_DRIFT", "rth", ({"start_bar_offset": 6},), (_h(6),),
-                  lambda e, day, p, s: sig.event_drift_signals(
-                      day, e.rth_events.get(day.date, ()), **p),
+                  lambda e, st, p, s: sig.day_by_day(st, lambda day: sig.event_drift_signals(
+                      day, e.rth_events.get(day.date, ()), **p)),
                   check=lambda p: sig.check_drift_offset(p["start_bar_offset"])),
         FamilyDef("OU_REVERSION", "rth",
                   tuple({"threshold": t} for t in (1.5, 2.0, 2.5)), (_h(1), _h(6)),
-                  lambda e, day, p, s: sig.ou_reversion_signals(day, s["fit"], **p), _fit_ou),
+                  lambda e, st, p, s: sig.ou_reversion_entries(st, s["fit"], **p), _fit_ou),
         FamilyDef("CONFLUENCE_RTH", "rth",
                   ({"trans_threshold": 0.15, "vz_threshold": 0.5, "pullback_points": 25.0},),
                   (_h(13), ExitSpec(ExitKind.PULLBACK_LIMIT, horizon=13, limit_offset=25.0)),
-                  _emit_confluence, _fit_regime),
-        FamilyDef("LONDON_B", "london", ({},), (_h(4),), _emit_london_b, _fit_regime),
+                  regime("rth", lambda e, st, p, s: sig.confluence_rth_entries(
+                      st, s["labels"], s["trans"], *e.per_session(_regime_inputs, "rth")[1:],
+                      s["atr_baseline"], **p)), _fit_regime),
+        FamilyDef("LONDON_B", "london", ({},), (_h(4),), regime(
+            "london", lambda e, st, p, s: sig.london_b_entries(st, s["labels"])), _fit_regime),
     ]
     return {d.name: d for d in f}
 
@@ -236,7 +224,7 @@ def _check_override(family: str, key: str, default: Any, value: Any) -> None:
 
 
 class Engine:
-    """Per-run orchestration with memoized fitted state and per-day and per-session series."""
+    """Per-run orchestration with memoized fitted state, session series and emissions."""
 
     def __init__(self, bundle: DataBundle, config: RunConfig):
         self.bundle = bundle
@@ -272,22 +260,20 @@ class Engine:
     def complete_days(self, session: str) -> list[TradingDay]:
         return self.store(session).days
 
-    def per_day(self, fn: Callable[[TradingDay], Any], day: TradingDay) -> Any:
-        """``fn(day)``, computed once per day and shared by every family and grid point."""
-        return self.memo((fn, day.session.name, day.date), lambda: fn(day))
-
     def per_session(self, fn: Callable[[SessionStore], Any], session: str) -> Any:
         """``fn(store)``, computed once per session and shared by every fold."""
         return self.memo((fn, session), lambda: fn(self.store(session)))
+
+    def per_store(self, fn: Callable[[SessionStore], Any], store: SessionStore) -> Any:
+        """``fn(store)``: ``per_session`` on a session's own store, afresh on any other."""
+        name = store.days[0].session.name.lower() if store.days else None
+        return self.per_session(fn, name) if name and self.store(name) is store else fn(store)
 
     def memo(self, key: tuple, make: Callable[[], Any]) -> Any:
         """``make()``, computed once per ``key`` for the life of the engine."""
         if key not in self._memo:
             self._memo[key] = make()
         return self._memo[key]
-
-    def prims(self, day: TradingDay) -> DayPrimitives:
-        return self.per_day(day_primitives, day)
 
     def family_def(self, name: str) -> FamilyDef:
         fd = self.families.get(name)
@@ -324,53 +310,85 @@ class Engine:
 
     # -- fitted state per family ------------------------------------------
 
-    def _state_key(self, fit: Optional[Callable[..., dict]], session: str, n: int) -> tuple:
-        """Families sharing a fit and a session share a fitted state; no fit, the empty key."""
-        return () if fit is None else (fit, session, n)
-
     def _fit_state(self, family: str, train: Sequence[TradingDay], params: dict) -> dict:
-        """Fitted state for ``family`` on ``train``, one per ``_state_key`` whatever the
-        ``params``. Every fit reads the first ``len(train)`` days of the session's store,
-        so ``train`` must be a non-empty leading run of those very day objects."""
+        """Fitted state for ``family`` on ``train``, whatever the ``params``. Every fit reads
+        the first ``len(train)`` days of the session's store, so ``train`` must be a
+        non-empty leading run of those very day objects."""
         fd = self.family_def(family)
-        if not train or list(train) != self.complete_days(fd.session)[:len(train)]:
+        if self._run_of(fd.session, train) != 0:
             raise EngineError(f"training window must be a non-empty leading run of the "
                               f"complete {fd.session} days")
         return self.fitted(fd.fit, fd.session, len(train))
 
     def fitted(self, fit: Optional[Callable[..., dict]], session: str, n: int) -> dict:
-        """``fit(self, session, n)``, computed once per ``_state_key``."""
-        return self.memo(self._state_key(fit, session, n),
+        """``fit(self, session, n)``, computed once per (fit, session, n): families sharing
+        a fit and a session share a fitted state. Without a fit, one empty state."""
+        return self.memo((fit, session, n) if fit else (),
                          lambda: fit(self, session, n) if fit else {})
+
+    def emitted(self, family: str, params: dict,
+                state: dict) -> tuple[sig.Entries, sig.Entries, list[int]]:
+        """``family``'s entries over its session's store under ``state``, computed once per
+        (family, params, state): as emitted, in ``simulate``'s order (by column, then LONG
+        before SHORT), and each store day's first entry with their count appended."""
+        fd = self.family_def(family)
+        params = {**fd.grid[0], **params}
+        # a family without a fit reads no state; a held state keeps its id from reuse
+        key = ("emitted", fd.name, repr(sorted(params.items())), id(state) if fd.fit else None)
+        if key not in self._memo or (fd.fit and self._memo[key][0] is not state):
+            store = self.store(fd.session)
+            e = fd.emit(self, store, params, state)
+            ordered = sig.Entries(*(a[np.lexsort((-e.sign, e.col))] for a in e))
+            self._memo[key] = (state, e, ordered, np.searchsorted(e.col, store.start).tolist())
+        return self._memo[key][1:]
+
+    def _run_of(self, session: str, days: Sequence[TradingDay]) -> Optional[int]:
+        """The store index of ``days[0]`` if ``days`` is a non-empty run of the session
+        store's own day objects, else None."""
+        store = self.store(session)
+        i = self.memo(("day index", session), lambda: {id(d): i for i, d in enumerate(
+            store.days)}).get(id(days[0])) if days else None
+        return i if i is not None and list(days) == store.days[i:i + len(days)] else None
 
     def day_signals(self, family: str, day: TradingDay, params: dict,
                     state: dict) -> list[sig.SignalEvent]:
-        """One day's events, named after the family; ``grid[0]`` fills in missing ``params``."""
+        """One day's events, named after the family, in the order its rule emits them;
+        ``grid[0]`` fills in missing ``params``. A day of the session's store is sliced
+        from ``emitted``; any other day is emitted alone, on ``session_store([day])``."""
         fd = self.family_def(family)
-        return [sig.SignalEvent(fd.name, day.date, i, d, limit_level=lv[0] if lv else None)
-                for i, d, *lv in fd.emit(self, day, {**fd.grid[0], **params}, state)]
+        i = self._run_of(fd.session, (day,))
+        if i is None:
+            e = fd.emit(self, session_store([day]), {**fd.grid[0], **params}, state)
+            lo, hi, at = 0, len(e.col), 0
+        else:
+            e, _, first = self.emitted(family, params, state)
+            lo, hi, at = first[i], first[i + 1], self.store(fd.session).cols[day.date].start
+        return [sig.SignalEvent(fd.name, day.date, c - at, sig.LONG if s > 0 else sig.SHORT,
+                                limit_level=None if lv != lv else lv)  # NaN: no level
+                for c, s, lv in zip(*(a[lo:hi].tolist() for a in e))]
 
     # -- runners and runs ---------------------------------------------------
 
     def runner(self, family: str):
-        """``run(train, eval_days, params, exit)`` for ``walk_forward``: each (fit-state key,
-        params, day) is emitted once into a cache the runner owns; one ``fill_events``
-        call gives the net points, and one ``simulate`` call builds records when asked."""
+        """``run(train, eval_days, params, exit)`` for ``walk_forward``: one ``fill_days``
+        call on the ``emitted`` entries of the eval days, a run of the store's days, and
+        one ``simulate`` call on their ``day_signals`` when records are asked for."""
         fd = self.family_def(family)
-        cache: dict[tuple, list[sig.SignalEvent]] = {}
+        store = self.store(fd.session)
 
         def run(train: Sequence[TradingDay], eval_days: Sequence[TradingDay],
                 params: dict, exit_spec: ExitSpec) -> RunnerTrades:
             state = self._fit_state(family, train, params)
-            key = (self._state_key(fd.fit, fd.session, len(train)), repr(sorted(params.items())))
-            for d in eval_days:
-                if (key, d.date) not in cache:
-                    cache[key, d.date] = entry_order(self.day_signals(family, d, params, state))
+            i = self._run_of(fd.session, eval_days)
+            if i is None:  # the slice below would read other days' entries
+                raise EngineError(f"eval days must be a run of the complete {fd.session} days")
+            _, e, first = self.emitted(family, params, state)
+            lo, hi = first[i], first[i + len(eval_days)]
             ins = self.config.instrument
-            events = [e for d in eval_days for e in cache[key, d.date]]
-            f = fill_events(self.store(fd.session), events, exit_spec, ins)
-            return RunnerTrades(f.net_ticks[f.reason >= 0] * ins.tick_size, lambda: list(
-                simulate(events, eval_days, exit_spec, ins).trades) if events else [])
+            f = fill_days(store, e.col[lo:hi], e.sign[lo:hi], exit_spec, ins, e.level[lo:hi])
+            return RunnerTrades(f.net_ticks[f.reason >= 0] * ins.tick_size, lambda: list(simulate(
+                [ev for d in eval_days for ev in self.day_signals(family, d, params, state)],
+                eval_days, exit_spec, ins).trades) if hi > lo else [])
         return run
 
     def family_grid(self, family: str) -> tuple[tuple[dict, ...], tuple[ExitSpec, ...]]:

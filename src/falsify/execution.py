@@ -139,11 +139,6 @@ class Fills(NamedTuple):
     net_ticks: np.ndarray
 
 
-def entry_order(events: Sequence[SignalEvent]) -> list[SignalEvent]:
-    """One day's events in the order ``simulate`` resolves and reports them."""
-    return sorted(events, key=lambda e: (e.bar_index, e.direction))
-
-
 def _first_touch(ohlc, col, span, sign, level, width: int) -> np.ndarray:
     """Per event, the first k in 0..span (< width) at which a long's low falls to
     its level or a short's high rises to it, reading column col + k; -1 if none."""
@@ -212,32 +207,27 @@ def fill_days(days: SessionStore, col, sign, exit: ExitSpec, instrument: Instrum
                  gross - instrument.to_ticks(instrument.round_trip))
 
 
-def fill_events(days: SessionStore, events: Sequence[SignalEvent], exit: ExitSpec,
-                instrument: Instrument = MNQ) -> Fills:
-    """``fill_days`` on events, in the order given, each located by its date in ``days``."""
-    level = None if exit.kind is not ExitKind.PULLBACK_LIMIT else np.array(
-        [e.limit_level for e in events], dtype=float)  # None becomes NaN
-    return fill_days(days, [days.cols[e.day].start + e.bar_index for e in events],
-                     [1 if e.direction == LONG else -1 for e in events], exit, instrument, level)
-
-
 def simulate(events: Sequence[SignalEvent], days: Sequence[TradingDay], exit: ExitSpec,
              instrument: Instrument = MNQ) -> SimResult:
     """Fill each event at the next bar open and resolve its exit, with one
-    ``fill_days`` call over ``days``, the days the events fall on. Results come
-    in day order, then ``entry_order``.
+    ``fill_days`` call over those of ``days`` that hold an event. Results come
+    in day order, then by bar with LONG before SHORT.
 
     Same-bar stop ambiguity is resolved pessimistically (stop assumed hit
     before any favorable move). Trades still open at session end exit at
     the last bar's close. A PULLBACK_LIMIT enters at the event's
     ``limit_level``, or else at the exit's offset from the signal close.
     """
-    store = session_store(days)
+    held = {e.day for e in events}
+    store = session_store([d for d in days if d.date in held])
     off = [e.day for e in events if e.day not in store.cols]
     if off:
         raise ExecutionError(f"event on {off[0]} falls on none of the days given")
     events = sorted(events, key=lambda e: (store.cols[e.day].start, e.bar_index, e.direction))
-    rows = list(zip(events, *(a.tolist() for a in fill_events(store, events, exit, instrument))))
+    level = np.array([e.limit_level for e in events], dtype=float)  # None becomes NaN
+    f = fill_days(store, [store.cols[e.day].start + e.bar_index for e in events],
+                  [1 if e.direction == LONG else -1 for e in events], exit, instrument, level)
+    rows = list(zip(events, *(a.tolist() for a in f)))
     to_points, tick = instrument.to_points, instrument.tick_size
     return SimResult(
         tuple(TradeRecord(ev.family, ev.day, ev.direction, eb, xb, to_points(et), to_points(xt),

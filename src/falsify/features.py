@@ -19,13 +19,12 @@ class FeatureError(ValueError):
 
 
 def _prior_mean(x: np.ndarray, window: int) -> np.ndarray:
-    """out[i] = mean(x[i-window:i]); NaN during warm-up."""
-    n = len(x)
-    out = np.full(n, np.nan)
-    if n < window + 1:
+    """out[..., i] = mean(x[..., i-window:i]) along the last axis; NaN during warm-up."""
+    out = np.full(x.shape, np.nan)
+    if x.shape[-1] < window + 1:
         return out
-    csum = np.concatenate(([0.0], np.cumsum(x)))
-    out[window:] = (csum[window:-1] - csum[:-window - 1]) / window
+    csum = np.concatenate((np.zeros((*x.shape[:-1], 1)), np.cumsum(x, axis=-1)), axis=-1)
+    out[..., window:] = (csum[..., window:-1] - csum[..., :-window - 1]) / window
     return out
 
 
@@ -40,7 +39,8 @@ def true_ranges(ohlc: np.ndarray) -> np.ndarray:
 
 
 def rolling_stat(x: np.ndarray, window: int) -> np.ndarray:
-    """Mean of ``x`` over the strictly prior ``window`` values; NaN marks warm-up."""
+    """Mean of ``x`` over the strictly prior ``window`` values along its last axis, each
+    row on its own; NaN marks warm-up."""
     if window < 2:
         raise FeatureError("rolling window must be >= 2")
     return _prior_mean(np.asarray(x, dtype=float), window)

@@ -32,6 +32,7 @@ class Mutant(NamedTuple):
 
 ENGINE = "src/falsify/engine.py"
 EXECUTION = "src/falsify/execution.py"
+SIGNALS = "src/falsify/signals.py"
 VALIDATION = "src/falsify/validation.py"
 MUTANTS = (
     Mutant("null pool takes the training years", ENGINE,
@@ -56,15 +57,32 @@ MUTANTS = (
            "ou_fit(store.ohlc[3, :store.start[n]])", "ou_fit(store.ohlc[3])",
            ("tests/test_engine.py::test_every_fit_equals_its_value_from_the_training_days_alone",)),
     Mutant("volume cutoffs from every day", ENGINE,
-           "for d in eng.complete_days(session)[:n]]", "for d in eng.complete_days(session)]",
+           "[ratio[:eng.store(session).start[n]]]", "[ratio]",
            ("tests/test_engine.py::test_every_fit_equals_its_value_from_the_training_days_alone",)),
     Mutant("VVG cuts from every day", ENGINE,
            "sig.vvg_boundaries(metrics[:n])", "sig.vvg_boundaries(metrics)",
            ("tests/test_engine.py::test_every_fit_equals_its_value_from_the_training_days_alone",)),
     Mutant("training window left unchecked", ENGINE,
-           "if not train or list(train) != self.complete_days(fd.session)[:len(train)]:",
-           "if False:",
+           "if self._run_of(fd.session, train) != 0:", "if False:",
            ("tests/test_engine.py::test_every_fit_rejects_a_window_that_does_not_open_the_session",)),
+    Mutant("training nets read outside the eval days' columns", ENGINE,
+           "lo, hi = first[i], first[i + len(eval_days)]", "lo, hi = first[0], first[-1]",
+           ("tests/test_engine.py::test_runner_nets_follow_the_trade_order_of_simulate",
+            "tests/test_engine.py::test_walk_forward_picks_and_trades_match_the_record_runner")),
+    Mutant("rolling window crosses a day boundary", SIGNALS,
+           "rolling_stat(store.by_day(store.ohlc[1] - store.ohlc[2]), window).ravel()",
+           "rolling_stat(store.ohlc[1] - store.ohlc[2], window)",
+           ("tests/test_signals.py::test_session_emission_equals_each_days_one_day_rule",
+            "tests/test_engine.py::test_every_event_carries_its_family_name_and_the_recorded_entries")),
+    Mutant("each day's last bar made entryable", SIGNALS,
+           "(hit & (np.arange(hit.shape[1]) < hit.shape[1] - 1)).nonzero()", "hit.nonzero()",
+           ("tests/test_signals.py::test_no_signal_on_final_bar_anywhere",
+            "tests/test_signals.py::test_asia_expansion_mask_matches_loop",
+            "tests/test_signals.py::test_volume_signature_mask_matches_loop")),
+    Mutant("running extreme taken over the whole day", SIGNALS,
+           "prior_hi = np.maximum.accumulate(highs, axis=1)[:, start - 1:-1]",
+           "prior_hi = highs.max(axis=1, keepdims=True)",
+           ("tests/test_signals.py::test_liquidity_grab_mask_matches_loop",)),
     Mutant("ties pick the last grid point", VALIDATION,
            'float("-inf"), len(net), -order)', 'float("-inf"), len(net), order)',
            ("tests/test_validation.py::test_equal_training_t_and_n_pick_the_first_grid_point",)),

@@ -122,6 +122,30 @@ def test_a_directory_for_a_file_argument_is_a_usage_error(tmp_path, args):
     assert "is a directory" in res.output
 
 
+LEDGER_AND_SYNTH = {"ledger_list": (("ledger", "list"), ()),
+                    "ledger_verify": (("ledger", "verify"), ()),
+                    "ledger_append": (("ledger", "append"), ("--id", "D001", "--text", "x")),
+                    "synth": (("synth", "--out"), ())}
+
+
+@pytest.mark.parametrize("command", sorted(LEDGER_AND_SYNTH))
+def test_a_directory_for_a_ledger_or_synth_file_is_a_usage_error(tmp_path, command):
+    before, after = LEDGER_AND_SYNTH[command]
+    res = run_cli(*before, tmp_path, *after)
+    assert res.exit_code == 2, res.output
+    assert "is a directory" in res.output
+    assert isinstance(res.exception, SystemExit)  # no traceback
+
+
+@pytest.mark.parametrize("command", ["ledger_append", "synth"])
+def test_a_ledger_or_synth_file_that_cannot_be_written_exits_one_with_one_line(tmp_path, command):
+    before, after = LEDGER_AND_SYNTH[command]
+    res = run_cli(*before, tmp_path / "no" / "such.file", *after)
+    assert res.exit_code == 1, res.output
+    assert res.output.startswith("error: [Errno 2]") and res.output.count("\n") == 1
+    assert isinstance(res.exception, SystemExit)
+
+
 def test_write_run_writes_every_file_before_moving_any_in(tmp_path):
     runs = tmp_path / "runs"
     with pytest.raises(OSError):  # the second file cannot be written

@@ -165,7 +165,7 @@ def test_runner_results_stable_across_calls(monkeypatch):
     real = eng.day_signals
     monkeypatch.setattr(eng, "day_signals", lambda *a: emitted.append(a) or real(*a))
     second = run(days[:30], days[30:], {}, exit)
-    assert emitted == []  # the runner's per-day signal cache answers every day
+    assert emitted == []  # the runner's emission over the store answers every day
     assert first.net.tolist() == second.net.tolist()
     assert first.records() == second.records() != []
 
@@ -173,18 +173,16 @@ def test_runner_results_stable_across_calls(monkeypatch):
 def test_runner_nets_follow_the_trade_order_of_simulate():
     import dataclasses
     from falsify.execution import ExitKind, ExitSpec, simulate
-    from falsify.signals import SHORT, SignalEvent
+    from falsify.signals import SHORT, SignalEvent, day_by_day
     days = two_year_null(60, seed=5)
     eng = make_engine(rth=days)
-
-    def emit(e, day, p, s):  # out of entry order, as a family may emit them
-        return [(40, SHORT), (40, LONG), (10, LONG)]
+    one_day = [(40, SHORT), (40, LONG), (10, LONG)]  # out of entry order, as a rule may be
+    emit = lambda e, store, p, s: day_by_day(store, lambda day: one_day)
     eng.families["ORB_LONG"] = dataclasses.replace(eng.families["ORB_LONG"], emit=emit)
     exit = ExitSpec(ExitKind.HORIZON, horizon=3)
     got = eng.runner("ORB_LONG")(days[:30], days[:30], {}, exit)
     want = [t for d in days[:30] for t in simulate(
-        [SignalEvent("ORB_LONG", d.date, b, dr) for b, dr in emit(eng, d, {}, {})], [d],
-        exit).trades]
+        [SignalEvent("ORB_LONG", d.date, b, dr) for b, dr in one_day], [d], exit).trades]
     assert got.net.tolist() == [t.net for t in want] and got.records() == want
 
 
@@ -283,16 +281,17 @@ def test_per_day_series_computed_once_and_shared(monkeypatch):
     calls = []
     for name in ("volume_ratio_series", "mean_range_series"):
         real = getattr(sig, name)
-        monkeypatch.setattr(sig, name, lambda day, *a, real=real, name=name:
-                            calls.append((name, day.date)) or real(day, *a))
+        monkeypatch.setattr(sig, name, lambda store, *a, real=real, name=name: calls.append(
+            (name, [d.date for d in store.days])) or real(store, *a))
     got = [(entries(eng.day_signals("VOL_SPIKE", d, {}, state)),
             entries(eng.day_signals("VOL_DRYUP", d, {}, state))) for d in rth[30:]]
     got_asia = [[entries(eng.day_signals("ASIA_EXPANSION", d, {"multiple": m}, {}))
                  for m in multiples] for d in asia]
     assert got == want and got_asia == want_asia
     assert any(s and d for s, d in want) and any(any(evs) for evs in want_asia)
-    assert sorted(calls) == sorted([("volume_ratio_series", d.date) for d in rth[30:]]
-                                   + [("mean_range_series", d.date) for d in asia])
+    # one series per session, over all its days, shared by both families and every grid point
+    assert sorted(calls) == [("mean_range_series", [d.date for d in asia]),
+                             ("volume_ratio_series", [d.date for d in rth])]
 
 
 def reference_fit_regime(eng, session, train):
@@ -418,7 +417,7 @@ def reference_fit(eng, family, train):
     """``family``'s fitted state recomputed from ``train`` alone: its closes laid
     end to end, its ratio series, or the VVG metric rows of its dates."""
     from falsify import signals as sig
-    from falsify.bars import day_primitives
+    from falsify.bars import session_primitives, session_store
     from falsify.features import ou_fit
     if family == "OU_REVERSION":
         return {"fit": ou_fit(np.concatenate([d.ohlc[3] for d in train]))}
@@ -426,7 +425,7 @@ def reference_fit(eng, family, train):
         lo, hi = sig.volume_ratio_cutoffs([sig.volume_ratio_series(d) for d in train])
         return {"dryup_cutoff": lo, "spike_cutoff": hi}
     days = eng.complete_days("rth")
-    metrics = sig.vvg_metrics(days, [day_primitives(d) for d in days])
+    metrics = sig.vvg_metrics(session_primitives(session_store(days)))
     dates = {d.date for d in train}
     cuts = sig.vvg_boundaries(metrics[[i for i, d in enumerate(days) if d.date in dates]])
     return {"flags": dict(zip([d.date for d in days],
@@ -507,10 +506,10 @@ def test_equal_grid_points_are_evaluated_once(monkeypatch):
 
 def test_vvg_metrics_are_built_once_per_session_and_the_flags_are_unchanged(monkeypatch):
     from falsify import signals as sig
-    from falsify.bars import day_primitives
+    from falsify.bars import session_primitives, session_store
     eng = Engine(three_year_bundle(), config_from_dict({}))
     days = eng.complete_days("rth")
-    metrics = sig.vvg_metrics(days, [day_primitives(d) for d in days])
+    metrics = sig.vvg_metrics(session_primitives(session_store(days)))
     calls = []
     real = sig.vvg_metrics
     monkeypatch.setattr(sig, "vvg_metrics", lambda *a: calls.append(1) or real(*a))

@@ -9,9 +9,10 @@ import pytest
 
 import rows
 from rows import day_from_bars
-from falsify.bars import Bar, EconEvent, EventKind, RTH, ASIA, LONDON, TradingDay, day_primitives
+from falsify.bars import (Bar, EconEvent, EventKind, RTH, ASIA, LONDON, TradingDay, day_primitives,
+                          link_rth, session_primitives, session_store)
 from falsify.config import config_from_dict
-from falsify import signals
+from falsify import engine as engine_mod, signals
 from falsify.engine import DataBundle, Engine, default_families
 from falsify.features import OuFit
 from falsify.signals import (LONG, SHORT, SignalError, SignalEvent,
@@ -261,8 +262,7 @@ def test_vvg_exactly_one_joint_tercile_day_flagged():
                             gap=float(rng.uniform(0, 5)),
                             vol=int(rng.integers(900, 1100))))
     days.append(vvg_day(99, f30=50.0, gap=50.0, vol=9000))
-    prims = [day_primitives(d) for d in days]
-    metrics = vvg_metrics(days, prims)
+    metrics = vvg_metrics(session_primitives(session_store(days)))
     flags = vvg_classify(metrics, vvg_boundaries(metrics))
     extreme_flagged = flags[99]
     assert extreme_flagged
@@ -628,3 +628,125 @@ def test_confluence_mask_matches_loop(data, day, baseline, thresholds, pullback)
     trans, vz, atr = (data.draw(per_bar(day, odd_floats)) for _ in range(3))
     args = (day, labels, trans, vz, atr, baseline, *thresholds, pullback)
     same_events(confluence_rth_signals(*args), reference_confluence(*args))
+
+
+def reference_ou_reversion(day, fit, threshold):
+    z = (day.ohlc[3] - fit.mu) / fit.stationary_std
+    events, armed = [], True
+    for i in range(len(day.bars) - 1):
+        if not armed and abs(z[i]) < 0.5:
+            armed = True
+        if armed and abs(z[i]) >= threshold:
+            events.append((i, LONG if z[i] <= -threshold else SHORT))
+            armed = False
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(day=tick_days(), mu=st.sampled_from([98.0, 100.0, 101.5]),
+       threshold=st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.5]))
+def test_ou_reversion_mask_matches_loop(day, mu, threshold):
+    # thresholds under the 0.5 re-arm band let a bar re-arm and enter at once
+    fit = OuFit(0.9, mu, 0.4, 6.0)
+    same_events(ou_reversion_signals(day, fit, threshold),
+                reference_ou_reversion(day, fit, threshold))
+
+
+# -- every family's session-wide emission against its one-day rule -------------------
+
+# dates in three calendar years, so the walk-forward of a corpus has two folds
+CORPUS_DATES = (date(2021, 12, 29), date(2021, 12, 30), date(2022, 6, 1), date(2022, 6, 2),
+                date(2022, 6, 3), date(2023, 1, 3), date(2023, 1, 4))
+
+
+def tick_session(rng, session, dates, zero_volume):
+    """Complete days on a coarse tick grid, so ties, dojis and equal extremes are
+    common, with overnight gaps and volumes of which about ``zero_volume`` are 0."""
+    out, price = [], 100.0
+    for d in dates:
+        price += 0.5 * rng.integers(-20, 21)
+        bars = []
+        for ts in rows.grid(session, d):
+            o, c = price, price + 0.5 * rng.integers(-3, 4)
+            h, lo = max(o, c) + 0.5 * rng.integers(0, 3), min(o, c) - 0.5 * rng.integers(0, 3)
+            v = 0 if rng.random() < zero_volume else 100 * int(rng.integers(1, 5))
+            bars.append(Bar(ts, o, h, lo, c, v))
+            price = c
+        out.append(day_from_bars(d, session, bars, None, True))
+    return link_rth(out)
+
+
+def one_day_events(eng, family, day, params, state):
+    """``family``'s one-day rule on ``day`` alone: the regime families on the day's
+    columns of their session-long series, every other family on an equal copy of the
+    day, which the engine emits alone because it is not one of its store's days."""
+    p = {**default_families()[family].grid[0], **params}
+    if family in ("CONFLUENCE_RTH", "LONDON_B"):
+        session = default_families()[family].session
+        cols = eng.store(session).cols[day.date]
+        if family == "LONDON_B":
+            entries = london_b_signals(day, state["labels"][cols])
+        else:
+            _, vz, atr = eng.per_session(engine_mod._regime_inputs, session)
+            entries = confluence_rth_signals(day, state["labels"][cols], state["trans"][cols],
+                                             vz[cols], atr[cols], state["atr_baseline"], **p)
+        return [SignalEvent(family, day.date, i, d, limit_level=lv[0] if lv else None)
+                for i, d, *lv in entries]
+    alone = TradingDay(day.date, day.session, day.ts, day.ohlc, day.volume,
+                       day.prior_rth_close, day.complete)
+    return eng.day_signals(family, alone, params, state)
+
+
+# points beside the declared grids: windows of the liquidity grab, and a Kalman
+# threshold that the small velocities of these corpora cross
+MORE_POINTS = {"LIQUIDITY_GRAB_FADE": ({"lookback": 3},),
+               "LIQUIDITY_GRAB_CONT": ({"lookback": 12},),
+               "GAP_CONT_SHORT": ({"kalman_threshold": 0.05, "min_gap": 0.0},)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), per_year=st.tuples(*[st.integers(1, 2)] * 3),
+       zero_volume=st.sampled_from([0.0, 0.1, 0.5]))
+def test_session_emission_equals_each_days_one_day_rule(seed, per_year, zero_volume):
+    rng = np.random.default_rng(seed)
+    years = [[d for d in CORPUS_DATES if d.year == y][:k]
+             for y, k in zip((2021, 2022, 2023), per_year)]
+    dates = [d for year in years for d in year]
+    rth = tick_session(rng, RTH, dates, zero_volume)
+    events = [EconEvent(datetime.combine(d, time(9, 30)) + timedelta(minutes=5 * int(b)),
+                        EventKind.CPI, "HIGH", "USD")
+              for d in dates for b in rng.integers(0, 78, size=rng.integers(0, 3))]
+    bundle = DataBundle(rth, tick_session(rng, ASIA, dates, zero_volume),
+                        tick_session(rng, LONDON, dates, zero_volume), events)
+    eng = Engine(bundle, config_from_dict({}))
+    closes = eng.store("rth").ohlc[3]
+    made = {  # fitted states drawn rather than fitted: tiny corpora leave EM nothing to fit
+        "OU_REVERSION": {"fit": OuFit(0.9, float(np.median(closes)), 1.0, 6.0)},
+        **{name: {"labels": rng.integers(0, 3, eng.store(s).start[-1]),
+                  "trans": np.where(rng.random(eng.store(s).start[-1]) < 0.2, np.nan,
+                                    rng.random(eng.store(s).start[-1])),
+                  "atr_baseline": float(rng.choice([0.0, 1.5]))}
+           for name, s in (("CONFLUENCE_RTH", "rth"), ("LONDON_B", "london"))}}
+    flags = {"flags": {d: bool(rng.random() < 0.5) for d in dates}}
+    made.update(VVG_REVERSAL=flags, VVG_CONTINUATION=flags)
+    checked = 0
+    for family, fd in sorted(default_families().items()):
+        days = eng.complete_days(fd.session)
+        trains = [[d for d in days if d.year <= y] for y in (2021, 2022)]
+        states = [made[family]] if family in made else ([] if fd.fit else [{}])
+        if family.startswith(("VOL_", "VVG_")):  # each fold's fitted state as well
+            states += [eng._fit_state(family, train, {}) for train in trains]
+        for params in fd.grid + MORE_POINTS.get(family, ()):
+            for state in states:
+                _, ordered, first = eng.emitted(family, params, state)
+                for i, day in enumerate(days):
+                    want = one_day_events(eng, family, day, params, state)
+                    got = eng.day_signals(family, day, params, state)
+                    assert repr(got) == repr(want) and got == want, (family, params, day.date)
+                    # the runner's arrays hold the same entries, in entry order
+                    at, span = eng.store(fd.session).start[i], slice(first[i], first[i + 1])
+                    runner = [(int(c - at), LONG if s > 0 else SHORT)
+                              for c, s in zip(ordered.col[span], ordered.sign[span])]
+                    assert runner == sorted((e.bar_index, e.direction) for e in want), family
+                    checked += bool(want)
+    assert checked
