@@ -66,7 +66,8 @@ class FamilyDef:
     """One signal family, declared once. ``grid[0]`` names every tunable with its
     default and every other grid point has the same keys. ``emit(engine, store,
     params, state)`` returns the ``signals.Entries`` of every day of a store of the
-    family's session: the engine's own, or that of a day outside it. The optional
+    family's session (the engine's own, or that of a day outside it) in its rule's
+    order; the engine puts them in entry order where it emits. The optional
     ``fit(engine, session, n)`` builds the state from the session's first ``n``
     complete days, the window ``Engine._fit_state`` checks, and never reads the
     params. The optional ``check(params)`` raises ``ValueError`` on params the rule
@@ -189,8 +190,7 @@ def default_families() -> dict[str, FamilyDef]:
                   vvg(lambda e, st, p: sig.vvg_open_entries(st, prims(e, st), follow=True)),
                   _fit_vvg_flags),
         FamilyDef("EVENT_DRIFT", "rth", ({"start_bar_offset": 6},), (_h(6),),
-                  lambda e, st, p, s: sig.day_by_day(st, lambda day: sig.event_drift_signals(
-                      day, e.rth_events.get(day.date, ()), **p)),
+                  lambda e, st, p, s: sig.event_drift_entries(st, e.bundle.events, **p),
                   check=lambda p: sig.check_drift_offset(p["start_bar_offset"])),
         FamilyDef("OU_REVERSION", "rth",
                   tuple({"threshold": t} for t in (1.5, 2.0, 2.5)), (_h(1), _h(6)),
@@ -248,7 +248,6 @@ class Engine:
             except ValueError as exc:
                 raise EngineError(f"{name} parameters {overrides}: {exc}") from None
         self._memo: dict = {}
-        self.rth_events = sig.events_by_day(bundle.events, RTH)
 
     # -- shared caches ----------------------------------------------------
 
@@ -326,20 +325,18 @@ class Engine:
         return self.memo((fit, session, n) if fit else (),
                          lambda: fit(self, session, n) if fit else {})
 
-    def emitted(self, family: str, params: dict,
-                state: dict) -> tuple[sig.Entries, sig.Entries, list[int]]:
+    def emitted(self, family: str, params: dict, state: dict) -> tuple[sig.Entries, list[int]]:
         """``family``'s entries over its session's store under ``state``, computed once per
-        (family, params, state): as emitted, in ``simulate``'s order (by column, then LONG
-        before SHORT), and each store day's first entry with their count appended."""
+        (family, params, state) and held in entry order (``Entries.in_entry_order``), with
+        each store day's first entry and their count appended."""
         fd = self.family_def(family)
         params = {**fd.grid[0], **params}
         # a family without a fit reads no state; a held state keeps its id from reuse
         key = ("emitted", fd.name, repr(sorted(params.items())), id(state) if fd.fit else None)
         if key not in self._memo or (fd.fit and self._memo[key][0] is not state):
             store = self.store(fd.session)
-            e = fd.emit(self, store, params, state)
-            ordered = sig.Entries(*(a[np.lexsort((-e.sign, e.col))] for a in e))
-            self._memo[key] = (state, e, ordered, np.searchsorted(e.col, store.start).tolist())
+            e = fd.emit(self, store, params, state).in_entry_order()
+            self._memo[key] = (state, e, np.searchsorted(e.col, store.start).tolist())
         return self._memo[key][1:]
 
     def _run_of(self, session: str, days: Sequence[TradingDay]) -> Optional[int]:
@@ -352,16 +349,18 @@ class Engine:
 
     def day_signals(self, family: str, day: TradingDay, params: dict,
                     state: dict) -> list[sig.SignalEvent]:
-        """One day's events, named after the family, in the order its rule emits them;
-        ``grid[0]`` fills in missing ``params``. A day of the session's store is sliced
-        from ``emitted``; any other day is emitted alone, on ``session_store([day])``."""
+        """One day's events, named after the family, in entry order (by bar, and on one bar
+        LONG before SHORT); ``grid[0]`` fills in missing ``params``. A day of the session's
+        store is sliced from ``emitted``; any other day is emitted alone, on
+        ``session_store([day])``."""
         fd = self.family_def(family)
         i = self._run_of(fd.session, (day,))
         if i is None:
             e = fd.emit(self, session_store([day]), {**fd.grid[0], **params}, state)
+            e = e.in_entry_order()
             lo, hi, at = 0, len(e.col), 0
         else:
-            e, _, first = self.emitted(family, params, state)
+            e, first = self.emitted(family, params, state)
             lo, hi, at = first[i], first[i + 1], self.store(fd.session).cols[day.date].start
         return [sig.SignalEvent(fd.name, day.date, c - at, sig.LONG if s > 0 else sig.SHORT,
                                 limit_level=None if lv != lv else lv)  # NaN: no level
@@ -382,7 +381,7 @@ class Engine:
             i = self._run_of(fd.session, eval_days)
             if i is None:  # the slice below would read other days' entries
                 raise EngineError(f"eval days must be a run of the complete {fd.session} days")
-            _, e, first = self.emitted(family, params, state)
+            e, first = self.emitted(family, params, state)
             lo, hi = first[i], first[i + len(eval_days)]
             ins = self.config.instrument
             f = fill_days(store, e.col[lo:hi], e.sign[lo:hi], exit_spec, ins, e.level[lo:hi])

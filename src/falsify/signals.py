@@ -2,9 +2,9 @@
 any state fitted on strictly earlier data) that returns the ``Entries`` of all
 its days at once, with windows, extremes and "not the last bar" taken within
 each day. A rule's one-day case (``orb_signals`` of ``orb_entries``, ...)
-returns ``(bar_index, direction[, limit level])`` tuples; EVENT_DRIFT keeps a
-one-day rule, which ``day_by_day`` runs on every day. An entry needs a next
-bar to enter on, so bar_index is at most len(bars) - 2.
+returns ``(bar_index, direction[, limit level])`` tuples in the rule's own
+order. An entry needs a next bar to enter on, so bar_index is at most
+len(bars) - 2.
 """
 from __future__ import annotations
 
@@ -58,6 +58,11 @@ class Entries(NamedTuple):
         day = np.searchsorted(store.start, self.col, side="right") - 1
         return Entries(*(a[np.asarray(keep, dtype=bool)[day]] for a in self))
 
+    def in_entry_order(self) -> Entries:
+        """The entries by column and, on one bar, LONG before SHORT: the order ``simulate``
+        fills in. Entries equal in both keep the rule's order."""
+        return Entries(*(a[np.lexsort((-self.sign, self.col))] for a in self))
+
 
 NO_ENTRIES = Entries(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
 
@@ -83,13 +88,6 @@ def _one_day(rule: Callable[..., Entries]) -> Callable[..., list[tuple]]:
         return [(i, LONG if s > 0 else SHORT, *(() if lv != lv else (lv,)))  # NaN: no level
                 for i, s, lv in zip(*(a.tolist() for a in e))]
     return on
-
-
-def day_by_day(store: SessionStore, rule: Callable[[TradingDay], list]) -> Entries:
-    """The entries of a one-day ``rule`` on every day of ``store``."""
-    rows = np.array([(a + e[0], 1 if e[1] == LONG else -1) for day, a in
-                     zip(store.days, store.start.tolist()) for e in rule(day)], np.int64)
-    return Entries(*rows.reshape(-1, 2).T, np.full(len(rows), np.nan))
 
 
 def _per_day(x) -> np.ndarray:
@@ -311,30 +309,25 @@ def check_drift_offset(start_bar_offset: int) -> None:
         raise SignalError("start_bar_offset must be >= 6 (release spike contamination)")
 
 
-def event_drift_signals(day: TradingDay, events: Sequence[EconEvent],
-                        start_bar_offset: int) -> list[tuple]:
-    """Post-release drift measured only from bar +offset, never the spike bars.
-
-    ``events`` may be the whole calendar: only those ``events_by_day`` puts
-    on this day count.
-    """
+def event_drift_entries(store: SessionStore, events: Sequence[EconEvent],
+                        start_bar_offset: int) -> Entries:
+    """Post-release drift measured only from bar +offset, never the spike bars: each
+    release that ``events_by_day`` puts on a day of ``store`` enters ``start_bar_offset``
+    bars after its bar, with its 5-bar move; by day, and in a day in calendar order."""
     check_drift_offset(start_bar_offset)
-    closes = day.ohlc[3]
-    sess = day.session
-    last = len(closes) - 2  # the last bar a next bar follows
-    out = []
-    for ev in events_by_day(events, sess).get(day.date, ()):
-        r = sess.bar_index(ev.ts)
-        if r + 5 >= len(closes):
-            continue
-        move = closes[r + 5] - closes[r]
-        if move == 0:
-            continue
-        sig = r + start_bar_offset
-        if sig > last:
-            continue
-        out.append((sig, LONG if move > 0 else SHORT))
-    return out
+    if not store.days:
+        return NO_ENTRIES
+    sess = store.days[0].session
+    rows = np.array([(store.cols[d].start, store.cols[d].stop, sess.bar_index(ev.ts))
+                     for d, evs in events_by_day(events, sess).items() if d in store.cols
+                     for ev in evs], np.int64).reshape(-1, 3)
+    start, stop, r = rows[np.argsort(rows[:, 0], kind="stable")].T
+    at, closes = start + r, store.ohlc[3]  # each release bar's column
+    sig = at + start_bar_offset
+    # a kept signal bar lies 6 or more bars after its release, so its move is in its day
+    move = closes.take(at + 5, mode="clip") - closes.take(at, mode="clip")
+    keep = (move != 0) & (sig < stop - 1)  # a next bar follows the signal bar
+    return Entries(sig[keep], np.where(move[keep] > 0, 1, -1), np.full(keep.sum(), np.nan))
 
 
 def ou_reversion_entries(store: SessionStore, fit: OuFit, threshold: float) -> Entries:
@@ -397,4 +390,5 @@ vvg_open_signals = _one_day(vvg_open_entries)
 vvg_close_fade_signals = _one_day(vvg_close_fade_entries)
 confluence_rth_signals = _one_day(confluence_rth_entries)
 london_b_signals = _one_day(london_b_entries)
+event_drift_signals = _one_day(event_drift_entries)
 ou_reversion_signals = _one_day(ou_reversion_entries)

@@ -83,6 +83,17 @@ MUTANTS = (
            "prior_hi = np.maximum.accumulate(highs, axis=1)[:, start - 1:-1]",
            "prior_hi = highs.max(axis=1, keepdims=True)",
            ("tests/test_signals.py::test_liquidity_grab_mask_matches_loop",)),
+    Mutant("drift signal on a day's last bar", SIGNALS,
+           "keep = (move != 0) & (sig < stop - 1)", "keep = (move != 0) & (sig <= stop - 1)",
+           ("tests/test_engine.py::test_event_drift_lists_same_day_releases_by_bar",)),
+    Mutant("drift move read one bar early", SIGNALS,
+           'closes.take(at + 5, mode="clip")', 'closes.take(at + 4, mode="clip")',
+           ("tests/test_engine.py::test_event_drift_date_index_matches_the_whole_calendar_scan",
+            "tests/test_engine.py::test_event_drift_lists_same_day_releases_by_bar")),
+    Mutant("entry order puts SHORT first on a bar", SIGNALS,
+           "np.lexsort((-self.sign, self.col))", "np.lexsort((self.sign, self.col))",
+           ("tests/test_signals.py::test_a_double_pierce_is_listed_long_first_by_the_engine",
+            "tests/test_engine.py::test_runner_nets_follow_the_trade_order_of_simulate")),
     Mutant("ties pick the last grid point", VALIDATION,
            'float("-inf"), len(net), -order)', 'float("-inf"), len(net), order)',
            ("tests/test_validation.py::test_equal_training_t_and_n_pick_the_first_grid_point",)),

@@ -173,11 +173,14 @@ def test_runner_results_stable_across_calls(monkeypatch):
 def test_runner_nets_follow_the_trade_order_of_simulate():
     import dataclasses
     from falsify.execution import ExitKind, ExitSpec, simulate
-    from falsify.signals import SHORT, SignalEvent, day_by_day
+    from falsify.signals import SHORT, Entries, SignalEvent
     days = two_year_null(60, seed=5)
     eng = make_engine(rth=days)
     one_day = [(40, SHORT), (40, LONG), (10, LONG)]  # out of entry order, as a rule may be
-    emit = lambda e, store, p, s: day_by_day(store, lambda day: one_day)
+    bar, sign = np.array([(b, 1 if dr == LONG else -1) for b, dr in one_day]).T
+    emit = lambda e, store, p, s: Entries((store.start[:-1, None] + bar).ravel(),
+                                          np.tile(sign, len(store.days)),
+                                          np.full(len(store.days) * len(bar), np.nan))
     eng.families["ORB_LONG"] = dataclasses.replace(eng.families["ORB_LONG"], emit=emit)
     exit = ExitSpec(ExitKind.HORIZON, horizon=3)
     got = eng.runner("ORB_LONG")(days[:30], days[:30], {}, exit)
@@ -796,6 +799,23 @@ def test_event_drift_date_index_matches_the_whole_calendar_scan():
     assert emitted == [old_event_drift(d, events) for d in days]
     assert list(map(entries, emitted)) == [event_drift_signals(d, events, 6) for d in days]
     assert sum(map(len, emitted)) >= 10
+
+
+def test_event_drift_lists_same_day_releases_by_bar():
+    from falsify.bars import EconEvent, EventKind, RTH
+    from falsify.signals import event_drift_signals
+    days = gen_null_days(SynthSpec(5, seed=11))
+    day = days[2]
+    release = lambda minutes: EconEvent(datetime.combine(day.date, RTH.start)
+                                        + timedelta(minutes=minutes), EventKind.CPI, "HIGH", "USD")
+    # out of time order, one twice, and one whose signal bar would be the day's last
+    events = [release(200), release(60), release(120), release(60), release(355)]
+    eng = Engine(DataBundle(rth=days, events=events), config_from_dict({}))
+    got = eng.day_signals("EVENT_DRIFT", day, {}, {})
+    assert [e.bar_index for e in got] == [18, 18, 30, 46]
+    assert Counter(got) == Counter(old_event_drift(day, events))
+    # the rule keeps the calendar's order
+    assert event_drift_signals(day, events, 6) == entries(old_event_drift(day, events))
 
 
 # -- every tunable is live; the verdict path builds no Bar rows --------------------

@@ -156,6 +156,22 @@ def test_liquidity_grab_running_extreme_matches_window_none():
                (b.low < prior_lo and b.close > prior_lo)
 
 
+def test_a_double_pierce_is_listed_long_first_by_the_engine():
+    closes, highs, lows = [100.0] * 72, [100.5] * 72, [99.5] * 72
+    highs[20], lows[20], closes[20] = 102.0, 98.0, 100.2  # pierces both, closes inside
+    day = day_from_closes(closes, session=ASIA, highs=highs, lows=lows)
+    # the rule lists the high pierce first, as its reference loop does
+    assert liquidity_grab_signals(day, None, fade=True) == [(20, SHORT), (20, LONG)]
+    assert reference_liquidity_grab(day, None, fade=True) == [(20, SHORT), (20, LONG)]
+    eng = Engine(DataBundle(asia=[day]), config_from_dict({}))
+    got = eng.day_signals("LIQUIDITY_GRAB_FADE", day, {}, {})
+    got = [(ev.bar_index, ev.direction) for ev in got]
+    assert got == [(20, LONG), (20, SHORT)]  # entry order, as simulate fills
+    e, first = eng.emitted("LIQUIDITY_GRAB_FADE", {}, {})
+    span = slice(first[0], first[1])
+    assert [(int(c), LONG if s > 0 else SHORT) for c, s in zip(e.col[span], e.sign[span])] == got
+
+
 # -- gap family -------------------------------------------------------------------
 
 def gap_day(gap, closes=None):
@@ -738,7 +754,7 @@ def test_session_emission_equals_each_days_one_day_rule(seed, per_year, zero_vol
             states += [eng._fit_state(family, train, {}) for train in trains]
         for params in fd.grid + MORE_POINTS.get(family, ()):
             for state in states:
-                _, ordered, first = eng.emitted(family, params, state)
+                ordered, first = eng.emitted(family, params, state)
                 for i, day in enumerate(days):
                     want = one_day_events(eng, family, day, params, state)
                     got = eng.day_signals(family, day, params, state)
@@ -747,6 +763,7 @@ def test_session_emission_equals_each_days_one_day_rule(seed, per_year, zero_vol
                     at, span = eng.store(fd.session).start[i], slice(first[i], first[i + 1])
                     runner = [(int(c - at), LONG if s > 0 else SHORT)
                               for c, s in zip(ordered.col[span], ordered.sign[span])]
-                    assert runner == sorted((e.bar_index, e.direction) for e in want), family
+                    assert runner == [(e.bar_index, e.direction) for e in got], family
+                    assert runner == sorted(runner), family
                     checked += bool(want)
     assert checked
