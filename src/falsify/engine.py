@@ -9,7 +9,7 @@ emits once per (fitted state, params) over its session's store.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date, datetime, time
+from datetime import datetime, time
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -65,8 +65,8 @@ def load_bundle(config: RunConfig) -> DataBundle:
 class FamilyDef:
     """One signal family, declared once. ``grid[0]`` names every tunable with its
     default and every other grid point has the same keys. ``emit(engine, store,
-    params, state)`` returns the ``signals.Entries`` of every day of a store of the
-    family's session (the engine's own, or that of a day outside it) in its rule's
+    params, state)`` returns the ``signals.Entries`` of every day of the engine's
+    store of the family's session, the only store it emits over, in its rule's
     order; the engine puts them in entry order where it emits. The optional
     ``fit(engine, session, n)`` builds the state from the session's first ``n``
     complete days, the window ``Engine._fit_state`` checks, and never reads the
@@ -99,8 +99,7 @@ def _fit_volume_cutoffs(eng: Engine, session: str, n: int) -> dict:
 def _fit_vvg_flags(eng: Engine, session: str, n: int) -> dict:
     metrics = eng.memo((sig.vvg_metrics, session), lambda: sig.vvg_metrics(
         eng.per_session(session_primitives, session)))
-    flags = sig.vvg_classify(metrics, sig.vvg_boundaries(metrics[:n]))
-    return {"flags": dict(zip([d.date for d in eng.complete_days(session)], flags.tolist()))}
+    return {"flags": sig.vvg_classify(metrics, sig.vvg_boundaries(metrics[:n]))}
 
 
 def _fit_ou(eng: Engine, session: str, n: int) -> dict:
@@ -142,31 +141,27 @@ def _check_mode(p: dict, modes: dict) -> None:
 def default_families() -> dict[str, FamilyDef]:
     """Every family's declaration; grids are data, not code. Tunables named
     like the rule's keywords are passed on as ``**p``."""
-    prims = lambda e, store: e.per_store(session_primitives, store)
-    orb = lambda direction: lambda e, st, p, s: sig.orb_entries(st, prims(e, st), direction)
+    prims = lambda e: e.per_session(session_primitives, "rth")
+    orb = lambda direction: lambda e, st, p, s: sig.orb_entries(st, prims(e), direction)
     grab = lambda fade: lambda e, st, p, s: sig.liquidity_grab_entries(st, fade=fade, **p)
     vol = lambda spike: lambda e, st, p, s: sig.volume_signature_entries(
         st, spike, s["spike_cutoff" if spike else "dryup_cutoff"],
-        ratio=e.per_store(sig.volume_ratio_series, st))
-    # a regime family's labels cover its session's own store only: no other day has entries
-    regime = lambda session, rule: lambda e, st, p, s: (
-        rule(e, st, p, s) if st is e.store(session) else sig.NO_ENTRIES)
+        ratio=e.per_session(sig.volume_ratio_series, "rth"))
     # the VVG strategies trade only the days the classifier flags
-    vvg = lambda rule: lambda e, st, p, s: rule(e, st, p).on_days(
-        st, [s["flags"].get(d.date, False) for d in st.days])
+    vvg = lambda rule: lambda e, st, p, s: rule(e, st, p).on_days(st, s["flags"])
     vvg_reversal = {
-        "REVERSAL": lambda e, st: sig.vvg_open_entries(st, prims(e, st), follow=False),
+        "REVERSAL": lambda e, st: sig.vvg_open_entries(st, prims(e), follow=False),
         "CLOSE_FADE": lambda e, st: sig.vvg_close_fade_entries(st)}
     f = [
         FamilyDef("ORB_LONG", "rth", ({},), (_h(1), _h(15)), orb(sig.LONG)),
         FamilyDef("ORB_SHORT", "rth", ({},), (_h(1), _h(15)), orb(sig.SHORT)),
         FamilyDef("ORB_PULLBACK", "rth", ({"pullback_offset": 5.0},),
                   (ExitSpec(ExitKind.STOP_HORIZON, horizon=15, stop=20.0),),
-                  lambda e, st, p, s: sig.orb_pullback_entries(st, prims(e, st), **p)),
+                  lambda e, st, p, s: sig.orb_pullback_entries(st, prims(e), **p)),
         FamilyDef("ASIA_EXPANSION", "asia",
                   tuple({"multiple": m} for m in (1.5, 2.0, 2.5)), (_h(1), _h(6)),
                   lambda e, st, p, s: sig.asia_expansion_entries(
-                      st, **p, mean_range=e.per_store(sig.mean_range_series, st))),
+                      st, **p, mean_range=e.per_session(sig.mean_range_series, "asia"))),
         FamilyDef("LIQUIDITY_GRAB_FADE", "asia", ({"lookback": None},), (_h(1), _h(6)),
                   grab(fade=True)),
         FamilyDef("LIQUIDITY_GRAB_CONT", "asia", ({"lookback": None},), (_h(1), _h(6)),
@@ -175,19 +170,18 @@ def default_families() -> dict[str, FamilyDef]:
                   tuple({"entry_time": t, "min_gap": 5.0}
                         for t in ("09:30", "09:45", "10:00")), (_h(78),),
                   lambda e, st, p, s: sig.gap_fill_entries(
-                      st, prims(e, st), _parse_clock(p["entry_time"]), p["min_gap"]),
+                      st, prims(e), _parse_clock(p["entry_time"]), p["min_gap"]),
                   check=lambda p: sig.entry_time_bar(RTH, _parse_clock(p["entry_time"]))),
         FamilyDef("GAP_CONT_SHORT", "rth", ({"kalman_threshold": 2.5, "min_gap": 0.0},),
-                  (_h(78),), lambda e, st, p, s: sig.gap_cont_entries(st, prims(e, st), [
-                      v.get(d.date, np.nan) for v in [e.overnight_velocity()] for d in st.days],
-                      **p)),
+                  (_h(78),), lambda e, st, p, s: sig.gap_cont_entries(
+                      st, prims(e), e.overnight_velocity(), **p)),
         FamilyDef("VOL_SPIKE", "rth", ({},), (_h(1),), vol(spike=True), _fit_volume_cutoffs),
         FamilyDef("VOL_DRYUP", "rth", ({},), (_h(1),), vol(spike=False), _fit_volume_cutoffs),
         FamilyDef("VVG_REVERSAL", "rth", tuple({"mode": m} for m in vvg_reversal),
                   (_h(6), _h(13)), vvg(lambda e, st, p: vvg_reversal[p["mode"]](e, st)),
                   _fit_vvg_flags, lambda p: _check_mode(p, vvg_reversal)),
         FamilyDef("VVG_CONTINUATION", "rth", ({},), (_h(6), _h(13)),
-                  vvg(lambda e, st, p: sig.vvg_open_entries(st, prims(e, st), follow=True)),
+                  vvg(lambda e, st, p: sig.vvg_open_entries(st, prims(e), follow=True)),
                   _fit_vvg_flags),
         FamilyDef("EVENT_DRIFT", "rth", ({"start_bar_offset": 6},), (_h(6),),
                   lambda e, st, p, s: sig.event_drift_entries(st, e.bundle.events, **p),
@@ -198,11 +192,11 @@ def default_families() -> dict[str, FamilyDef]:
         FamilyDef("CONFLUENCE_RTH", "rth",
                   ({"trans_threshold": 0.15, "vz_threshold": 0.5, "pullback_points": 25.0},),
                   (_h(13), ExitSpec(ExitKind.PULLBACK_LIMIT, horizon=13, limit_offset=25.0)),
-                  regime("rth", lambda e, st, p, s: sig.confluence_rth_entries(
+                  lambda e, st, p, s: sig.confluence_rth_entries(
                       st, s["labels"], s["trans"], *e.per_session(_regime_inputs, "rth")[1:],
-                      s["atr_baseline"], **p)), _fit_regime),
-        FamilyDef("LONDON_B", "london", ({},), (_h(4),), regime(
-            "london", lambda e, st, p, s: sig.london_b_entries(st, s["labels"])), _fit_regime),
+                      s["atr_baseline"], **p), _fit_regime),
+        FamilyDef("LONDON_B", "london", ({},), (_h(4),),
+                  lambda e, st, p, s: sig.london_b_entries(st, s["labels"]), _fit_regime),
     ]
     return {d.name: d for d in f}
 
@@ -263,11 +257,6 @@ class Engine:
         """``fn(store)``, computed once per session and shared by every fold."""
         return self.memo((fn, session), lambda: fn(self.store(session)))
 
-    def per_store(self, fn: Callable[[SessionStore], Any], store: SessionStore) -> Any:
-        """``fn(store)``: ``per_session`` on a session's own store, afresh on any other."""
-        name = store.days[0].session.name.lower() if store.days else None
-        return self.per_session(fn, name) if name and self.store(name) is store else fn(store)
-
     def memo(self, key: tuple, make: Callable[[], Any]) -> Any:
         """``make()``, computed once per ``key`` for the life of the engine."""
         if key not in self._memo:
@@ -280,8 +269,9 @@ class Engine:
             raise EngineError(f"unknown family {name!r}")
         return fd
 
-    def overnight_velocity(self) -> dict[date, float]:
-        """Kalman velocity entering each RTH open, from the overnight session.
+    def overnight_velocity(self) -> np.ndarray:
+        """Kalman velocity entering each RTH open, from the overnight session: one
+        float per day of the RTH store, NaN where a day has no source.
 
         Each day's source is the last complete Asia session dated before it,
         or the prior complete RTH day when no Asia data is loaded, so only
@@ -290,22 +280,23 @@ class Engine:
         """
         return self.memo(("overnight_velocity",), self._overnight_velocity)
 
-    def _overnight_velocity(self) -> dict[date, float]:
+    def _overnight_velocity(self) -> np.ndarray:
         cfg = self.config.raw["kalman"]
         rth, asia = self.store("rth"), self.store("asia")
         src = asia if asia.days else rth  # days are in date order, as ingest guarantees
         dates = lambda store: np.array([d.date for d in store.days], dtype="M8[D]")
         before = np.searchsorted(dates(src), dates(rth)) - 1
-        pairs = [(d, src.days[i]) for d, i in zip(rth.days, before.tolist()) if i >= 0]
-        if not pairs:
-            return {}
-        vel = kalman_velocity(np.stack([s.ohlc[3] for _, s in pairs]),
+        out = np.full(len(rth.days), np.nan)
+        if not (before >= 0).any():
+            return out
+        vel = kalman_velocity(np.stack([src.days[i].ohlc[3] for i in before[before >= 0]]),
                               float(cfg["q"]), float(cfg["r"]))
         v = vel[:, -1]
         if cfg["zscored"]:
             sd = np.std(vel, axis=1)
             v = np.divide(v, sd, out=np.zeros_like(v), where=sd > 0)
-        return {d.date: x for (d, _), x in zip(pairs, v.tolist())}
+        out[before >= 0] = v
+        return out
 
     # -- fitted state per family ------------------------------------------
 
@@ -350,18 +341,15 @@ class Engine:
     def day_signals(self, family: str, day: TradingDay, params: dict,
                     state: dict) -> list[sig.SignalEvent]:
         """One day's events, named after the family, in entry order (by bar, and on one bar
-        LONG before SHORT); ``grid[0]`` fills in missing ``params``. A day of the session's
-        store is sliced from ``emitted``; any other day is emitted alone, on
-        ``session_store([day])``."""
+        LONG before SHORT), sliced from ``emitted``; ``grid[0]`` fills in missing
+        ``params``. ``day`` must be one of the session store's own day objects: any other
+        day, an incomplete one or an equal copy of a store day, raises ``EngineError``."""
         fd = self.family_def(family)
         i = self._run_of(fd.session, (day,))
         if i is None:
-            e = fd.emit(self, session_store([day]), {**fd.grid[0], **params}, state)
-            e = e.in_entry_order()
-            lo, hi, at = 0, len(e.col), 0
-        else:
-            e, first = self.emitted(family, params, state)
-            lo, hi, at = first[i], first[i + 1], self.store(fd.session).cols[day.date].start
+            raise EngineError(f"{day.date} is not a day of the complete {fd.session} days")
+        e, first = self.emitted(family, params, state)
+        lo, hi, at = first[i], first[i + 1], int(self.store(fd.session).start[i])
         return [sig.SignalEvent(fd.name, day.date, c - at, sig.LONG if s > 0 else sig.SHORT,
                                 limit_level=None if lv != lv else lv)  # NaN: no level
                 for c, s, lv in zip(*(a[lo:hi].tolist() for a in e))]

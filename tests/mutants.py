@@ -42,6 +42,16 @@ MUTANTS = (
            "before = np.searchsorted(dates(src), dates(rth)) - 1",
            'before = np.searchsorted(dates(src), dates(rth), side="right") - 1',
            ("tests/test_engine.py::test_what_comes_after_an_instant_changes_nothing_before_it",)),
+    Mutant("overnight velocities put on the wrong days", ENGINE,
+           "out[before >= 0] = v", "out[:len(v)] = v",
+           ("tests/test_engine.py::test_overnight_velocity_falls_back_to_prior_rth",
+            "tests/test_engine.py::test_zscored_overnight_velocity_divides_by_its_source_std")),
+    Mutant("a day outside the store emitted alone", ENGINE,
+           'raise EngineError(f"{day.date} is not a day of the complete {fd.session} days")',
+           "e = fd.emit(self, session_store([day]), {**fd.grid[0], **params}, state)\n"
+           "            return [sig.SignalEvent(fd.name, day.date, c, sig.LONG if s > 0 else sig.SHORT)\n"
+           "                    for c, s, _ in zip(*(a.tolist() for a in e.in_entry_order()))]",
+           ("tests/test_engine.py::test_day_signals_names_only_the_days_of_its_store",)),
     Mutant("GMM fitted on the whole session", ENGINE,
            "model = gmm_fit(X[50:end],", "model = gmm_fit(X[50:],",
            ("tests/test_engine.py::test_appending_a_year_leaves_every_earlier_fold_unchanged",

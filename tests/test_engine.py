@@ -193,8 +193,9 @@ def test_overnight_velocity_falls_back_to_prior_rth():
     days = two_year_null(12, seed=3)
     eng = make_engine(rth=days)
     vel = eng.overnight_velocity()
-    assert days[0].date not in vel  # nothing precedes the first day
-    assert set(vel) == {d.date for d in days[1:]}
+    assert len(vel) == len(eng.complete_days("rth")) == len(days)
+    assert np.isnan(vel[0])  # nothing precedes the first day
+    assert np.isfinite(vel[1:]).all()
 
 
 def test_overnight_velocity_prefers_asia_bars():
@@ -202,9 +203,9 @@ def test_overnight_velocity_prefers_asia_bars():
     asia = gen_null_days(SynthSpec(6, session=__import__("falsify.bars", fromlist=["ASIA"]).ASIA, seed=4))
     with_asia = make_engine(rth=rth, asia=asia).overnight_velocity()
     without = make_engine(rth=rth).overnight_velocity()
-    shared = set(with_asia) & set(without)
-    assert shared
-    assert any(with_asia[d] != without[d] for d in shared)
+    shared = np.isfinite(with_asia) & np.isfinite(without)
+    assert shared.any()
+    assert (with_asia[shared] != without[shared]).any()
 
 
 @pytest.mark.parametrize("with_asia", [True, False])
@@ -217,13 +218,14 @@ def test_zscored_overnight_velocity_divides_by_its_source_std(with_asia):
     raw = make_engine(rth=rth, asia=asia, cfg={"kalman": kalman}).overnight_velocity()
     z = make_engine(rth=rth, asia=asia,
                     cfg={"kalman": {**kalman, "zscored": True}}).overnight_velocity()
-    # the Asia session dated the day before, or else the prior RTH day
-    sources = dict(zip([d.date for d in rth[1:]], asia or rth))
-    assert raw.keys() == z.keys() == sources.keys()
-    for day, src in sources.items():
+    # by RTH store index: the Asia session dated the day before, or else the prior RTH day
+    sources = dict(zip(range(1, len(rth)), asia or rth))
+    assert len(raw) == len(z) == len(rth)
+    assert np.isnan(raw[0]) and np.isnan(z[0])
+    for i, src in sources.items():
         vel = kalman_velocity(src.ohlc[3], **kalman)
-        assert raw[day] == vel[-1]
-        assert z[day] == vel[-1] / np.std(vel)
+        assert raw[i] == vel[-1]
+        assert z[i] == vel[-1] / np.std(vel)
 
 
 def test_config_overrides_reach_the_grid():
@@ -431,8 +433,7 @@ def reference_fit(eng, family, train):
     metrics = sig.vvg_metrics(session_primitives(session_store(days)))
     dates = {d.date for d in train}
     cuts = sig.vvg_boundaries(metrics[[i for i, d in enumerate(days) if d.date in dates]])
-    return {"flags": dict(zip([d.date for d in days],
-                              sig.vvg_classify(metrics, cuts).tolist()))}
+    return {"flags": sig.vvg_classify(metrics, cuts)}
 
 
 @pytest.mark.parametrize("family", FIT_FAMILIES)
@@ -447,6 +448,10 @@ def test_every_fit_equals_its_value_from_the_training_days_alone(family):
             want = reference_fit_regime(eng, session, train)
             assert state["atr_baseline"] == want["atr_baseline"]
             assert np.array_equal(state["labels"], want["series"]["labels"])
+        elif family == "VVG_REVERSAL":
+            want = reference_fit(eng, family, train)["flags"]
+            assert state.keys() == {"flags"}, fold
+            assert state["flags"].dtype == bool and np.array_equal(state["flags"], want), fold
         else:
             assert state == reference_fit(eng, family, train), fold
 
@@ -483,6 +488,50 @@ def test_each_fit_state_and_day_is_emitted_once_and_only_test_days_simulated(mon
     assert {key[1] for key in emitted} <= states
     assert emitted and max(emitted.values()) == 1
     assert {dates[0].year for _, dates, _ in simulated} == {2022, 2023}
+
+
+def without_its_middle_bar(day: TradingDay) -> TradingDay:
+    """``day`` with its middle bar taken out: an incomplete day, as ingest flags one."""
+    keep = np.arange(len(day.ts)) != len(day.ts) // 2
+    return TradingDay(day.date, day.session, day.ts[keep], day.ohlc[:, keep], day.volume[keep],
+                      day.prior_rth_close, complete=False)
+
+
+def test_day_signals_names_only_the_days_of_its_store():
+    # the engine emits only over its session stores: an incomplete day of the bundle
+    # and an equal copy of a store day are both outside it, and asking for either fails
+    from falsify.bars import ASIA, RTH
+    from falsify.synth import gen_event_calendar
+    sessions = {key: gen_null_days(SynthSpec(60, session=s, seed=41 + k, gap_sigma=15.0))
+                for k, (key, s) in enumerate((("rth", RTH), ("asia", ASIA), ("london", LONDON)))}
+    cut = {key: link_rth([without_its_middle_bar(d) if i == 30 else d for i, d in enumerate(days)])
+           for key, days in sessions.items()}
+    eng = Engine(DataBundle(**cut, events=gen_event_calendar(sessions["rth"], seed=41)),
+                 config_from_dict({}))
+    for family, fd in sorted(default_families().items()):
+        days = eng.complete_days(fd.session)
+        assert len(days) == 59, family
+        state = eng._fit_state(family, days, {})
+        assert isinstance(eng.day_signals(family, days[40], {}, state), list)
+        d = days[40]
+        copy = TradingDay(d.date, d.session, d.ts, d.ohlc, d.volume, d.prior_rth_close, d.complete)
+        for day in (cut[fd.session][30], copy):
+            with pytest.raises(EngineError, match=f"not a day of the complete {fd.session} days"):
+                eng.day_signals(family, day, {}, state)
+
+
+def test_an_incomplete_day_in_a_test_year_is_never_traded():
+    bundle = three_year_bundle()
+    traded = Engine(bundle, config_from_dict({})).run_family(
+        "ORB_LONG", permutation=False)[0].oos_trades[0].date
+    rth = link_rth([without_its_middle_bar(d) if d.date == traded else d for d in bundle.rth])
+    eng = Engine(DataBundle(rth, bundle.asia, bundle.london, bundle.events), config_from_dict({}))
+    assert traded in {d.date for d in eng.bundle.rth} - {d.date for d in eng.complete_days("rth")}
+    for family, fd in sorted(default_families().items()):
+        if fd.session == "rth":
+            result = eng.run_family(family, permutation=False)[0]
+            assert traded.year in {f.test_year for f in result.plan.folds}, family
+            assert traded not in {t.date for t in result.oos_trades}, family
 
 
 def test_equal_grid_points_are_evaluated_once(monkeypatch):
@@ -523,7 +572,7 @@ def test_vvg_metrics_are_built_once_per_session_and_the_flags_are_unchanged(monk
         rows = metrics[[i for i, d in enumerate(days) if d.year in fold.train_years]]
         flags = sig.vvg_classify(metrics, sig.vvg_boundaries(rows))
         state = eng._fit_state("VVG_REVERSAL", train, {})
-        assert state["flags"] == {d.date: bool(f) for d, f in zip(days, flags)}
+        assert state["flags"].dtype == bool and np.array_equal(state["flags"], flags)
     for family in ("VVG_REVERSAL", "VVG_CONTINUATION"):
         eng.run_family(family, permutation=False)
     assert len(calls) == 1

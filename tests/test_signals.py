@@ -287,10 +287,16 @@ def test_vvg_exactly_one_joint_tercile_day_flagged():
 
 
 def test_vvg_unflagged_day_empty():
-    day = vvg_day(30, f30=12.0)
+    days = [vvg_day(30, f30=12.0), vvg_day(31, f30=12.0)]
+    eng = Engine(DataBundle(rth=days), config_from_dict({}))
     for family in ("VVG_REVERSAL", "VVG_CONTINUATION"):
-        assert named(family, day, {"flags": {day.date: False}}) == []
-        assert named(family, day, {"flags": {}}) == []
+        assert named(family, days[0], {"flags": np.array([False])}) == []
+        # a flag is read by store index: the next day's flag never trades this one
+        assert eng.day_signals(family, days[0], {}, {"flags": np.array([False, True])}) == []
+        assert eng.day_signals(family, days[1], {}, {"flags": np.array([False, True])})
+        # flags that do not cover the store fail loudly, never read as unflagged
+        with pytest.raises(IndexError):
+            named(family, days[0], {"flags": np.zeros(0, dtype=bool)})
 
 
 def test_vvg_direction_rules():
@@ -298,7 +304,7 @@ def test_vvg_direction_rules():
     prims = day_primitives(day)
     assert vvg_open_signals(day, prims, follow=True) == [(6, LONG)]
     assert vvg_open_signals(day, prims, follow=False) == [(6, SHORT)]
-    flagged = {"flags": {day.date: True}}
+    flagged = {"flags": np.array([True])}
     assert named("VVG_CONTINUATION", day, flagged) == [
         SignalEvent("VVG_CONTINUATION", day.date, 6, LONG)]
     assert named("VVG_REVERSAL", day, flagged) == [SignalEvent("VVG_REVERSAL", day.date, 6, SHORT)]
@@ -692,25 +698,51 @@ def tick_session(rng, session, dates, zero_volume):
     return link_rth(out)
 
 
-def one_day_events(eng, family, day, params, state):
-    """``family``'s one-day rule on ``day`` alone: the regime families on the day's
-    columns of their session-long series, every other family on an equal copy of the
-    day, which the engine emits alone because it is not one of its store's days."""
-    p = {**default_families()[family].grid[0], **params}
-    if family in ("CONFLUENCE_RTH", "LONDON_B"):
-        session = default_families()[family].session
-        cols = eng.store(session).cols[day.date]
-        if family == "LONDON_B":
-            entries = london_b_signals(day, state["labels"][cols])
-        else:
-            _, vz, atr = eng.per_session(engine_mod._regime_inputs, session)
-            entries = confluence_rth_signals(day, state["labels"][cols], state["trans"][cols],
-                                             vz[cols], atr[cols], state["atr_baseline"], **p)
-        return [SignalEvent(family, day.date, i, d, limit_level=lv[0] if lv else None)
-                for i, d, *lv in entries]
-    alone = TradingDay(day.date, day.session, day.ts, day.ohlc, day.volume,
-                       day.prior_rth_close, day.complete)
-    return eng.day_signals(family, alone, params, state)
+def one_day_events(eng, family, i, params, state):
+    """``family``'s one-day rule (``orb_signals``, ...) on an equal copy of the ``i``-th
+    day of its session's store, with that day's share of the session-long inputs
+    (regime series, overnight velocity, VVG flag), named and put in entry order."""
+    fd = default_families()[family]
+    p = {**fd.grid[0], **params}
+    store = eng.store(fd.session)
+    d = store.days[i]
+    day = TradingDay(d.date, d.session, d.ts, d.ohlc, d.volume, d.prior_rth_close, d.complete)
+    prims, cols = day_primitives(day), store.cols[day.date]
+    vol = lambda spike: volume_signature_signals(
+        day, spike, state["spike_cutoff" if spike else "dryup_cutoff"],
+        ratio=volume_ratio_series(day))
+
+    def confluence():
+        _, vz, atr = eng.per_session(engine_mod._regime_inputs, "rth")
+        return confluence_rth_signals(day, state["labels"][cols], state["trans"][cols],
+                                      vz[cols], atr[cols], state["atr_baseline"], **p)
+    rules = {
+        "ORB_LONG": lambda: orb_signals(day, prims, LONG),
+        "ORB_SHORT": lambda: orb_signals(day, prims, SHORT),
+        "ORB_PULLBACK": lambda: orb_pullback_signals(day, prims, **p),
+        "ASIA_EXPANSION": lambda: asia_expansion_signals(
+            day, **p, mean_range=mean_range_series(day)),
+        "LIQUIDITY_GRAB_FADE": lambda: liquidity_grab_signals(day, fade=True, **p),
+        "LIQUIDITY_GRAB_CONT": lambda: liquidity_grab_signals(day, fade=False, **p),
+        "GAP_FILL_FADE": lambda: gap_fill_signals(
+            day, prims, time.fromisoformat(p["entry_time"]), p["min_gap"]),
+        "GAP_CONT_SHORT": lambda: gap_cont_signals(
+            day, prims, [eng.overnight_velocity()[i]], **p),
+        "VOL_SPIKE": lambda: vol(True),
+        "VOL_DRYUP": lambda: vol(False),
+        "VVG_REVERSAL": lambda: (vvg_open_signals(day, prims, follow=False)
+                                 if p["mode"] == "REVERSAL" else vvg_close_fade_signals(day)),
+        "VVG_CONTINUATION": lambda: vvg_open_signals(day, prims, follow=True),
+        "EVENT_DRIFT": lambda: event_drift_signals(day, eng.bundle.events, **p),
+        "OU_REVERSION": lambda: ou_reversion_signals(day, state["fit"], **p),
+        "CONFLUENCE_RTH": confluence,
+        "LONDON_B": lambda: london_b_signals(day, state["labels"][cols]),
+    }
+    # the VVG families trade only the days the classifier flags
+    entries = rules[family]() if not family.startswith("VVG_") or state["flags"][i] else []
+    entries = sorted(entries, key=lambda e: (e[0], e[1] != LONG))  # stable: rule order on a tie
+    return [SignalEvent(family, day.date, b, direction, limit_level=lv[0] if lv else None)
+            for b, direction, *lv in entries]
 
 
 # points beside the declared grids: windows of the liquidity grab, and a Kalman
@@ -743,7 +775,7 @@ def test_session_emission_equals_each_days_one_day_rule(seed, per_year, zero_vol
                                     rng.random(eng.store(s).start[-1])),
                   "atr_baseline": float(rng.choice([0.0, 1.5]))}
            for name, s in (("CONFLUENCE_RTH", "rth"), ("LONDON_B", "london"))}}
-    flags = {"flags": {d: bool(rng.random() < 0.5) for d in dates}}
+    flags = {"flags": rng.random(len(eng.complete_days("rth"))) < 0.5}
     made.update(VVG_REVERSAL=flags, VVG_CONTINUATION=flags)
     checked = 0
     for family, fd in sorted(default_families().items()):
@@ -756,7 +788,7 @@ def test_session_emission_equals_each_days_one_day_rule(seed, per_year, zero_vol
             for state in states:
                 ordered, first = eng.emitted(family, params, state)
                 for i, day in enumerate(days):
-                    want = one_day_events(eng, family, day, params, state)
+                    want = one_day_events(eng, family, i, params, state)
                     got = eng.day_signals(family, day, params, state)
                     assert repr(got) == repr(want) and got == want, (family, params, day.date)
                     # the runner's arrays hold the same entries, in entry order
