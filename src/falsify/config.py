@@ -90,7 +90,7 @@ def _merge(base: dict, override: dict) -> dict:
 def load_config(path: str | Path, seed_override: Optional[int] = None) -> RunConfig:
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")

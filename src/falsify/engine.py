@@ -322,9 +322,10 @@ class Engine:
         each store day's first entry and their count appended."""
         fd = self.family_def(family)
         params = {**fd.grid[0], **params}
-        # a family without a fit reads no state; a held state keeps its id from reuse
+        # a family without a fit reads no state. The entry holds its state, so no other
+        # live object can take that id while the entry exists
         key = ("emitted", fd.name, repr(sorted(params.items())), id(state) if fd.fit else None)
-        if key not in self._memo or (fd.fit and self._memo[key][0] is not state):
+        if key not in self._memo:
             store = self.store(fd.session)
             e = fd.emit(self, store, params, state).in_entry_order()
             self._memo[key] = (state, e, np.searchsorted(e.col, store.start).tolist())

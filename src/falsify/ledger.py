@@ -15,6 +15,7 @@ from typing import Iterable, Optional
 
 ID_PATTERN = re.compile(r"^D\d{3,}$")
 GENESIS = "0" * 64
+RECORD_FIELDS = ("id", "text", "status", "created_at", "evidence_refs")
 
 
 class LedgerError(ValueError):
@@ -59,23 +60,39 @@ class Ledger:
             return []
         return [ln for ln in self.path.read_text(encoding="utf-8").splitlines() if ln.strip()]
 
-    def records(self) -> list[DecisionRecord]:
+    def _objects(self, *fields: str) -> list[tuple[int, dict]]:
+        """Each line's JSON object with its number, counting non-blank lines from 1. A
+        line that is not a JSON object with every one of ``fields`` raises LedgerError."""
         out = []
-        for ln in self._lines():
-            obj = json.loads(ln)
-            out.append(DecisionRecord(
-                id=obj["id"], text=obj["text"], status=obj["status"],
-                created_at=obj["created_at"],
-                evidence_refs=tuple(obj["evidence_refs"]),
-                supersedes=obj.get("supersedes"),
-            ))
+        for i, ln in enumerate(self._lines(), start=1):
+            try:
+                obj = json.loads(ln)
+            except json.JSONDecodeError as exc:
+                raise LedgerError(f"line {i}: not JSON ({exc})") from None
+            if not isinstance(obj, dict):
+                raise LedgerError(f"line {i}: not a JSON object")
+            missing = [f for f in fields if f not in obj]
+            if missing:
+                raise LedgerError(f"line {i}: no {missing[0]!r} field")
+            out.append((i, obj))
         return out
 
-    def _tip_hash(self) -> str:
-        lines = self._lines()
-        if not lines:
-            return GENESIS
-        return json.loads(lines[-1])["hash"]
+    def records(self) -> list[DecisionRecord]:
+        out = []
+        for i, obj in self._objects(*RECORD_FIELDS):
+            refs, supersedes = obj["evidence_refs"], obj.get("supersedes")
+            if not (all(isinstance(obj[f], str) for f in RECORD_FIELDS[:4])
+                    and isinstance(refs, list) and all(isinstance(r, str) for r in refs)
+                    and (supersedes is None or isinstance(supersedes, str))):
+                raise LedgerError(f"line {i}: a record field of the wrong type")
+            try:
+                out.append(DecisionRecord(
+                    id=obj["id"], text=obj["text"], status=obj["status"],
+                    created_at=obj["created_at"], evidence_refs=tuple(refs),
+                    supersedes=supersedes))
+            except LedgerError as exc:
+                raise LedgerError(f"line {i}: {exc}") from None
+        return out
 
     def append(self, record: DecisionRecord) -> None:
         """Append one record; duplicate ids (unless superseding) are rejected."""
@@ -85,7 +102,8 @@ class Ledger:
         if record.supersedes is not None:
             if record.supersedes not in existing:
                 raise LedgerError(f"supersedes unknown id {record.supersedes}")
-        prev = self._tip_hash()
+        chain = self._objects("hash")
+        prev = chain[-1][1]["hash"] if chain else GENESIS
         canonical = _canonical(record, prev)
         obj = json.loads(canonical)
         obj["hash"] = _hash(canonical)
@@ -95,10 +113,9 @@ class Ledger:
     def verify(self) -> None:
         """Walk the hash chain; raises LedgerError naming the first bad line."""
         prev = GENESIS
-        for i, ln in enumerate(self._lines(), start=1):
-            obj = json.loads(ln)
-            claimed = obj.pop("hash", None)
-            if obj.get("prev") != prev:
+        for i, obj in self._objects(*RECORD_FIELDS, "hash", "prev"):
+            claimed = obj.pop("hash")
+            if obj["prev"] != prev:
                 raise LedgerError(f"line {i}: chain break (prev hash mismatch)")
             canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
             if _hash(canonical) != claimed:

@@ -238,6 +238,7 @@ def test_run_unknown_family_exits_two(tmp_path):
     cfg.write_text("seed: 1\n", encoding="utf-8")
     res = run_cli("run", "--config", cfg, "--family", "NOPE")
     assert res.exit_code == 2
+    assert "config error: unknown family 'NOPE'" in res.output
 
 
 def test_run_bad_config_exits_two(tmp_path):
@@ -476,3 +477,39 @@ def test_report_rejects_garbage(tmp_path):
     p.write_text("header\nnot,a,trade\n", encoding="utf-8")
     res = run_cli("report", p)
     assert res.exit_code == 1
+
+
+# -- one error boundary ---------------------------------------------------------------
+
+def _bytes(path, data):
+    path.write_bytes(data)
+    return path
+
+
+BAD_INPUT = {  # command: (its arguments, given tmp_path; exit code; start of its one line)
+    "ingest": (lambda t: ("ingest", _bytes(t / "bars.csv", b"ts,open,high,low,close,volume\n"
+                                                           b"2022-01-03T09:30,1\xff\n")),
+               1, "error: 'utf-8' codec can't decode byte 0xff"),
+    "synth": (lambda t: ("synth", "--out", t / "bars.csv", "--days", "-1"), 2, "config error: "),
+    "run": (lambda t: ("run", "--config", _bytes(t / "run.yaml", b"seed: 1 # \xff\n"),
+                       "--out", t / "runs"), 2, "config error: cannot parse config: 'utf-8' codec"),
+    "report": (lambda t: ("report", _bytes(t / "trades.csv", b"header\nnot,a,trade\n")),
+               1, "error: line 1: header is not"),
+    "ledger_list": (lambda t: ("ledger", "list", _bytes(t / "d.jsonl", b"garbage\n")),
+                    1, "error: line 1: not JSON"),
+    "ledger_verify": (lambda t: ("ledger", "verify", _bytes(t / "d.jsonl", b"[1]\n")),
+                      1, "error: line 1: not a JSON object"),
+    "ledger_append": (lambda t: ("ledger", "append", _bytes(t / "d.jsonl", b'{"id":"D001"}\n'),
+                                 "--id", "D002", "--text", "x"),
+                      1, "error: line 1: no 'text' field"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BAD_INPUT))
+def test_every_command_ends_a_rejected_input_with_one_error_line(tmp_path, command):
+    args, code, start = BAD_INPUT[command]
+    res = run_cli(*args(tmp_path))
+    assert res.exit_code == code, res.output
+    assert res.output.startswith(start) and res.output.count("\n") == 1, res.output
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert not (tmp_path / "runs").exists()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -95,3 +96,39 @@ def test_d100_locked_round_trip(tmp_path):
 
 def test_empty_ledger_verifies(tmp_path):
     Ledger(tmp_path / "missing.jsonl").verify()
+
+
+@pytest.mark.parametrize("line,error,verify_error", [
+    ("garbage", "line 2: not JSON", None),
+    ("[1]", "line 2: not a JSON object", None),
+    ('{"id":"D002"}', "line 2: no 'text' field", None),
+    ('{"id":"D002","text":"t","status":"OPEN","created_at":"","evidence_refs":"abc"}',
+     "line 2: a record field of the wrong type", "line 2: no 'hash' field"),
+    ('{"id":"X2","text":"t","status":"OPEN","created_at":"","evidence_refs":[]}',
+     "line 2: bad decision id 'X2'", "line 2: no 'hash' field"),
+], ids=["not_json", "not_object", "no_text", "refs_not_a_list", "bad_id"])
+def test_an_unreadable_line_names_its_number(tmp_path, line, error, verify_error):
+    p = tmp_path / "ledger.jsonl"
+    led = Ledger(p)
+    led.append(rec(1))
+    # a blank line is not counted, as verify counts
+    p.write_text(p.read_text(encoding="utf-8") + "\n" + line + "\n", encoding="utf-8")
+    for op in (led.records, lambda: led.by_status("OPEN"), lambda: led.append(rec(3))):
+        with pytest.raises(LedgerError, match=re.escape(error)):
+            op()
+    with pytest.raises(LedgerError, match=re.escape(verify_error or error)):
+        led.verify()
+
+
+@pytest.mark.parametrize("field", ["hash", "prev"])
+def test_verify_names_a_line_without_its_chain_field(tmp_path, field):
+    p = tmp_path / "ledger.jsonl"
+    Ledger(p).append(rec(1))
+    obj = json.loads(p.read_text(encoding="utf-8"))
+    del obj[field]
+    p.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(LedgerError, match=f"line 1: no '{field}' field"):
+        Ledger(p).verify()
+    if field == "hash":  # append chains on from the last line's hash
+        with pytest.raises(LedgerError, match="line 1: no 'hash' field"):
+            Ledger(p).append(rec(2))
