@@ -235,6 +235,7 @@ _TS_FORM = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}")
 _TS_FORM_ERROR = "timestamp is not zero-padded YYYY-MM-DDTHH:MM"
 _MINUTE_US = 60_000_000
 _DAY_US = 24 * 60 * _MINUTE_US
+_CHUNK_ROWS = 16_384  # rows per formatting pass: bounds the pass's byte matrices
 
 
 def _data_rows(path: str | Path, header: str, what: str) -> tuple[list[int], list[str]]:
@@ -397,17 +398,94 @@ def parse_bar_file(path: str | Path, session: SessionSpec) -> list[TradingDay]:
                   np.ascontiguousarray(table["volume"]), session)
 
 
+def _digits(v: np.ndarray, keep: int) -> np.ndarray:
+    """The decimal digits of the non-negative ints ``v`` as ASCII, at least ``keep``
+    of them, on a new last axis; a leading zero before the last ``keep`` is NUL."""
+    width = max(keep, len(str(v.max())))
+    out = np.empty((width, *v.shape), np.uint8)
+    r = v.astype(np.min_scalar_type(v.max()))  # integer division is fastest on few bytes
+    for j in range(width - 1, -1, -1):
+        q = r // 10
+        out[j] = r - q * 10 + ord("0")
+        if j < width - keep:
+            out[j][r == 0] = 0
+        r = q
+    return np.moveaxis(out, 0, -1)
+
+
+def _check_writable(ts: np.ndarray, ohlc: np.ndarray, volume: np.ndarray) -> None:
+    """Raise BarError naming the first bar whose text would not read back as the bar."""
+    year = ts.astype("M8[Y]").view(np.int64) + 1970
+    bad_ts = (ts != ts.astype("M8[m]")) | (year < 1) | (year > 9999)
+    cents = np.rint(ohlc * 100)
+    bad_price = ~(np.isfinite(ohlc) & (cents / 100 == ohlc) & (np.abs(cents) < 2**53))
+    bad = bad_ts | bad_price.any(axis=0) | (volume < 0)
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    t = ts[k].item()  # an int, or None for NaT, where a datetime cannot hold it
+    when = t if isinstance(t, datetime) else np.datetime_as_string(ts[k])
+    if bad_ts[k]:
+        why = ("timestamp outside years 1-9999" if not 1 <= year[k] <= 9999
+               else "timestamp is not a whole minute")
+    elif bad_price[:, k].any():
+        x = float(ohlc[:, k][bad_price[:, k]][0])
+        why = (f"price {x!r} is not a whole number of cents under 2**53" if np.isfinite(x)
+               else "non-finite price")
+    else:
+        why = f"negative volume {volume[k]}"
+    raise BarError(f"bar {when}: {why}")
+
+
+def _rows(ts: np.ndarray, ohlc: np.ndarray, volume: np.ndarray) -> str:
+    """Bar rows as text, laid out as one ASCII byte matrix whose NULs are dropped."""
+    _check_writable(ts, ohlc, volume)
+    n = len(ts)
+    day, month = ts.astype("M8[D]"), ts.astype("M8[M]")
+    minute = (ts - day) // np.timedelta64(1, "m")
+    # YYYYMMDDhhmm as one int, whose digits go to the form's digit places
+    stamp = ((month.astype("M8[Y]").view(np.int64) + 1970) * 10**8
+             + (month.view(np.int64) % 12 + 1) * 10**6
+             + ((day - month).view(np.int64) + 1) * 10**4 + minute // 60 * 100 + minute % 60)
+    form = _TS_BYTES[:16]
+    tsb = np.broadcast_to(form, (n, 16)).copy()
+    tsb[:, form == ord("0")] = _digits(stamp, 12)
+    d = _digits(np.abs(np.rint(ohlc.T * 100)).astype(np.int64), 3)
+    w = d.shape[-1]
+    price = np.zeros((n, 4, w + 3), np.uint8)  # [-]digits.dd,
+    price[:, :, 0] = np.where(np.signbit(ohlc.T), ord("-"), 0)
+    price[:, :, 1:w - 1] = d[:, :, :-2]
+    price[:, :, w - 1] = ord(".")
+    price[:, :, w:w + 2] = d[:, :, -2:]
+    price[:, :, w + 2] = ord(",")
+    vol = _digits(volume, 1)
+    text = np.concatenate([tsb, np.full((n, 1), ord(","), np.uint8), price.reshape(n, -1),
+                           vol, np.full((n, 1), ord("\n"), np.uint8)], axis=1)
+    return text[text != 0].tobytes().decode("ascii")
+
+
 def serialize_days(days: Iterable[TradingDay], header_comment: str | None = None) -> str:
-    """Serialize days back to the bar file format (round-trip safe)."""
-    out = []
-    if header_comment:
-        out.append(f"# {header_comment}")
-    out.append(BAR_HEADER)
-    for day in days:
-        for ts, o, h, lo, c, v in zip(np.datetime_as_string(day.ts, unit="m").tolist(),
-                                      *day.ohlc.tolist(), day.volume.tolist()):
-            out.append(f"{ts},{o:.2f},{h:.2f},{lo:.2f},{c:.2f},{v}")
-    return "\n".join(out) + "\n"
+    """Serialize days back to the bar file format, which reads back as the same
+    arrays: prices with two decimals, timestamps as ``YYYY-MM-DDTHH:MM``.
+
+    Each price is written from its whole number of cents, each timestamp from
+    its date and minute fields and each volume from its digits, as one byte
+    matrix per ``_CHUNK_ROWS`` rows. A bar that text cannot hold exactly raises
+    :class:`BarError` naming it, rather than being rounded into a bar that would
+    read back as another: a price that is not finite or not the double of a
+    whole number of cents below 2**53 (``rint(x * 100) / 100 == x``; 100.125 is
+    refused, 0.07 is not), a timestamp with seconds or outside years 1-9999, or
+    a negative volume.
+    """
+    days = list(days)
+    ts = np.concatenate([np.empty(0, "M8[us]"), *(d.ts for d in days)])
+    ohlc = np.concatenate([np.empty((4, 0)), *(d.ohlc for d in days)], axis=1)
+    volume = np.concatenate([np.empty(0, np.int64), *(d.volume for d in days)],
+                            dtype=np.int64)  # a float volume is a TypeError, not digits
+    head = f"# {header_comment}\n" if header_comment else ""
+    return "".join([head, BAR_HEADER, "\n", *(
+        _rows(ts[a:a + _CHUNK_ROWS], ohlc[:, a:a + _CHUNK_ROWS], volume[a:a + _CHUNK_ROWS])
+        for a in range(0, len(ts), _CHUNK_ROWS))])
 
 
 def session_primitives(store: SessionStore) -> DayPrimitives:

@@ -40,12 +40,20 @@ class DataBundle:
         return {"rth": self.rth, "asia": self.asia, "london": self.london}[session]
 
 
+def _parsed(parse: Callable, path, *args):
+    """``parse(path, *args)``, whose errors in the file's text name the file."""
+    try:
+        return parse(path, *args)
+    except (BarError, UnicodeDecodeError) as exc:
+        raise BarError(f"{path}: {exc}") from None
+
+
 def load_bundle(config: RunConfig) -> DataBundle:
     bundle = DataBundle()
     for key, sess in (("rth", RTH), ("asia", ASIA), ("london", LONDON)):
         path = config.data_path(key)
         if path is not None:
-            days = parse_bar_file(path, sess)
+            days = _parsed(parse_bar_file, path, sess)
             store = session_store(days)
             off = config.instrument.off_grid(store.ohlc)
             if off.any():  # the kernel would round such a price to the grid
@@ -57,7 +65,7 @@ def load_bundle(config: RunConfig) -> DataBundle:
             setattr(bundle, key, days)
     events_path = config.data_path("events")
     if events_path is not None:
-        bundle.events = parse_event_calendar(events_path)
+        bundle.events = _parsed(parse_event_calendar, events_path)
     return bundle
 
 

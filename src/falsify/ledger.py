@@ -55,16 +55,16 @@ class Ledger:
     def __init__(self, path: str | Path):
         self.path = Path(path)
 
-    def _lines(self) -> list[str]:
+    def _objects(self, *fields: str) -> list[tuple[int, dict]]:
+        """Each non-blank line's JSON object with its line number, counting every line
+        from 1. A line that is not a JSON object with every one of ``fields`` raises
+        LedgerError."""
         if not self.path.exists():
             return []
-        return [ln for ln in self.path.read_text(encoding="utf-8").splitlines() if ln.strip()]
-
-    def _objects(self, *fields: str) -> list[tuple[int, dict]]:
-        """Each line's JSON object with its number, counting non-blank lines from 1. A
-        line that is not a JSON object with every one of ``fields`` raises LedgerError."""
         out = []
-        for i, ln in enumerate(self._lines(), start=1):
+        for i, ln in enumerate(self.path.read_text(encoding="utf-8").splitlines(), start=1):
+            if not ln.strip():
+                continue
             try:
                 obj = json.loads(ln)
             except json.JSONDecodeError as exc:

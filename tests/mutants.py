@@ -30,11 +30,25 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+BARS = "src/falsify/bars.py"
 ENGINE = "src/falsify/engine.py"
 EXECUTION = "src/falsify/execution.py"
 SIGNALS = "src/falsify/signals.py"
 VALIDATION = "src/falsify/validation.py"
 MUTANTS = (
+    Mutant("bar writer refuses 0.07", BARS,
+           "(cents / 100 == ohlc)", "(ohlc * 100 == cents)",
+           ("tests/test_bars.py::test_serialize_days_writes_what_the_f_string_writer_wrote",)),
+    Mutant("bar writer drops the sign of -0.0", BARS,
+           "np.where(np.signbit(ohlc.T),", "np.where(ohlc.T < 0,",
+           ("tests/test_bars.py::test_serialize_days_writes_what_the_f_string_writer_wrote",)),
+    Mutant("bar writer writes only its first chunk", BARS,
+           "for a in range(0, len(ts), _CHUNK_ROWS)",
+           "for a in range(0, min(len(ts), 1), _CHUNK_ROWS)",
+           ("tests/test_synth.py::test_generated_corpora_match_golden_digests",)),
+    Mutant("run names no data file", ENGINE,
+           'raise BarError(f"{path}: {exc}") from None', "raise",
+           ("tests/test_cli.py::test_run_names_the_data_file_an_error_is_in",)),
     Mutant("null pool takes the training years", ENGINE,
            "pool = [d for d in days if d.year in test_years]", "pool = list(days)",
            ("tests/test_engine.py::test_the_null_pool_is_exactly_the_test_years",)),

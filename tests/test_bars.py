@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import tempfile
 import warnings
 from datetime import date, datetime, time, timedelta
@@ -214,6 +215,110 @@ def test_round_trip_serialization(tmp_path):
     p.write_text(text, encoding="utf-8")
     parsed = parse_bar_file(p, RTH)
     assert serialize_days(parsed) == text
+
+
+def f_string_writer(days, header_comment=None):
+    """The bar writer as it was before it formatted arrays: one f-string per bar."""
+    out = []
+    if header_comment:
+        out.append(f"# {header_comment}")
+    out.append(BAR_HEADER)
+    for day in days:
+        for ts, o, h, lo, c, v in zip(np.datetime_as_string(day.ts, unit="m").tolist(),
+                                      *day.ohlc.tolist(), day.volume.tolist()):
+            out.append(f"{ts},{o:.2f},{h:.2f},{lo:.2f},{c:.2f},{v}")
+    return "\n".join(out) + "\n"
+
+
+def columns(days):
+    """The days' timestamps, 4 x n prices and volumes, laid end to end."""
+    return (np.concatenate([np.empty(0, "M8[us]"), *(d.ts for d in days)]),
+            np.concatenate([np.empty((4, 0)), *(d.ohlc for d in days)], axis=1),
+            np.concatenate([np.empty(0, np.int64), *(d.volume for d in days)]))
+
+
+# a session from midnight to midnight, which every bar opens inside
+WHOLE_DAY = SessionSpec("WHOLE_DAY", time(0, 0), time(0, 0), 1)
+MINUTES = (int(np.datetime64("0001-01-01T00:00", "m").astype(np.int64)),
+           int(np.datetime64("9999-12-31T23:59", "m").astype(np.int64)))
+CENTS = st.one_of(st.integers(-300, 300), st.integers(-10**12, 10**12))
+
+
+@st.composite
+def writable_days(draw):
+    """Days of bars that text holds exactly, timestamps rising across them: whole
+    cents (a zero drawn as 0.0 or -0.0), whole minutes in years 1-9999 and volumes
+    up to 2**53, each bar's low and high bounding its open and close."""
+    minutes = sorted(draw(st.sets(st.integers(*MINUTES), max_size=40)))
+    prices = []
+    for _ in minutes:
+        lo, a, b, hi = sorted(draw(st.lists(CENTS, min_size=4, max_size=4)))
+        o, c = draw(st.permutations([a, b]))
+        prices.append([x / 100 if x or draw(st.booleans()) else -0.0 for x in (o, hi, lo, c)])
+    volume = draw(st.lists(st.integers(0, 2**53), min_size=len(minutes), max_size=len(minutes)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(minutes)), max_size=3)))
+    bounds = [0, *cuts, len(minutes)] if minutes or cuts else []  # no bounds: no days
+    ts = np.array(minutes, dtype="M8[m]").astype("M8[us]")
+    ohlc = np.array(prices, dtype=float).reshape(-1, 4).T.copy()
+    return [TradingDay(date(2022, 1, 3), WHOLE_DAY, ts[a:b], ohlc[:, a:b],
+                       np.array(volume[a:b], dtype=np.int64)) for a, b in zip(bounds, bounds[1:])]
+
+
+# 0.07 * 100 is not 7.0, -0.0 is written "-0.00", and the extremes of each field
+EDGES = TradingDay(date(1, 1, 1), WHOLE_DAY,
+                   np.array(["0001-01-01T00:00", "9999-12-31T23:59"], dtype="M8[us]"),
+                   np.array([[0.07, -0.07], [0.07, 1e10], [-0.0, -1e10], [-0.0, 9999999999.99]]),
+                   np.array([0, 2**53], dtype=np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(days=writable_days(),
+       header=st.one_of(st.none(), st.just(""), st.text(alphabet="ab =.,#-", max_size=20)))
+@example(days=[], header=None)
+@example(days=[], header="synthetic")
+@example(days=[EDGES], header=None)
+def test_serialize_days_writes_what_the_f_string_writer_wrote(days, header):
+    text = serialize_days(days, header_comment=header)
+    assert text == f_string_writer(days, header)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "bars.csv"
+        p.write_text(text, encoding="utf-8")
+        parsed = parse_bar_file(p, WHOLE_DAY)
+    for got, want in zip(columns(parsed), columns(days)):  # bit for bit: -0.0 is not 0.0
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("field,value,error", [
+    ("open", 100.125, "bar 2022-01-04 09:40:00: price 100.125 is not a whole number of cents "
+                      "under 2**53"),
+    ("close", 0.001, "bar 2022-01-04 09:40:00: price 0.001 is not a whole number of cents "
+                     "under 2**53"),
+    ("high", 1e14, "bar 2022-01-04 09:40:00: price 100000000000000.0 is not a whole number of "
+                   "cents under 2**53"),
+    ("low", float("nan"), "bar 2022-01-04 09:40:00: non-finite price"),
+    ("high", float("inf"), "bar 2022-01-04 09:40:00: non-finite price"),
+    ("ts", "2022-01-04T09:40:30", "bar 2022-01-04 09:40:30: timestamp is not a whole minute"),
+    ("ts", "2022-01-04T09:40:00.000001",
+     "bar 2022-01-04 09:40:00.000001: timestamp is not a whole minute"),
+    ("ts", "10000-01-04T09:40", "bar 10000-01-04T09:40:00.000000: timestamp outside years 1-9999"),
+    ("ts", "NaT", "bar NaT: timestamp outside years 1-9999"),
+    ("volume", -1, "bar 2022-01-04 09:40:00: negative volume -1"),
+], ids=["eighth", "tenth_of_a_cent", "2**53_cents", "nan", "inf", "second", "microsecond",
+        "year_10000", "nat", "negative_volume"])
+def test_serialize_days_refuses_a_bar_text_cannot_hold(field, value, error):
+    # the third bar of the second day: the error names it, not the first bar
+    day = make_day(date(2022, 1, 4))
+    ts, ohlc, volume = day.ts.copy(), day.ohlc.copy(), day.volume.copy()
+    if field == "ts":
+        ts[2] = np.datetime64(value, "us")
+    elif field == "volume":
+        volume[2] = value
+    else:
+        ohlc["open high low close".split().index(field), 2] = value
+    bad = TradingDay(day.date, RTH, ts, ohlc, volume, complete=True)
+    with pytest.raises(BarError, match=f"^{re.escape(error)}$"):
+        serialize_days([make_day(date(2022, 1, 3)), bad], header_comment="synthetic")
 
 
 def test_every_bar_lands_in_exactly_one_day():

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from falsify.bars import RTH, serialize_days
+from falsify.bars import ASIA, RTH, serialize_days
 from falsify.cli import main, write_run
 from falsify.synth import SynthSpec, gen_null_days
 
@@ -99,6 +99,32 @@ def test_a_run_that_stops_on_a_data_error_leaves_no_directory(tmp_path):
     assert res.exit_code == 1, res.output
     assert "error: CONFLUENCE_RTH:" in res.output
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("session", ["asia", "london"])
+def test_run_names_the_data_file_an_error_is_in(tmp_path, session):
+    # the ASIA file's second bar has a non-finite open; the LONDON file is not UTF-8
+    write_days(tmp_path, gen_null_days(SynthSpec(3, seed=1)), "rth.csv")
+    asia = write_days(tmp_path, gen_null_days(SynthSpec(3, session=ASIA, seed=2)), "asia.csv")
+    lines = asia.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].split(",")[0] + ",nan," + ",".join(lines[2].split(",")[2:])
+    write_lines(asia, lines)
+    london = tmp_path / "london.csv"
+    london.write_bytes(b"ts,open,high,low,close,volume\n2022-01-03T03:00,1\xff\n")
+    bad = {"asia": asia, "london": london}[session]
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"data:\n  rth: {tmp_path / 'rth.csv'}\n  {session}: {bad}\n",
+                   encoding="utf-8")
+    res = run_cli("run", "--config", cfg, "--out", tmp_path / "runs")
+    assert res.exit_code == 1, res.output
+    want = {"asia": "line 3: bar 2022-01-03 20:05:00: non-finite price",
+            "london": "'utf-8' codec can't decode byte 0xff"}[session]
+    assert res.output.startswith(f"error: {bad}: {want}"), res.output
+    assert res.output.count("\n") == 1 and isinstance(res.exception, SystemExit)
+    assert not (tmp_path / "runs").exists()
+    # ingest reads one file, and names none
+    res = run_cli("ingest", bad, "--session", session.upper())
+    assert res.output.startswith(f"error: {want}"), res.output
 
 
 @pytest.mark.parametrize("name,error", [("missing.csv", "No such file or directory"),

@@ -99,19 +99,19 @@ def test_empty_ledger_verifies(tmp_path):
 
 
 @pytest.mark.parametrize("line,error,verify_error", [
-    ("garbage", "line 2: not JSON", None),
-    ("[1]", "line 2: not a JSON object", None),
-    ('{"id":"D002"}', "line 2: no 'text' field", None),
+    ("garbage", "line 3: not JSON", None),
+    ("[1]", "line 3: not a JSON object", None),
+    ('{"id":"D002"}', "line 3: no 'text' field", None),
     ('{"id":"D002","text":"t","status":"OPEN","created_at":"","evidence_refs":"abc"}',
-     "line 2: a record field of the wrong type", "line 2: no 'hash' field"),
+     "line 3: a record field of the wrong type", "line 3: no 'hash' field"),
     ('{"id":"X2","text":"t","status":"OPEN","created_at":"","evidence_refs":[]}',
-     "line 2: bad decision id 'X2'", "line 2: no 'hash' field"),
+     "line 3: bad decision id 'X2'", "line 3: no 'hash' field"),
 ], ids=["not_json", "not_object", "no_text", "refs_not_a_list", "bad_id"])
 def test_an_unreadable_line_names_its_number(tmp_path, line, error, verify_error):
     p = tmp_path / "ledger.jsonl"
     led = Ledger(p)
     led.append(rec(1))
-    # a blank line is not counted, as verify counts
+    # the blank line is counted, as an editor counts it
     p.write_text(p.read_text(encoding="utf-8") + "\n" + line + "\n", encoding="utf-8")
     for op in (led.records, lambda: led.by_status("OPEN"), lambda: led.append(rec(3))):
         with pytest.raises(LedgerError, match=re.escape(error)):
