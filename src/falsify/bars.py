@@ -367,15 +367,24 @@ def group_days(bars: Iterable[Bar], session: SessionSpec) -> list[TradingDay]:
 def link_rth(days: Iterable[TradingDay]) -> list[TradingDay]:
     """Link each RTH day to the day before it: ``prior_rth_close`` is that
     day's last close, as the close array holds it, when that day is
-    complete, else None. Days of other sessions pass through."""
+    complete, else None. Days of other sessions, and RTH days that already
+    hold their link, pass through."""
     out: list[TradingDay] = []
     prior = None
     for day in days:
         if day.session.name == "RTH":
-            day = replace(day, prior_rth_close=prior)
+            if not _same_link(day.prior_rth_close, prior):
+                day = replace(day, prior_rth_close=prior)
             prior = day.ohlc[3, -1] if day.complete else None
         out.append(day)
     return out
+
+
+def _same_link(a, b) -> bool:
+    """Whether links ``a`` and ``b`` are one value of one type, a zero's sign included."""
+    if a is None or b is None:
+        return a is b
+    return type(a) is type(b) and a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 def parse_bar_file(path: str | Path, session: SessionSpec) -> list[TradingDay]:
@@ -413,15 +422,22 @@ def _digits(v: np.ndarray, keep: int) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
-def _check_writable(ts: np.ndarray, ohlc: np.ndarray, volume: np.ndarray) -> None:
-    """Raise BarError naming the first bar whose text would not read back as the bar."""
+def _writable_cents(ts: np.ndarray, ohlc: np.ndarray, volume: np.ndarray) -> np.ndarray:
+    """Each price as its whole number of cents, whose text reads back as the
+    price; raise BarError naming the first bar whose text would not read back
+    as the bar. ``x * 100`` is rounded before ``rint``, so from about 2**45
+    the cents of ``x`` can be a neighbour of ``rint(x * 100)``: the cents are
+    ``c = rint(x * 100)`` if ``c / 100 == x``, else the neighbour for which it is."""
     year = ts.astype("M8[Y]").view(np.int64) + 1970
     bad_ts = (ts != ts.astype("M8[m]")) | (year < 1) | (year > 9999)
-    cents = np.rint(ohlc * 100)
-    bad_price = ~(np.isfinite(ohlc) & (cents / 100 == ohlc) & (np.abs(cents) < 2**53))
+    near = np.rint(ohlc * 100)
+    cents = np.full(ohlc.shape, np.nan)
+    for c in (near + 1, near - 1, near):  # a later candidate wins
+        cents = np.where((c / 100 == ohlc) & (np.abs(c) < 2**53), c, cents)
+    bad_price = np.isnan(cents)
     bad = bad_ts | bad_price.any(axis=0) | (volume < 0)
     if not bad.any():
-        return
+        return cents
     k = int(np.argmax(bad))
     t = ts[k].item()  # an int, or None for NaT, where a datetime cannot hold it
     when = t if isinstance(t, datetime) else np.datetime_as_string(ts[k])
@@ -439,7 +455,7 @@ def _check_writable(ts: np.ndarray, ohlc: np.ndarray, volume: np.ndarray) -> Non
 
 def _rows(ts: np.ndarray, ohlc: np.ndarray, volume: np.ndarray) -> str:
     """Bar rows as text, laid out as one ASCII byte matrix whose NULs are dropped."""
-    _check_writable(ts, ohlc, volume)
+    cents = _writable_cents(ts, ohlc, volume)
     n = len(ts)
     day, month = ts.astype("M8[D]"), ts.astype("M8[M]")
     minute = (ts - day) // np.timedelta64(1, "m")
@@ -450,7 +466,7 @@ def _rows(ts: np.ndarray, ohlc: np.ndarray, volume: np.ndarray) -> str:
     form = _TS_BYTES[:16]
     tsb = np.broadcast_to(form, (n, 16)).copy()
     tsb[:, form == ord("0")] = _digits(stamp, 12)
-    d = _digits(np.abs(np.rint(ohlc.T * 100)).astype(np.int64), 3)
+    d = _digits(np.abs(cents.T).astype(np.int64), 3)
     w = d.shape[-1]
     price = np.zeros((n, 4, w + 3), np.uint8)  # [-]digits.dd,
     price[:, :, 0] = np.where(np.signbit(ohlc.T), ord("-"), 0)
@@ -473,9 +489,9 @@ def serialize_days(days: Iterable[TradingDay], header_comment: str | None = None
     matrix per ``_CHUNK_ROWS`` rows. A bar that text cannot hold exactly raises
     :class:`BarError` naming it, rather than being rounded into a bar that would
     read back as another: a price that is not finite or not the double of a
-    whole number of cents below 2**53 (``rint(x * 100) / 100 == x``; 100.125 is
-    refused, 0.07 is not), a timestamp with seconds or outside years 1-9999, or
-    a negative volume.
+    whole number of cents below 2**53 (``c / 100 == x`` for ``c = rint(x * 100)``
+    or a neighbour; 100.125 is refused, 0.07 and -39047116831841.73 are not), a
+    timestamp with seconds or outside years 1-9999, or a negative volume.
     """
     days = list(days)
     ts = np.concatenate([np.empty(0, "M8[us]"), *(d.ts for d in days)])

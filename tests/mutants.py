@@ -34,10 +34,14 @@ BARS = "src/falsify/bars.py"
 ENGINE = "src/falsify/engine.py"
 EXECUTION = "src/falsify/execution.py"
 SIGNALS = "src/falsify/signals.py"
+SYNTH = "src/falsify/synth.py"
 VALIDATION = "src/falsify/validation.py"
 MUTANTS = (
     Mutant("bar writer refuses 0.07", BARS,
-           "(cents / 100 == ohlc)", "(ohlc * 100 == cents)",
+           "(c / 100 == ohlc)", "(ohlc * 100 == c)",
+           ("tests/test_bars.py::test_serialize_days_writes_what_the_f_string_writer_wrote",)),
+    Mutant("bar writer tries only rint's cents", BARS,
+           "for c in (near + 1, near - 1, near):", "for c in (near,):",
            ("tests/test_bars.py::test_serialize_days_writes_what_the_f_string_writer_wrote",)),
     Mutant("bar writer drops the sign of -0.0", BARS,
            "np.where(np.signbit(ohlc.T),", "np.where(ohlc.T < 0,",
@@ -46,6 +50,20 @@ MUTANTS = (
            "for a in range(0, len(ts), _CHUNK_ROWS)",
            "for a in range(0, min(len(ts), 1), _CHUNK_ROWS)",
            ("tests/test_synth.py::test_generated_corpora_match_golden_digests",)),
+    Mutant("open recurrence drops the gap", SYNTH,
+           "price += gap[k]", "pass",
+           ("tests/test_synth.py::test_generated_corpora_match_golden_digests",
+            "tests/test_synth.py::test_null_days_match_per_day_loop")),
+    Mutant("a chunk's first day unlinked", SYNTH,
+           "[days[-1].ohlc[3, -1] if days else None,", "[None,",
+           ("tests/test_synth.py::test_null_days_match_per_day_loop",)),
+    Mutant("planted offsets summed in reverse event order", SYNTH,
+           "for r in range(max(counts)):", "for r in reversed(range(max(counts))):",
+           ("tests/test_synth.py::test_plant_drift_matches_per_bar_loop",
+            "tests/test_synth.py::test_planted_offsets_are_summed_in_event_order")),
+    Mutant("regime labels shifted by one bar", SYNTH,
+           "at = np.array(labels)", "at = np.roll(np.array(labels), 1, axis=1)",
+           ("tests/test_synth.py::test_regime_days_match_choice_loop",)),
     Mutant("run names no data file", ENGINE,
            'raise BarError(f"{path}: {exc}") from None', "raise",
            ("tests/test_cli.py::test_run_names_the_data_file_an_error_is_in",)),

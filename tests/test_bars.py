@@ -270,6 +270,12 @@ EDGES = TradingDay(date(1, 1, 1), WHOLE_DAY,
                    np.array([[0.07, -0.07], [0.07, 1e10], [-0.0, -1e10], [-0.0, 9999999999.99]]),
                    np.array([0, 2**53], dtype=np.int64))
 
+# whole cents whose x * 100 rounds to a half cent, so that rint(x * 100) is a
+# cent off: the cents written are its neighbour
+BIG_CENTS = TradingDay(date(2022, 1, 3), WHOLE_DAY,
+                       np.array(["2022-01-03T09:30"], dtype="M8[us]"),
+                       np.array([[-39047116831841.73]] * 4), np.array([1], dtype=np.int64))
+
 
 @settings(max_examples=300, deadline=None)
 @given(days=writable_days(),
@@ -277,6 +283,7 @@ EDGES = TradingDay(date(1, 1, 1), WHOLE_DAY,
 @example(days=[], header=None)
 @example(days=[], header="synthetic")
 @example(days=[EDGES], header=None)
+@example(days=[BIG_CENTS], header=None)
 def test_serialize_days_writes_what_the_f_string_writer_wrote(days, header):
     text = serialize_days(days, header_comment=header)
     assert text == f_string_writer(days, header)

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from datetime import date
+from dataclasses import replace
+from datetime import date, datetime
 
 import numpy as np
 import pytest
@@ -13,8 +14,7 @@ from falsify.bars import (_CHUNK_ROWS, ASIA, LONDON, RTH, Bar, TradingDay, group
                           link_rth, serialize_days)
 from falsify.execution import ExitKind, ExitSpec, simulate
 from falsify.signals import LONG, SHORT, SignalEvent
-from falsify.synth import (SUBSTEPS, DriftSpec, RegimeSpec, SynthError, SynthSpec,
-                           _day_bars, _volumes, _weekdays,
+from falsify.synth import (SUBSTEPS, DriftSpec, RegimeSpec, SynthError, SynthSpec, _weekdays,
                            gen_edge_days, gen_event_calendar, gen_null_days,
                            gen_regime_days, plant_drift)
 
@@ -100,6 +100,15 @@ def test_gap_sigma_produces_overnight_gaps():
 def test_vol_must_be_positive():
     with pytest.raises(SynthError):
         gen_null_days(SynthSpec(5, vol_per_bar=0.0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tick_size", 0.0), ("tick_size", -0.25), ("tick_size", math.inf), ("tick_size", math.nan),
+    ("base_price", math.inf), ("base_price", math.nan), ("gap_sigma", math.inf),
+    ("gap_sigma", math.nan)])
+def test_a_tick_price_or_gap_no_day_can_be_built_on_is_refused(field, value):
+    with pytest.raises(SynthError, match=f"^{field} must be"):
+        SynthSpec(5, **{field: value})
 
 
 # -- planted drift --------------------------------------------------------------
@@ -195,7 +204,65 @@ def test_edge_days_keep_the_overnight_gap():
     assert np.std(gaps) == pytest.approx(50.0, rel=0.25)
 
 
-# -- byte identity with the per-bar reference loops ------------------------------
+# -- byte identity with the per-day and per-bar reference loops ------------------
+
+def _day_bars(session, day, open_price, steps, volumes, tick):
+    """One complete day from per-substep increments, as the per-day loop built
+    it; returns (day, close)."""
+    nbars = session.nominal_bar_count
+    levels = open_price + np.cumsum(steps.reshape(-1))
+    levels = (np.round(levels / tick) * tick).reshape(nbars, SUBSTEPS)
+    first_open = round(open_price / tick) * tick
+    opens = np.concatenate(([first_open], levels[:-1, -1]))
+    closes = levels[:, -1]
+    highs = np.maximum(opens, levels.max(axis=1))
+    lows = np.minimum(opens, levels.min(axis=1))
+    ts = (np.datetime64(datetime.combine(day, session.start), "us")
+          + np.arange(nbars) * np.timedelta64(session.bar_minutes, "m"))
+    return (TradingDay(day, session, ts, np.array([opens, highs, lows, closes]),
+                       volumes.astype(np.int64), complete=True), float(closes[-1]))
+
+
+def _volumes(rng, n, base, sigma, mults=None):
+    v = base * rng.lognormal(0.0, sigma, size=n)
+    if mults is not None:
+        v = v * mults
+    return np.maximum(np.round(v), 1.0)
+
+
+def reference_null_days(spec):
+    """The per-day loop gen_null_days replaced, kept as the reference."""
+    sess = spec.session
+    nbars = sess.nominal_bar_count
+    step_sigma = spec.vol_per_bar / math.sqrt(SUBSTEPS)
+    days, price = [], spec.base_price
+    for di, d in enumerate(_weekdays(spec.start_date, spec.n_days)):
+        rng = np.random.default_rng([spec.seed, di])
+        if spec.gap_sigma > 0 and di > 0:
+            price += rng.normal(0.0, spec.gap_sigma)
+        steps = rng.normal(0.0, step_sigma, size=(nbars, SUBSTEPS))
+        vols = _volumes(rng, nbars, spec.volume_base, spec.volume_sigma)
+        day, price = _day_bars(sess, d, price, steps, vols, spec.tick_size)
+        days.append(day)
+    return link_rth(days)
+
+
+def reference_edge_days(spec):
+    """gen_edge_days on the reference null days and the reference planting."""
+    drift, nbars = spec.drift, spec.session.nominal_bar_count
+    days = reference_null_days(replace(spec, drift=None))
+    events = []
+    for di, day in enumerate(days):
+        rng = np.random.default_rng([spec.seed, di, 1])
+        for _ in range(drift.events_per_day):
+            bi = int(rng.integers(6, nbars - 1))
+            if bi + drift.horizon > nbars - 1:
+                continue
+            direction = LONG if rng.integers(0, 2) == 1 else SHORT
+            events.append(SignalEvent("PLANTED", day.date, bi, direction))
+    return reference_plant_drift(days, events, drift.magnitude, drift.horizon,
+                                 spec.tick_size), events
+
 
 def reference_plant_drift(days, events, magnitude, horizon, tick_size=0.25):
     """The per-bar loop plant_drift replaced, kept as the reference."""
@@ -313,6 +380,19 @@ def test_plant_drift_matches_per_bar_loop(seed, asia, raw_events, magnitude, hor
                           reference_plant_drift(days, events, magnitude, horizon, tick))
 
 
+def test_planted_offsets_are_summed_in_event_order():
+    # three overlapping events on a flat day: on bars 3 and 4 their offsets,
+    # summed in the other order, differ by an ulp that a 0.1 tick rounds apart
+    ts = np.datetime64("2022-01-03T09:30", "us") + np.arange(12) * np.timedelta64(5, "m")
+    flat = TradingDay(date(2022, 1, 3), RTH, ts, np.zeros((4, 12)), np.ones(12, np.int64),
+                      complete=True)
+    events = [SignalEvent("PLANTED", flat.date, p, LONG) for p in (0, 1, 2)]
+    want = reference_plant_drift([flat], events, 0.7, 2, 0.1)
+    assert_days_identical(plant_drift([flat], events, 0.7, 2, 0.1), want)
+    reverse = reference_plant_drift([flat], events[::-1], 0.7, 2, 0.1)
+    assert not np.array_equal(reverse[0].ohlc, want[0].ohlc)
+
+
 @st.composite
 def regime_specs(draw):
     k = draw(st.integers(1, 4))
@@ -340,6 +420,29 @@ def test_regime_days_match_choice_loop(reg, seed, asia, gap):
     for lab, ref in zip(labels, ref_labels, strict=True):
         assert lab.dtype == ref.dtype and np.array_equal(lab, ref)
 
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), session=st.sampled_from([RTH, ASIA, LONDON]),
+       gap=st.sampled_from([0.0, 15.0]), base_price=st.sampled_from([15000.0, 0.0]),
+       tick=st.sampled_from([0.25, 0.1]), n_days=st.sampled_from([0, 1, 5, 70]),
+       horizon=st.integers(1, 15), events_per_day=st.integers(1, 3))
+def test_null_days_match_per_day_loop(seed, session, gap, base_price, tick, n_days, horizon,
+                                      events_per_day):
+    # every session; with and without the overnight gap; prices about 0.0, where
+    # Python's round gives 0.0 and np.round -0.0; a tick that is not a binary
+    # fraction; no day, one day, several, and more than one chunk of the builder
+    spec = SynthSpec(n_days, session=session, seed=seed, gap_sigma=gap,
+                     base_price=base_price, tick_size=tick)
+    days = gen_null_days(spec)
+    assert_days_identical(days, reference_null_days(spec))
+    for day in days:
+        assert (day.ts.dtype, day.ohlc.dtype, day.volume.dtype) == ("M8[us]", float, np.int64)
+        assert day.ohlc.shape == (4, len(day.ts)) == (4, session.nominal_bar_count)
+    spec = replace(spec, drift=DriftSpec(12.5, horizon, events_per_day))
+    days, events = gen_edge_days(spec)
+    ref_days, ref_events = reference_edge_days(spec)
+    assert events == ref_events
+    assert_days_identical(days, ref_days)
 
 CONFLUENCE_LIKE = RegimeSpec(
     transition=((0.94, 0.01, 0.05), (0.25, 0.50, 0.25), (0.05, 0.01, 0.94)),
@@ -482,6 +585,13 @@ def test_event_calendar_rate_and_shape():
         assert e.currency == "USD"
     assert gen_event_calendar(days, seed=1) == gen_event_calendar(days, seed=1)
 
+
+
+def test_event_calendar_draws_as_the_per_day_loop():
+    days = gen_null_days(SynthSpec(500, seed=3))
+    rng = np.random.default_rng([3, 7])
+    want = [d.date for d in days if rng.random() < 0.15]
+    assert [e.ts.date() for e in gen_event_calendar(days, seed=3)] == want
 
 def test_prior_rth_close_is_the_close_array_value_on_every_path(tmp_path):
     # parsed, generated, regime and planted days all link by one rule: the
