@@ -2,6 +2,10 @@
 
 Timestamps are assumed to already be in ET wall-clock time; no timezone
 conversion is performed anywhere in the pipeline.
+
+``SessionSpec.place`` is the one session clock: a time belongs to the session
+date whose open precedes it by less than the session length, and its bar is
+its offset from that open divided by the bar step.
 """
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ import re
 import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
-from datetime import date, datetime, time, timedelta
+from datetime import date, datetime, time
 from enum import Enum
 from pathlib import Path
 from typing import Optional
@@ -26,8 +30,9 @@ class BarError(ValueError):
 class SessionSpec:
     """A trading session window with a fixed bar step.
 
-    ``end`` earlier than ``start`` means the session wraps midnight
-    (Asia session). Bar timestamps mark the bar *open*.
+    ``end`` at or before ``start`` means the session wraps midnight (Asia
+    session); at ``start``, it lasts the whole day. Bar timestamps mark the
+    bar *open*.
     """
 
     name: str
@@ -40,37 +45,26 @@ class SessionSpec:
             raise ValueError("bar_minutes must be positive")
 
     @property
-    def wraps_midnight(self) -> bool:
-        return self.end <= self.start
-
-    @property
     def session_minutes(self) -> int:
         s = self.start.hour * 60 + self.start.minute
         e = self.end.hour * 60 + self.end.minute
-        return (e - s) % (24 * 60)
+        return (e - s) % (24 * 60) or 24 * 60
 
     @property
     def nominal_bar_count(self) -> int:
         return self.session_minutes // self.bar_minutes
 
-    def contains(self, t: time) -> bool:
-        """Whether a bar *opening* at wall-clock ``t`` belongs to the session."""
-        if self.wraps_midnight:
-            return t >= self.start or t < self.end
-        return self.start <= t < self.end
-
-    def session_date(self, ts: datetime) -> date:
-        """Session-local date: a wrapped session belongs to the date of its open."""
-        if self.wraps_midnight and ts.time() < self.end:
-            return (ts - timedelta(days=1)).date()
-        return ts.date()
-
-    def bar_index(self, ts: datetime) -> int:
-        """Index of the bar opening at ``ts`` within its session."""
-        open_dt = datetime.combine(self.session_date(ts), self.start)
-        delta = ts - open_dt
-        minutes = delta.days * 24 * 60 + delta.seconds // 60
-        return minutes // self.bar_minutes
+    def place(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """The session date (``M8[D]``) of each time in ``ts`` (``datetime64``
+        times, or ``datetime`` values) and its offset from that date's open
+        (``m8[us]``): a time belongs to the date whose open it follows by less
+        than a day, so a wrapped session's early hours fall on the day before.
+        A time is in the session when its offset is under ``session_minutes``,
+        and its bar is the offset over the bar step."""
+        shifted = np.asarray(ts, dtype="M8[us]") - np.timedelta64(
+            self.start.hour * 60 + self.start.minute, "m")
+        day = shifted.astype("M8[D]")
+        return day, shifted - day
 
 
 RTH = SessionSpec("RTH", time(9, 30), time(16, 0), 5)
@@ -233,8 +227,6 @@ _ROW = np.dtype([("ts", "S17"), ("open", "f8"), ("high", "f8"), ("low", "f8"),
 _TS_BYTES = np.frombuffer(b"0000-00-00T00:00\0", dtype=np.uint8)
 _TS_FORM = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}")
 _TS_FORM_ERROR = "timestamp is not zero-padded YYYY-MM-DDTHH:MM"
-_MINUTE_US = 60_000_000
-_DAY_US = 24 * 60 * _MINUTE_US
 _CHUNK_ROWS = 16_384  # rows per formatting pass: bounds the pass's byte matrices
 
 
@@ -326,32 +318,32 @@ def _row_error(nums: list[int], rows: list[str]) -> BarError:
 def _group(ts: np.ndarray, ohlc: np.ndarray, volume: np.ndarray,
            session: SessionSpec) -> list[TradingDay]:
     """Sorted bars, as ``datetime64[us]`` times, a 4 x n price array and
-    volumes, into linked TradingDays that hold slices of those arrays."""
+    volumes, into TradingDays that hold slices of those arrays, each RTH day
+    linked to the day before it as ``link_rth`` links them."""
     n = len(ts)
-    us = ts.view(np.int64)
-    start = (session.start.hour * 60 + session.start.minute) * _MINUTE_US
-    end = (session.end.hour * 60 + session.end.minute) * _MINUTE_US
-    tod = us % _DAY_US
-    early = tod < end
-    inside = (tod >= start) | early if session.wraps_midnight else (tod >= start) & early
+    day, offset = session.place(ts)
+    inside = offset < np.timedelta64(session.session_minutes, "m")
     unsorted = np.zeros(n, dtype=bool)
-    unsorted[1:] = us[1:] <= us[:-1]
-    bad = unsorted | ~inside
+    unsorted[1:] = ts[1:] <= ts[:-1]
+    bad = unsorted | ~inside | (day < np.datetime64(date.min))
     if bad.any():
         k = int(np.argmax(bad))
-        raise BarError(f"unsorted input at {ts[k].item()}" if unsorted[k]
-                       else f"bar {ts[k].item()} outside {session.name} session window")
-    day = us // _DAY_US - (early if session.wraps_midnight else 0)
+        t = ts[k].item()
+        raise BarError(f"unsorted input at {t}" if unsorted[k]
+                       else f"bar {t} outside {session.name} session window" if not inside[k]
+                       else f"bar {t}: session date before year 1")
     first = np.flatnonzero(np.diff(day, prepend=day[:1] - 1))
     counts = np.diff(first, append=n)
     # a day is complete when its k-th bar opens k steps after the session open
     pos = np.arange(n) - np.repeat(first, counts)
-    off_grid = us - (day * _DAY_US + start) != pos * (session.bar_minutes * _MINUTE_US)
-    complete = (counts == session.nominal_bar_count) & ~np.logical_or.reduceat(off_grid, first)
-    dates = day[first].astype("M8[D]").tolist()
+    on_grid = offset == pos * np.timedelta64(session.bar_minutes, "m")
+    complete = ((counts == session.nominal_bar_count)
+                & np.logical_and.reduceat(on_grid, first)).tolist()
     bounds = np.append(first, n).tolist()
-    return link_rth([TradingDay(d, session, ts[a:b], ohlc[:, a:b], volume[a:b], complete=c)
-                     for d, a, b, c in zip(dates, bounds, bounds[1:], complete.tolist())])
+    rth = session.name == "RTH"
+    prior = [None, *(ohlc[3, b - 1] if rth and c else None for b, c in zip(bounds[1:], complete))]
+    return [TradingDay(d, session, ts[a:b], ohlc[:, a:b], volume[a:b], p, c)
+            for d, a, b, p, c in zip(day[first].tolist(), bounds, bounds[1:], prior, complete)]
 
 
 def group_days(bars: Iterable[Bar], session: SessionSpec) -> list[TradingDay]:

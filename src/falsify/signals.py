@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import KW_ONLY, dataclass
-from datetime import date, time, datetime, timedelta
+from datetime import date, time, datetime
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -191,15 +191,12 @@ def entry_time_bar(sess: SessionSpec, entry_time: time) -> int:
     """
     if entry_time == sess.start:
         return 0
-    anchor = datetime.combine(date.min, sess.start)
-    target = datetime.combine(date.min, entry_time)
-    if sess.wraps_midnight and entry_time < sess.start:
-        target += timedelta(days=1)
-    minutes = (target - anchor).total_seconds() / 60
-    idx = minutes / sess.bar_minutes - 1
-    if idx != int(idx) or not (0 <= idx < sess.nominal_bar_count):
+    step = np.timedelta64(sess.bar_minutes, "m")
+    _, offset = sess.place(np.datetime64(datetime.combine(date.min, entry_time)) - step)
+    bar, rest = divmod(offset, step)
+    if rest or bar >= sess.nominal_bar_count:
         raise SignalError(f"entry time {entry_time} outside {sess.name} session grid")
-    return int(idx)
+    return int(bar)
 
 
 def gap_fill_entries(store: SessionStore, prims: DayPrimitives, entry_time: time,
@@ -295,10 +292,14 @@ def vvg_close_fade_entries(store: SessionStore) -> Entries:
 
 def events_by_day(events: Sequence[EconEvent], session: SessionSpec) -> dict[date, list]:
     """Events inside the session window, by session-local date, in calendar order."""
+    day, offset = session.place([ev.ts for ev in events])
+    # no day has a session date before year 1
+    inside = ((offset < np.timedelta64(session.session_minutes, "m"))
+              & (day >= np.datetime64(date.min)))
     out: dict[date, list[EconEvent]] = {}
-    for ev in events:
-        if session.contains(ev.ts.time()):
-            out.setdefault(session.session_date(ev.ts), []).append(ev)
+    for ev, d, ok in zip(events, day.tolist(), inside.tolist()):
+        if ok:
+            out.setdefault(d, []).append(ev)
     return out
 
 
@@ -318,9 +319,11 @@ def event_drift_entries(store: SessionStore, events: Sequence[EconEvent],
     if not store.days:
         return NO_ENTRIES
     sess = store.days[0].session
-    rows = np.array([(store.cols[d].start, store.cols[d].stop, sess.bar_index(ev.ts))
-                     for d, evs in events_by_day(events, sess).items() if d in store.cols
-                     for ev in evs], np.int64).reshape(-1, 3)
+    on = [(store.cols[d], ev.ts) for d, evs in events_by_day(events, sess).items()
+          if d in store.cols for ev in evs]
+    bar = sess.place([t for _, t in on])[1] // np.timedelta64(sess.bar_minutes, "m")
+    rows = np.array([(c.start, c.stop, r) for (c, _), r in zip(on, bar.tolist())],
+                    np.int64).reshape(-1, 3)
     start, stop, r = rows[np.argsort(rows[:, 0], kind="stable")].T
     at, closes = start + r, store.ohlc[3]  # each release bar's column
     sig = at + start_bar_offset

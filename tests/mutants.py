@@ -50,6 +50,22 @@ MUTANTS = (
            "for a in range(0, len(ts), _CHUNK_ROWS)",
            "for a in range(0, min(len(ts), 1), _CHUNK_ROWS)",
            ("tests/test_synth.py::test_generated_corpora_match_golden_digests",)),
+    Mutant("session clock shifted from the end", BARS,
+           'self.start.hour * 60 + self.start.minute, "m")',
+           'self.end.hour * 60 + self.end.minute, "m")',
+           ("tests/test_bars.py::test_place_matches_the_scalar_session_clock",
+            "tests/test_bars.py::test_asia_wraps_midnight")),
+    Mutant("a bar at the session end kept in the session", BARS,
+           "inside = offset < np.timedelta64(", "inside = offset <= np.timedelta64(",
+           ("tests/test_bars.py::test_place_matches_the_scalar_session_clock",)),
+    Mutant("a session date before year 1 let through", BARS,
+           "bad = unsorted | ~inside | (day < np.datetime64(date.min))",
+           "bad = unsorted | ~inside",
+           ("tests/test_bars.py::test_a_bar_whose_session_date_is_before_year_1_is_refused",)),
+    Mutant("a parsed day linked to an incomplete day", BARS,
+           "ohlc[3, b - 1] if rth and c else None", "ohlc[3, b - 1] if rth else None",
+           ("tests/test_bars.py::test_incomplete_prior_day_breaks_gap_link",
+            "tests/test_bars.py::test_array_parser_matches_row_parser")),
     Mutant("open recurrence drops the gap", SYNTH,
            "price += gap[k]", "pass",
            ("tests/test_synth.py::test_generated_corpora_match_golden_digests",
@@ -132,6 +148,13 @@ MUTANTS = (
            'closes.take(at + 5, mode="clip")', 'closes.take(at + 4, mode="clip")',
            ("tests/test_engine.py::test_event_drift_date_index_matches_the_whole_calendar_scan",
             "tests/test_engine.py::test_event_drift_lists_same_day_releases_by_bar")),
+    Mutant("a release at the session end kept in the session", SIGNALS,
+           "inside = ((offset < np.timedelta64(", "inside = ((offset <= np.timedelta64(",
+           ("tests/test_bars.py::test_place_matches_the_scalar_session_clock",)),
+    Mutant("an entry time one bar past the session", SIGNALS,
+           "if rest or bar >= sess.nominal_bar_count:",
+           "if rest or bar > sess.nominal_bar_count:",
+           ("tests/test_signals.py::test_entry_time_bar_matches_its_old_rule_on_every_minute",)),
     Mutant("entry order puts SHORT first on a bar", SIGNALS,
            "np.lexsort((-self.sign, self.col))", "np.lexsort((self.sign, self.col))",
            ("tests/test_signals.py::test_a_double_pierce_is_listed_long_first_by_the_engine",
@@ -144,6 +167,12 @@ MUTANTS = (
            "positions = np.arange(pool.start[-1])",
            ("tests/test_validation.py::test_permutation_matches_per_iteration_resimulation",
             "tests/test_validation.py::test_permutation_matches_the_per_day_table_build")),
+    Mutant("a short's level at a bar's high not touched", EXECUTION,
+           "ohlc[1][j] >= lv", "ohlc[1][j] > lv",
+           ("tests/test_execution.py::test_a_level_equal_to_a_bar_extreme_is_touched",)),
+    Mutant("a long's level at a bar's low not touched", EXECUTION,
+           "ohlc[2][j] <= lv", "ohlc[2][j] < lv",
+           ("tests/test_execution.py::test_a_level_equal_to_a_bar_extreme_is_touched",)),
     Mutant("kernel puts a day's first bar in the day before", EXECUTION,
            'day = np.searchsorted(days.start, first, side="right") - 1',
            'day = np.searchsorted(days.start, first, side="left") - 1',

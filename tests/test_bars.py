@@ -14,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import rows
 from rows import day_from_bars
-from falsify.bars import (ASIA, BAR_HEADER, LONDON, RTH, TS_FORMAT, Bar, BarError, EventKind,
-                          SessionSpec, TradingDay, day_primitives, group_days, link_rth,
+from falsify.bars import (ASIA, BAR_HEADER, LONDON, RTH, TS_FORMAT, Bar, BarError, EconEvent,
+                          EventKind, SessionSpec, TradingDay, day_primitives, group_days, link_rth,
                           parse_bar_file, parse_event_calendar, serialize_days)
 from falsify.signals import events_by_day
 
@@ -47,22 +47,68 @@ def test_session_bar_counts():
     assert RTH.nominal_bar_count == 78
     assert ASIA.nominal_bar_count == 72
     assert LONDON.nominal_bar_count == 22
+    assert rows.ODD.nominal_bar_count == 2
+    assert rows.ALL_DAY.nominal_bar_count == 24
 
 
 def test_asia_wraps_midnight():
-    assert ASIA.wraps_midnight
-    assert not RTH.wraps_midnight
     # a bar opening at 01:55 belongs to the previous calendar date
-    ts = datetime(2022, 3, 2, 1, 55)
-    assert ASIA.session_date(ts) == date(2022, 3, 1)
-    assert ASIA.session_date(datetime(2022, 3, 1, 20, 0)) == date(2022, 3, 1)
+    day, offset = ASIA.place([datetime(2022, 3, 2, 1, 55), datetime(2022, 3, 1, 20, 0)])
+    assert day.tolist() == [date(2022, 3, 1), date(2022, 3, 1)]
+    assert offset.tolist() == [timedelta(hours=5, minutes=55), timedelta(0)]
+    # 02:00 is the end: the previous date's session is over, and today's not open
+    day, offset = ASIA.place(np.datetime64("2022-03-02T02:00"))
+    assert day == np.datetime64("2022-03-01") and offset == np.timedelta64(6, "h")
+    assert offset >= np.timedelta64(ASIA.session_minutes, "m")
 
 
 def test_bar_index_across_midnight():
-    assert ASIA.bar_index(datetime(2022, 3, 1, 20, 0)) == 0
-    assert ASIA.bar_index(datetime(2022, 3, 2, 1, 55)) == 71
-    assert RTH.bar_index(datetime(2022, 3, 1, 9, 30)) == 0
-    assert RTH.bar_index(datetime(2022, 3, 1, 15, 55)) == 77
+    step = np.timedelta64(5, "m")
+    _, offset = ASIA.place([datetime(2022, 3, 1, 20, 0), datetime(2022, 3, 2, 1, 55)])
+    assert (offset // step).tolist() == [0, 71]
+    _, offset = RTH.place([datetime(2022, 3, 1, 9, 30), datetime(2022, 3, 1, 15, 55)])
+    assert (offset // step).tolist() == [0, 77]
+
+
+@st.composite
+def session_times(draw):
+    """A session of RTH, ASIA, LONDON, ODD and ALL_DAY and a time, often one
+    near its open or its end, sometimes with seconds."""
+    session = draw(st.sampled_from([RTH, ASIA, LONDON, rows.ODD, rows.ALL_DAY]))
+    day = draw(st.dates(date(1, 1, 3), date(9999, 12, 30)))
+    anchor = draw(st.sampled_from([session.start, session.end, time(0, 0)]))
+    ts = (datetime.combine(day, anchor)
+          + timedelta(minutes=draw(st.integers(-90, 90) | st.integers(-1440, 1440))))
+    return session, ts + timedelta(seconds=draw(st.sampled_from([0, 0, 1, 30, 59])))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(session_times())
+@example((rows.ODD, datetime(2022, 3, 1, 23, 45)))
+@example((rows.ODD, datetime(2022, 3, 2, 0, 14, 59)))
+@example((rows.ODD, datetime(2022, 3, 2, 0, 15)))
+@example((ASIA, datetime(2022, 3, 2, 2, 0)))
+@example((RTH, datetime(2022, 3, 1, 16, 0)))
+@example((RTH, datetime(2022, 3, 1, 9, 29, 59)))
+def test_place_matches_the_scalar_session_clock(case):
+    # place, and the bar grouper and event calendar built on it, against the
+    # scalar clock with its wrap-midnight branches
+    session, ts = case
+    inside = rows.contains(session, ts.time())
+    day, offset = session.place([ts])
+    assert (offset[0] < np.timedelta64(session.session_minutes, "m")) == inside
+    bar = Bar(ts, 1.0, 1.0, 1.0, 1.0, 1)
+    release = EconEvent(ts, EventKind.CPI, "HIGH", "USD")
+    if inside:
+        d = rows.session_date(session, ts)
+        assert day[0] == d
+        assert offset[0] // np.timedelta64(session.bar_minutes, "m") == rows.bar_index(session, ts)
+        assert [g.date for g in group_days([bar], session)] == [d]
+        assert events_by_day([release], session) == {d: [release]}
+    else:
+        with pytest.raises(BarError, match=f"^bar {ts} outside {session.name} session window$"):
+            group_days([bar], session)
+        assert events_by_day([release], session) == {}
 
 
 def test_session_grid_is_contiguous():
@@ -145,6 +191,19 @@ def test_high_below_low_names_bar(tmp_path):
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(BarError, match="line 4"):
         parse_bar_file(p, RTH)
+
+
+def test_a_bar_whose_session_date_is_before_year_1_is_refused(tmp_path):
+    # 01:00 on the first date of the calendar is in the Asia session of the day before
+    p = tmp_path / "bars.csv"
+    p.write_text(f"{BAR_HEADER}\n0001-01-01T01:00,1.00,1.00,1.00,1.00,1\n", encoding="utf-8")
+    with pytest.raises(BarError, match=r"^bar 0001-01-01 01:00:00: session date before year 1$"):
+        parse_bar_file(p, ASIA)
+    with pytest.raises(BarError, match=r"^bar 0001-01-01 01:00:00: session date before year 1$"):
+        group_days([Bar(datetime(1, 1, 1, 1, 0), 1.0, 1.0, 1.0, 1.0, 1)], ASIA)
+    p.write_text(f"{BAR_HEADER}\n0001-01-01T20:00,1.00,1.00,1.00,1.00,1\n"
+                 "0001-01-02T01:00,1.00,1.00,1.00,1.00,1\n", encoding="utf-8")
+    assert [d.date for d in parse_bar_file(p, ASIA)] == [date(1, 1, 1)]
 
 
 def test_unsorted_input_rejected(tmp_path):
@@ -377,9 +436,9 @@ def reference_group_days(bars: Iterable[Bar], session: SessionSpec) -> list[Trad
         if prev_ts is not None and bar.ts <= prev_ts:
             raise BarError(f"unsorted input at {bar.ts}")
         prev_ts = bar.ts
-        if not session.contains(bar.ts.time()):
+        if not rows.contains(session, bar.ts.time()):
             raise BarError(f"bar {bar.ts} outside {session.name} session window")
-        d = session.session_date(bar.ts)
+        d = rows.session_date(session, bar.ts)
         if d not in grouped:
             grouped[d] = []
             order.append(d)
@@ -646,7 +705,7 @@ def test_declared_differences_were_accepted_before(tmp_path):
                 "2022-01-03T09:30,100,101,99,100,99999999999999999999"):
         p = tmp_path / "bars.csv"
         p.write_text(f"{BAR_HEADER}\n{row}\n", encoding="utf-8")
-        assert RTH.contains(reference_row(row, 2).ts.time())
+        assert rows.contains(RTH, reference_row(row, 2).ts.time())
         with pytest.raises(BarError, match="^line 2: "):
             parse_bar_file(p, RTH)
 

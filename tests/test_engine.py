@@ -814,9 +814,9 @@ def old_event_drift(day, events, start_bar_offset=6):
     from falsify.signals import SHORT, SignalEvent
     bars, sess, out = day.bars, day.session, []
     for ev in events:
-        if sess.session_date(ev.ts) != day.date or not sess.contains(ev.ts.time()):
+        if rows.session_date(sess, ev.ts) != day.date or not rows.contains(sess, ev.ts.time()):
             continue
-        r = sess.bar_index(ev.ts)
+        r = rows.bar_index(sess, ev.ts)
         if r + 5 >= len(bars):
             continue
         move = bars[r + 5].close - bars[r].close

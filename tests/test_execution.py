@@ -162,6 +162,29 @@ def test_conservative_stop_dominates_favorable_oracle():
         assert t.gross <= (oracle_exit - entry) + 1e-9
 
 
+@pytest.mark.parametrize("direction", [LONG, SHORT])
+def test_a_level_equal_to_a_bar_extreme_is_touched(direction):
+    # a stop or a limit level that a later bar's low (long) or high (short)
+    # reaches exactly is touched: the stop exits there, the limit fills there
+    sign = 1 if direction == LONG else -1
+
+    def reaching(bar, level):
+        extreme = [100.0] * 78
+        extreme[bar] = level
+        return {"lows" if sign > 0 else "highs": extreme}
+    closes = [100.0] * 78
+    stop = one_trade(closes, SignalEvent("ORB_LONG", date(2022, 1, 3), 10, direction),
+                     ExitSpec(ExitKind.STOP_HORIZON, horizon=15, stop=20.0),
+                     **reaching(15, 100.0 - sign * 20.0))
+    assert (stop.exit_reason, stop.exit_bar, stop.exit_price) == (ExitReason.STOP, 15,
+                                                                  100.0 - sign * 20.0)
+    limit = one_trade(closes, SignalEvent("CONFLUENCE_RTH", date(2022, 1, 3), 10, direction,
+                                          limit_level=100.0 - sign * 5.0),
+                      ExitSpec(ExitKind.PULLBACK_LIMIT, horizon=13),
+                      **reaching(14, 100.0 - sign * 5.0))
+    assert (limit.entry_bar, limit.entry_price) == (14, 100.0 - sign * 5.0)
+
+
 # -- clock exits --------------------------------------------------------------------
 
 def test_clock_exit_at_bar_open():

@@ -198,6 +198,35 @@ def test_gap_fill_fade_at_0945_shorts_an_up_gap():
                             min_gap=5.0) == [(2, SHORT)]
 
 
+def old_entry_time_bar(sess, entry_time):
+    """entry_time_bar as it was, with its own wrap-midnight rule."""
+    if entry_time == sess.start:
+        return 0
+    anchor = datetime.combine(date.min, sess.start)
+    target = datetime.combine(date.min, entry_time)
+    if sess.end <= sess.start and entry_time < sess.start:
+        target += timedelta(days=1)
+    minutes = (target - anchor).total_seconds() / 60
+    idx = minutes / sess.bar_minutes - 1
+    if idx != int(idx) or not (0 <= idx < sess.nominal_bar_count):
+        raise SignalError(f"entry time {entry_time} outside {sess.name} session grid")
+    return int(idx)
+
+
+@pytest.mark.parametrize("sess", [RTH, ASIA, LONDON, rows.ODD, rows.ALL_DAY], ids=lambda s: s.name)
+def test_entry_time_bar_matches_its_old_rule_on_every_minute(sess):
+    def outcome(rule, t):
+        try:
+            return rule(sess, t)
+        except SignalError as exc:
+            return str(exc)
+    times = [time(m // 60, m % 60) for m in range(24 * 60)]
+    times += [time(9, 35, 30), time(20, 5, 0, 1), time(23, 59, 59)]
+    # errors included: "entry time 09:32:00 outside RTH session grid", byte for byte
+    assert ([outcome(signals.entry_time_bar, t) for t in times]
+            == [outcome(old_entry_time_bar, t) for t in times])
+
+
 def test_gap_below_minimum_ignored():
     day = gap_day(3.0)
     assert gap_fill_signals(day, day_primitives(day), entry_time=time(9, 30), min_gap=5.0) == []
