@@ -3,9 +3,8 @@
 Timestamps are assumed to already be in ET wall-clock time; no timezone
 conversion is performed anywhere in the pipeline.
 
-``SessionSpec.place`` is the one session clock: a time belongs to the session
-date whose open precedes it by less than the session length, and its bar is
-its offset from that open divided by the bar step.
+``SessionSpec.locate`` is the one answer to where a time falls on a session,
+and ``_check_bars`` the one statement of what a valid bar is.
 """
 from __future__ import annotations
 
@@ -43,6 +42,8 @@ class SessionSpec:
     def __post_init__(self) -> None:
         if self.bar_minutes <= 0:
             raise ValueError("bar_minutes must be positive")
+        if self.session_minutes % self.bar_minutes:
+            raise ValueError("a session must last a whole number of bars")
 
     @property
     def session_minutes(self) -> int:
@@ -58,13 +59,19 @@ class SessionSpec:
         """The session date (``M8[D]``) of each time in ``ts`` (``datetime64``
         times, or ``datetime`` values) and its offset from that date's open
         (``m8[us]``): a time belongs to the date whose open it follows by less
-        than a day, so a wrapped session's early hours fall on the day before.
-        A time is in the session when its offset is under ``session_minutes``,
-        and its bar is the offset over the bar step."""
+        than a day, so a wrapped session's early hours fall on the day before."""
         shifted = np.asarray(ts, dtype="M8[us]") - np.timedelta64(
             self.start.hour * 60 + self.start.minute, "m")
         day = shifted.astype("M8[D]")
         return day, shifted - day
+
+    def locate(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each time's session date (``place``), its bar (the offset over the step), the
+        time since that bar's open (``m8[us]``) and whether it is in the session: a bar
+        under ``nominal_bar_count`` (whole bars: the session length) from year 1 on."""
+        day, offset = self.place(ts)
+        bar, into = np.divmod(offset, np.timedelta64(self.bar_minutes, "m"))
+        return day, bar, into, (bar < self.nominal_bar_count) & (day >= np.datetime64(date.min))
 
 
 RTH = SessionSpec("RTH", time(9, 30), time(16, 0), 5)
@@ -86,16 +93,9 @@ class Bar:
     volume: int
 
     def validate(self) -> None:
-        if self.low > self.high:
-            raise BarError(f"bar {self.ts}: low {self.low} > high {self.high}")
-        if self.low > min(self.open, self.close) or self.high < max(self.open, self.close):
-            raise BarError(f"bar {self.ts}: open/close outside low/high range")
-        if self.volume < 0:
-            raise BarError(f"bar {self.ts}: negative volume {self.volume}")
-        # NaN passes every comparison above; checked last, so a bar those
-        # checks reject keeps their message
-        if not all(map(math.isfinite, (self.open, self.high, self.low, self.close))):
-            raise BarError(f"bar {self.ts}: non-finite price")
+        """Raise BarError if the bar breaks a bar rule (``_check_bars``)."""
+        _check_bars(np.array([self.ts], dtype="M8[us]"), np.array(
+            [[self.open], [self.high], [self.low], [self.close]]), np.array([self.volume]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,12 +240,29 @@ def _data_rows(path: str | Path, header: str, what: str) -> tuple[list[int], lis
     return nums[1:], [lines[i - 1].strip() for i in nums[1:]]
 
 
-def _columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Timestamps (``datetime64[us]``) and the OHLCV table of the rows.
+def _check_bars(ts: np.ndarray, ohlc: np.ndarray, volume: np.ndarray) -> None:
+    """Raise BarError naming the first bar of ``ts``, ``ohlc`` (4 x n) and ``volume``
+    that breaks a bar rule, and the first rule it breaks: low above high; open or
+    close outside low-high (``min`` and ``max`` as Python's: a NaN close is never
+    the lower); negative volume; a non-finite price (NaN passes every comparison
+    before it). ``_CHUNK_ROWS`` bars at a time."""
+    for a in range(0, len(ts), _CHUNK_ROWS):
+        (o, h, lo, c), v = ohlc[:, a:a + _CHUNK_ROWS], volume[a:a + _CHUNK_ROWS]
+        rules = (lo > h, (lo > np.where(c < o, c, o)) | (h < np.where(c > o, c, o)), v < 0,
+                 ~np.isfinite((o, h, lo, c)).all(axis=0))
+        if (bad := np.logical_or.reduce(rules)).any():
+            k = int(np.argmax(bad))
+            why = (f"low {lo[k].item()} > high {h[k].item()}", "open/close outside low/high range",
+                   f"negative volume {v[k]}", "non-finite price")
+            raise BarError(f"bar {ts[a + k].item()}: {next(w for w, r in zip(why, rules) if r[k])}")
 
-    Raises ValueError if any row is malformed or fails ``Bar.validate``;
-    only a row in the zero-padded ``YYYY-MM-DDTHH:MM`` timestamp form with
-    ASCII numbers parses here.
+
+def _columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Timestamps (``datetime64[us]``), prices (4 x n) and volumes of the rows.
+
+    Raises ValueError if any row is malformed or breaks a bar rule; only a
+    row in the zero-padded ``YYYY-MM-DDTHH:MM`` timestamp form with ASCII
+    numbers parses here.
     """
     if any("\0" in r for r in rows):  # the bytes dtype would drop a trailing NUL
         raise ValueError("NUL character")
@@ -263,7 +280,7 @@ def _columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(_TS_FORM_ERROR)
     # the fields are read from the digits: numpy's own string-to-datetime cast
     # crashes the interpreter on a large array holding an invalid date
-    d = raw.astype(np.int64) - ord("0")
+    d = raw.astype(np.int32) - ord("0")  # 32 bits hold every field, at half the memory
     year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
     month, day, hour, minute = (d[:, i] * 10 + d[:, i + 1] for i in (5, 8, 11, 14))
     first = ((year - 1970) * 12 + month - 1).astype("M8[M]")
@@ -272,25 +289,20 @@ def _columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
                   & (minute < 60) & (dates.astype("M8[M]") == first)):
         raise ValueError("timestamp out of range")
     ts = dates.astype("M8[us]") + (hour * 60 + minute) * np.timedelta64(60_000_000, "us")
-    o, h, lo, c = (table[k] for k in ("open", "high", "low", "close"))
-    bad = ((lo > h) | (lo > np.minimum(o, c)) | (h < np.maximum(o, c)) | (table["volume"] < 0)
-           | ~(np.isfinite(o) & np.isfinite(h) & np.isfinite(lo) & np.isfinite(c)))
-    if bad.any():
-        raise ValueError("bar fails validation")
-    return ts, table
+    columns = ts, np.array([table[k] for k in _ROW.names[1:5]]), table["volume"].copy()
+    _check_bars(*columns)
+    return columns
 
 
-def _conversion_error(line: str) -> Optional[str]:
-    """Why Python's own conversions or ``Bar.validate`` reject a row, if they do."""
+def _parsed(line: str) -> Bar | str:
+    """The row as a Bar, or why Python's own conversions reject it."""
     parts = line.split(",")
     if len(parts) != 6:
         return f"expected 6 columns, got {len(parts)}"
     try:
-        ts = datetime.strptime(parts[0], TS_FORMAT)
-        Bar(ts, *(float(p) for p in parts[1:5]), int(parts[5])).validate()
+        return Bar(datetime.strptime(parts[0], TS_FORMAT), *map(float, parts[1:5]), int(parts[5]))
     except ValueError as exc:
         return str(exc)
-    return None
 
 
 def _columns_error(rows: list[str]) -> Optional[str]:
@@ -302,17 +314,22 @@ def _columns_error(rows: list[str]) -> Optional[str]:
 
 
 def _row_error(nums: list[int], rows: list[str]) -> BarError:
-    """The error of the first row, in file order, that does not parse."""
-    k = next((i for i, line in enumerate(rows) if _conversion_error(line)), len(rows))
-    if k and _columns_error(rows[:k]):
-        # an earlier row breaks a rule only _columns has; each row passes or
-        # fails on its own, so bisect for the first one
-        lo, hi = 0, k
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if _columns_error(rows[:mid]) else (mid, hi)
-        return BarError(f"line {nums[lo]}: {_columns_error([rows[lo]])}")
-    return BarError(f"line {nums[k]}: {_conversion_error(rows[k])}")
+    """The error of the first row, in file order, that does not parse. A row's
+    fault is named by Python's own conversions first, then by the bar rules."""
+    k = next((i for i, line in enumerate(rows) if isinstance(_parsed(line), str)), len(rows))
+    if not (k and _columns_error(rows[:k])):
+        return BarError(f"line {nums[k]}: {_parsed(rows[k])}")
+    # an earlier row breaks a bar rule or a rule only _columns has; each row
+    # passes or fails on its own, so bisect for the first one
+    lo, hi = 0, k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _columns_error(rows[:mid]) else (mid, hi)
+    try:
+        _parsed(rows[lo]).validate()
+    except BarError as exc:
+        return BarError(f"line {nums[lo]}: {exc}")
+    return BarError(f"line {nums[lo]}: {_columns_error([rows[lo]])}")
 
 
 def _group(ts: np.ndarray, ohlc: np.ndarray, volume: np.ndarray,
@@ -321,24 +338,24 @@ def _group(ts: np.ndarray, ohlc: np.ndarray, volume: np.ndarray,
     volumes, into TradingDays that hold slices of those arrays, each RTH day
     linked to the day before it as ``link_rth`` links them."""
     n = len(ts)
-    day, offset = session.place(ts)
-    inside = offset < np.timedelta64(session.session_minutes, "m")
+    day, bar, into, inside = session.locate(ts)
     unsorted = np.zeros(n, dtype=bool)
     unsorted[1:] = ts[1:] <= ts[:-1]
-    bad = unsorted | ~inside | (day < np.datetime64(date.min))
+    bad = unsorted | ~inside
     if bad.any():
         k = int(np.argmax(bad))
         t = ts[k].item()
+        # a time within the session's bars is out of it only by its date
         raise BarError(f"unsorted input at {t}" if unsorted[k]
-                       else f"bar {t} outside {session.name} session window" if not inside[k]
-                       else f"bar {t}: session date before year 1")
+                       else f"bar {t}: session date before year 1"
+                       if bar[k] < session.nominal_bar_count
+                       else f"bar {t} outside {session.name} session window")
     first = np.flatnonzero(np.diff(day, prepend=day[:1] - 1))
     counts = np.diff(first, append=n)
-    # a day is complete when its k-th bar opens k steps after the session open
+    # a day is complete when its k-th bar opens at the open of the session's k-th bar
     pos = np.arange(n) - np.repeat(first, counts)
-    on_grid = offset == pos * np.timedelta64(session.bar_minutes, "m")
     complete = ((counts == session.nominal_bar_count)
-                & np.logical_and.reduceat(on_grid, first)).tolist()
+                & np.logical_and.reduceat((bar == pos) & (into == 0), first)).tolist()
     bounds = np.append(first, n).tolist()
     rth = session.name == "RTH"
     prior = [None, *(ohlc[3, b - 1] if rth and c else None for b, c in zip(bounds[1:], complete))]
@@ -349,8 +366,6 @@ def _group(ts: np.ndarray, ohlc: np.ndarray, volume: np.ndarray,
 def group_days(bars: Iterable[Bar], session: SessionSpec) -> list[TradingDay]:
     """Group sorted bars into session-local TradingDays and link RTH gaps."""
     bars = list(bars)
-    if not bars:
-        return []
     return _group(np.array([b.ts for b in bars], dtype="M8[us]"),
                   np.array([(b.open, b.high, b.low, b.close) for b in bars], dtype=float).T,
                   np.array([b.volume for b in bars], dtype=np.int64), session)
@@ -383,20 +398,18 @@ def parse_bar_file(path: str | Path, session: SessionSpec) -> list[TradingDay]:
     """Parse a bar file into TradingDays.
 
     Incomplete days are flagged (``complete=False``), never silently
-    dropped. Malformed rows, OHLC violations, non-finite prices and
-    unsorted input raise :class:`BarError` naming the offending line or
-    timestamp. The columns are read and checked as arrays, and each day
-    holds slices of them.
+    dropped. Malformed rows and bars that break a bar rule raise
+    :class:`BarError` naming the line, unsorted bars and bars not in the
+    session naming the timestamp. Each day holds slices of the columns.
     """
     nums, rows = _data_rows(path, BAR_HEADER, "header")
     if not rows:
         return []
     try:
-        ts, table = _columns(rows)
+        columns = _columns(rows)
     except ValueError:
         raise _row_error(nums, rows) from None
-    return _group(ts, np.array([table[k] for k in _ROW.names[1:5]]),
-                  np.ascontiguousarray(table["volume"]), session)
+    return _group(*columns, session)
 
 
 def _digits(v: np.ndarray, keep: int) -> np.ndarray:
@@ -417,31 +430,27 @@ def _digits(v: np.ndarray, keep: int) -> np.ndarray:
 def _writable_cents(ts: np.ndarray, ohlc: np.ndarray, volume: np.ndarray) -> np.ndarray:
     """Each price as its whole number of cents, whose text reads back as the
     price; raise BarError naming the first bar whose text would not read back
-    as the bar. ``x * 100`` is rounded before ``rint``, so from about 2**45
-    the cents of ``x`` can be a neighbour of ``rint(x * 100)``: the cents are
-    ``c = rint(x * 100)`` if ``c / 100 == x``, else the neighbour for which it is."""
+    as the bar, or that breaks a bar rule. ``x * 100`` is rounded before ``rint``,
+    so from about 2**45 the cents of ``x`` can be a neighbour of ``rint(x * 100)``:
+    the cents are ``c = rint(x * 100)`` if ``c / 100 == x``, else the neighbour."""
     year = ts.astype("M8[Y]").view(np.int64) + 1970
     bad_ts = (ts != ts.astype("M8[m]")) | (year < 1) | (year > 9999)
     near = np.rint(ohlc * 100)
     cents = np.full(ohlc.shape, np.nan)
     for c in (near + 1, near - 1, near):  # a later candidate wins
         cents = np.where((c / 100 == ohlc) & (np.abs(c) < 2**53), c, cents)
-    bad_price = np.isnan(cents)
-    bad = bad_ts | bad_price.any(axis=0) | (volume < 0)
-    if not bad.any():
+    bad_price = np.isnan(cents) & np.isfinite(ohlc)  # a non-finite price breaks a bar rule
+    bad = bad_ts | bad_price.any(axis=0)
+    k = int(np.argmax(bad)) if bad.any() else len(ts)
+    _check_bars(ts[:k], ohlc[:, :k], volume[:k])  # bar k's timestamp or cents come first
+    if k == len(ts):
         return cents
-    k = int(np.argmax(bad))
     t = ts[k].item()  # an int, or None for NaT, where a datetime cannot hold it
     when = t if isinstance(t, datetime) else np.datetime_as_string(ts[k])
-    if bad_ts[k]:
-        why = ("timestamp outside years 1-9999" if not 1 <= year[k] <= 9999
-               else "timestamp is not a whole minute")
-    elif bad_price[:, k].any():
-        x = float(ohlc[:, k][bad_price[:, k]][0])
-        why = (f"price {x!r} is not a whole number of cents under 2**53" if np.isfinite(x)
-               else "non-finite price")
-    else:
-        why = f"negative volume {volume[k]}"
+    why = ("timestamp outside years 1-9999" if not 1 <= year[k] <= 9999
+           else "timestamp is not a whole minute" if bad_ts[k]
+           else f"price {float(ohlc[bad_price[:, k], k][0])!r} is not a whole number of cents"
+                " under 2**53")
     raise BarError(f"bar {when}: {why}")
 
 
@@ -478,12 +487,11 @@ def serialize_days(days: Iterable[TradingDay], header_comment: str | None = None
 
     Each price is written from its whole number of cents, each timestamp from
     its date and minute fields and each volume from its digits, as one byte
-    matrix per ``_CHUNK_ROWS`` rows. A bar that text cannot hold exactly raises
-    :class:`BarError` naming it, rather than being rounded into a bar that would
-    read back as another: a price that is not finite or not the double of a
-    whole number of cents below 2**53 (``c / 100 == x`` for ``c = rint(x * 100)``
-    or a neighbour; 100.125 is refused, 0.07 and -39047116831841.73 are not), a
-    timestamp with seconds or outside years 1-9999, or a negative volume.
+    matrix per ``_CHUNK_ROWS`` rows. :class:`BarError` names the first bar that
+    text cannot hold exactly, rather than round it into one that reads back as
+    another: a timestamp with seconds or outside years 1-9999, then a finite
+    price that is not the double of a whole number of cents below 2**53 (100.125;
+    not 0.07 or -39047116831841.73), then a bar rule, with the reader's message.
     """
     days = list(days)
     ts = np.concatenate([np.empty(0, "M8[us]"), *(d.ts for d in days)])
@@ -541,8 +549,6 @@ def parse_event_calendar(path: str | Path) -> list[EconEvent]:
         impact = parts[2].upper()
         if impact not in IMPACT_LEVELS:
             raise BarError(f"line {i}: unknown impact code {parts[2]!r}")
-        ev = EconEvent(ts, kind, impact, parts[3].upper())
-        if ev.impact != "HIGH" or ev.currency != "USD" or ev.kind not in QUALIFYING_KINDS:
-            continue
-        events.append(ev)
+        if impact == "HIGH" and parts[3].upper() == "USD" and kind in QUALIFYING_KINDS:
+            events.append(EconEvent(ts, kind, impact, "USD"))
     return events

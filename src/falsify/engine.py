@@ -8,7 +8,7 @@ emits once per (fitted state, params) over its session's store.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, time
 from typing import Any, Callable, Optional, Sequence
 
@@ -403,20 +403,16 @@ class Engine:
         grid, exit_grid = self.family_grid(family)
         result = walk_forward(days, self.runner(family), grid, exit_grid)
 
-        p: Optional[float] = None
         gate = self.config.gate(family)
-        if permutation and gate.permutation_required and result.oos_trades:
-            # other criteria are cheap; only pay for the permutation when
-            # the rest of the gate could still pass
-            pre = validate(summary_metrics(result.oos_trades, permutation_p=0.0), gate)
-            if pre.overall:
-                test_years = {f.test_year for f in result.plan.folds}
-                pool = [d for d in days if d.year in test_years]
-                p = permutation_test(result.oos_trades, pool,
-                                     result.chosen[-1].exit,
-                                     iterations=self.config.permutation_iterations,
-                                     seed=self.config.seed,
-                                     instrument=self.config.instrument)
-        metrics = summary_metrics(result.oos_trades, permutation_p=p)
-        verdict = validate(metrics, gate)
-        return result, metrics, verdict
+        metrics = summary_metrics(result.oos_trades)
+        # other criteria are cheap; only pay for the permutation when the rest
+        # of the gate could still pass
+        if (permutation and gate.permutation_required and result.oos_trades
+                and validate(replace(metrics, permutation_p=0.0), gate).overall):
+            test_years = {f.test_year for f in result.plan.folds}
+            pool = [d for d in days if d.year in test_years]
+            metrics = replace(metrics, permutation_p=permutation_test(
+                result.oos_trades, pool, result.chosen[-1].exit,
+                iterations=self.config.permutation_iterations, seed=self.config.seed,
+                instrument=self.config.instrument))
+        return result, metrics, validate(metrics, gate)

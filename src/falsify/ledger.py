@@ -107,8 +107,10 @@ class Ledger:
         canonical = _canonical(record, prev)
         obj = json.loads(canonical)
         obj["hash"] = _hash(canonical)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+        with self.path.open("a+", encoding="utf-8") as fh:
+            fh.seek(0)  # a last record without its newline still ends before this one
+            fh.write("\n" * (fh.read()[-1:] not in ("", "\n"))
+                     + json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
     def verify(self) -> None:
         """Walk the hash chain; raises LedgerError naming the first bad line."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import KW_ONLY, dataclass
 from datetime import date, time, datetime
+from itertools import compress
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -191,10 +192,10 @@ def entry_time_bar(sess: SessionSpec, entry_time: time) -> int:
     """
     if entry_time == sess.start:
         return 0
-    step = np.timedelta64(sess.bar_minutes, "m")
-    _, offset = sess.place(np.datetime64(datetime.combine(date.min, entry_time)) - step)
-    bar, rest = divmod(offset, step)
-    if rest or bar >= sess.nominal_bar_count:
+    # the bar that opens a step before entry_time, on a date well after year 1
+    _, bar, into, inside = sess.locate(np.datetime64(datetime.combine(date(2000, 1, 3), entry_time))
+                                       - np.timedelta64(sess.bar_minutes, "m"))
+    if into or not inside:
         raise SignalError(f"entry time {entry_time} outside {sess.name} session grid")
     return int(bar)
 
@@ -291,15 +292,11 @@ def vvg_close_fade_entries(store: SessionStore) -> Entries:
 
 
 def events_by_day(events: Sequence[EconEvent], session: SessionSpec) -> dict[date, list]:
-    """Events inside the session window, by session-local date, in calendar order."""
-    day, offset = session.place([ev.ts for ev in events])
-    # no day has a session date before year 1
-    inside = ((offset < np.timedelta64(session.session_minutes, "m"))
-              & (day >= np.datetime64(date.min)))
+    """Events in the session, by session-local date, in calendar order."""
+    day, _, _, inside = session.locate([ev.ts for ev in events])
     out: dict[date, list[EconEvent]] = {}
-    for ev, d, ok in zip(events, day.tolist(), inside.tolist()):
-        if ok:
-            out.setdefault(d, []).append(ev)
+    for ev, d in compress(zip(events, day.tolist()), inside.tolist()):
+        out.setdefault(d, []).append(ev)
     return out
 
 
@@ -313,17 +310,15 @@ def check_drift_offset(start_bar_offset: int) -> None:
 def event_drift_entries(store: SessionStore, events: Sequence[EconEvent],
                         start_bar_offset: int) -> Entries:
     """Post-release drift measured only from bar +offset, never the spike bars: each
-    release that ``events_by_day`` puts on a day of ``store`` enters ``start_bar_offset``
-    bars after its bar, with its 5-bar move; by day, and in a day in calendar order."""
+    release in the session (``SessionSpec.locate``, as ``events_by_day`` reads it) on a day
+    of ``store`` enters ``start_bar_offset`` bars after its bar, with its 5-bar move; by
+    day, and in a day in calendar order."""
     check_drift_offset(start_bar_offset)
     if not store.days:
         return NO_ENTRIES
-    sess = store.days[0].session
-    on = [(store.cols[d], ev.ts) for d, evs in events_by_day(events, sess).items()
-          if d in store.cols for ev in evs]
-    bar = sess.place([t for _, t in on])[1] // np.timedelta64(sess.bar_minutes, "m")
-    rows = np.array([(c.start, c.stop, r) for (c, _), r in zip(on, bar.tolist())],
-                    np.int64).reshape(-1, 3)
+    day, bar, _, inside = store.days[0].session.locate([ev.ts for ev in events])
+    rows = np.array([(store.cols[d].start, store.cols[d].stop, r) for d, r in compress(zip(
+        day.tolist(), bar.tolist()), inside.tolist()) if d in store.cols], np.int64).reshape(-1, 3)
     start, stop, r = rows[np.argsort(rows[:, 0], kind="stable")].T
     at, closes = start + r, store.ohlc[3]  # each release bar's column
     sig = at + start_bar_offset

@@ -33,6 +33,8 @@ class Mutant(NamedTuple):
 BARS = "src/falsify/bars.py"
 ENGINE = "src/falsify/engine.py"
 EXECUTION = "src/falsify/execution.py"
+FEATURES = "src/falsify/features.py"
+LEDGER = "src/falsify/ledger.py"
 SIGNALS = "src/falsify/signals.py"
 SYNTH = "src/falsify/synth.py"
 VALIDATION = "src/falsify/validation.py"
@@ -47,21 +49,33 @@ MUTANTS = (
            "np.where(np.signbit(ohlc.T),", "np.where(ohlc.T < 0,",
            ("tests/test_bars.py::test_serialize_days_writes_what_the_f_string_writer_wrote",)),
     Mutant("bar writer writes only its first chunk", BARS,
-           "for a in range(0, len(ts), _CHUNK_ROWS)",
-           "for a in range(0, min(len(ts), 1), _CHUNK_ROWS)",
+           "for a in range(0, len(ts), _CHUNK_ROWS))",
+           "for a in range(0, min(len(ts), 1), _CHUNK_ROWS))",
            ("tests/test_synth.py::test_generated_corpora_match_golden_digests",)),
+    Mutant("bar rules checked in their first chunk only", BARS,
+           "for a in range(0, len(ts), _CHUNK_ROWS):",
+           "for a in range(0, min(len(ts), 1), _CHUNK_ROWS):",
+           ("tests/test_bars.py::test_a_bar_rule_is_checked_past_the_first_chunk",)),
     Mutant("session clock shifted from the end", BARS,
            'self.start.hour * 60 + self.start.minute, "m")',
            'self.end.hour * 60 + self.end.minute, "m")',
            ("tests/test_bars.py::test_place_matches_the_scalar_session_clock",
             "tests/test_bars.py::test_asia_wraps_midnight")),
-    Mutant("a bar at the session end kept in the session", BARS,
-           "inside = offset < np.timedelta64(", "inside = offset <= np.timedelta64(",
-           ("tests/test_bars.py::test_place_matches_the_scalar_session_clock",)),
+    Mutant("a time at the session end kept in the session", BARS,
+           "(bar < self.nominal_bar_count) &", "(bar <= self.nominal_bar_count) &",
+           ("tests/test_bars.py::test_place_matches_the_scalar_session_clock",
+            "tests/test_signals.py::test_entry_time_bar_matches_its_old_rule_on_every_minute")),
     Mutant("a session date before year 1 let through", BARS,
-           "bad = unsorted | ~inside | (day < np.datetime64(date.min))",
-           "bad = unsorted | ~inside",
+           "(bar < self.nominal_bar_count) & (day >= np.datetime64(date.min))",
+           "(bar < self.nominal_bar_count)",
            ("tests/test_bars.py::test_a_bar_whose_session_date_is_before_year_1_is_refused",)),
+    Mutant("the reader's bar rules skip open and close", BARS,
+           "(lo > np.where(c < o, c, o)) | (h < np.where(c > o, c, o))", "(lo > h)",
+           ("tests/test_bars.py::test_serialize_days_refuses_a_bar_text_cannot_hold",
+            "tests/test_bars.py::test_bar_rejects_close_outside_range")),
+    Mutant("the writer checks no bar rule", BARS,
+           "_check_bars(ts[:k], ohlc[:, :k], volume[:k])", "None",
+           ("tests/test_bars.py::test_serialize_days_refuses_a_bar_text_cannot_hold",)),
     Mutant("a parsed day linked to an incomplete day", BARS,
            "ohlc[3, b - 1] if rth and c else None", "ohlc[3, b - 1] if rth else None",
            ("tests/test_bars.py::test_incomplete_prior_day_breaks_gap_link",
@@ -148,17 +162,28 @@ MUTANTS = (
            'closes.take(at + 5, mode="clip")', 'closes.take(at + 4, mode="clip")',
            ("tests/test_engine.py::test_event_drift_date_index_matches_the_whole_calendar_scan",
             "tests/test_engine.py::test_event_drift_lists_same_day_releases_by_bar")),
-    Mutant("a release at the session end kept in the session", SIGNALS,
-           "inside = ((offset < np.timedelta64(", "inside = ((offset <= np.timedelta64(",
-           ("tests/test_bars.py::test_place_matches_the_scalar_session_clock",)),
-    Mutant("an entry time one bar past the session", SIGNALS,
-           "if rest or bar >= sess.nominal_bar_count:",
-           "if rest or bar > sess.nominal_bar_count:",
+    Mutant("an entry time past the session taken", SIGNALS,
+           "if into or not inside:", "if into:",
            ("tests/test_signals.py::test_entry_time_bar_matches_its_old_rule_on_every_minute",)),
+    Mutant("an opening-range breakout at the range's high", SIGNALS,
+           "late & (closes > _per_day(prims.opening_range_high))",
+           "late & (closes >= _per_day(prims.opening_range_high))",
+           ("tests/test_symmetry.py::test_the_price_mirror_maps_orb_long_and_orb_short_onto_each_other",)),
     Mutant("entry order puts SHORT first on a bar", SIGNALS,
            "np.lexsort((-self.sign, self.col))", "np.lexsort((self.sign, self.col))",
            ("tests/test_signals.py::test_a_double_pierce_is_listed_long_first_by_the_engine",
             "tests/test_engine.py::test_runner_nets_follow_the_trade_order_of_simulate")),
+    Mutant("bar returns as ratios, which a price shift moves", FEATURES,
+           "np.column_stack([c - o, h - lo, vz])", "np.column_stack([c / o - 1, h - lo, vz])",
+           ("tests/test_symmetry.py::test_a_whole_tick_price_shift_moves_every_trade_price_and_nothing_else",
+            "tests/test_symmetry.py::test_falsify_run_on_shifted_files_moves_only_the_trade_log_prices")),
+    Mutant("volume z-scores in contracts, which a volume multiple moves", FEATURES,
+           "z = (v - m) / s", "z = v - m",
+           ("tests/test_symmetry.py::test_multiplying_every_volume_changes_no_trade",)),
+    Mutant("ledger append glued onto an unterminated last line", LEDGER,
+           'fh.write("\\n" * (fh.read()[-1:] not in ("", "\\n"))',
+           'fh.write("" * (fh.read()[-1:] not in ("", "\\n"))',
+           ("tests/test_ledger.py::test_append_after_a_last_line_without_its_newline_starts_a_new_line",)),
     Mutant("ties pick the last grid point", VALIDATION,
            'float("-inf"), len(net), -order)', 'float("-inf"), len(net), order)',
            ("tests/test_validation.py::test_equal_training_t_and_n_pick_the_first_grid_point",)),

@@ -370,8 +370,11 @@ def test_serialize_days_writes_what_the_f_string_writer_wrote(days, header):
     ("ts", "10000-01-04T09:40", "bar 10000-01-04T09:40:00.000000: timestamp outside years 1-9999"),
     ("ts", "NaT", "bar NaT: timestamp outside years 1-9999"),
     ("volume", -1, "bar 2022-01-04 09:40:00: negative volume -1"),
+    # the reader's own messages: the writer refuses every bar its reader refuses
+    ("high", 98.0, "bar 2022-01-04 09:40:00: low 99.0 > high 98.0"),
+    ("open", 102.0, "bar 2022-01-04 09:40:00: open/close outside low/high range"),
 ], ids=["eighth", "tenth_of_a_cent", "2**53_cents", "nan", "inf", "second", "microsecond",
-        "year_10000", "nat", "negative_volume"])
+        "year_10000", "nat", "negative_volume", "high_below_low", "open_above_high"])
 def test_serialize_days_refuses_a_bar_text_cannot_hold(field, value, error):
     # the third bar of the second day: the error names it, not the first bar
     day = make_day(date(2022, 1, 4))
@@ -385,6 +388,27 @@ def test_serialize_days_refuses_a_bar_text_cannot_hold(field, value, error):
     bad = TradingDay(day.date, RTH, ts, ohlc, volume, complete=True)
     with pytest.raises(BarError, match=f"^{re.escape(error)}$"):
         serialize_days([make_day(date(2022, 1, 3)), bad], header_comment="synthetic")
+
+
+def test_a_bar_rule_is_checked_past_the_first_chunk(tmp_path):
+    # the rules run 16,384 bars at a time: a bad bar in the second pass is
+    # refused by the writer and, with its line, by the reader
+    n, k = 20_000, 19_000
+    ts = np.datetime64("2022-01-03T00:00", "us") + np.arange(n) * np.timedelta64(1, "m")
+    ohlc = np.tile([[100.0], [101.0], [99.0], [100.5]], n)
+    good = TradingDay(date(2022, 1, 3), WHOLE_DAY, ts, ohlc, np.ones(n, np.int64))
+    lines = serialize_days([good]).splitlines()
+    ohlc = ohlc.copy()
+    ohlc[1, k] = 98.0
+    bad = TradingDay(date(2022, 1, 3), WHOLE_DAY, ts, ohlc, np.ones(n, np.int64))
+    error = f"bar {ts[k].item()}: low 99.0 > high 98.0"
+    with pytest.raises(BarError, match=f"^{re.escape(error)}$"):
+        serialize_days([bad])
+    lines[k + 1] = lines[k + 1].replace(",101.00,", ",98.00,")
+    p = tmp_path / "bars.csv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(BarError, match=f"^line {k + 2}: {re.escape(error)}$"):
+        parse_bar_file(p, WHOLE_DAY)
 
 
 def test_every_bar_lands_in_exactly_one_day():

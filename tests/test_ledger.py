@@ -23,6 +23,16 @@ def test_append_and_read_round_trip(tmp_path):
     led.verify()
 
 
+def test_append_after_a_last_line_without_its_newline_starts_a_new_line(tmp_path):
+    led = Ledger(tmp_path / "ledger.jsonl")
+    led.append(rec(1))
+    led.path.write_text(led.path.read_text(encoding="utf-8").rstrip("\n"), encoding="utf-8")
+    led.append(rec(2))
+    assert [r.id for r in led.records()] == ["D001", "D002"]
+    assert len(led.path.read_text(encoding="utf-8").splitlines()) == 2
+    led.verify()
+
+
 def test_duplicate_id_rejected(tmp_path):
     led = Ledger(tmp_path / "ledger.jsonl")
     led.append(rec(1))
